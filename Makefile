@@ -6,7 +6,7 @@ GO ?= go
 # Benchmarks included in the machine-readable summary: the campaign-tier
 # perf benchmarks (snapshot/convergence/liveness) plus the VM golden-run
 # tiers. Override BENCH to widen or narrow the sweep.
-BENCH ?= BenchmarkCampaign(Snapshot|NoSnapshot|NoConverge|Liveness)$$|BenchmarkVMGoldenRun
+BENCH ?= BenchmarkCampaign(Snapshot|DisableSnapshots|DisableConverge|Liveness)$$|BenchmarkVMGoldenRun
 BENCHTIME ?= 20x
 BENCH_OUT ?= BENCH_10.json
 

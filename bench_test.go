@@ -246,20 +246,20 @@ func BenchmarkVMGoldenRun(b *testing.B) {
 	benchVMGoldenRun(b, vm.Options{})
 }
 
-// BenchmarkVMGoldenRunNoCompile is the compiled-tier ablation: the same
-// runs forced onto the token-threaded interpreter, isolating the
+// BenchmarkVMGoldenRunDisableCompile is the compiled-tier ablation: the
+// same runs forced onto the token-threaded interpreter, isolating the
 // fast-tier share of the speedup. The compiled-tier differential tests
 // guarantee both variants produce bit-identical results.
-func BenchmarkVMGoldenRunNoCompile(b *testing.B) {
-	benchVMGoldenRun(b, vm.Options{NoCompile: true})
+func BenchmarkVMGoldenRunDisableCompile(b *testing.B) {
+	benchVMGoldenRun(b, vm.Options{Disable: vm.TierCompile})
 }
 
-// BenchmarkVMGoldenRunNoFuse is the dispatch ablation: the compiled tier
-// off and superinstructions disabled too, isolating the fusion share.
-// (The compiled tier would otherwise mask fusion entirely on these
-// kernel-covered workloads.)
-func BenchmarkVMGoldenRunNoFuse(b *testing.B) {
-	benchVMGoldenRun(b, vm.Options{NoCompile: true, NoFuse: true})
+// BenchmarkVMGoldenRunDisableFuse is the dispatch ablation: the compiled
+// tier off and superinstructions disabled too, isolating the fusion
+// share. (The compiled tier would otherwise mask fusion entirely on
+// these kernel-covered workloads.)
+func BenchmarkVMGoldenRunDisableFuse(b *testing.B) {
+	benchVMGoldenRun(b, vm.Options{Disable: vm.TierCompile | vm.TierFuse})
 }
 
 func benchVMGoldenRun(b *testing.B, opts vm.Options) {
@@ -292,24 +292,24 @@ func benchVMGoldenRun(b *testing.B, opts vm.Options) {
 // The differential tests guarantee all variants produce bit-identical
 // results; the deltas here are pure wall-clock.
 func BenchmarkCampaignSnapshot(b *testing.B) {
-	benchCampaignSnapshot(b, false, false)
+	benchCampaignSnapshot(b, 0)
 }
 
-// BenchmarkCampaignNoSnapshot is the full-replay baseline for
+// BenchmarkCampaignDisableSnapshots is the full-replay baseline for
 // BenchmarkCampaignSnapshot.
-func BenchmarkCampaignNoSnapshot(b *testing.B) {
-	benchCampaignSnapshot(b, true, false)
+func BenchmarkCampaignDisableSnapshots(b *testing.B) {
+	benchCampaignSnapshot(b, vm.TierSnapshots)
 }
 
-// BenchmarkCampaignNoConverge is the convergence/memo ablation: snapshot
-// fast-forwarding stays on, but every experiment runs its post-injection
-// tail to completion. The delta against BenchmarkCampaignSnapshot
-// isolates the early-termination win.
-func BenchmarkCampaignNoConverge(b *testing.B) {
-	benchCampaignSnapshot(b, false, true)
+// BenchmarkCampaignDisableConverge is the convergence/memo ablation:
+// snapshot fast-forwarding stays on, but every experiment runs its
+// post-injection tail to completion. The delta against
+// BenchmarkCampaignSnapshot isolates the early-termination win.
+func BenchmarkCampaignDisableConverge(b *testing.B) {
+	benchCampaignSnapshot(b, vm.TierConverge)
 }
 
-func benchCampaignSnapshot(b *testing.B, noSnapshots, noConverge bool) {
+func benchCampaignSnapshot(b *testing.B, disable vm.Tiers) {
 	bench, err := prog.ByName("qsort")
 	if err != nil {
 		b.Fatal(err)
@@ -318,7 +318,7 @@ func benchCampaignSnapshot(b *testing.B, noSnapshots, noConverge bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	target, err := core.NewTarget(bench.Name, p)
+	target, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: disable})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -326,13 +326,11 @@ func benchCampaignSnapshot(b *testing.B, noSnapshots, noConverge bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.RunCampaign(core.CampaignSpec{
-			Target:      target,
-			Technique:   core.InjectOnRead,
-			Config:      core.SingleBit(),
-			N:           perIter,
-			Seed:        uint64(i),
-			NoSnapshots: noSnapshots,
-			NoConverge:  noConverge,
+			Target:    target,
+			Technique: core.InjectOnRead,
+			Config:    core.SingleBit(),
+			N:         perIter,
+			Seed:      uint64(i),
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -343,8 +341,8 @@ func benchCampaignSnapshot(b *testing.B, noSnapshots, noConverge bool) {
 // BenchmarkCampaignLiveness measures the static liveness pruning tier on
 // the Table I single-bit campaigns: for qsort (the paper's Table I
 // exemplar) and CRC32 (a dead-bit-heavy kernel), both techniques, the
-// same campaign runs with the tier on and with it ablated
-// (CampaignSpec.NoLiveness). The liveness soundness differential
+// same campaign runs with the tier on and with it ablated (a target
+// prepared without vm.TierLiveness). The liveness soundness differential
 // guarantees both variants record bit-identical experiments; the delta
 // here is pure wall-clock bought by classifying dead-bit flips without
 // executing them.
@@ -358,27 +356,30 @@ func BenchmarkCampaignLiveness(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		target, err := core.NewTarget(bench.Name, p)
+		live, err := core.NewTarget(bench.Name, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ablated, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierLiveness})
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, tech := range core.Techniques() {
 			for _, ablate := range []bool{false, true} {
-				label := "live"
+				label, target := "live", live
 				if ablate {
-					label = "noliveness"
+					label, target = "noliveness", ablated
 				}
 				b.Run(fmt.Sprintf("%s/%s/%s", name, tech, label), func(b *testing.B) {
 					const perIter = 200
 					pruned := 0
 					for i := 0; i < b.N; i++ {
 						res, err := core.RunCampaign(core.CampaignSpec{
-							Target:     target,
-							Technique:  tech,
-							Config:     core.SingleBit(),
-							N:          perIter,
-							Seed:       uint64(i),
-							NoLiveness: ablate,
+							Target:    target,
+							Technique: tech,
+							Config:    core.SingleBit(),
+							N:         perIter,
+							Seed:      uint64(i),
 						})
 						if err != nil {
 							b.Fatal(err)
@@ -480,19 +481,19 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 // megapixel workload (internal/prog, 1 MiB of globals): snapshots restore
 // copy-on-write, and the convergence tier hashes only each interval's
 // write set — this is the configuration the page-granular design exists
-// for. BenchmarkCampaignLargeGlobalsNoConverge is its early-termination
-// ablation.
+// for. BenchmarkCampaignLargeGlobalsDisableConverge is its
+// early-termination ablation.
 func BenchmarkCampaignLargeGlobals(b *testing.B) {
-	benchCampaignLargeGlobals(b, false)
+	benchCampaignLargeGlobals(b, 0)
 }
 
-// BenchmarkCampaignLargeGlobalsNoConverge is the convergence/memo
+// BenchmarkCampaignLargeGlobalsDisableConverge is the convergence/memo
 // ablation for BenchmarkCampaignLargeGlobals.
-func BenchmarkCampaignLargeGlobalsNoConverge(b *testing.B) {
-	benchCampaignLargeGlobals(b, true)
+func BenchmarkCampaignLargeGlobalsDisableConverge(b *testing.B) {
+	benchCampaignLargeGlobals(b, vm.TierConverge)
 }
 
-func benchCampaignLargeGlobals(b *testing.B, noConverge bool) {
+func benchCampaignLargeGlobals(b *testing.B, disable vm.Tiers) {
 	bench, err := prog.ByName("megapixel")
 	if err != nil {
 		b.Fatal(err)
@@ -501,7 +502,7 @@ func benchCampaignLargeGlobals(b *testing.B, noConverge bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	target, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{NoConverge: noConverge})
+	target, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: disable})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -509,12 +510,11 @@ func benchCampaignLargeGlobals(b *testing.B, noConverge bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.RunCampaign(core.CampaignSpec{
-			Target:     target,
-			Technique:  core.InjectOnRead,
-			Config:     core.SingleBit(),
-			N:          perIter,
-			Seed:       uint64(i),
-			NoConverge: noConverge,
+			Target:    target,
+			Technique: core.InjectOnRead,
+			Config:    core.SingleBit(),
+			N:         perIter,
+			Seed:      uint64(i),
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -527,7 +527,8 @@ func benchCampaignLargeGlobals(b *testing.B, noConverge bool) {
 // pre-engine claim-per-experiment behaviour (one shared atomic bump per
 // experiment), batch=16 the engine default. Results are bit-identical
 // either way (TestEngineClaimBatchInvariance enforces it); the delta is
-// pure claim-counter contention.
+// pure claim-counter contention. The engine is built from RegisterModel
+// directly, the way campaigns composed on core.Engine are.
 func BenchmarkCampaignBatchClaim(b *testing.B) {
 	bench, err := prog.ByName("qsort")
 	if err != nil {
@@ -544,15 +545,16 @@ func BenchmarkCampaignBatchClaim(b *testing.B) {
 	const perIter = 200
 	for _, batch := range []int{1, 16} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			spec := &core.CampaignSpec{Target: target, Technique: core.InjectOnRead, Config: core.SingleBit()}
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunCampaign(core.CampaignSpec{
+				eng := &core.Engine{
 					Target:     target,
-					Technique:  core.InjectOnRead,
-					Config:     core.SingleBit(),
+					Model:      &core.RegisterModel{Spec: spec},
 					N:          perIter,
 					Seed:       uint64(i),
 					ClaimBatch: batch,
-				}); err != nil {
+				}
+				if _, err := eng.Run(); err != nil {
 					b.Fatal(err)
 				}
 			}

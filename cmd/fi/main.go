@@ -8,6 +8,7 @@
 //	fi -prog CRC32 -n 10000 -journal ./j          # durable, checkpointed
 //	fi -prog CRC32 -n 10000 -journal ./j -resume  # continue after a crash
 //	fi -journal ./j -status                       # inspect a journal dir
+//	fi -prog CRC32 -n 10000 -disable snapshots    # ablate a speed tier
 //
 // The default model ("flip") is the paper's transient bit-flip model: the
 // win flag is the (max-MBF, win-size) cluster's window in Table I
@@ -37,6 +38,7 @@ import (
 	"multiflip/internal/prog"
 	"multiflip/internal/report"
 	"multiflip/internal/stats"
+	"multiflip/internal/vm"
 )
 
 // options carries the parsed command line.
@@ -50,10 +52,7 @@ type options struct {
 	seed       uint64
 	hang       uint64
 	workers    int
-	nosnap     bool
-	noconv     bool
-	nocomp     bool
-	nolive     bool
+	disable    vm.Tiers
 	classSpec  string
 	onfailSpec string
 	journal    string
@@ -76,10 +75,7 @@ func main() {
 	flag.Uint64Var(&o.seed, "seed", 1, "campaign seed (campaigns are exactly reproducible)")
 	flag.Uint64Var(&o.hang, "hang", core.DefaultHangFactor, "hang budget as a multiple of the fault-free dynamic instruction count")
 	flag.IntVar(&o.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	flag.BoolVar(&o.nosnap, "nosnap", false, "disable golden-run snapshot fast-forwarding (full prefix replay)")
-	flag.BoolVar(&o.noconv, "noconverge", false, "disable convergence-gated early termination and the fault-equivalence memo")
-	flag.BoolVar(&o.nocomp, "nocompile", false, "disable the compiled fast tier (run the interpreter between event horizons)")
-	flag.BoolVar(&o.nolive, "noliveness", false, "disable static liveness pruning (execute experiments the oracle could classify)")
+	flag.Var(&o.disable, "disable", "comma-separated speed `tiers` to turn off: snapshots, fuse, compile, converge, liveness (results are identical)")
 	flag.StringVar(&o.classSpec, "classifier", "", `outcome classifier: "exact" (default) or "tol:abs=E,rel=E[,word=4|8][,float]" (tolerant output comparison)`)
 	flag.StringVar(&o.onfailSpec, "onfail", "", `failure policy for experiments failing every supervision tier: "fast" (abort, default) or "quarantine" (poison and keep draining)`)
 	flag.StringVar(&o.journal, "journal", "", "journal directory: run the campaign as a durable sharded job (checkpointed, resumable, multi-process)")
@@ -130,15 +126,7 @@ func run(o options) error {
 			return err
 		}
 	}
-	b, err := prog.ByName(o.prog)
-	if err != nil {
-		return err
-	}
-	p, err := b.Build()
-	if err != nil {
-		return err
-	}
-	target, err := core.NewTargetOpts(o.prog, p, core.TargetOptions{NoConverge: o.noconv, NoCompile: o.nocomp, NoLiveness: o.nolive})
+	target, err := o.target()
 	if err != nil {
 		return err
 	}
@@ -146,6 +134,19 @@ func run(o options) error {
 		return runStuckAt(target, win, o)
 	}
 	return runFlip(target, win, o)
+}
+
+// target builds the program and prepares it without the -disable tiers.
+func (o *options) target() (*core.Target, error) {
+	b, err := prog.ByName(o.prog)
+	if err != nil {
+		return nil, err
+	}
+	p, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	return core.NewTargetOpts(o.prog, p, core.TargetOptions{Disable: o.disable})
 }
 
 // service returns the campaign Service for the flags, or nil without
@@ -169,20 +170,16 @@ func runFlip(target *core.Target, win core.WinSize, o options) error {
 	}
 	cfg := core.Config{MaxMBF: o.mbf, Win: win}
 	res, err := core.RunCampaign(core.CampaignSpec{
-		Target:      target,
-		Technique:   tech,
-		Config:      cfg,
-		N:           o.n,
-		Seed:        o.seed,
-		HangFactor:  o.hang,
-		Workers:     o.workers,
-		NoSnapshots: o.nosnap,
-		NoConverge:  o.noconv,
-		NoCompile:   o.nocomp,
-		NoLiveness:  o.nolive,
-		Classifier:  o.classifier,
-		OnFailure:   o.onfail,
-		Service:     o.service(),
+		Target:     target,
+		Technique:  tech,
+		Config:     cfg,
+		N:          o.n,
+		Seed:       o.seed,
+		HangFactor: o.hang,
+		Workers:    o.workers,
+		Classifier: o.classifier,
+		OnFailure:  o.onfail,
+		Service:    o.service(),
 	})
 	if err != nil {
 		return err
@@ -195,18 +192,15 @@ func runFlip(target *core.Target, win core.WinSize, o options) error {
 
 func runStuckAt(target *core.Target, win core.WinSize, o options) error {
 	res, err := core.RunStuckAt(core.StuckAtSpec{
-		Target:      target,
-		Window:      win,
-		N:           o.n,
-		Seed:        o.seed,
-		HangFactor:  o.hang,
-		Workers:     o.workers,
-		NoSnapshots: o.nosnap,
-		NoConverge:  o.noconv,
-		NoCompile:   o.nocomp,
-		Classifier:  o.classifier,
-		OnFailure:   o.onfail,
-		Service:     o.service(),
+		Target:     target,
+		Window:     win,
+		N:          o.n,
+		Seed:       o.seed,
+		HangFactor: o.hang,
+		Workers:    o.workers,
+		Classifier: o.classifier,
+		OnFailure:  o.onfail,
+		Service:    o.service(),
 	})
 	if err != nil {
 		return err

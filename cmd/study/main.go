@@ -24,6 +24,7 @@ import (
 	"multiflip/internal/core"
 	"multiflip/internal/memfault"
 	"multiflip/internal/study"
+	"multiflip/internal/vm"
 )
 
 func main() {
@@ -38,10 +39,6 @@ func main() {
 		stuckat     = flag.Bool("stuckat", true, "run the stuck-at register-fault extension (one campaign per program)")
 		stuckwin    = flag.String("stuckwin", "", `stuck-at extension hold window in Table I notation ("100", "11-100"; empty = default)`)
 		workers     = flag.Int("workers", 0, "parallel workers per campaign (0 = GOMAXPROCS)")
-		nosnap      = flag.Bool("nosnap", false, "disable golden-run snapshot fast-forwarding (full prefix replay)")
-		noconverge  = flag.Bool("noconverge", false, "disable convergence-gated early termination and the fault-equivalence memo")
-		nocompile   = flag.Bool("nocompile", false, "disable the compiled fast tier (run the interpreter between event horizons)")
-		noliveness  = flag.Bool("noliveness", false, "disable static liveness pruning (execute experiments the oracle could classify)")
 		classifier  = flag.String("classifier", "", `outcome classifier for every campaign: "exact" (default) or "tol:abs=E,rel=E[,word=4|8][,float]"`)
 		onfail      = flag.String("onfail", "", `failure policy for experiments failing every supervision tier: "fast" (abort, default) or "quarantine" (poison and keep draining)`)
 		journal     = flag.String("journal", "", "journal directory: run campaigns as durable sharded jobs (checkpointed, resumable, multi-process)")
@@ -51,13 +48,14 @@ func main() {
 		composition = flag.Bool("composition", false, "only run single-bit campaigns and print the candidate-composition tables")
 		verbose     = flag.Bool("v", false, "log campaign progress to stderr")
 	)
+	var disable vm.Tiers
+	flag.Var(&disable, "disable", "comma-separated speed `tiers` to turn off: snapshots, fuse, compile, converge, liveness (results are identical)")
 	flag.Parse()
 	if err := run(params{
 		n: *n, seed: *seed, progs: *progs, quick: *quick,
 		transitions: *transitions, ablations: *ablations, memfaults: *memfaults,
 		composition: *composition, stuckat: *stuckat, stuckwin: *stuckwin,
-		workers: *workers, nosnap: *nosnap, noconverge: *noconverge, nocompile: *nocompile,
-		noliveness: *noliveness,
+		workers: *workers, disable: disable,
 		classifier: *classifier, onfail: *onfail, journal: *journal, resume: *resume,
 		out: *out, csvDir: *csvDir, verbose: *verbose,
 	}); err != nil {
@@ -79,10 +77,7 @@ type params struct {
 	stuckat     bool
 	stuckwin    string
 	workers     int
-	nosnap      bool
-	noconverge  bool
-	nocompile   bool
-	noliveness  bool
+	disable     vm.Tiers
 	classifier  string
 	onfail      string
 	journal     string
@@ -120,16 +115,13 @@ func runTo(w io.Writer, p params) error {
 	}
 	n, seed := p.n, p.seed
 	opts := study.Options{
-		N:           n,
-		Seed:        seed,
-		Workers:     p.workers,
-		NoSnapshots: p.nosnap,
-		NoConverge:  p.noconverge,
-		NoCompile:   p.nocompile,
-		NoLiveness:  p.noliveness,
-		NoStuckAt:   !p.stuckat,
-		JournalDir:  p.journal,
-		Resume:      p.resume,
+		N:          n,
+		Seed:       seed,
+		Workers:    p.workers,
+		Disable:    p.disable,
+		NoStuckAt:  !p.stuckat,
+		JournalDir: p.journal,
+		Resume:     p.resume,
 	}
 	cl, err := core.ParseClassifier(p.classifier)
 	if err != nil {

@@ -88,10 +88,6 @@ type CampaignSpec struct {
 	HangFactor uint64
 	// Workers bounds campaign parallelism. Zero selects GOMAXPROCS.
 	Workers int
-	// ClaimBatch is the number of experiments a worker claims per atomic
-	// operation (0 = the engine default). Results are identical for any
-	// value; the knob supports the batch-claim ablation benchmark.
-	ClaimBatch int
 	// Record keeps per-experiment records in the result (needed by the
 	// transition analysis).
 	Record bool
@@ -107,42 +103,6 @@ type CampaignSpec struct {
 	// campaign, Quarantine poisons the experiment (OutcomeInternal, repro
 	// metadata in CampaignResult.Quarantined) and keeps draining.
 	OnFailure FailurePolicy
-	// NoSnapshots forces every experiment to replay the fault-free prefix
-	// from instruction 0 instead of fast-forwarding from the target's
-	// golden-run snapshots. Results are bit-identical either way (the
-	// differential tests enforce it); the knob exists for that comparison
-	// and as an escape hatch.
-	NoSnapshots bool
-	// NoFusion disables superinstruction execution in every experiment of
-	// this campaign: each instruction dispatches alone through the VM's
-	// handler table. Results are bit-identical either way (the fusion
-	// differential tests enforce it); the knob exists for that comparison
-	// and for the CI dispatch ablation.
-	NoFusion bool
-	// NoCompile disables the compiled fast tier in every experiment of
-	// this campaign: event-horizon stretches execute through the
-	// token-threaded interpreter instead of the workload's generated
-	// native kernel. Results are bit-identical either way (the compile
-	// differential tests enforce it); the knob exists for that comparison
-	// and for the CI compile ablation (MULTIFLIP_NOCOMPILE disables the
-	// tier process-wide).
-	NoCompile bool
-	// NoConverge disables convergence-gated early termination and the
-	// fault-equivalence memo for this campaign: every experiment runs to
-	// completion even after its state reconverges with the golden run.
-	// Results are bit-identical either way (the convergence differential
-	// tests enforce it); the knob exists for that comparison and for the
-	// CI convergence ablation (MULTIFLIP_NOCONVERGE disables both
-	// process-wide).
-	NoConverge bool
-	// NoLiveness disables static-liveness pruning for this campaign:
-	// every experiment executes even when the liveness oracle could prove
-	// it Benign without running. Results are bit-identical either way
-	// modulo the StaticPruned counter (the liveness soundness
-	// differential enforces it); the knob exists for that comparison and
-	// for the CI liveness ablation (MULTIFLIP_NOLIVENESS disables the
-	// tier process-wide).
-	NoLiveness bool
 	// Pins, when non-empty, forces experiment i's first injection to
 	// Pins[i] and sets N = len(Pins).
 	Pins []Pin
@@ -182,9 +142,9 @@ type CampaignResult struct {
 // it; the type is exported so the engine seam tests — and campaigns
 // composed directly on the Engine — can construct it.
 type RegisterModel struct {
-	// Spec supplies the technique, the error cluster, the optional pins
-	// and the snapshot knob; its engine-level fields (N, Seed, Workers,
-	// ...) are ignored here.
+	// Spec supplies the technique, the error cluster and the optional
+	// pins; its engine-level fields (N, Seed, Workers, ...) are ignored
+	// here.
 	Spec *CampaignSpec
 }
 
@@ -261,11 +221,7 @@ func (m *RegisterModel) Plan(t *Target, idx uint64, rng *xrand.Rand) Injection {
 	default:
 		plan.NextWindow = s.Config.Win.Sampler()
 	}
-	inj := Injection{Cand: cand, Plan: plan}
-	if !s.NoSnapshots {
-		inj.Resume = t.SnapshotBefore(s.Technique, cand)
-	}
-	return inj
+	return Injection{Cand: cand, Plan: plan, Resume: t.SnapshotBefore(s.Technique, cand)}
 }
 
 // Record implements FaultModel.
@@ -292,12 +248,7 @@ func RunCampaign(spec CampaignSpec) (*CampaignResult, error) {
 		Seed:          spec.Seed,
 		HangFactor:    spec.HangFactor,
 		Workers:       spec.Workers,
-		ClaimBatch:    spec.ClaimBatch,
 		Record:        spec.Record,
-		NoFusion:      spec.NoFusion,
-		NoCompile:     spec.NoCompile,
-		NoConverge:    spec.NoConverge,
-		NoLiveness:    spec.NoLiveness,
 		NoAlignTrap:   spec.NoAlignTrap,
 		Classifier:    spec.Classifier,
 		FailurePolicy: spec.OnFailure,

@@ -156,14 +156,7 @@ func TestZeroToleranceMatchesExact(t *testing.T) {
 		if want.Tally != got.Tally {
 			t.Errorf("memfault eps-0: tallies differ: %+v vs %+v", want.Tally, got.Tally)
 		}
-		if len(want.Outcomes) != len(got.Outcomes) {
-			t.Fatalf("memfault eps-0: outcome counts differ: %d vs %d", len(want.Outcomes), len(got.Outcomes))
-		}
-		for i := range want.Outcomes {
-			if want.Outcomes[i] != got.Outcomes[i] {
-				t.Fatalf("memfault eps-0: outcome %d differs: %s vs %s", i, want.Outcomes[i], got.Outcomes[i])
-			}
-		}
+		sameResult(t, "memfault eps-0", &want.EngineResult, &got.EngineResult, false)
 	})
 }
 

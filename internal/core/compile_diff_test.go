@@ -3,7 +3,7 @@ package core_test
 // The campaign-level compiled-tier differential suite: for every
 // workload, both techniques and the single- and multi-bit register
 // models — plus the stuck-at model — campaigns executed on the compiled
-// fast tier must be bit-identical to NoCompile campaigns, down to the
+// fast tier must be bit-identical to compile-disabled campaigns, down to the
 // per-experiment records, the outcome and trap histograms and the
 // early-exit counters (Workers=1 makes Converged/MemoHits deterministic,
 // so they are compared too). The memfault analogue lives in
@@ -12,7 +12,6 @@ package core_test
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 
@@ -21,9 +20,9 @@ import (
 	"multiflip/internal/vm"
 )
 
-// compileOn reports whether the process-wide compiled-tier kill switch is
-// inactive; non-vacuity assertions only hold then.
-func compileOn() bool { return os.Getenv("MULTIFLIP_NOCOMPILE") == "" }
+// compileOn reports whether MULTIFLIP_DISABLE leaves the compiled tier
+// on; non-vacuity assertions only hold then.
+func compileOn() bool { return !vm.EnvDisabled().Has(vm.TierCompile) }
 
 // TestCampaignCompileDifferential pins the compiled tier at the campaign
 // level across the full workload grid.
@@ -48,7 +47,7 @@ func TestCampaignCompileDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{NoCompile: true})
+		off, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierCompile})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +78,6 @@ func TestCampaignCompileDifferential(t *testing.T) {
 					t.Fatalf("%s %s %s: %v", bench.Name, tech, cfg, err)
 				}
 				spec.Target = off
-				spec.NoCompile = true
 				slow, err := core.RunCampaign(spec)
 				if err != nil {
 					t.Fatalf("%s %s %s (nocompile): %v", bench.Name, tech, cfg, err)
@@ -107,7 +105,7 @@ func TestStuckAtCompileDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := core.NewTargetOpts(name, p, core.TargetOptions{NoCompile: true})
+		off, err := core.NewTargetOpts(name, p, core.TargetOptions{Disable: vm.TierCompile})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +122,6 @@ func TestStuckAtCompileDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec.Target = off
-		spec.NoCompile = true
 		slow, err := core.RunStuckAt(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -1,17 +1,18 @@
 package core_test
 
 import (
-	"os"
 	"reflect"
 	"testing"
 
 	"multiflip/internal/core"
 	"multiflip/internal/prog"
+	"multiflip/internal/vm"
 )
 
-// convergeOn reports whether the process-wide convergence kill switch is
-// inactive; "early exits fire" assertions only hold then.
-func convergeOn() bool { return os.Getenv("MULTIFLIP_NOCONVERGE") == "" }
+// convergeOn reports whether MULTIFLIP_DISABLE leaves convergence on;
+// "early exits fire" and "targets record a trace" assertions only hold
+// then.
+func convergeOn() bool { return !vm.EnvDisabled().Has(vm.TierConverge) }
 
 // TestCampaignConvergeDifferential enforces the tentpole invariant at the
 // campaign level: for every workload, both techniques and the single- and
@@ -38,15 +39,15 @@ func TestCampaignConvergeDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if target.Trace == nil {
+		if target.Trace == nil && convergeOn() {
 			t.Fatalf("%s: target has no golden trace", bench.Name)
 		}
-		off, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{NoConverge: true})
+		off, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierConverge})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if off.Trace != nil {
-			t.Fatalf("%s: NoConverge target recorded a trace", bench.Name)
+			t.Fatalf("%s: converge-disabled target recorded a trace", bench.Name)
 		}
 		for _, tech := range core.Techniques() {
 			for _, cfg := range configs {
@@ -63,13 +64,12 @@ func TestCampaignConvergeDifferential(t *testing.T) {
 					t.Fatalf("%s %s %s: %v", bench.Name, tech, cfg, err)
 				}
 				spec.Target = off
-				spec.NoConverge = true
 				slow, err := core.RunCampaign(spec)
 				if err != nil {
 					t.Fatalf("%s %s %s (noconverge): %v", bench.Name, tech, cfg, err)
 				}
 				if slow.Converged != 0 || slow.MemoHits != 0 {
-					t.Fatalf("%s %s %s: NoConverge campaign reported early exits", bench.Name, tech, cfg)
+					t.Fatalf("%s %s %s: converge-disabled campaign reported early exits", bench.Name, tech, cfg)
 				}
 				earlyExits += fast.Converged + fast.MemoHits
 				if !reflect.DeepEqual(fast.Experiments, slow.Experiments) {
@@ -106,6 +106,10 @@ func TestCampaignMemoHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	target, err := core.NewTarget(bench.Name, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierConverge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +158,7 @@ func TestCampaignMemoHit(t *testing.T) {
 		t.Errorf("memoized experiment diverges from its twin: %+v vs %+v",
 			res.Experiments[0], res.Experiments[1])
 	}
-	spec.NoConverge = true
+	spec.Target = off
 	slow, err := core.RunCampaign(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -6,22 +6,32 @@ import (
 
 	"multiflip/internal/core"
 	"multiflip/internal/prog"
+	"multiflip/internal/vm"
 	"multiflip/internal/xrand"
 )
 
 func testRng() *xrand.Rand { return xrand.New(1) }
 
+type targetKey struct {
+	name    string
+	disable vm.Tiers
+}
+
 var (
 	targetMu    sync.Mutex
-	targetCache = make(map[string]*core.Target)
+	targetCache = make(map[targetKey]*core.Target)
 )
 
 // target builds and profiles a benchmark once per test binary.
-func target(t *testing.T, name string) *core.Target {
+func target(t *testing.T, name string) *core.Target { return targetWith(t, name, 0) }
+
+// targetWith is target prepared without the disabled tiers.
+func targetWith(t *testing.T, name string, disable vm.Tiers) *core.Target {
 	t.Helper()
 	targetMu.Lock()
 	defer targetMu.Unlock()
-	if tg, ok := targetCache[name]; ok {
+	key := targetKey{name, disable}
+	if tg, ok := targetCache[key]; ok {
 		return tg
 	}
 	b, err := prog.ByName(name)
@@ -32,11 +42,11 @@ func target(t *testing.T, name string) *core.Target {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg, err := core.NewTarget(name, p)
+	tg, err := core.NewTargetOpts(name, p, core.TargetOptions{Disable: disable})
 	if err != nil {
 		t.Fatal(err)
 	}
-	targetCache[name] = tg
+	targetCache[key] = tg
 	return tg
 }
 

@@ -138,20 +138,6 @@ type Engine struct {
 	ClaimBatch int
 	// Record keeps per-experiment records in the result.
 	Record bool
-	// NoFusion disables superinstruction execution in every experiment.
-	NoFusion bool
-	// NoCompile disables the compiled fast tier in every experiment.
-	NoCompile bool
-	// NoConverge disables convergence-gated early termination and the
-	// fault-equivalence memo.
-	NoConverge bool
-	// NoLiveness disables static-liveness pruning: every experiment
-	// executes even when the model could prove it Benign statically.
-	// Recorded outcomes are bit-identical either way (pruning predicts
-	// exactly what execution would record), so the knob — like the
-	// process-wide MULTIFLIP_NOLIVENESS switch — stays out of the
-	// campaign fingerprint.
-	NoLiveness bool
 	// NoAlignTrap disables the misaligned-access exception (alignment
 	// ablation).
 	NoAlignTrap bool
@@ -223,7 +209,7 @@ type EngineResult struct {
 	// liveness tier without executing: every bit of their sampled flip
 	// mask was provably dead at the injection point. Deterministic per
 	// (target, model, seed) — pruning happens before scheduling can
-	// intervene — and zero under NoLiveness.
+	// intervene — and zero when TierLiveness is disabled.
 	StaticPruned int
 	// Experiments holds per-experiment records when Record is set.
 	Experiments []Experiment
@@ -327,15 +313,11 @@ func (e *Engine) Run() (*EngineResult, error) {
 	}
 
 	// Convergence-gated early termination plus the fault-equivalence
-	// memo: the VM compares the post-injection state against the golden
-	// trace (terminating with the golden outcome on reconvergence) and
-	// hands back its state key at the first divergent boundary, so
-	// experiments that collapse to an already-seen injected state reuse
-	// the recorded outcome instead of re-executing.
-	trace := e.Target.Trace
-	if e.NoConverge {
-		trace = nil
-	}
+	// memo: the VM compares the post-injection state against the
+	// target's golden trace (terminating with the golden outcome on
+	// reconvergence) and hands back its state key at the first divergent
+	// boundary, so experiments that collapse to an already-seen injected
+	// state reuse the recorded outcome instead of re-executing.
 	var memo memoTable = &mapMemo{}
 	if e.Service != nil && e.Service.Memo != nil {
 		memo = e.Service.Memo
@@ -377,7 +359,7 @@ func (e *Engine) Run() (*EngineResult, error) {
 					if failed.Load() || e.interrupted.Load() {
 						return
 					}
-					exp, st, quar, err := e.runSupervised(uint64(i), memo, trace, ladder)
+					exp, st, quar, err := e.runSupervised(uint64(i), memo, ladder)
 					if err != nil {
 						// Every worker's failure is collected: a grid-wide
 						// abort with several concurrent causes surfaces all
@@ -450,13 +432,9 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 		defer j.Close()
 	}
 
-	trace := e.Target.Trace
-	if e.NoConverge {
-		trace = nil
-	}
 	var memo memoTable = &mapMemo{}
 	var ownMemo *SharedMemo
-	if trace != nil {
+	if e.Target.Trace != nil {
 		shared, owned, err := svc.memoFor(e)
 		if err != nil {
 			return nil, err
@@ -533,7 +511,7 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 				// Lease heartbeat: once ~TTL/3 has elapsed (jittered per
 				// shard and worker so co-renewing workers don't beat in
 				// sync), renew at the next experiment boundary. Slow shards
-				// — degraded-tier retries, -nocompile ablations, megapixel —
+				// — degraded-tier retries, compile-disabled targets, megapixel —
 				// then outlive the TTL without being stolen. Renewal is
 				// advisory like the lease itself: a failed renew means a
 				// peer may steal and duplicate the shard, which determinism
@@ -551,7 +529,7 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 						_ = j.Renew(workerID, shard, ttl)
 						leaseAt = time.Now()
 					}
-					exp, st, quar, err := e.runSupervised(uint64(i), memo, trace, ladder)
+					exp, st, quar, err := e.runSupervised(uint64(i), memo, ladder)
 					if err != nil {
 						fail(err)
 						return
@@ -619,7 +597,7 @@ func (e *Engine) classifier() Classifier {
 // runOne performs experiment idx at one supervision tier. Callers go
 // through runSupervised (supervise.go), which panic-isolates each
 // attempt and degrades the tier on failure.
-func (e *Engine) runOne(idx uint64, memo memoTable, trace *vm.GoldenTrace, ti tier) (Experiment, expStats, error) {
+func (e *Engine) runOne(idx uint64, memo memoTable, disable vm.Tiers) (Experiment, expStats, error) {
 	t := e.Target
 	rng := xrand.ForExperiment(e.Seed, idx)
 	inj := e.Model.Plan(t, idx, rng)
@@ -628,11 +606,9 @@ func (e *Engine) runOne(idx uint64, memo memoTable, trace *vm.GoldenTrace, ti ti
 	// from the liveness oracle records it without running the VM. The
 	// prediction is exact — same Experiment fields an executed run would
 	// produce — so only the StaticPruned counter distinguishes the paths.
-	if !e.NoLiveness {
-		if sp, ok := e.Model.(StaticPredictor); ok {
-			if exp, ok := sp.PredictStatic(t, &inj); ok {
-				return exp, expStats{staticPruned: true}, nil
-			}
+	if sp, ok := e.Model.(StaticPredictor); ok {
+		if exp, ok := sp.PredictStatic(t, &inj); ok {
+			return exp, expStats{staticPruned: true}, nil
 		}
 	}
 
@@ -645,7 +621,7 @@ func (e *Engine) runOne(idx uint64, memo memoTable, trace *vm.GoldenTrace, ti ti
 		hitOK bool
 	)
 	var memoCheck func(vm.StateKey) bool
-	if trace != nil {
+	if t.Trace != nil {
 		memoCheck = func(k vm.StateKey) bool {
 			if v, ok := memo.load(k); ok {
 				hit = v
@@ -662,9 +638,8 @@ func (e *Engine) runOne(idx uint64, memo memoTable, trace *vm.GoldenTrace, ti ti
 		Plan:        inj.Plan,
 		MemFlips:    inj.MemFlips,
 		Resume:      inj.Resume,
-		NoFuse:      ti.noFuse,
-		NoCompile:   ti.noCompile,
-		Trace:       trace,
+		Disable:     disable,
+		Trace:       t.Trace,
 		MemoCheck:   memoCheck,
 	})
 	if err != nil {

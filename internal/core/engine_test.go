@@ -15,6 +15,7 @@ import (
 
 	"multiflip/internal/core"
 	"multiflip/internal/memfault"
+	"multiflip/internal/vm"
 )
 
 // engineModel builds an Engine for one fault model over a target. The
@@ -50,13 +51,16 @@ func engineModels() []engineModel {
 	}
 }
 
-// brokenTarget returns a target whose snapshots belong to a different
-// program, so every fast-forwarded experiment fails inside vm.Run.
+// brokenTarget returns a target whose snapshots and golden trace belong
+// to a different program, so every experiment fails inside vm.Run: the
+// VM rejects a foreign trace even when convergence is disabled, and a
+// foreign snapshot on any run that fast-forwards. Either alone keeps the
+// target broken when MULTIFLIP_DISABLE removes the other.
 func brokenTarget(t *testing.T) *core.Target {
 	t.Helper()
 	broken := *target(t, "CRC32")
-	broken.Snapshots = target(t, "qsort").Snapshots
-	broken.Trace = nil
+	other := target(t, "qsort")
+	broken.Snapshots, broken.Trace = other.Snapshots, other.Trace
 	return &broken
 }
 
@@ -105,34 +109,35 @@ func TestEngineJoinsConcurrentErrors(t *testing.T) {
 // reproduce every experiment record and aggregate (only MemoHits and
 // Converged may move — whether a fault-equivalent twin is intercepted
 // by the memo or reconverges on its own depends on scheduling), and a
-// NoConverge run reproduces the records with both tiers off.
+// run on a converge-disabled target reproduces the records with both
+// tiers off.
 func TestEngineMemoDeterminism(t *testing.T) {
 	tg := target(t, "CRC32")
+	noConv := targetWith(t, "CRC32", vm.TierConverge)
 	for _, m := range engineModels() {
 		t.Run(m.name, func(t *testing.T) {
-			run := func(workers int, noConverge bool) *core.EngineResult {
+			run := func(tg *core.Target, workers int) *core.EngineResult {
 				eng := m.engine(tg)
 				eng.N = 80
 				eng.Seed = 21
 				eng.Workers = workers
 				eng.Record = true
-				eng.NoConverge = noConverge
 				res, err := eng.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			seq := run(1, false)
-			again := run(1, false)
+			seq := run(tg, 1)
+			again := run(tg, 1)
 			if seq.MemoHits != again.MemoHits || seq.Converged != again.Converged {
 				t.Errorf("sequential reruns diverge: memo %d vs %d, converged %d vs %d",
 					seq.MemoHits, again.MemoHits, seq.Converged, again.Converged)
 			}
-			par := run(8, false)
-			off := run(8, true)
+			par := run(tg, 8)
+			off := run(noConv, 8)
 			if off.MemoHits != 0 || off.Converged != 0 {
-				t.Errorf("NoConverge run reported early exits: memo %d, converged %d",
+				t.Errorf("converge-disabled run reported early exits: memo %d, converged %d",
 					off.MemoHits, off.Converged)
 			}
 			for _, other := range []*core.EngineResult{again, par, off} {

@@ -2,12 +2,14 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"multiflip/internal/core"
 	"multiflip/internal/memfault"
 	"multiflip/internal/prog"
+	"multiflip/internal/vm"
 )
 
 // TestCampaignFusionDifferential enforces the dispatch tentpole's
@@ -31,6 +33,10 @@ func TestCampaignFusionDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		unfusedT, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierFuse})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, tech := range core.Techniques() {
 			for _, cfg := range []core.Config{
 				core.SingleBit(),
@@ -49,7 +55,7 @@ func TestCampaignFusionDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", bench.Name, tech, cfg, err)
 				}
-				spec.NoFusion = true
+				spec.Target = unfusedT
 				unfused, err := core.RunCampaign(spec)
 				if err != nil {
 					t.Fatalf("%s %s %s (nofusion): %v", bench.Name, tech, cfg, err)
@@ -88,7 +94,7 @@ func TestTargetFusionDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfusedT, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{NoFusion: true})
+	unfusedT, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierFuse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,15 +116,17 @@ func TestTargetFusionDifferential(t *testing.T) {
 		}
 	}
 	// Cross: fused experiments resumed from an unfused target's snapshots.
+	cross := *fusedT
+	cross.Snapshots = unfusedT.Snapshots
 	spec := core.CampaignSpec{
-		Target:    unfusedT,
+		Target:    &cross,
 		Technique: core.InjectOnRead,
 		Config:    core.Config{MaxMBF: 2, Win: core.Win(4)},
 		N:         50,
 		Seed:      9,
 		Record:    true,
 	}
-	cross, err := core.RunCampaign(spec)
+	crossRes, err := core.RunCampaign(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +135,7 @@ func TestTargetFusionDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cross.Experiments, base.Experiments) {
+	if !reflect.DeepEqual(crossRes.Experiments, base.Experiments) {
 		t.Error("experiments diverge between fused and unfused target snapshots")
 	}
 }
@@ -148,6 +156,10 @@ func TestMemFaultFusionDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unfusedT, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierFuse})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, bits := range []int{1, 3, 8} {
 		spec := memfault.Spec{
 			Target: target,
@@ -160,16 +172,12 @@ func TestMemFaultFusionDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec.NoFusion = true
+		spec.Target = unfusedT
 		unfused, err := memfault.Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(fused.Outcomes, unfused.Outcomes) {
-			t.Errorf("bits=%d: outcomes diverge between fused and unfused campaigns", bits)
-		}
-		if fused.Counts != unfused.Counts {
-			t.Errorf("bits=%d: tallies diverge between fused and unfused campaigns", bits)
-		}
+		sameResult(t, fmt.Sprintf("bits=%d fused vs unfused", bits),
+			&fused.EngineResult, &unfused.EngineResult, false)
 	}
 }

@@ -15,7 +15,41 @@ import (
 	"testing"
 
 	"multiflip/internal/core"
+	"multiflip/internal/vm"
 )
+
+// TestFingerprintStable pins the campaign and memo content addresses of
+// the three fault models on CRC32: with every tier on, with convergence
+// off, and with each other tier off. The values were computed when each
+// campaign spec and the engine still carried their own tier switches;
+// journals and memos written then must resume into the same files, so
+// only the converge bit the caller asks for may move the campaign
+// address, and no tier may move the memo address.
+func TestFingerprintStable(t *testing.T) {
+	const memo = 0xc161e05593916e85
+	want := map[string][2]uint64{ // model -> {all tiers on, converge off}
+		"register": {0x144ae26c244f9b1a, 0x287bc83ac12568c8},
+		"memfault": {0xbe686447a5ad7719, 0x6109f4c61f6d55c9},
+		"stuckat":  {0x4636fa024a4b6ad5, 0x2f87e432b57c4d1a},
+	}
+	for _, disable := range []vm.Tiers{0, vm.TierConverge, vm.TierSnapshots, vm.TierFuse, vm.TierCompile, vm.TierLiveness} {
+		tg := targetWith(t, "CRC32", disable)
+		for _, m := range engineModels() {
+			eng := m.engine(tg)
+			eng.N, eng.Seed = 100, 7
+			fp := want[m.name][0]
+			if disable == vm.TierConverge {
+				fp = want[m.name][1]
+			}
+			if got := core.EngineFingerprint(eng); got != fp {
+				t.Errorf("%s, disable %q: campaign fingerprint %#016x, want %#016x", m.name, disable, got, fp)
+			}
+			if got := core.EngineMemoFingerprint(eng); got != memo {
+				t.Errorf("%s, disable %q: memo fingerprint %#016x, want %#016x", m.name, disable, got, uint64(memo))
+			}
+		}
+	}
+}
 
 // copyFixture copies the pinned old-format journal into a temp dir
 // (opening a journal may append to it; the fixture must stay pristine).

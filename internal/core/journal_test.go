@@ -17,19 +17,19 @@ import (
 	"time"
 
 	"multiflip/internal/core"
+	"multiflip/internal/vm"
 	"multiflip/internal/xrand"
 )
 
 // baselineRun executes a plain (unjournaled) recorded register campaign
 // and returns its result: the reference every journaled variant must
 // reproduce bit-identically.
-func baselineRun(t *testing.T, tg *core.Target, n int, noConverge bool) *core.EngineResult {
+func baselineRun(t *testing.T, tg *core.Target, n int) *core.EngineResult {
 	t.Helper()
 	eng := registerEngine(tg)
 	eng.N = n
 	eng.Seed = 11
 	eng.Record = true
-	eng.NoConverge = noConverge
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -96,13 +96,13 @@ func sameResult(t *testing.T, label string, want, got *core.EngineResult, wantEa
 // TestShardMergeProperty checks the algebra resume correctness rests on:
 // folding any contiguous partition of a campaign's experiments, in any
 // order and any grouping, reproduces the direct result exactly. The
-// partitions are random per trial; the baseline runs NoConverge so the
-// per-experiment Add (which cannot know the early-exit split) matches
-// the counters too.
+// partitions are random per trial; the baseline runs without
+// convergence so the per-experiment Add (which cannot know the
+// early-exit split) matches the counters too.
 func TestShardMergeProperty(t *testing.T) {
-	tg := target(t, "CRC32")
+	tg := targetWith(t, "CRC32", vm.TierConverge)
 	const n = 120
-	want := baselineRun(t, tg, n, true)
+	want := baselineRun(t, tg, n)
 
 	rng := xrand.New(99)
 	for trial := 0; trial < 25; trial++ {
@@ -163,7 +163,7 @@ func TestShardMergeProperty(t *testing.T) {
 func TestJournalLeaseSteal(t *testing.T) {
 	tg := target(t, "CRC32")
 	const n = 48
-	want := baselineRun(t, tg, n, false)
+	want := baselineRun(t, tg, n)
 
 	j := core.NewMemJournal()
 	var stallOnce sync.Once
@@ -232,7 +232,7 @@ func TestJournalLeaseSteal(t *testing.T) {
 func TestFileJournalResume(t *testing.T) {
 	tg := target(t, "CRC32")
 	const n = 60
-	want := baselineRun(t, tg, n, false)
+	want := baselineRun(t, tg, n)
 	dir := t.TempDir()
 
 	run := func(resume bool) (*core.EngineResult, int) {
@@ -375,7 +375,7 @@ func TestLeaseHeartbeatOutlivesTTL(t *testing.T) {
 		ttl = 800 * time.Millisecond
 	)
 	tg := target(t, "CRC32")
-	baseline := baselineRun(t, tg, n, false)
+	baseline := baselineRun(t, tg, n)
 
 	dir := t.TempDir()
 	eng := registerEngine(tg)

@@ -3,7 +3,7 @@ package core_test
 // The static-pruning soundness differential: a campaign with the
 // liveness tier enabled must produce experiment records bit-identical
 // to one where every statically-pruned experiment is forced to execute
-// (CampaignSpec.NoLiveness) — pruning may only change how fast a
+// (a target prepared without vm.TierLiveness) — pruning may only change how fast a
 // campaign runs and the StaticPruned counter, never what it records.
 // The grid covers all workloads, both techniques and the prunable
 // cluster shapes; the memfault and stuck-at halves pin that the other
@@ -13,7 +13,6 @@ package core_test
 
 import (
 	"bytes"
-	"os"
 	"reflect"
 	"testing"
 
@@ -21,11 +20,12 @@ import (
 	"multiflip/internal/ir"
 	"multiflip/internal/memfault"
 	"multiflip/internal/prog"
+	"multiflip/internal/vm"
 )
 
-// livenessOn reports whether the process-wide liveness kill switch is
-// inactive; "pruning fires" assertions only hold then.
-func livenessOn() bool { return os.Getenv("MULTIFLIP_NOLIVENESS") == "" }
+// livenessOn reports whether MULTIFLIP_DISABLE leaves static pruning on;
+// "pruning fires" assertions only hold then.
+func livenessOn() bool { return !vm.EnvDisabled().Has(vm.TierLiveness) }
 
 // TestCampaignLivenessDifferential enforces the tentpole invariant at
 // campaign scale: for every workload, both techniques and the cluster
@@ -52,6 +52,10 @@ func TestCampaignLivenessDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		executed, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierLiveness})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, tech := range core.Techniques() {
 			for _, cfg := range configs {
 				spec := core.CampaignSpec{
@@ -66,13 +70,13 @@ func TestCampaignLivenessDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", bench.Name, tech, cfg, err)
 				}
-				spec.NoLiveness = true
+				spec.Target = executed
 				slow, err := core.RunCampaign(spec)
 				if err != nil {
 					t.Fatalf("%s %s %s (noliveness): %v", bench.Name, tech, cfg, err)
 				}
 				if slow.StaticPruned != 0 {
-					t.Fatalf("%s %s %s: NoLiveness campaign reported %d pruned experiments",
+					t.Fatalf("%s %s %s: liveness-disabled campaign reported %d pruned experiments",
 						bench.Name, tech, cfg, slow.StaticPruned)
 				}
 				pruned += fast.StaticPruned
@@ -117,9 +121,14 @@ func deadBitsProgram(t *testing.T) *ir.Program {
 // bits and must be classified without executing, all of them Benign.
 func TestLivenessGuaranteedPrune(t *testing.T) {
 	if !livenessOn() {
-		t.Skip("MULTIFLIP_NOLIVENESS set")
+		t.Skip("MULTIFLIP_DISABLE includes liveness")
 	}
-	target, err := core.NewTarget("deadbits", deadBitsProgram(t))
+	p := deadBitsProgram(t)
+	target, err := core.NewTarget("deadbits", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	executed, err := core.NewTargetOpts("deadbits", p, core.TargetOptions{Disable: vm.TierLiveness})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +150,12 @@ func TestLivenessGuaranteedPrune(t *testing.T) {
 	}
 	// Differential on the same synthetic target for good measure.
 	slow, err := core.RunCampaign(core.CampaignSpec{
-		Target:     target,
-		Technique:  core.InjectOnWrite,
-		Config:     core.SingleBit(),
-		N:          200,
-		Seed:       3,
-		Record:     true,
-		NoLiveness: true,
+		Target:    executed,
+		Technique: core.InjectOnWrite,
+		Config:    core.SingleBit(),
+		N:         200,
+		Seed:      3,
+		Record:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +182,7 @@ func TestTargetLivenessNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{NoLiveness: true})
+	off, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierLiveness})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +207,7 @@ func TestTargetLivenessNeutral(t *testing.T) {
 
 // TestMemFaultLivenessNeutral extends the invariant to the memory-fault
 // model, which never prunes: campaigns on an oracle-carrying target and
-// on a NoLiveness target classify identically for every workload.
+// on a liveness-disabled target classify identically for every workload.
 func TestMemFaultLivenessNeutral(t *testing.T) {
 	for _, bench := range prog.All() {
 		p, err := bench.Build()
@@ -210,7 +218,7 @@ func TestMemFaultLivenessNeutral(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{NoLiveness: true})
+		off, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierLiveness})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,9 +232,7 @@ func TestMemFaultLivenessNeutral(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (noliveness): %v", bench.Name, err)
 		}
-		if !reflect.DeepEqual(a.Outcomes, b.Outcomes) || a.Counts != b.Counts {
-			t.Errorf("%s: memfault outcomes diverge between liveness and no-liveness targets", bench.Name)
-		}
+		sameResult(t, bench.Name+" memfault liveness vs no-liveness", &a.EngineResult, &b.EngineResult, false)
 	}
 }
 
@@ -243,7 +249,7 @@ func TestStuckAtLivenessNeutral(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{NoLiveness: true})
+		off, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierLiveness})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"os"
 	"sort"
 
 	"multiflip/internal/ir"
@@ -24,13 +23,9 @@ import (
 // copy of the experiment's random stream, so a pruned experiment reports
 // the same Cand/Bit/Dir/Role/Activated an executed run would, and an
 // unpruned experiment's stream is untouched. The soundness differential
-// suite re-executes every prunable experiment under MULTIFLIP_NOLIVENESS
-// and asserts the aggregates match exactly, modulo the counter itself.
-
-// livenessEnabled is the process-wide kill switch for the static pruning
-// tier, mirroring fusion (MULTIFLIP_NOFUSE), the compiled tier
-// (MULTIFLIP_NOCOMPILE) and convergence (MULTIFLIP_NOCONVERGE).
-var livenessEnabled = os.Getenv("MULTIFLIP_NOLIVENESS") == ""
+// suite re-executes every prunable experiment on a target prepared
+// without vm.TierLiveness and asserts the aggregates match exactly,
+// modulo the counter itself.
 
 // maxOracleEntries bounds the per-target oracle. A target whose golden
 // run yields more dead candidates than this drops the oracle entirely
@@ -147,8 +142,8 @@ func (b *oracleBuilder) finish() *liveOracle {
 // StaticPredictor is the engine's optional pre-execution classification
 // seam: a fault model that can prove some planned experiments Benign
 // without running them implements it, and Engine.runOne consults it
-// right after planning (unless Engine.NoLiveness or the process-wide
-// MULTIFLIP_NOLIVENESS kill switch is set). The returned Experiment must
+// right after planning (a target prepared without vm.TierLiveness has no
+// oracle, so every prediction declines). The returned Experiment must
 // be field-for-field identical to what executing the plan would record —
 // the prediction replaces the run, it must not change its story.
 type StaticPredictor interface {

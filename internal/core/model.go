@@ -15,7 +15,7 @@
 // The prefix is deterministic and consumes none of the experiment's
 // random stream — randomness is derived from (Seed, experiment index)
 // only — so campaign results are bit-identical for any worker count and
-// any checkpoint interval, including none (CampaignSpec.NoSnapshots); the
+// any checkpoint interval, including none (vm.TierSnapshots disabled); the
 // differential tests in snapshot_diff_test.go enforce this. For uniformly
 // drawn candidates the skipped prefix averages half the golden run, the
 // overhead checkpoint-based fault injectors exist to eliminate. Snapshots

@@ -200,7 +200,10 @@ func (e *Engine) fingerprint() uint64 {
 	h = mix(h, uint64(e.N))
 	h = mix(h, e.Seed)
 	h = mix(h, b2u(e.Record))
-	h = mix(h, b2u(e.NoConverge))
+	// Of the target's tier set only converge folds in, so journals keep
+	// their content addresses whatever else is disabled;
+	// MULTIFLIP_DISABLE is not recorded on the target and stays out.
+	h = mix(h, b2u(e.Target.Disable.Has(vm.TierConverge)))
 	// The failure policy folds in only when non-default: FailFast
 	// campaigns — every journal written before the policy existed — keep
 	// their content addresses, while a Quarantine campaign (whose stored

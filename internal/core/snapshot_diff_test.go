@@ -7,7 +7,12 @@ import (
 	"multiflip/internal/core"
 	"multiflip/internal/ir"
 	"multiflip/internal/prog"
+	"multiflip/internal/vm"
 )
+
+// snapshotsOn reports whether MULTIFLIP_DISABLE leaves golden-run
+// snapshots on; "targets keep snapshots" assertions only hold then.
+func snapshotsOn() bool { return !vm.EnvDisabled().Has(vm.TierSnapshots) }
 
 // diffConfigs spans the fault-model shapes that stress the fast-forward
 // path differently: single-bit, same-register multi-bit (win-size 0), and
@@ -37,8 +42,12 @@ func TestCampaignSnapshotDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(target.Snapshots) == 0 {
+		if len(target.Snapshots) == 0 && snapshotsOn() {
 			t.Fatalf("%s: target has no golden-run snapshots", bench.Name)
+		}
+		replay, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierSnapshots})
+		if err != nil {
+			t.Fatal(err)
 		}
 		for _, tech := range core.Techniques() {
 			for _, cfg := range diffConfigs {
@@ -54,7 +63,7 @@ func TestCampaignSnapshotDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", bench.Name, tech, cfg, err)
 				}
-				spec.NoSnapshots = true
+				spec.Target = replay
 				slow, err := core.RunCampaign(spec)
 				if err != nil {
 					t.Fatalf("%s %s %s (no snapshots): %v", bench.Name, tech, cfg, err)
@@ -93,7 +102,7 @@ func TestCampaignSnapshotIntervalInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	variants := []core.TargetOptions{
-		{NoSnapshots: true},
+		{Disable: vm.TierSnapshots},
 		{SnapshotInterval: 17, MaxSnapshots: 4}, // tiny interval, heavy thinning
 		{SnapshotInterval: 500},
 		{SnapshotInterval: 1 << 30}, // beyond the golden run: no snapshots land
@@ -143,6 +152,10 @@ func TestPinnedCampaignSnapshotDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	replay, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierSnapshots})
+	if err != nil {
+		t.Fatal(err)
+	}
 	single, err := core.RunCampaign(core.CampaignSpec{
 		Target:    target,
 		Technique: core.InjectOnWrite,
@@ -170,7 +183,7 @@ func TestPinnedCampaignSnapshotDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.NoSnapshots = true
+	spec.Target = replay
 	slow, err := core.RunCampaign(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -213,6 +226,10 @@ func buildWideGlobalProg(t *testing.T) *ir.Program {
 // techniques.
 func TestCampaignSnapshotDifferentialLargeGlobals(t *testing.T) {
 	p := buildWideGlobalProg(t)
+	replay, err := core.NewTargetOpts("wide-globals", p, core.TargetOptions{Disable: vm.TierSnapshots})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, topts := range []core.TargetOptions{
 		{},                                      // default (dense) interval
 		{SnapshotInterval: 32},                  // denser: longer sharing chains
@@ -236,7 +253,7 @@ func TestCampaignSnapshotDifferentialLargeGlobals(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				spec.NoSnapshots = true
+				spec.Target = replay
 				slow, err := core.RunCampaign(spec)
 				if err != nil {
 					t.Fatal(err)

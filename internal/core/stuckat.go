@@ -46,16 +46,6 @@ type StuckAtSpec struct {
 	Workers int
 	// Record keeps per-experiment records in the result.
 	Record bool
-	// NoSnapshots forces full fault-free prefix replay (differential
-	// testing; results are bit-identical either way).
-	NoSnapshots bool
-	// NoFusion disables superinstruction execution in every experiment.
-	NoFusion bool
-	// NoCompile disables the compiled fast tier in every experiment.
-	NoCompile bool
-	// NoConverge disables convergence-gated early termination and the
-	// fault-equivalence memo.
-	NoConverge bool
 	// Classifier judges golden-vs-actual output when classifying
 	// outcomes (nil = ExactClassifier).
 	Classifier Classifier
@@ -108,8 +98,8 @@ type StuckAtResult struct {
 // engine seam tests — and campaigns composed directly on the Engine —
 // can construct it.
 type StuckAtModel struct {
-	// Spec supplies the hold window and the snapshot knob; its
-	// engine-level fields (N, Seed, Workers, ...) are ignored here.
+	// Spec supplies the hold window; its engine-level fields (N, Seed,
+	// Workers, ...) are ignored here.
 	Spec *StuckAtSpec
 }
 
@@ -157,11 +147,7 @@ func (m *StuckAtModel) Plan(t *Target, idx uint64, rng *xrand.Rand) Injection {
 		StuckHigh:  high,
 		HoldWindow: win,
 	}
-	inj := Injection{Cand: cand, Plan: plan}
-	if !s.NoSnapshots {
-		inj.Resume = t.SnapshotBefore(InjectOnRead, cand)
-	}
-	return inj
+	return Injection{Cand: cand, Plan: plan, Resume: t.SnapshotBefore(InjectOnRead, cand)}
 }
 
 // Record implements FaultModel.
@@ -187,9 +173,6 @@ func RunStuckAt(spec StuckAtSpec) (*StuckAtResult, error) {
 		HangFactor:    spec.HangFactor,
 		Workers:       spec.Workers,
 		Record:        spec.Record,
-		NoFusion:      spec.NoFusion,
-		NoCompile:     spec.NoCompile,
-		NoConverge:    spec.NoConverge,
 		Classifier:    spec.Classifier,
 		FailurePolicy: spec.OnFailure,
 		Service:       spec.Service,

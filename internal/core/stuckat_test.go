@@ -1,11 +1,11 @@
 package core_test
 
 import (
-	"os"
 	"reflect"
 	"testing"
 
 	"multiflip/internal/core"
+	"multiflip/internal/vm"
 )
 
 // TestRunStuckAtBasic sanity-checks a stuck-at campaign: full tally,
@@ -85,9 +85,8 @@ func TestStuckAtDeterministicAcrossWorkers(t *testing.T) {
 // invisible to the stuck-at model, like it is for the flip models.
 func TestStuckAtSnapshotDifferential(t *testing.T) {
 	for _, name := range []string{"CRC32", "qsort", "FFT"} {
-		tg := target(t, name)
 		spec := core.StuckAtSpec{
-			Target: tg,
+			Target: target(t, name),
 			Window: core.Win(50),
 			N:      60,
 			Seed:   9,
@@ -97,7 +96,7 @@ func TestStuckAtSnapshotDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		spec.NoSnapshots = true
+		spec.Target = targetWith(t, name, vm.TierSnapshots)
 		slow, err := core.RunStuckAt(spec)
 		if err != nil {
 			t.Fatalf("%s (nosnap): %v", name, err)
@@ -118,9 +117,8 @@ func TestStuckAtSnapshotDifferential(t *testing.T) {
 func TestStuckAtConvergeDifferential(t *testing.T) {
 	earlyExits := 0
 	for _, name := range []string{"CRC32", "sha", "histo", "qsort"} {
-		tg := target(t, name)
 		spec := core.StuckAtSpec{
-			Target: tg,
+			Target: target(t, name),
 			Window: core.Win(100),
 			N:      60,
 			Seed:   11,
@@ -130,13 +128,13 @@ func TestStuckAtConvergeDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		spec.NoConverge = true
+		spec.Target = targetWith(t, name, vm.TierConverge)
 		slow, err := core.RunStuckAt(spec)
 		if err != nil {
 			t.Fatalf("%s (noconverge): %v", name, err)
 		}
 		if slow.Converged != 0 || slow.MemoHits != 0 {
-			t.Fatalf("%s: NoConverge stuck-at campaign reported early exits", name)
+			t.Fatalf("%s: converge-disabled stuck-at campaign reported early exits", name)
 		}
 		earlyExits += fast.Converged + fast.MemoHits
 		if !reflect.DeepEqual(fast.Experiments, slow.Experiments) {
@@ -147,7 +145,7 @@ func TestStuckAtConvergeDifferential(t *testing.T) {
 			t.Errorf("%s: aggregates diverge between converge and no-converge stuck-at campaigns", name)
 		}
 	}
-	if earlyExits == 0 && os.Getenv("MULTIFLIP_NOCONVERGE") == "" {
+	if earlyExits == 0 && convergeOn() {
 		t.Error("no stuck-at experiment converged or hit the memo")
 	}
 }

@@ -73,43 +73,32 @@ func ParseFailurePolicy(s string) (FailurePolicy, error) {
 	return FailFast, fmt.Errorf("core: unknown failure policy %q (want fast or quarantine)", s)
 }
 
-// tier is one rung of the degradation ladder: which execution machinery
-// stays enabled for a retry.
-type tier struct {
-	noCompile, noFuse, noConverge bool
-}
-
-// String names the rung for error messages and quarantine records.
-func (t tier) String() string {
+// rungName names a ladder rung for error messages and quarantine
+// records.
+func rungName(disable vm.Tiers) string {
 	switch {
-	case !t.noCompile:
+	case !disable.Has(vm.TierCompile):
 		return "full"
-	case !t.noFuse:
+	case !disable.Has(vm.TierFuse):
 		return "nocompile"
-	case !t.noConverge:
+	case !disable.Has(vm.TierConverge):
 		return "nofuse"
 	}
 	return "interp"
 }
 
-// ladder returns the engine's degradation ladder: the configured tier
-// first, then progressively less machinery — compiled kernels off, then
+// ladder returns the engine's degradation ladder, each rung the set of
+// tiers an attempt runs without: the target's set first, then
+// progressively less machinery — compiled kernels off, then
 // superinstruction fusion off, then convergence/memo off (pure
-// interpretation). Rungs the engine's own knobs already disable collapse
-// away, so a -nocompile campaign has a three-rung ladder and a fully
-// degraded one retries exactly once.
-func (e *Engine) ladder() []tier {
-	base := tier{noCompile: e.NoCompile, noFuse: e.NoFusion, noConverge: e.NoConverge}
-	steps := []tier{
-		base,
-		{noCompile: true, noFuse: base.noFuse, noConverge: base.noConverge},
-		{noCompile: true, noFuse: true, noConverge: base.noConverge},
-		{noCompile: true, noFuse: true, noConverge: true},
-	}
-	out := steps[:1]
-	for _, t := range steps[1:] {
-		if t != out[len(out)-1] {
-			out = append(out, t)
+// interpretation). Rungs the target already disables collapse away, so
+// a campaign on a compile-disabled target has a three-rung ladder and a
+// fully degraded one retries exactly once.
+func (e *Engine) ladder() []vm.Tiers {
+	out := []vm.Tiers{e.Target.Disable}
+	for _, tier := range []vm.Tiers{vm.TierCompile, vm.TierFuse, vm.TierConverge} {
+		if rung := out[len(out)-1] | tier; rung != out[len(out)-1] {
+			out = append(out, rung)
 		}
 	}
 	return out
@@ -165,19 +154,19 @@ func sortQuarantined(recs []QuarantineRecord) {
 // the next (more degraded) rung. On exhaustion the engine's
 // FailurePolicy decides between a joined error (FailFast) and a poisoned
 // experiment plus QuarantineRecord (Quarantine).
-func (e *Engine) runSupervised(idx uint64, memo memoTable, trace *vm.GoldenTrace, ladder []tier) (Experiment, expStats, *QuarantineRecord, error) {
+func (e *Engine) runSupervised(idx uint64, memo memoTable, ladder []vm.Tiers) (Experiment, expStats, *QuarantineRecord, error) {
 	var (
 		tiers    []string
 		errs     []error
 		panicVal string
 		panicDig string
 	)
-	for i, t := range ladder {
-		exp, st, err := e.attempt(idx, memo, trace, t, i == 0)
+	for i, rung := range ladder {
+		exp, st, err := e.attempt(idx, memo, rung, i == 0)
 		if err == nil {
 			return exp, st, nil, nil
 		}
-		tiers = append(tiers, t.String())
+		tiers = append(tiers, rungName(rung))
 		errs = append(errs, err)
 		var pe *panicError
 		if panicVal == "" && errors.As(err, &pe) {
@@ -229,7 +218,7 @@ func dedupeErrors(errs []error) []error {
 // hook (test seam, chaos injection) fires on the first tier only, inside
 // the recover scope, so an injected panic is indistinguishable from a
 // real one and each experiment observes exactly one hook call.
-func (e *Engine) attempt(idx uint64, memo memoTable, trace *vm.GoldenTrace, t tier, first bool) (exp Experiment, st expStats, err error) {
+func (e *Engine) attempt(idx uint64, memo memoTable, rung vm.Tiers, first bool) (exp Experiment, st expStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			stack := debug.Stack()
@@ -246,10 +235,7 @@ func (e *Engine) attempt(idx uint64, memo memoTable, trace *vm.GoldenTrace, t ti
 			h(int(idx))
 		}
 	}
-	if t.noConverge {
-		trace = nil
-	}
-	return e.runOne(idx, memo, trace, t)
+	return e.runOne(idx, memo, rung)
 }
 
 // chaosPanicHook installs a panicking experiment hook when

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"multiflip/internal/core"
+	"multiflip/internal/vm"
 )
 
 func TestParseFailurePolicy(t *testing.T) {
@@ -212,6 +213,36 @@ func TestFailFastNamesEveryTier(t *testing.T) {
 	for _, want := range []string{"core:", "experiment 0", "failed at every supervision tier", "full -> nocompile -> nofuse -> interp"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error misses %q: %v", want, err)
+		}
+	}
+}
+
+// TestLadderStartsFromTarget checks that every fault model reads its
+// tiers from the target: the supervision ladder starts from the
+// target's disable set and adds compile, fuse and converge in turn,
+// collapsing the rungs the target already disables.
+func TestLadderStartsFromTarget(t *testing.T) {
+	for _, c := range []struct {
+		disable vm.Tiers
+		ladder  string
+	}{
+		{0, "(full -> nocompile -> nofuse -> interp)"},
+		{vm.TierCompile, "(nocompile -> nofuse -> interp)"},
+		{vm.TierFuse, "(full -> nofuse -> interp)"},
+		{vm.TierConverge, "(full -> nocompile -> interp)"},
+		{vm.TierCompile | vm.TierFuse | vm.TierConverge, "(interp)"},
+	} {
+		broken := brokenTarget(t)
+		broken.Disable = c.disable
+		for _, m := range engineModels() {
+			eng := m.engine(broken)
+			eng.N = 1
+			eng.Seed = 3
+			eng.Workers = 1
+			_, err := eng.Run()
+			if err == nil || !strings.Contains(err.Error(), c.ladder) {
+				t.Errorf("%s, disable %q: want ladder %s, got %v", m.name, c.disable, c.ladder, err)
+			}
 		}
 	}
 }

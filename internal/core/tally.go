@@ -68,9 +68,8 @@ func bitBucket(bit int) int {
 
 // Tally accumulates per-outcome experiment counts and derives the
 // percentage and confidence-interval statistics every campaign type
-// reports. Register campaigns (CampaignResult) and memory-fault campaigns
-// (memfault.Result) embed it so the §III-E outcome math lives in one
-// place.
+// reports. EngineResult embeds it, and every campaign result type
+// embeds EngineResult, so the §III-E outcome math lives in one place.
 //
 // Counts is the flat per-outcome total — the paper's Table I numbers —
 // and stays authoritative: journal validation and every percentage

@@ -34,20 +34,23 @@ type Target struct {
 	WriteRoles [ir.NumSlotRoles]uint64
 	// Snapshots are golden-run checkpoints in ascending dynamic order;
 	// the campaign runner resumes experiments from them to skip the
-	// fault-free prefix. Empty when the target was prepared with
-	// TargetOptions.NoSnapshots.
+	// fault-free prefix. Empty when TierSnapshots is disabled.
 	Snapshots []*vm.Snapshot
 	// Trace is the golden run's state-hash trace: experiments carry it so
 	// the VM can terminate them early once their injected state
 	// reconverges with the golden run, and so campaigns can memoize
-	// outcomes by post-injection state. Nil when the target was prepared
-	// with NoSnapshots or NoConverge.
+	// outcomes by post-injection state. Nil when TierConverge is disabled.
 	Trace *vm.GoldenTrace
+	// Disable is the set of speed tiers every campaign on this target
+	// runs without (TargetOptions.Disable). MULTIFLIP_DISABLE adds to it
+	// at run time but is not recorded here, so it never reaches a
+	// campaign fingerprint.
+	Disable vm.Tiers
 
 	// oracle maps candidate indices whose injection point has statically
-	// dead bits to the pruning metadata PredictStatic needs. Nil when the
-	// target was prepared with NoLiveness (or the process-wide kill
-	// switch), or when the program has no dead candidates.
+	// dead bits to the pruning metadata PredictStatic needs. Nil when
+	// TierLiveness is disabled, or when the program has no dead
+	// candidates.
 	oracle *liveOracle
 }
 
@@ -70,31 +73,17 @@ type TargetOptions struct {
 	// SnapshotInterval is the golden-run checkpoint spacing in dynamic
 	// instructions. Zero selects DefaultSnapshotInterval.
 	SnapshotInterval uint64
-	// MaxSnapshots bounds the stored snapshots (0 = vm.DefaultMaxSnapshots).
+	// MaxSnapshots bounds the stored snapshots (0 = DefaultTargetMaxSnapshots).
 	MaxSnapshots int
-	// NoSnapshots skips golden-run checkpointing entirely; every experiment
-	// then replays the fault-free prefix from instruction 0.
-	NoSnapshots bool
-	// NoFusion profiles the target with superinstruction execution
-	// disabled. The profile (golden output, candidate counts, snapshots)
-	// is bit-identical either way; the knob supports the fusion
-	// differential tests.
-	NoFusion bool
-	// NoCompile profiles the target with the compiled fast tier disabled.
-	// The profile is bit-identical either way; the knob supports the
-	// compile differential tests.
-	NoCompile bool
-	// NoConverge skips recording the golden state-hash trace, so every
-	// campaign on this target runs its experiments to completion. Results
-	// are bit-identical either way (the convergence differential tests
-	// enforce it).
-	NoConverge bool
-	// NoLiveness skips the bit-level static liveness analysis and the
-	// candidate oracle built from it, so campaigns on this target execute
-	// every experiment instead of statically pruning dead-bit flips.
-	// Recorded outcomes are bit-identical either way (the liveness
-	// soundness differential enforces it).
-	NoLiveness bool
+	// Disable turns speed tiers off for every campaign on the target
+	// (zero = all on). Preparation applies the target-level ones itself:
+	// with TierSnapshots in the set the target keeps no snapshots (the
+	// checkpoint pass still runs and records the golden trace), with
+	// TierConverge it records no trace, and with TierLiveness it builds
+	// no liveness oracle. The profile is bit-identical for any set, and
+	// so are the recorded outcomes of every campaign (the differential
+	// suites enforce both).
+	Disable vm.Tiers
 }
 
 // NewTarget profiles p fault-free, recording golden-run snapshots at the
@@ -105,9 +94,22 @@ func NewTarget(name string, p *ir.Program) (*Target, error) {
 
 // NewTargetOpts is NewTarget with explicit preparation options.
 func NewTargetOpts(name string, p *ir.Program, opts TargetOptions) (*Target, error) {
-	vopts := vm.Options{NoFuse: opts.NoFusion, NoCompile: opts.NoCompile}
+	disable := opts.Disable | vm.EnvDisabled()
+	vopts := vm.Options{
+		Disable:      opts.Disable,
+		Checkpoint:   opts.SnapshotInterval,
+		MaxSnapshots: opts.MaxSnapshots,
+		// The golden trace piggybacks on the checkpoint pass.
+		RecordTrace: !disable.Has(vm.TierConverge),
+	}
+	if vopts.Checkpoint == 0 {
+		vopts.Checkpoint = DefaultSnapshotInterval
+	}
+	if vopts.MaxSnapshots == 0 {
+		vopts.MaxSnapshots = DefaultTargetMaxSnapshots
+	}
 	var ob *oracleBuilder
-	if livenessEnabled && !opts.NoLiveness {
+	if !disable.Has(vm.TierLiveness) {
 		// Piggyback oracle construction on the profiling run: the VM
 		// reports every injection candidate in order, and the builder
 		// keeps the ones whose target bits the static analysis proves
@@ -115,18 +117,6 @@ func NewTargetOpts(name string, p *ir.Program, opts TargetOptions) (*Target, err
 		// hook does not perturb the profile.
 		ob = newOracleBuilder(p)
 		vopts.OnCand = ob.onCand
-	}
-	if !opts.NoSnapshots {
-		vopts.Checkpoint = opts.SnapshotInterval
-		if vopts.Checkpoint == 0 {
-			vopts.Checkpoint = DefaultSnapshotInterval
-		}
-		vopts.MaxSnapshots = opts.MaxSnapshots
-		if vopts.MaxSnapshots == 0 {
-			vopts.MaxSnapshots = DefaultTargetMaxSnapshots
-		}
-		// The golden trace piggybacks on the checkpoint pass.
-		vopts.RecordTrace = !opts.NoConverge
 	}
 	prof, err := vm.ProfileWith(p, vopts)
 	if err != nil {
@@ -144,8 +134,11 @@ func NewTargetOpts(name string, p *ir.Program, opts TargetOptions) (*Target, err
 		WriteCands: prof.Writes,
 		ReadRoles:  prof.ReadRoles,
 		WriteRoles: prof.WriteRoles,
-		Snapshots:  prof.Snapshots,
 		Trace:      prof.Trace,
+		Disable:    opts.Disable,
+	}
+	if !disable.Has(vm.TierSnapshots) {
+		t.Snapshots = prof.Snapshots
 	}
 	if ob != nil {
 		t.oracle = ob.finish()
@@ -156,7 +149,8 @@ func NewTargetOpts(name string, p *ir.Program, opts TargetOptions) (*Target, err
 // SnapshotBefore returns the latest golden-run snapshot whose candidate
 // counter for the technique is <= cand — the furthest checkpoint from
 // which a run injecting first at candidate cand can legally resume — or
-// nil when no snapshot precedes the candidate.
+// nil when no snapshot precedes the candidate (always, on a target
+// prepared without TierSnapshots).
 func (t *Target) SnapshotBefore(tech Technique, cand uint64) *vm.Snapshot {
 	onWrite := tech == InjectOnWrite
 	// Candidate counters increase with Dyn, so Snapshots is sorted by

@@ -2,14 +2,14 @@ package memfault_test
 
 // The memory-fault leg of the compiled-tier differential suite: campaigns
 // executed on the VM's generated native kernels must be bit-identical to
-// NoCompile campaigns through the interpreter — per-experiment outcomes,
-// tallies and (with Workers=1) the early-exit counters alike. The
+// compile-disabled campaigns through the interpreter — per-experiment
+// records, tallies, histograms and (with Workers=1) the early-exit
+// counters alike. The
 // register and stuck-at legs live in internal/core, the VM-level suite in
 // internal/vm.
 
 import (
-	"os"
-	"reflect"
+	"fmt"
 	"testing"
 
 	"multiflip/internal/core"
@@ -28,14 +28,14 @@ func TestMemFaultCompileDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if os.Getenv("MULTIFLIP_NOCOMPILE") == "" && !vm.Compiled(p) {
+		if !vm.EnvDisabled().Has(vm.TierCompile) && !vm.Compiled(p) {
 			t.Fatalf("%s: no compiled kernel engages; the differential below would compare the interpreter against itself (re-run go generate ./...)", name)
 		}
 		target, err := core.NewTarget(name, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := core.NewTargetOpts(name, p, core.TargetOptions{NoCompile: true})
+		off, err := core.NewTargetOpts(name, p, core.TargetOptions{Disable: vm.TierCompile})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,21 +53,11 @@ func TestMemFaultCompileDifferential(t *testing.T) {
 				t.Fatalf("%s bits=%d: %v", name, bits, err)
 			}
 			spec.Target = off
-			spec.NoCompile = true
 			slow, err := memfault.Run(spec)
 			if err != nil {
 				t.Fatalf("%s bits=%d (nocompile): %v", name, bits, err)
 			}
-			if !reflect.DeepEqual(fast.Outcomes, slow.Outcomes) {
-				t.Errorf("%s bits=%d: outcomes diverge between compiled and nocompile campaigns", name, bits)
-			}
-			if fast.Counts != slow.Counts {
-				t.Errorf("%s bits=%d: tallies diverge between compiled and nocompile campaigns", name, bits)
-			}
-			if fast.Converged != slow.Converged || fast.MemoHits != slow.MemoHits {
-				t.Errorf("%s bits=%d: early-exit counters diverge between compiled (%d/%d) and nocompile (%d/%d) campaigns",
-					name, bits, fast.Converged, fast.MemoHits, slow.Converged, slow.MemoHits)
-			}
+			sameResult(t, fmt.Sprintf("%s bits=%d compiled vs nocompile", name, bits), fast, slow, true)
 		}
 	}
 }

@@ -1,19 +1,19 @@
 package memfault_test
 
 import (
-	"os"
-	"reflect"
+	"fmt"
 	"testing"
 
 	"multiflip/internal/core"
 	"multiflip/internal/memfault"
 	"multiflip/internal/prog"
+	"multiflip/internal/vm"
 )
 
 // TestMemFaultConvergeDifferential checks memory-fault campaigns are
 // invariant under convergence-gated early termination and memoization:
 // corrupted words that are overwritten before being read reconverge with
-// the golden run, and the outcome mix is bit-identical either way.
+// the golden run, and the records are bit-identical either way.
 func TestMemFaultConvergeDifferential(t *testing.T) {
 	earlyExits := 0
 	for _, name := range []string{"CRC32", "sha", "histo", "qsort"} {
@@ -29,6 +29,10 @@ func TestMemFaultConvergeDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		off, err := core.NewTargetOpts(name, p, core.TargetOptions{Disable: vm.TierConverge})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, bits := range []int{1, 3, 8} {
 			spec := memfault.Spec{
 				Target: target,
@@ -41,24 +45,19 @@ func TestMemFaultConvergeDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s bits=%d: %v", name, bits, err)
 			}
-			spec.NoConverge = true
+			spec.Target = off
 			slow, err := memfault.Run(spec)
 			if err != nil {
 				t.Fatalf("%s bits=%d (noconverge): %v", name, bits, err)
 			}
 			if slow.Converged != 0 || slow.MemoHits != 0 {
-				t.Fatalf("%s bits=%d: NoConverge campaign reported early exits", name, bits)
+				t.Fatalf("%s bits=%d: converge-disabled campaign reported early exits", name, bits)
 			}
 			earlyExits += fast.Converged + fast.MemoHits
-			if !reflect.DeepEqual(fast.Outcomes, slow.Outcomes) {
-				t.Errorf("%s bits=%d: outcomes diverge between converge and no-converge campaigns", name, bits)
-			}
-			if fast.Counts != slow.Counts {
-				t.Errorf("%s bits=%d: tallies diverge between converge and no-converge campaigns", name, bits)
-			}
+			sameResult(t, fmt.Sprintf("%s bits=%d converge vs no-converge", name, bits), fast, slow, false)
 		}
 	}
-	if earlyExits == 0 && os.Getenv("MULTIFLIP_NOCONVERGE") == "" {
+	if earlyExits == 0 && !vm.EnvDisabled().Has(vm.TierConverge) {
 		t.Error("no memory-fault experiment converged or hit the memo; never-read corruptions should")
 	}
 }

@@ -41,29 +41,7 @@ type Spec struct {
 	HangFactor uint64
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
-	// NoSnapshots forces every experiment to replay the fault-free prefix
-	// from instruction 0 instead of fast-forwarding from the latest
-	// golden-run snapshot at or before the corruption instant. Results are
-	// bit-identical either way (the differential tests enforce it).
-	NoSnapshots bool
-	// NoFusion disables superinstruction execution in every experiment:
-	// each instruction dispatches alone through the VM's handler table.
-	// Results are bit-identical either way (the fusion differential tests
-	// enforce it).
-	NoFusion bool
-	// NoCompile disables the compiled fast tier in every experiment:
-	// event-horizon stretches execute through the token-threaded
-	// interpreter instead of the workload's generated native kernel.
-	// Results are bit-identical either way (the compile differential
-	// tests enforce it).
-	NoCompile bool
-	// NoConverge disables convergence-gated early termination and the
-	// fault-equivalence memo: every experiment runs to completion even
-	// after its corrupted word is overwritten and the state reconverges
-	// with the golden run. Results are bit-identical either way (the
-	// convergence differential tests enforce it).
-	NoConverge bool
-	// Record keeps per-experiment outcomes in the result.
+	// Record keeps per-experiment records in the result.
 	Record bool
 	// Classifier judges golden-vs-actual output when classifying
 	// outcomes (nil = core.ExactClassifier).
@@ -94,22 +72,10 @@ func (s *Spec) validate() error {
 type Result struct {
 	// Spec echoes the campaign parameters.
 	Spec Spec
-	// Tally holds the per-outcome counts and derives the percentage and
-	// confidence-interval statistics (N, Pct, SDCPct, DetectionPct, CI95),
-	// shared with the register campaigns in internal/core.
-	core.Tally
-	// Converged counts experiments the VM terminated early because their
-	// corrupted state reconverged with the golden run (deterministic up
-	// to memo interception — see core.EngineResult.Converged).
-	Converged int
-	// MemoHits counts experiments resolved from the fault-equivalence
-	// memo (dependent on worker scheduling; outcomes never are).
-	MemoHits int
-	// Outcomes holds per-experiment outcomes when Spec.Record is set.
-	Outcomes []core.Outcome
-	// Quarantined holds the repro records of experiments poisoned under
-	// the Quarantine failure policy (empty is the healthy case).
-	Quarantined []core.QuarantineRecord
+	// EngineResult holds the outcome tally, histograms, early-exit
+	// counters and (when Spec.Record is set) the per-experiment records,
+	// whose Cand is the corruption instant.
+	core.EngineResult
 }
 
 // Model is the memory-word fault class expressed as an engine FaultModel:
@@ -118,8 +84,8 @@ type Result struct {
 // so the engine seam tests — and campaigns composed directly on
 // core.Engine — can construct it.
 type Model struct {
-	// Spec supplies the flip count and the snapshot knob; its
-	// engine-level fields (N, Seed, Workers, ...) are ignored here.
+	// Spec supplies the flip count; its engine-level fields (N, Seed,
+	// Workers, ...) are ignored here.
 	Spec *Spec
 }
 
@@ -152,11 +118,11 @@ func (m *Model) Plan(t *core.Target, idx uint64, rng *xrand.Rand) core.Injection
 		Word:  rng.Uint64n(words) * 8,
 		Mask:  rng.DistinctBits(m.Spec.Bits, 64),
 	}
-	inj := core.Injection{Cand: flip.AtDyn, MemFlips: []vm.MemFlip{flip}}
-	if !m.Spec.NoSnapshots {
-		inj.Resume = t.SnapshotBeforeDyn(flip.AtDyn)
+	return core.Injection{
+		Cand:     flip.AtDyn,
+		MemFlips: []vm.MemFlip{flip},
+		Resume:   t.SnapshotBeforeDyn(flip.AtDyn),
 	}
-	return inj
 }
 
 // Record implements core.FaultModel. The uniform first-flip metadata
@@ -180,9 +146,6 @@ func Run(spec Spec) (*Result, error) {
 		HangFactor:    spec.HangFactor,
 		Workers:       spec.Workers,
 		Record:        spec.Record,
-		NoFusion:      spec.NoFusion,
-		NoCompile:     spec.NoCompile,
-		NoConverge:    spec.NoConverge,
 		Classifier:    spec.Classifier,
 		FailurePolicy: spec.OnFailure,
 		Service:       spec.Service,
@@ -190,18 +153,5 @@ func Run(spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Result{
-		Spec:        spec,
-		Tally:       er.Tally,
-		Converged:   er.Converged,
-		MemoHits:    er.MemoHits,
-		Quarantined: er.Quarantined,
-	}
-	if spec.Record {
-		r.Outcomes = make([]core.Outcome, len(er.Experiments))
-		for i := range er.Experiments {
-			r.Outcomes[i] = er.Experiments[i].Outcome
-		}
-	}
-	return r, nil
+	return &Result{Spec: spec, EngineResult: *er}, nil
 }

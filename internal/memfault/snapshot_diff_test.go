@@ -1,12 +1,13 @@
 package memfault_test
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"multiflip/internal/core"
 	"multiflip/internal/memfault"
 	"multiflip/internal/prog"
+	"multiflip/internal/vm"
 )
 
 // diffBits spans the ECC regimes: correctable (1), detectable (2), and
@@ -18,7 +19,7 @@ var diffBits = []int{1, 2, 3, 5}
 // global segment exceeds the VM's eager-restore bound and so takes the
 // lazy copy-on-write resume path) and every ECC regime, a campaign
 // fast-forwarded by corruption instant must produce per-experiment
-// outcomes bit-identical to a full-replay campaign.
+// records bit-identical to a full-replay campaign.
 func TestMemFaultSnapshotDifferential(t *testing.T) {
 	const (
 		n    = 120
@@ -26,9 +27,10 @@ func TestMemFaultSnapshotDifferential(t *testing.T) {
 	)
 	for _, name := range []string{"CRC32", "histo", "sha", "qsort"} {
 		tg := target(t, name)
-		if len(tg.Snapshots) == 0 {
+		if len(tg.Snapshots) == 0 && !vm.EnvDisabled().Has(vm.TierSnapshots) {
 			t.Fatalf("%s: target has no golden-run snapshots", name)
 		}
+		replay := targetWith(t, name, vm.TierSnapshots)
 		for _, bits := range diffBits {
 			spec := memfault.Spec{
 				Target: tg,
@@ -41,20 +43,12 @@ func TestMemFaultSnapshotDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s bits=%d: %v", name, bits, err)
 			}
-			spec.NoSnapshots = true
+			spec.Target = replay
 			slow, err := memfault.Run(spec)
 			if err != nil {
 				t.Fatalf("%s bits=%d (no snapshots): %v", name, bits, err)
 			}
-			if !reflect.DeepEqual(fast.Outcomes, slow.Outcomes) {
-				t.Errorf("%s bits=%d: outcomes diverge between snapshot and full-replay campaigns",
-					name, bits)
-				continue
-			}
-			if fast.Counts != slow.Counts {
-				t.Errorf("%s bits=%d: aggregates diverge between snapshot and full-replay campaigns",
-					name, bits)
-			}
+			sameResult(t, fmt.Sprintf("%s bits=%d snapshot vs full replay", name, bits), fast, slow, false)
 		}
 	}
 }
@@ -62,7 +56,7 @@ func TestMemFaultSnapshotDifferential(t *testing.T) {
 // TestMemFaultSnapshotIntervalInvariance checks that memory-fault results
 // do not depend on where checkpoints happen to fall: targets prepared
 // with very different snapshot intervals (and the snapshot-free target)
-// all yield the same outcomes.
+// all yield the same records.
 func TestMemFaultSnapshotIntervalInvariance(t *testing.T) {
 	const (
 		n    = 150
@@ -77,7 +71,7 @@ func TestMemFaultSnapshotIntervalInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	variants := []core.TargetOptions{
-		{NoSnapshots: true},
+		{Disable: vm.TierSnapshots},
 		{SnapshotInterval: 13, MaxSnapshots: 4}, // tiny interval, heavy thinning
 		{SnapshotInterval: 800},
 		{SnapshotInterval: 1 << 30}, // beyond the golden run: no snapshots land
@@ -98,8 +92,6 @@ func TestMemFaultSnapshotIntervalInvariance(t *testing.T) {
 			baseline = res
 			continue
 		}
-		if !reflect.DeepEqual(res.Outcomes, baseline.Outcomes) {
-			t.Errorf("variant %d: outcomes differ from full-replay baseline", i)
-		}
+		sameResult(t, fmt.Sprintf("variant %d vs full-replay baseline", i), baseline, res, false)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"multiflip/internal/prog"
 	"multiflip/internal/report"
 	"multiflip/internal/stats"
+	"multiflip/internal/vm"
 )
 
 // The paper fixes two environment properties we had to choose in the
@@ -19,7 +20,7 @@ import (
 // HangFactorAblation runs single-bit campaigns on one program under
 // several hang budgets and reports the outcome mix per factor.
 func HangFactorAblation(name string, tech core.Technique, n int, seed uint64, factors []uint64) (*report.Table, error) {
-	target, err := buildTarget(name)
+	target, err := buildTarget(name, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +54,7 @@ func HangFactorAblation(name string, tech core.Technique, n int, seed uint64, fa
 // AlignmentAblation compares single-bit campaigns with and without the
 // misaligned-access trap on one program.
 func AlignmentAblation(name string, tech core.Technique, n int, seed uint64) (*report.Table, error) {
-	target, err := buildTarget(name)
+	target, err := buildTarget(name, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -87,8 +88,9 @@ func AlignmentAblation(name string, tech core.Technique, n int, seed uint64) (*r
 	return t, nil
 }
 
-// buildTarget builds and profiles a benchmark by name.
-func buildTarget(name string) (*core.Target, error) {
+// buildTarget builds and profiles a benchmark by name, without the
+// disabled tiers.
+func buildTarget(name string, disable vm.Tiers) (*core.Target, error) {
 	b, err := prog.ByName(name)
 	if err != nil {
 		return nil, err
@@ -97,5 +99,5 @@ func buildTarget(name string) (*core.Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewTarget(name, p)
+	return core.NewTargetOpts(name, p, core.TargetOptions{Disable: disable})
 }

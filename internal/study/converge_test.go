@@ -1,12 +1,12 @@
 package study_test
 
 import (
-	"os"
 	"strings"
 	"testing"
 
 	"multiflip/internal/core"
 	"multiflip/internal/study"
+	"multiflip/internal/vm"
 )
 
 // TestEarlyExitTable checks the early-termination report: one row per
@@ -34,7 +34,7 @@ func TestEarlyExitTable(t *testing.T) {
 			}
 		}
 	}
-	if total == 0 && os.Getenv("MULTIFLIP_NOCONVERGE") == "" {
+	if total == 0 && !vm.EnvDisabled().Has(vm.TierConverge) {
 		t.Error("no campaign in the tiny study converged any experiment")
 	}
 	var sb strings.Builder
@@ -73,11 +73,11 @@ func TestNoStuckAt(t *testing.T) {
 	}
 }
 
-// TestStudyNoConvergeDifferential runs a reduced study with the
+// TestStudyDisableConvergeDifferential runs a reduced study with the
 // convergence tier disabled and checks the rendered outcome figures are
 // byte-identical to the default study's — the study-level version of the
 // campaign differential.
-func TestStudyNoConvergeDifferential(t *testing.T) {
+func TestStudyDisableConvergeDifferential(t *testing.T) {
 	opts := tinyOpts()
 	opts.Programs = []string{"CRC32"}
 	opts.MaxMBFs = []int{2}
@@ -86,7 +86,7 @@ func TestStudyNoConvergeDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.NoConverge = true
+	opts.Disable = vm.TierConverge
 	off, err := study.Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,39 @@ func TestStudyNoConvergeDifferential(t *testing.T) {
 		d := off.Data[name]
 		for _, tech := range core.Techniques() {
 			if d.Single[tech].Converged != 0 || d.Single[tech].MemoHits != 0 {
-				t.Errorf("%s %s: NoConverge study reported early exits", name, tech)
+				t.Errorf("%s %s: converge-disabled study reported early exits", name, tech)
+			}
+		}
+	}
+}
+
+// TestDisableReachesTargets checks that Options.Disable means what the
+// cmd/fi -disable flag means: every target the study prepares carries
+// the set, so every campaign on it — including the memfault sweep the
+// study command runs on those targets — runs without those tiers, and
+// disabling snapshots keeps the golden trace, so convergence stays on.
+func TestDisableReachesTargets(t *testing.T) {
+	opts := tinyOpts()
+	opts.Programs = []string{"CRC32"}
+	opts.MaxMBFs = []int{2}
+	opts.WinSizes = []core.WinSize{core.Win(0)}
+	opts.NoStuckAt = true
+	for _, disable := range []vm.Tiers{vm.TierSnapshots, vm.TierCompile} {
+		opts.Disable = disable
+		s, err := study.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg := s.Data["CRC32"].Target
+		if tg.Disable != disable {
+			t.Errorf("-disable %s: study target disables %q", disable, tg.Disable)
+		}
+		if disable == vm.TierSnapshots {
+			if len(tg.Snapshots) != 0 {
+				t.Errorf("-disable snapshots: study target kept %d snapshots", len(tg.Snapshots))
+			}
+			if tg.Trace == nil && !vm.EnvDisabled().Has(vm.TierConverge) {
+				t.Error("-disable snapshots: study target lost its golden trace")
 			}
 		}
 	}

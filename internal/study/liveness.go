@@ -8,14 +8,16 @@ import (
 	"multiflip/internal/core"
 	"multiflip/internal/report"
 	"multiflip/internal/stats"
+	"multiflip/internal/vm"
 	"multiflip/internal/xrand"
 )
 
 // LivenessPredictionTable confronts the static liveness tier with ground
 // truth: for each program and technique it replays the single-bit
 // campaign's per-experiment planning, asks the tier which experiments it
-// would classify without executing, then runs the same campaign with
-// pruning disabled so every one of those experiments actually executes.
+// would classify without executing, then runs the same campaign on a
+// target prepared without the tier so every one of those experiments
+// actually executes.
 // A predicted record that differs from the executed record in any field
 // counts as a mismatch; soundness means the last column is always 0.
 func LivenessPredictionTable(names []string, n int, seed uint64) (*report.Table, error) {
@@ -26,19 +28,24 @@ func LivenessPredictionTable(names []string, n int, seed uint64) (*report.Table,
 		},
 	}
 	for _, name := range names {
-		target, err := buildTarget(name)
+		target, err := buildTarget(name, 0)
+		if err != nil {
+			return nil, err
+		}
+		// Force execution: the measured outcomes come from a target
+		// without the liveness oracle.
+		executed, err := buildTarget(name, vm.TierLiveness)
 		if err != nil {
 			return nil, err
 		}
 		for _, tech := range core.Techniques() {
 			spec := core.CampaignSpec{
-				Target:     target,
-				Technique:  tech,
-				Config:     core.SingleBit(),
-				N:          n,
-				Seed:       seed,
-				Record:     true,
-				NoLiveness: true, // force execution: these are the measured outcomes
+				Target:    executed,
+				Technique: tech,
+				Config:    core.SingleBit(),
+				N:         n,
+				Seed:      seed,
+				Record:    true,
 			}
 			measured, err := core.RunCampaign(spec)
 			if err != nil {
@@ -73,7 +80,7 @@ func LivenessPredictionTable(names []string, n int, seed uint64) (*report.Table,
 		}
 	}
 	t.Notes = append(t.Notes,
-		"Predicted experiments are those the liveness oracle proves Benign from the dead-bit mask alone; the executed column runs them on the VM (NoLiveness) and must agree exactly.",
-		"With MULTIFLIP_NOLIVENESS set the oracle is never built and every row predicts 0.")
+		"Predicted experiments are those the liveness oracle proves Benign from the dead-bit mask alone; the executed column runs them on the VM (-disable liveness) and must agree exactly.",
+		"With MULTIFLIP_DISABLE=liveness the oracle is never built and every row predicts 0.")
 	return t, nil
 }

@@ -1,9 +1,10 @@
 package study
 
 import (
-	"os"
 	"strings"
 	"testing"
+
+	"multiflip/internal/vm"
 )
 
 // TestLivenessPredictionTable pins the predicted-vs-executed artifact: on
@@ -35,7 +36,7 @@ func TestLivenessPredictionTable(t *testing.T) {
 			predictedAny = true
 		}
 	}
-	if on := os.Getenv("MULTIFLIP_NOLIVENESS") == ""; on && !predictedAny {
+	if !vm.EnvDisabled().Has(vm.TierLiveness) && !predictedAny {
 		t.Error("liveness tier is enabled but no row predicted a single experiment")
 	}
 	var b strings.Builder

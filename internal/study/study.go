@@ -12,6 +12,7 @@ import (
 
 	"multiflip/internal/core"
 	"multiflip/internal/prog"
+	"multiflip/internal/vm"
 	"multiflip/internal/xrand"
 )
 
@@ -41,27 +42,11 @@ type Options struct {
 	Workers int
 	// HangFactor scales the hang budget (0 = core.DefaultHangFactor).
 	HangFactor uint64
-	// NoSnapshots disables golden-run fast-forwarding: every experiment
-	// replays its fault-free prefix from instruction 0. Results are
-	// bit-identical either way; the knob supports A/B timing and debugging.
-	NoSnapshots bool
-	// NoConverge disables convergence-gated early termination and the
-	// fault-equivalence memo: every experiment runs to completion. Results
-	// are bit-identical either way; the knob supports A/B timing and the
-	// CI convergence ablation.
-	NoConverge bool
-	// NoCompile disables the compiled fast tier: event-horizon stretches
-	// execute through the token-threaded interpreter instead of the
-	// workloads' generated native kernels. Results are bit-identical
-	// either way; the knob supports A/B timing and the CI compile
-	// ablation.
-	NoCompile bool
-	// NoLiveness disables the static liveness pruning tier: experiments
-	// whose flipped bits are provably dead execute on the VM instead of
-	// being classified Benign up front. Results are bit-identical either
-	// way modulo the StaticPruned counter; the knob supports A/B timing
-	// and the CI liveness ablation.
-	NoLiveness bool
+	// Disable turns speed tiers off on every target the study prepares
+	// (zero = all on; see core.TargetOptions.Disable). Results are
+	// bit-identical for any set; the knob supports A/B timing and the CI
+	// ablation matrix.
+	Disable vm.Tiers
 	// Classifier judges golden-vs-actual output in every campaign of the
 	// study (nil = core.ExactClassifier). Non-default classifiers journal
 	// under their own campaign fingerprints.
@@ -197,12 +182,7 @@ func runProgram(opts Options, name string) (*ProgData, error) {
 	if err != nil {
 		return nil, fmt.Errorf("study: build %s: %w", name, err)
 	}
-	target, err := core.NewTargetOpts(name, p, core.TargetOptions{
-		NoSnapshots: opts.NoSnapshots,
-		NoConverge:  opts.NoConverge,
-		NoCompile:   opts.NoCompile,
-		NoLiveness:  opts.NoLiveness,
-	})
+	target, err := core.NewTargetOpts(name, p, core.TargetOptions{Disable: opts.Disable})
 	if err != nil {
 		return nil, err
 	}
@@ -216,21 +196,17 @@ func runProgram(opts Options, name string) (*ProgData, error) {
 		logf(opts.Log, "%s %s: single-bit + %d multi-bit campaigns (n=%d)",
 			name, tech, len(opts.MaxMBFs)*len(opts.WinSizes), opts.N)
 		single, err := core.RunCampaign(core.CampaignSpec{
-			Target:      target,
-			Technique:   tech,
-			Config:      core.SingleBit(),
-			N:           opts.N,
-			Seed:        campaignSeed(opts.Seed, name, tech, core.SingleBit()),
-			HangFactor:  opts.HangFactor,
-			Workers:     opts.Workers,
-			Record:      true,
-			NoSnapshots: opts.NoSnapshots,
-			NoConverge:  opts.NoConverge,
-			NoCompile:   opts.NoCompile,
-			NoLiveness:  opts.NoLiveness,
-			Classifier:  opts.Classifier,
-			OnFailure:   opts.OnFailure,
-			Service:     svc,
+			Target:     target,
+			Technique:  tech,
+			Config:     core.SingleBit(),
+			N:          opts.N,
+			Seed:       campaignSeed(opts.Seed, name, tech, core.SingleBit()),
+			HangFactor: opts.HangFactor,
+			Workers:    opts.Workers,
+			Record:     true,
+			Classifier: opts.Classifier,
+			OnFailure:  opts.OnFailure,
+			Service:    svc,
 		})
 		if err != nil {
 			return nil, err
@@ -240,20 +216,16 @@ func runProgram(opts Options, name string) (*ProgData, error) {
 			for _, w := range opts.WinSizes {
 				cfg := core.Config{MaxMBF: m, Win: w}
 				res, err := core.RunCampaign(core.CampaignSpec{
-					Target:      target,
-					Technique:   tech,
-					Config:      cfg,
-					N:           opts.N,
-					Seed:        campaignSeed(opts.Seed, name, tech, cfg),
-					HangFactor:  opts.HangFactor,
-					Workers:     opts.Workers,
-					NoSnapshots: opts.NoSnapshots,
-					NoConverge:  opts.NoConverge,
-					NoCompile:   opts.NoCompile,
-					NoLiveness:  opts.NoLiveness,
-					Classifier:  opts.Classifier,
-					OnFailure:   opts.OnFailure,
-					Service:     svc,
+					Target:     target,
+					Technique:  tech,
+					Config:     cfg,
+					N:          opts.N,
+					Seed:       campaignSeed(opts.Seed, name, tech, cfg),
+					HangFactor: opts.HangFactor,
+					Workers:    opts.Workers,
+					Classifier: opts.Classifier,
+					OnFailure:  opts.OnFailure,
+					Service:    svc,
 				})
 				if err != nil {
 					return nil, err
@@ -269,18 +241,15 @@ func runProgram(opts Options, name string) (*ProgData, error) {
 	// program, anchored in the inject-on-read candidate space.
 	logf(opts.Log, "%s stuck-at: window %s (n=%d)", name, opts.StuckAtWindow, opts.N)
 	stuck, err := core.RunStuckAt(core.StuckAtSpec{
-		Target:      target,
-		Window:      opts.StuckAtWindow,
-		N:           opts.N,
-		Seed:        stuckSeed(opts.Seed, name, opts.StuckAtWindow),
-		HangFactor:  opts.HangFactor,
-		Workers:     opts.Workers,
-		NoSnapshots: opts.NoSnapshots,
-		NoConverge:  opts.NoConverge,
-		NoCompile:   opts.NoCompile,
-		Classifier:  opts.Classifier,
-		OnFailure:   opts.OnFailure,
-		Service:     svc,
+		Target:     target,
+		Window:     opts.StuckAtWindow,
+		N:          opts.N,
+		Seed:       stuckSeed(opts.Seed, name, opts.StuckAtWindow),
+		HangFactor: opts.HangFactor,
+		Workers:    opts.Workers,
+		Classifier: opts.Classifier,
+		OnFailure:  opts.OnFailure,
+		Service:    svc,
 	})
 	if err != nil {
 		return nil, err

@@ -61,19 +61,16 @@ func (s *Study) runTransitions() (map[string]map[core.Technique]*TransitionResul
 				pins[i] = core.Pin{Cand: e.Cand, Bit: e.Bit}
 			}
 			pinned, err := core.RunCampaign(core.CampaignSpec{
-				Target:      d.Target,
-				Technique:   tech,
-				Config:      best.Config,
-				Seed:        campaignSeed(s.Opts.Seed, name+"/tran", tech, best.Config),
-				HangFactor:  s.Opts.HangFactor,
-				Workers:     s.Opts.Workers,
-				Record:      true,
-				Pins:        pins,
-				NoSnapshots: s.Opts.NoSnapshots,
-				NoConverge:  s.Opts.NoConverge,
-				NoCompile:   s.Opts.NoCompile,
-				OnFailure:   s.Opts.OnFailure,
-				Service:     s.Opts.service(),
+				Target:     d.Target,
+				Technique:  tech,
+				Config:     best.Config,
+				Seed:       campaignSeed(s.Opts.Seed, name+"/tran", tech, best.Config),
+				HangFactor: s.Opts.HangFactor,
+				Workers:    s.Opts.Workers,
+				Record:     true,
+				Pins:       pins,
+				OnFailure:  s.Opts.OnFailure,
+				Service:    s.Opts.service(),
 			})
 			if err != nil {
 				return nil, err

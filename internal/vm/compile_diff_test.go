@@ -2,7 +2,7 @@ package vm
 
 // The compiled-tier differential suite: for every workload in the suite
 // (the 15 paper programs plus the extras), runs with the generated native
-// kernels must be bit-identical to NoCompile runs through the
+// kernels must be bit-identical to compile-disabled runs through the
 // token-threaded interpreter — outputs, counters, snapshots, golden trace
 // fingerprints, injection behaviour and convergence alike. The companion
 // campaign-level suite lives in internal/core and internal/memfault.
@@ -39,12 +39,12 @@ func suitePrograms() []*ir.Program {
 }
 
 // TestCompiledKernelsEngage pins the suite's non-vacuity: unless the
-// process-wide kill switch is set, every suite workload must actually
+// MULTIFLIP_DISABLE disables compile, every suite workload must actually
 // run on its generated kernel — otherwise the differential tests below
 // compare the interpreter against itself.
 func TestCompiledKernelsEngage(t *testing.T) {
-	if !compileEnabled {
-		t.Skip("MULTIFLIP_NOCOMPILE is set")
+	if envDisabled.Has(TierCompile) {
+		t.Skip("MULTIFLIP_DISABLE includes compile")
 	}
 	for _, p := range suitePrograms() {
 		if !Compiled(p) {
@@ -64,7 +64,7 @@ func TestCompiledDifferential(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			base := Options{CountRoles: true}
-			noComp := func(o Options) Options { o.NoCompile = true; return o }
+			noComp := func(o Options) Options { o.Disable |= TierCompile; return o }
 
 			straight, err := Run(p, base)
 			if err != nil {

@@ -84,19 +84,19 @@ func TestConvergeDifferentialWorkloads(t *testing.T) {
 				off := base
 				off.Plan = mkPlan()
 				off.Trace = golden.Trace
-				off.NoConverge = true
+				off.Disable = TierConverge
 				kill, err := Run(p, off)
 				if err != nil {
-					t.Fatalf("%s: NoConverge run: %v", label, err)
+					t.Fatalf("%s: converge-disabled run: %v", label, err)
 				}
 				if kill.Converged {
-					t.Fatalf("%s: NoConverge run reported convergence", label)
+					t.Fatalf("%s: converge-disabled run reported convergence", label)
 				}
-				sameResult(t, label+": NoConverge vs full", kill, want)
+				sameResult(t, label+": converge-disabled vs full", kill, want)
 			}
 		}
 	}
-	if converged == 0 && convergeEnabled {
+	if converged == 0 && !envDisabled.Has(TierConverge) {
 		t.Error("no run converged across the whole suite; the detector never fires")
 	}
 }
@@ -140,7 +140,7 @@ func TestConvergeMemFlipGuaranteed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Converged && convergeEnabled {
+	if !got.Converged && !envDisabled.Has(TierConverge) {
 		t.Error("dead memory corruption did not converge with the golden run")
 	}
 	sameResult(t, "guaranteed memflip convergence", got, want)
@@ -204,7 +204,7 @@ func TestConvergePlanGuaranteed(t *testing.T) {
 		sameResult(t, fmt.Sprintf("cand=%d", cand), got, want)
 		found = found || got.Converged
 	}
-	if !found && convergeEnabled {
+	if !found && !envDisabled.Has(TierConverge) {
 		t.Error("no masked register fault converged in the scanned candidate range")
 	}
 }
@@ -240,8 +240,8 @@ func TestConvergeTraceValidation(t *testing.T) {
 	if _, err := Run(po, Options{Plan: mkPlan(), Trace: golden.Trace}); err == nil {
 		t.Error("trace from a different program accepted")
 	}
-	if _, err := Run(po, Options{Plan: mkPlan(), Trace: golden.Trace, NoConverge: true}); err == nil {
-		t.Error("trace from a different program accepted under NoConverge")
+	if _, err := Run(po, Options{Plan: mkPlan(), Trace: golden.Trace, Disable: TierConverge}); err == nil {
+		t.Error("trace from a different program accepted with TierConverge disabled")
 	}
 
 	// A hang budget below the golden run's length cannot replay the golden

@@ -19,16 +19,9 @@ package vm
 import (
 	"encoding/binary"
 	"math"
-	"os"
 
 	"multiflip/internal/ir"
 )
-
-// fusionEnabled is the process-wide superinstruction kill switch: setting
-// MULTIFLIP_NOFUSE forces every run onto the unfused dispatch path. CI's
-// dispatch-ablation job uses it to keep both paths green; Options.NoFuse
-// disables fusion per run.
-var fusionEnabled = os.Getenv("MULTIFLIP_NOFUSE") == ""
 
 // stat is a handler's report of how an instruction left the control
 // state.

@@ -65,7 +65,7 @@ func TestFusionDifferentialWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", bench.Name, err)
 		}
-		unfused, err := Run(p, Options{NoFuse: true})
+		unfused, err := Run(p, Options{Disable: TierFuse})
 		if err != nil {
 			t.Fatalf("%s (nofuse): %v", bench.Name, err)
 		}
@@ -139,7 +139,7 @@ func TestFuseShlAndDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfused, err := Run(p, Options{NoFuse: true})
+	unfused, err := Run(p, Options{Disable: TierFuse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestFusionCheckpointDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				unfused, err := Run(p, Options{Checkpoint: interval, NoFuse: true})
+				unfused, err := Run(p, Options{Checkpoint: interval, Disable: TierFuse})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,7 +197,7 @@ func TestFusionCheckpointDifferential(t *testing.T) {
 					}
 					sameResult(t, fmt.Sprintf("fused resume from unfused dyn=%d",
 						unfused.Snapshots[idx].Dyn), res, straight)
-					res, err = Run(p, Options{Resume: fused.Snapshots[idx], NoFuse: true})
+					res, err = Run(p, Options{Resume: fused.Snapshots[idx], Disable: TierFuse})
 					if err != nil {
 						t.Fatalf("unfused resume from fused snapshot %d: %v", idx, err)
 					}
@@ -276,7 +276,7 @@ func TestFuseAndLshrDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfused, err := Run(p, Options{NoFuse: true})
+	unfused, err := Run(p, Options{Disable: TierFuse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestFuseCmpCmpBrDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfused, err := Run(p, Options{NoFuse: true})
+	unfused, err := Run(p, Options{Disable: TierFuse})
 	if err != nil {
 		t.Fatal(err)
 	}

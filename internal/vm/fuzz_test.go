@@ -190,7 +190,7 @@ func FuzzVM(f *testing.F) {
 		// dense in fused pairs, and the unfused run must match the fused
 		// one bit for bit.
 		nofuse := base
-		nofuse.NoFuse = true
+		nofuse.Disable = TierFuse
 		nf, err := Run(p, nofuse)
 		if err != nil {
 			t.Fatalf("unfused run: %v", err)
@@ -232,9 +232,9 @@ func FuzzVM(f *testing.F) {
 		// snapshots at the same instants, including between the halves of
 		// an annotated pair; resuming such a snapshot with fusion enabled
 		// (and vice versa) must replay identically.
-		ckNoFuse := ckOpts
-		ckNoFuse.NoFuse = true
-		ckptNF, err := Run(p, ckNoFuse)
+		ckUnfused := ckOpts
+		ckUnfused.Disable = TierFuse
+		ckptNF, err := Run(p, ckUnfused)
 		if err != nil {
 			t.Fatalf("unfused checkpointing run: %v", err)
 		}
@@ -367,15 +367,15 @@ func FuzzVM(f *testing.F) {
 		*z = zz
 		planKill := planConv
 		planKill.Plan = mkPlan()
-		planKill.NoConverge = true
+		planKill.Disable = TierConverge
 		pk, err := Run(p, planKill)
 		if err != nil {
-			t.Fatalf("plan NoConverge: %v", err)
+			t.Fatalf("plan converge-disabled: %v", err)
 		}
 		if pk.Converged {
-			t.Fatal("NoConverge run reported convergence")
+			t.Fatal("converge-disabled run reported convergence")
 		}
-		sameResult(t, "plan NoConverge vs full", pk, ps)
+		sameResult(t, "plan converge-disabled vs full", pk, ps)
 
 		// Liveness-vs-execution: the bit-level static analysis claims some
 		// (candidate, bit) flips are unobservable. Enumerate the dead
@@ -483,7 +483,7 @@ func FuzzVM(f *testing.F) {
 			t.Fatalf("workload compiled: %v", err)
 		}
 		wSlowOpts := wOpts
-		wSlowOpts.NoCompile = true
+		wSlowOpts.Disable = TierCompile
 		wSlow, err := Run(wp, wSlowOpts)
 		if err != nil {
 			t.Fatalf("workload interpreted: %v", err)
@@ -501,13 +501,13 @@ func FuzzVM(f *testing.F) {
 				t.Fatalf("workload cross-tier baseline: %v", err)
 			}
 			xOpts.Resume = wSnap
-			xOpts.NoCompile = true
+			xOpts.Disable = TierCompile
 			xr, err := Run(wp, xOpts)
 			if err != nil {
 				t.Fatalf("workload cross-tier resume: %v", err)
 			}
 			sameResult(t, "interpreted resume from compiled workload snapshot", xr, xWant)
-			xOpts.NoCompile = false
+			xOpts.Disable = 0
 			xOpts.Resume = wSlow.Snapshots[z.n(len(wSlow.Snapshots))]
 			xc, err := Run(wp, xOpts)
 			if err != nil {

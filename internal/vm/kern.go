@@ -23,20 +23,12 @@ package vm
 // shared with the observer tier.
 
 import (
-	"os"
 	"sync"
 
 	"multiflip/internal/ir"
 )
 
 //go:generate go run multiflip/internal/proggen
-
-// compileEnabled is the process-wide compiled-tier kill switch: setting
-// MULTIFLIP_NOCOMPILE forces every run onto the interpreter, mirroring
-// MULTIFLIP_NOFUSE and MULTIFLIP_NOCONVERGE. CI's compile-ablation job
-// uses it to keep both tiers green; Options.NoCompile disables the tier
-// per run.
-var compileEnabled = os.Getenv("MULTIFLIP_NOCOMPILE") == ""
 
 // kernStat is a kernel's report of why it returned control.
 type kernStat uint8
@@ -107,12 +99,11 @@ func kernelsFor(p *ir.Program) []kernFn {
 
 // Compiled reports whether runs of p use the compiled fast tier (a
 // generated kernel is registered for p's name, its fingerprint matches,
-// and neither the MULTIFLIP_NOCOMPILE kill switch nor anything else
-// disables the tier process-wide). The differential suites use it to
-// prove they compare a real compiled run against the interpreter rather
-// than two interpreted runs.
+// and MULTIFLIP_DISABLE does not disable TierCompile process-wide). The
+// differential suites use it to prove they compare a real compiled run
+// against the interpreter rather than two interpreted runs.
 func Compiled(p *ir.Program) bool {
-	return compileEnabled && kernelsFor(p) != nil
+	return !envDisabled.Has(TierCompile) && kernelsFor(p) != nil
 }
 
 // outAppend appends the low n bytes of v little-endian to the output

@@ -1,0 +1,92 @@
+package vm
+
+import (
+	"fmt"
+	"os"
+	"slices"
+	"strings"
+)
+
+// Tiers is a set of speed tiers, used as a disable set: the zero value
+// leaves every tier on. Each tier's differential suite proves it
+// bit-identical to plain interpretation, so disabling tiers changes how
+// fast campaigns run, never what they record. The VM implements
+// TierFuse, TierCompile and TierConverge; TierSnapshots and TierLiveness
+// belong to target preparation in internal/core.
+type Tiers uint8
+
+// The speed tiers, in the order the -disable flags and MULTIFLIP_DISABLE
+// spell them.
+const (
+	// TierSnapshots fast-forwards experiments from golden-run snapshots
+	// instead of replaying the fault-free prefix.
+	TierSnapshots Tiers = 1 << iota
+	// TierFuse executes annotated instruction pairs as superinstructions.
+	TierFuse
+	// TierCompile runs the workload's generated native kernel between
+	// event horizons instead of the token-threaded interpreter.
+	TierCompile
+	// TierConverge terminates runs whose state reconverges with the
+	// golden trace, and lets campaigns memoize post-injection states.
+	TierConverge
+	// TierLiveness classifies provably dead-bit flips without executing.
+	TierLiveness
+)
+
+var tierNames = []string{"snapshots", "fuse", "compile", "converge", "liveness"}
+
+// Has reports whether every tier of x is in t.
+func (t Tiers) Has(x Tiers) bool { return t&x == x }
+
+// String renders the set as a comma-separated list of tier names.
+func (t Tiers) String() string {
+	var names []string
+	for i, name := range tierNames {
+		if t&(1<<i) != 0 {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, ",")
+}
+
+// Set implements flag.Value: it adds the tiers named in s.
+func (t *Tiers) Set(s string) error {
+	add, err := parseTiers(s)
+	*t |= add
+	return err
+}
+
+// parseTiers parses a comma-separated list of tier names ("" is the
+// empty set). An unknown name is an error naming the valid ones, so a
+// typo cannot silently leave every tier on.
+func parseTiers(s string) (Tiers, error) {
+	var t Tiers
+	for _, name := range strings.Split(s, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		i := slices.Index(tierNames, name)
+		if i < 0 {
+			return 0, fmt.Errorf("unknown tier %q (valid: %s)", name, strings.Join(tierNames, ", "))
+		}
+		t |= 1 << i
+	}
+	return t, nil
+}
+
+// envDisabled is the process-wide disable set from MULTIFLIP_DISABLE,
+// parsed once. CI's ablation matrix sets it to run the test suites with
+// one tier off; a malformed value fails every Run with envErr.
+var envDisabled, envErr = func() (Tiers, error) {
+	t, err := parseTiers(os.Getenv("MULTIFLIP_DISABLE"))
+	if err != nil {
+		return 0, fmt.Errorf("vm: MULTIFLIP_DISABLE: %w", err)
+	}
+	return t, nil
+}()
+
+// EnvDisabled returns the process-wide disable set from MULTIFLIP_DISABLE.
+// Run adds it to every run's Options.Disable; core.NewTargetOpts adds it
+// to the target-level tiers.
+func EnvDisabled() Tiers { return envDisabled }

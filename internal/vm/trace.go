@@ -34,17 +34,10 @@ package vm
 
 import (
 	"encoding/binary"
-	"os"
 	"sort"
 
 	"multiflip/internal/ir"
 )
-
-// convergeEnabled is the process-wide convergence kill switch: setting
-// MULTIFLIP_NOCONVERGE forces every run to execute to completion even
-// when a golden trace is available. CI's convergence-ablation job uses it
-// to keep both paths green; Options.NoConverge disables it per run.
-var convergeEnabled = os.Getenv("MULTIFLIP_NOCONVERGE") == ""
 
 // GoldenTrace is a golden run's per-boundary state-hash trace plus its
 // final observables. It is immutable once recorded, so one trace (stored

@@ -159,21 +159,15 @@ type Options struct {
 	// Plan.FirstCand must not precede the snapshot's candidate counter, and
 	// no MemFlip may be due before the snapshot's Dyn.
 	Resume *Snapshot
-	// NoFuse disables superinstruction execution for this run: every
-	// instruction dispatches alone through the handler table. Results are
-	// bit-identical either way (the fusion differential tests enforce it);
-	// the knob exists for that comparison and for the CI dispatch
-	// ablation. The MULTIFLIP_NOFUSE environment variable disables fusion
-	// process-wide.
-	NoFuse bool
-	// NoCompile disables the compiled fast tier for this run: between
-	// event horizons the VM then sprints token-threaded instead of
-	// executing the workload's generated native kernel (kern.go). Results
-	// are bit-identical either way (the compile differential tests enforce
-	// it); the knob exists for that comparison and for the CI compile
-	// ablation. The MULTIFLIP_NOCOMPILE environment variable disables the
-	// tier process-wide.
-	NoCompile bool
+	// Disable turns speed tiers off for this run: with TierFuse in the
+	// set every instruction dispatches alone through the handler table,
+	// with TierCompile the VM sprints token-threaded between event
+	// horizons instead of running the workload's generated native kernel
+	// (kern.go), and with TierConverge it ignores Trace and MemoCheck.
+	// The other members are ignored here. MULTIFLIP_DISABLE adds to the
+	// set process-wide. Results are bit-identical either way (the
+	// differential tests enforce it).
+	Disable Tiers
 	// RecordTrace, together with Checkpoint > 0, records a GoldenTrace in
 	// Result.Trace: a per-boundary state-hash trace of this (fault-free)
 	// run that later injected runs can converge against. Ignored when
@@ -187,13 +181,6 @@ type Options struct {
 	// incompatible budgets or exception options silently disable the
 	// checks. Ignored for checkpointing or role-counting runs.
 	Trace *GoldenTrace
-	// NoConverge disables convergence-gated early termination (and the
-	// MemoCheck callback) for this run even when Trace is set. Results
-	// are bit-identical either way (the convergence differential tests
-	// enforce it); the knob exists for that comparison and for the CI
-	// convergence ablation. The MULTIFLIP_NOCONVERGE environment variable
-	// disables convergence process-wide.
-	NoConverge bool
 	// MemoCheck, when non-nil (and Trace is active), is called once with
 	// the run's StateKey at the first event-horizon boundary after its
 	// injections completed and its state diverges from golden. Returning
@@ -329,11 +316,11 @@ type machine struct {
 	injRead  bool
 	injWrite bool
 	// fuse enables superinstruction execution (see dispatch.go); cleared
-	// by Options.NoFuse or the MULTIFLIP_NOFUSE environment variable.
+	// when TierFuse is disabled.
 	fuse bool
 	// kern holds the program's generated native kernels (one per
-	// function), or nil when the program has none or the compiled tier is
-	// disabled (Options.NoCompile / MULTIFLIP_NOCOMPILE).
+	// function), or nil when the program has none or TierCompile is
+	// disabled.
 	kern []kernFn
 	// retDst is the caller result register of the last statRetWrote
 	// return, for the dispatch loop's write accounting and injection.
@@ -425,6 +412,9 @@ func putMachine(m *machine) {
 // hand-assembled, unvalidated Program mis-counts injection candidates
 // silently.
 func Run(p *ir.Program, opts Options) (*Result, error) {
+	if envErr != nil {
+		return nil, envErr
+	}
 	mainFn := p.Funcs[p.Main]
 	if mainFn.NumArgs != 0 {
 		return nil, errNoMain
@@ -449,8 +439,9 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 	m.nextMemFlip = ^uint64(0)
 	m.firstBit = -1
 	m.firstPre = -1
-	m.fuse = fusionEnabled && !opts.NoFuse
-	if compileEnabled && !opts.NoCompile {
+	disable := opts.Disable | envDisabled
+	m.fuse = !disable.Has(TierFuse)
+	if !disable.Has(TierCompile) {
 		m.kern = kernelsFor(p)
 	}
 	if m.maxOut == 0 {
@@ -505,7 +496,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		if m.trace.prog != p {
 			return nil, errTraceProg
 		}
-		if opts.NoConverge || !convergeEnabled || m.checkpoint > 0 ||
+		if disable.Has(TierConverge) || m.checkpoint > 0 ||
 			m.countRoles || !m.trace.compatible(m) {
 			m.trace = nil
 		}
