@@ -433,16 +433,16 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 	}
 
 	var memo memoTable = &mapMemo{}
-	var ownMemo *SharedMemo
+	var flushMemo *SharedMemo
 	if e.Target.Trace != nil {
-		shared, owned, err := svc.memoFor(e)
+		shared, flush, err := svc.memoFor(e)
 		if err != nil {
 			return nil, err
 		}
 		if shared != nil {
 			memo = shared
-			if owned {
-				ownMemo = shared
+			if flush {
+				flushMemo = shared
 			}
 		}
 	}
@@ -550,8 +550,8 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 		}()
 	}
 	wg.Wait()
-	if ownMemo != nil {
-		if err := ownMemo.Close(); err != nil && len(errs) == 0 {
+	if flushMemo != nil {
+		if err := flushMemo.Flush(); err != nil && len(errs) == 0 {
 			errs = append(errs, err)
 		}
 	}

@@ -1,5 +1,7 @@
 package core
 
+import "multiflip/internal/vm"
+
 // SetExperimentHook installs the worker-claim test seam and returns a
 // restore function. The error-propagation tests use it to hold workers at
 // a barrier so several fail concurrently.
@@ -27,3 +29,26 @@ func EngineFingerprint(e *Engine) uint64 { return e.fingerprint() }
 // EngineMemoFingerprint exposes the memo content address to the
 // classifier-identity tests.
 func EngineMemoFingerprint(e *Engine) uint64 { return e.memoFingerprint() }
+
+// MemoStore stores one shared-memo entry the way a campaign does: the
+// entry is queued for the next Flush.
+func MemoStore(m *SharedMemo, k vm.StateKey, outcome Outcome, trap vm.TrapKind) {
+	m.store(k, memoVal{outcome: outcome, trap: trap})
+}
+
+// MemoLookup returns a shared memo's entry for a state.
+func MemoLookup(m *SharedMemo, k vm.StateKey) (Outcome, vm.TrapKind, bool) {
+	v, ok := m.load(k)
+	return v.outcome, v.trap, ok
+}
+
+// MemoLen counts a shared memo's entries.
+func MemoLen(m *SharedMemo) int {
+	n := 0
+	m.m.Range(func(any, any) bool { n++; return true })
+	return n
+}
+
+// MemoAbsorb reads the records appended to a shared memo's file since
+// its last read, as a Service does before each campaign.
+func MemoAbsorb(m *SharedMemo) error { return m.absorb() }

@@ -32,6 +32,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -56,41 +58,81 @@ type journalIO interface {
 	Close() error
 }
 
-// encodeLine frames one record payload: 8 hex digits of CRC-32, a
-// space, the payload, '\n'. The journal and the shared memo use the same
-// framing.
-func encodeLine(payload []byte) []byte {
-	return []byte(fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload))
+// appendLine appends one framed record to dst: the payload's CRC-32 as
+// 8 lowercase hex digits, a space, the payload, '\n'. The journal and
+// the shared memo use the same framing.
+func appendLine(dst, payload []byte) []byte {
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
+	dst = hex.AppendEncode(dst, sum[:])
+	dst = append(dst, ' ')
+	dst = append(dst, payload...)
+	return append(dst, '\n')
 }
 
 // decodeLine unframes one record line (without its '\n'), reporting
-// whether the checksum held.
+// whether the frame and checksum held. The checksum must be exactly 8
+// hex digits, in either case.
 func decodeLine(line []byte) ([]byte, bool) {
 	if len(line) < 10 || line[8] != ' ' {
 		return nil, false
 	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
+	var sum [4]byte
+	if _, err := hex.Decode(sum[:], line[:8]); err != nil {
 		return nil, false
 	}
 	payload := line[9:]
-	if crc32.ChecksumIEEE(payload) != want {
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(sum[:]) {
 		return nil, false
 	}
 	return payload, true
 }
 
-// splitLines splits record data on '\n', dropping a trailing partial
-// line (a torn final write).
-func splitLines(data []byte) [][]byte {
-	var out [][]byte
+// logTail reads an append-only record file incrementally: it remembers
+// how far it has read, keeps a trailing partial line pending until its
+// newline lands, and reuses one read buffer for the file's lifetime.
+// The journal and the shared memo both load through it.
+type logTail struct {
+	off     int64
+	pending []byte
+	buf     []byte
+}
+
+// read hands apply the payload of every complete record appended to r
+// since the last read. Lines whose frame or checksum does not hold (a
+// torn write from a crashed or concurrent writer) are skipped. apply
+// must not retain the payload: its bytes are reused.
+func (t *logTail) read(r io.ReaderAt, apply func(payload []byte)) error {
+	if t.buf == nil {
+		t.buf = make([]byte, 64*1024)
+	}
 	for {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			return out
+		n, err := r.ReadAt(t.buf, t.off)
+		t.off += int64(n)
+		data := t.buf[:n]
+		for {
+			nl := bytes.IndexByte(data, '\n')
+			if nl < 0 {
+				t.pending = append(t.pending, data...)
+				break
+			}
+			line := data[:nl]
+			if len(t.pending) > 0 {
+				t.pending = append(t.pending, line...)
+				line = t.pending
+			}
+			if payload, ok := decodeLine(line); ok {
+				apply(payload)
+			}
+			t.pending = t.pending[:0]
+			data = data[nl+1:]
 		}
-		out = append(out, data[:nl])
-		data = data[nl+1:]
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
 	}
 }
 
@@ -112,11 +154,9 @@ type FileJournal struct {
 	mu   sync.Mutex
 	f    journalIO
 	path string
-	// readOff is how far absorb has consumed the file; pending buffers a
-	// trailing partial line until the rest of it lands.
-	readOff int64
-	pending []byte
-	sync    bool
+	// tail is how far absorb has read the file.
+	tail logTail
+	sync bool
 	// rng drives the append-retry backoff jitter (nil degrades to a fixed
 	// half-backoff). Deliberately not part of the campaign's deterministic
 	// random streams: retry timing never influences results.
@@ -218,39 +258,15 @@ func (j *FileJournal) Meta() CampaignMeta {
 // them. Torn or corrupt lines are skipped; a trailing partial line stays
 // pending. Callers hold j.mu.
 func (j *FileJournal) absorbLocked() error {
-	buf := make([]byte, 64*1024)
-	for {
-		n, err := j.f.ReadAt(buf, j.readOff)
-		if n > 0 {
-			j.readOff += int64(n)
-			j.pending = append(j.pending, buf[:n]...)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return j.wrapErr("read journal", err)
-		}
-	}
-	for {
-		nl := bytes.IndexByte(j.pending, '\n')
-		if nl < 0 {
-			break
-		}
-		line := j.pending[:nl]
-		j.pending = j.pending[nl+1:]
-		j.applyLine(line)
+	if err := j.tail.read(j.f, j.applyPayload); err != nil {
+		return j.wrapErr("read journal", err)
 	}
 	return nil
 }
 
-// applyLine parses and applies one complete record line, skipping
-// anything malformed.
-func (j *FileJournal) applyLine(line []byte) {
-	payload, ok := decodeLine(line)
-	if !ok {
-		return
-	}
+// applyPayload parses and applies one record, skipping anything
+// malformed.
+func (j *FileJournal) applyPayload(payload []byte) {
 	var rec journalRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return
@@ -302,7 +318,7 @@ func (j *FileJournal) appendLocked(rec *journalRecord, durable bool) error {
 	if err != nil {
 		return j.wrapErr("encode journal record", err)
 	}
-	line := encodeLine(payload)
+	line := appendLine(nil, payload)
 	backoff := appendBackoffBase
 	var last error
 	for attempt := 0; attempt < appendAttempts; attempt++ {

@@ -23,6 +23,13 @@ package core
 // techniques, fault models or seeds over the same target share one memo
 // file, which is what makes the memo a shared cache rather than a
 // per-run optimization.
+//
+// A Service keeps every memo it opens for its lifetime. The first
+// campaign over a target reads the memo file whole; each later campaign
+// first absorbs only the records appended since, by this process or a
+// peer, and every campaign flushes its new entries when it ends. Share
+// one Service across a program's campaigns (the study keeps one per
+// program), and do not copy a Service after first use.
 
 import (
 	"encoding/json"
@@ -38,7 +45,7 @@ import (
 
 // Service configures journaled campaign execution. A zero/nil Service —
 // or one with neither Journal nor Dir — leaves the engine on its
-// in-memory fast path.
+// in-memory fast path. A Service must not be copied after first use.
 type Service struct {
 	// Dir is the journal directory: campaign journals and shared memo
 	// files are content-addressed inside it.
@@ -79,6 +86,11 @@ type Service struct {
 	// plan, if any. Injected faults never change campaign results, only
 	// exercise the retry and recovery paths.
 	Fault *FaultPlan
+
+	// memos keeps every shared memo opened under Dir, by path, for the
+	// Service's lifetime.
+	memoMu sync.Mutex
+	memos  map[string]*SharedMemo
 }
 
 // active reports whether the service routes campaigns through a journal.
@@ -109,10 +121,13 @@ func (s *Service) journalFor(e *Engine) (Journal, bool, error) {
 	return j, true, nil
 }
 
-// memoFor opens the shared memo for an engine: the injected Memo if
-// set, else the content-addressed file under Dir. The second return
-// reports ownership. A nil table means the caller should fall back to a
-// private in-memory memo.
+// memoFor returns the shared memo for an engine: the injected Memo if
+// set, else the content-addressed file under Dir. A memo the Service
+// opened stays open across campaigns; each later campaign first absorbs
+// only the records appended since the last one, by this process or a
+// peer. The second return reports whether the engine flushes the memo
+// when the campaign ends (the caller owns an injected Memo). A nil
+// table means the caller should fall back to a private in-memory memo.
 func (s *Service) memoFor(e *Engine) (*SharedMemo, bool, error) {
 	if s.Memo != nil {
 		return s.Memo, false, nil
@@ -121,10 +136,22 @@ func (s *Service) memoFor(e *Engine) (*SharedMemo, bool, error) {
 		return nil, false, nil
 	}
 	path := filepath.Join(s.Dir, fmt.Sprintf("memo-%016x.mfj", e.memoFingerprint()))
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	if m, ok := s.memos[path]; ok {
+		if err := m.absorb(); err != nil {
+			return nil, false, err
+		}
+		return m, true, nil
+	}
 	m, err := OpenSharedMemo(path)
 	if err != nil {
 		return nil, false, err
 	}
+	if s.memos == nil {
+		s.memos = make(map[string]*SharedMemo)
+	}
+	s.memos[path] = m
 	return m, true, nil
 }
 
@@ -230,36 +257,55 @@ type memoRec struct {
 // previous process — already executed. Correctness never depends on the
 // file's contents: entries are deterministic facts, a lost entry only
 // costs a re-execution, and a torn line is skipped by the loader.
+// FuzzMemoLoader pins this.
 type SharedMemo struct {
 	mu    sync.Mutex
 	path  string
 	m     sync.Map
 	fresh []byte
+	// tail is how far absorb has read the file.
+	tail logTail
 }
 
 // OpenSharedMemo opens (creating on first Flush if needed) a shared memo
 // file, loading every intact record. A missing file is an empty memo.
 func OpenSharedMemo(path string) (*SharedMemo, error) {
 	m := &SharedMemo{path: path}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return m, nil
-		}
-		return nil, fmt.Errorf("core: open memo: %w", err)
-	}
-	for _, line := range splitLines(data) {
-		payload, ok := decodeLine(line)
-		if !ok {
-			continue
-		}
-		var rec memoRec
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			continue
-		}
-		m.m.LoadOrStore(rec.K, memoVal{outcome: rec.V, trap: rec.P})
+	if err := m.absorb(); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// absorb loads the intact records appended to the memo file since the
+// last absorb, by this process's flushes or by a peer's. A missing file
+// holds no records yet.
+func (m *SharedMemo) absorb() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, err := os.Open(m.path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return fmt.Errorf("core: open memo: %w", err)
+	}
+	defer f.Close()
+	if err := m.tail.read(f, m.applyPayload); err != nil {
+		return fmt.Errorf("core: read memo: %w", err)
+	}
+	return nil
+}
+
+// applyPayload loads one memo record, skipping anything malformed. The
+// first record for a state wins; later ones (re-reads of our own
+// flushes, or a peer's duplicate) hold the same deterministic outcome.
+func (m *SharedMemo) applyPayload(payload []byte) {
+	var rec memoRec
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return
+	}
+	m.m.LoadOrStore(rec.K, memoVal{outcome: rec.V, trap: rec.P})
 }
 
 // load implements memoTable.
@@ -281,7 +327,7 @@ func (m *SharedMemo) store(k vm.StateKey, v memoVal) {
 		return
 	}
 	m.mu.Lock()
-	m.fresh = append(m.fresh, encodeLine(payload)...)
+	m.fresh = appendLine(m.fresh, payload)
 	m.mu.Unlock()
 }
 

@@ -72,9 +72,11 @@ type Options struct {
 	Log io.Writer
 }
 
-// service returns the campaign Service for the study's options, or nil
+// service returns a new campaign Service for the study's options, or nil
 // when no journal directory is configured (campaigns then run on the
-// engine's in-memory fast path).
+// engine's in-memory fast path). A program's campaigns share one
+// Service, which keeps the program's memo open between them; a new one
+// per program bounds the resident memos to one program's worth.
 func (o Options) service() *core.Service {
 	if o.JournalDir == "" {
 		return nil

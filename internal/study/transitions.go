@@ -46,6 +46,8 @@ func (s *Study) runTransitions() (map[string]map[core.Technique]*TransitionResul
 	for _, name := range s.Programs {
 		d := s.Data[name]
 		out[name] = make(map[core.Technique]*TransitionResult, 2)
+		// One Service per program, as in runProgram; see Options.service.
+		svc := s.Opts.service()
 		for _, tech := range core.Techniques() {
 			single := d.Single[tech]
 			if len(single.Experiments) == 0 {
@@ -70,7 +72,7 @@ func (s *Study) runTransitions() (map[string]map[core.Technique]*TransitionResul
 				Record:     true,
 				Pins:       pins,
 				OnFailure:  s.Opts.OnFailure,
-				Service:    s.Opts.service(),
+				Service:    svc,
 			})
 			if err != nil {
 				return nil, err
