@@ -38,9 +38,9 @@ func main() {
 		memfaults   = flag.Bool("memfault", true, "run the memory-word multi-bit fault extension (paper future work)")
 		stuckat     = flag.Bool("stuckat", true, "run the stuck-at register-fault extension (one campaign per program)")
 		stuckwin    = flag.String("stuckwin", "", `stuck-at extension hold window in Table I notation ("100", "11-100"; empty = default)`)
-		workers     = flag.Int("workers", 0, "parallel workers per campaign (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "parallel workers, split between the study's concurrently running campaigns (0 = GOMAXPROCS)")
 		classifier  = flag.String("classifier", "", `outcome classifier for every campaign: "exact" (default) or "tol:abs=E,rel=E[,word=4|8][,float]"`)
-		onfail      = flag.String("onfail", "", `failure policy for experiments failing every supervision tier: "fast" (abort, default) or "quarantine" (poison and keep draining)`)
+		onfail      = flag.String("onfail", "", `failure policy for experiments failing every supervision tier: "fast" (abort once the campaigns already running end, default) or "quarantine" (poison and keep draining)`)
 		journal     = flag.String("journal", "", "journal directory: run campaigns as durable sharded jobs (checkpointed, resumable, multi-process)")
 		resume      = flag.Bool("resume", false, "resume journaled campaigns from their last checkpoints (requires -journal)")
 		out         = flag.String("o", "", "output file (empty = stdout)")

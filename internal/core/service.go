@@ -28,8 +28,9 @@ package core
 // campaign over a target reads the memo file whole; each later campaign
 // first absorbs only the records appended since, by this process or a
 // peer, and every campaign flushes its new entries when it ends. Share
-// one Service across a program's campaigns (the study keeps one per
-// program), and do not copy a Service after first use.
+// one Service across a program's campaigns, also while several of them
+// run at once (the study keeps one per program), and do not copy a
+// Service after first use.
 
 import (
 	"encoding/json"

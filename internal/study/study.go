@@ -8,6 +8,7 @@ package study
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 
 	"multiflip/internal/core"
@@ -38,7 +39,13 @@ type Options struct {
 	// NoStuckAt skips the stuck-at extension campaigns entirely; the
 	// stuck-at table and the EXT answers row are then omitted.
 	NoStuckAt bool
-	// Workers bounds per-campaign parallelism (0 = GOMAXPROCS).
+	// Workers bounds the study's parallelism (0 = GOMAXPROCS): up to
+	// Workers campaigns run at once and split Workers engine workers
+	// between them, so at most Workers experiments run at once. Results
+	// do not depend on it; Workers 1 runs the campaigns one after another
+	// in grid order. When a campaign fails under core.FailFast no further
+	// campaign starts, but Run returns only once the campaigns already
+	// running (up to Workers-1 of them) have ended.
 	Workers int
 	// HangFactor scales the hang budget (0 = core.DefaultHangFactor).
 	HangFactor uint64
@@ -53,7 +60,8 @@ type Options struct {
 	Classifier core.Classifier
 	// OnFailure decides what happens to an experiment that fails or
 	// panics at every supervision tier, in every campaign of the study:
-	// core.FailFast (default) aborts, core.Quarantine poisons the
+	// core.FailFast (default) aborts the study once the campaigns
+	// already running end (see Workers), core.Quarantine poisons the
 	// experiment and keeps draining (quarantined experiments then render
 	// in their own table).
 	OnFailure core.FailurePolicy
@@ -75,8 +83,10 @@ type Options struct {
 // service returns a new campaign Service for the study's options, or nil
 // when no journal directory is configured (campaigns then run on the
 // engine's in-memory fast path). A program's campaigns share one
-// Service, which keeps the program's memo open between them; a new one
-// per program bounds the resident memos to one program's worth.
+// Service, also while several of them run at once, and it keeps the
+// program's memo open between them. A new one per program, dropped with
+// the program's last campaign, bounds the resident memos to the programs
+// in flight.
 func (o Options) service() *core.Service {
 	if o.JournalDir == "" {
 		return nil
@@ -160,104 +170,217 @@ type Study struct {
 // bit-flip campaign plus the (MaxMBFs x WinSizes) multi-bit grid.
 func Run(opts Options) (*Study, error) {
 	opts = opts.withDefaults()
+	// Every name is checked before any campaign runs: a typo must not
+	// cost the campaigns of the programs listed before it, and a repeated
+	// program would run twice and render duplicate rows.
+	benches := make([]prog.Benchmark, len(opts.Programs))
+	seen := make(map[string]bool, len(opts.Programs))
+	for i, name := range opts.Programs {
+		b, err := prog.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("study: program %q is listed twice", name)
+		}
+		seen[name] = true
+		benches[i] = b
+	}
+	// The targets are prepared first, so that one campaign list spans
+	// every program and no core idles while a target is profiled.
+	targets := make([]*core.Target, len(benches))
+	prepare := make([]job, len(benches))
+	for i, b := range benches {
+		prepare[i] = job{run: func(int) error {
+			p, err := b.Build()
+			if err != nil {
+				return fmt.Errorf("study: build %s: %w", b.Name, err)
+			}
+			targets[i], err = core.NewTargetOpts(b.Name, p, core.TargetOptions{Disable: opts.Disable})
+			return err
+		}}
+	}
+	if err := runJobs(opts.Workers, nil, prepare); err != nil {
+		return nil, err
+	}
 	s := &Study{
 		Opts:     opts,
 		Programs: opts.Programs,
 		Data:     make(map[string]*ProgData, len(opts.Programs)),
 	}
-	for _, name := range opts.Programs {
-		d, err := runProgram(opts, name)
-		if err != nil {
-			return nil, err
+	var (
+		mu   sync.Mutex // guards the ProgData the campaigns fill
+		jobs []job
+	)
+	for i, b := range benches {
+		d := &ProgData{
+			Target: targets[i],
+			Single: make(map[core.Technique]*core.CampaignResult, 2),
+			Multi:  make(map[core.Technique][]*core.CampaignResult, 2),
 		}
-		s.Data[name] = d
+		s.Data[b.Name] = d
+		jobs = append(jobs, programJobs(opts, b.Name, d, &mu)...)
+	}
+	if err := runJobs(opts.Workers, opts.Log, jobs); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-func runProgram(opts Options, name string) (*ProgData, error) {
-	b, err := prog.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	p, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("study: build %s: %w", name, err)
-	}
-	target, err := core.NewTargetOpts(name, p, core.TargetOptions{Disable: opts.Disable})
-	if err != nil {
-		return nil, err
-	}
-	d := &ProgData{
-		Target: target,
-		Single: make(map[core.Technique]*core.CampaignResult, 2),
-		Multi:  make(map[core.Technique][]*core.CampaignResult, 2),
-	}
+// programJobs lists one program's campaigns: per technique the
+// single-bit campaign and the multi-bit grid, then the stuck-at
+// campaign. Each campaign stores its result in d under mu, a multi-bit
+// one in its grid slot, so d does not depend on which campaign ends
+// first. The campaigns share one Service (see Options.service).
+func programJobs(opts Options, name string, d *ProgData, mu *sync.Mutex) []job {
 	svc := opts.service()
+	grid := len(opts.MaxMBFs) * len(opts.WinSizes)
+	var jobs []job
+	flip := func(log string, tech core.Technique, cfg core.Config, record bool, store func(*core.CampaignResult)) {
+		jobs = append(jobs, job{log: log, run: func(workers int) error {
+			res, err := core.RunCampaign(core.CampaignSpec{
+				Target:     d.Target,
+				Technique:  tech,
+				Config:     cfg,
+				N:          opts.N,
+				Seed:       campaignSeed(opts.Seed, name, tech, cfg),
+				HangFactor: opts.HangFactor,
+				Workers:    workers,
+				Record:     record,
+				Classifier: opts.Classifier,
+				OnFailure:  opts.OnFailure,
+				Service:    svc,
+			})
+			if err != nil {
+				return err
+			}
+			// The result echoes its spec; without the Service in it, the
+			// program's memos are freed with its last campaign.
+			res.Spec.Service = nil
+			mu.Lock()
+			store(res)
+			mu.Unlock()
+			return nil
+		}})
+	}
 	for _, tech := range core.Techniques() {
-		logf(opts.Log, "%s %s: single-bit + %d multi-bit campaigns (n=%d)",
-			name, tech, len(opts.MaxMBFs)*len(opts.WinSizes), opts.N)
-		single, err := core.RunCampaign(core.CampaignSpec{
-			Target:     target,
-			Technique:  tech,
-			Config:     core.SingleBit(),
+		d.Multi[tech] = make([]*core.CampaignResult, grid)
+		log := fmt.Sprintf("%s %s: single-bit + %d multi-bit campaigns (n=%d)", name, tech, grid, opts.N)
+		flip(log, tech, core.SingleBit(), true, func(r *core.CampaignResult) { d.Single[tech] = r })
+		for j, m := range opts.MaxMBFs {
+			for k, w := range opts.WinSizes {
+				slot := &d.Multi[tech][j*len(opts.WinSizes)+k]
+				flip("", tech, core.Config{MaxMBF: m, Win: w}, false, func(r *core.CampaignResult) { *slot = r })
+			}
+		}
+	}
+	if opts.NoStuckAt {
+		return jobs
+	}
+	// The stuck-at extension rides the same engine: one campaign per
+	// program, anchored in the inject-on-read candidate space.
+	log := fmt.Sprintf("%s stuck-at: window %s (n=%d)", name, opts.StuckAtWindow, opts.N)
+	return append(jobs, job{log: log, run: func(workers int) error {
+		res, err := core.RunStuckAt(core.StuckAtSpec{
+			Target:     d.Target,
+			Window:     opts.StuckAtWindow,
 			N:          opts.N,
-			Seed:       campaignSeed(opts.Seed, name, tech, core.SingleBit()),
+			Seed:       stuckSeed(opts.Seed, name, opts.StuckAtWindow),
 			HangFactor: opts.HangFactor,
-			Workers:    opts.Workers,
-			Record:     true,
+			Workers:    workers,
 			Classifier: opts.Classifier,
 			OnFailure:  opts.OnFailure,
 			Service:    svc,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		d.Single[tech] = single
-		for _, m := range opts.MaxMBFs {
-			for _, w := range opts.WinSizes {
-				cfg := core.Config{MaxMBF: m, Win: w}
-				res, err := core.RunCampaign(core.CampaignSpec{
-					Target:     target,
-					Technique:  tech,
-					Config:     cfg,
-					N:          opts.N,
-					Seed:       campaignSeed(opts.Seed, name, tech, cfg),
-					HangFactor: opts.HangFactor,
-					Workers:    opts.Workers,
-					Classifier: opts.Classifier,
-					OnFailure:  opts.OnFailure,
-					Service:    svc,
-				})
-				if err != nil {
-					return nil, err
+		res.Spec.Service = nil
+		mu.Lock()
+		d.StuckAt = res
+		mu.Unlock()
+		return nil
+	}})
+}
+
+// job is one entry of a list that runJobs runs: a campaign, or the
+// preparation of a target.
+type job struct {
+	// log, when not empty, is the progress line written as the job
+	// starts; a batch's first campaign carries the batch's line.
+	log string
+	// run runs the job on the given number of engine workers.
+	run func(workers int) error
+}
+
+// runJobs runs a list of jobs, starting them in list order, up to
+// workers (0 = GOMAXPROCS) at a time. It splits the workers between the
+// jobs in flight as evenly as it can, so at most workers experiments
+// run at once; with one worker the jobs run one after another. Each
+// job's log line goes to log as it starts, so the log keeps list order.
+// A job is dropped once it has run, so what it captured (a program's
+// Service and the memos it keeps) is freed with the program's last
+// campaign. After a failure no further job starts, but the jobs already
+// running are waited for; the error returned is that of the first
+// failed job in list order.
+func runJobs(workers int, log io.Writer, jobs []job) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	inFlight := min(workers, len(jobs))
+	errs := make([]error, len(jobs))
+	var (
+		mu     sync.Mutex // guards next, failed, errs and the log
+		next   int
+		failed bool
+		wg     sync.WaitGroup
+	)
+	// claim hands out the next job. It writes the job's log line under
+	// mu, so the lines keep list order; a slow log delays only the next
+	// start, as it delayed the next campaign of a serial loop.
+	claim := func() (int, job) {
+		mu.Lock()
+		defer mu.Unlock()
+		if failed || next == len(jobs) {
+			return -1, job{}
+		}
+		i, j := next, jobs[next]
+		next++
+		jobs[i] = job{}
+		if j.log != "" {
+			logf(log, "%s", j.log)
+		}
+		return i, j
+	}
+	for slot := range inFlight {
+		// The first workers%inFlight slots take one worker more.
+		each := workers / inFlight
+		if slot < workers%inFlight {
+			each++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i, j := claim()
+				if i < 0 {
+					return
 				}
-				d.Multi[tech] = append(d.Multi[tech], res)
+				if err := j.run(each); err != nil {
+					mu.Lock()
+					errs[i], failed = err, true
+					mu.Unlock()
+				}
 			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	if opts.NoStuckAt {
-		return d, nil
-	}
-	// The stuck-at extension rides the same engine: one campaign per
-	// program, anchored in the inject-on-read candidate space.
-	logf(opts.Log, "%s stuck-at: window %s (n=%d)", name, opts.StuckAtWindow, opts.N)
-	stuck, err := core.RunStuckAt(core.StuckAtSpec{
-		Target:     target,
-		Window:     opts.StuckAtWindow,
-		N:          opts.N,
-		Seed:       stuckSeed(opts.Seed, name, opts.StuckAtWindow),
-		HangFactor: opts.HangFactor,
-		Workers:    opts.Workers,
-		Classifier: opts.Classifier,
-		OnFailure:  opts.OnFailure,
-		Service:    svc,
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.StuckAt = stuck
-	return d, nil
+	return nil
 }
 
 // stuckSeed derives a stable seed per (study seed, program, window) for

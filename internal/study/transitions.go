@@ -2,6 +2,7 @@ package study
 
 import (
 	"fmt"
+	"sync"
 
 	"multiflip/internal/analysis"
 	"multiflip/internal/core"
@@ -43,10 +44,14 @@ func (s *Study) RunTransitions() (map[string]map[core.Technique]*TransitionResul
 
 func (s *Study) runTransitions() (map[string]map[core.Technique]*TransitionResult, error) {
 	out := make(map[string]map[core.Technique]*TransitionResult, len(s.Programs))
+	var (
+		mu   sync.Mutex // guards out while the reruns fill it
+		jobs []job
+	)
 	for _, name := range s.Programs {
 		d := s.Data[name]
 		out[name] = make(map[core.Technique]*TransitionResult, 2)
-		// One Service per program, as in runProgram; see Options.service.
+		// One Service per program, as in programJobs; see Options.service.
 		svc := s.Opts.service()
 		for _, tech := range core.Techniques() {
 			single := d.Single[tech]
@@ -57,40 +62,48 @@ func (s *Study) runTransitions() (map[string]map[core.Technique]*TransitionResul
 			if err != nil {
 				return nil, err
 			}
-			logf(s.Opts.Log, "%s %s: transition rerun at %s", name, tech, best.Config)
-			pins := make([]core.Pin, len(single.Experiments))
-			for i, e := range single.Experiments {
-				pins[i] = core.Pin{Cand: e.Cand, Bit: e.Bit}
-			}
-			pinned, err := core.RunCampaign(core.CampaignSpec{
-				Target:     d.Target,
-				Technique:  tech,
-				Config:     best.Config,
-				Seed:       campaignSeed(s.Opts.Seed, name+"/tran", tech, best.Config),
-				HangFactor: s.Opts.HangFactor,
-				Workers:    s.Opts.Workers,
-				Record:     true,
-				Pins:       pins,
-				OnFailure:  s.Opts.OnFailure,
-				Service:    svc,
-			})
-			if err != nil {
-				return nil, err
-			}
-			matrix, err := analysis.Transitions(single.Experiments, pinned.Experiments)
-			if err != nil {
-				return nil, err
-			}
-			out[name][tech] = &TransitionResult{
-				Program:  name,
-				Tech:     tech,
-				Best:     best,
-				Matrix:   matrix,
-				TranI:    matrix.TransitionI(),
-				TranII:   matrix.TransitionII(),
-				Prunable: analysis.PrunableShare(single.Experiments),
-			}
+			log := fmt.Sprintf("%s %s: transition rerun at %s", name, tech, best.Config)
+			jobs = append(jobs, job{log: log, run: func(workers int) error {
+				pins := make([]core.Pin, len(single.Experiments))
+				for i, e := range single.Experiments {
+					pins[i] = core.Pin{Cand: e.Cand, Bit: e.Bit}
+				}
+				pinned, err := core.RunCampaign(core.CampaignSpec{
+					Target:     d.Target,
+					Technique:  tech,
+					Config:     best.Config,
+					Seed:       campaignSeed(s.Opts.Seed, name+"/tran", tech, best.Config),
+					HangFactor: s.Opts.HangFactor,
+					Workers:    workers,
+					Record:     true,
+					Pins:       pins,
+					OnFailure:  s.Opts.OnFailure,
+					Service:    svc,
+				})
+				if err != nil {
+					return err
+				}
+				matrix, err := analysis.Transitions(single.Experiments, pinned.Experiments)
+				if err != nil {
+					return err
+				}
+				mu.Lock()
+				out[name][tech] = &TransitionResult{
+					Program:  name,
+					Tech:     tech,
+					Best:     best,
+					Matrix:   matrix,
+					TranI:    matrix.TransitionI(),
+					TranII:   matrix.TransitionII(),
+					Prunable: analysis.PrunableShare(single.Experiments),
+				}
+				mu.Unlock()
+				return nil
+			}})
 		}
+	}
+	if err := runJobs(s.Opts.Workers, s.Opts.Log, jobs); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
