@@ -325,13 +325,15 @@ func benchCampaignSnapshot(b *testing.B, disable vm.Tiers) {
 	const perIter = 200
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunCampaign(core.CampaignSpec{
-			Target:    target,
-			Technique: core.InjectOnRead,
-			Config:    core.SingleBit(),
-			N:         perIter,
-			Seed:      uint64(i),
-		}); err != nil {
+		if _, err := (&core.Engine{
+			Target: target,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnRead,
+				Config:    core.SingleBit(),
+			}},
+			N:    perIter,
+			Seed: uint64(i),
+		}).Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -374,13 +376,15 @@ func BenchmarkCampaignLiveness(b *testing.B) {
 					const perIter = 200
 					pruned := 0
 					for i := 0; i < b.N; i++ {
-						res, err := core.RunCampaign(core.CampaignSpec{
-							Target:    target,
-							Technique: tech,
-							Config:    core.SingleBit(),
-							N:         perIter,
-							Seed:      uint64(i),
-						})
+						res, err := (&core.Engine{
+							Target: target,
+							Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+								Technique: tech,
+								Config:    core.SingleBit(),
+							}},
+							N:    perIter,
+							Seed: uint64(i),
+						}).Run()
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -430,14 +434,16 @@ func BenchmarkCampaignJournal(b *testing.B) {
 	for _, name := range []string{"mem", "file"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunCampaign(core.CampaignSpec{
-					Target:    target,
-					Technique: core.InjectOnRead,
-					Config:    core.SingleBit(),
-					N:         perIter,
-					Seed:      uint64(i),
-					Service:   service[name](i),
-				}); err != nil {
+				if _, err := (&core.Engine{
+					Target: target,
+					Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+						Technique: core.InjectOnRead,
+						Config:    core.SingleBit(),
+					}},
+					N:       perIter,
+					Seed:    uint64(i),
+					Service: service[name](i),
+				}).Run(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -464,13 +470,15 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	const perIter = 200
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunCampaign(core.CampaignSpec{
-			Target:    target,
-			Technique: core.InjectOnRead,
-			Config:    core.Config{MaxMBF: 3, Win: core.Win(10)},
-			N:         perIter,
-			Seed:      uint64(i),
-		}); err != nil {
+		if _, err := (&core.Engine{
+			Target: target,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnRead,
+				Config:    core.Config{MaxMBF: 3, Win: core.Win(10)},
+			}},
+			N:    perIter,
+			Seed: uint64(i),
+		}).Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -509,58 +517,19 @@ func benchCampaignLargeGlobals(b *testing.B, disable vm.Tiers) {
 	const perIter = 24
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunCampaign(core.CampaignSpec{
-			Target:    target,
-			Technique: core.InjectOnRead,
-			Config:    core.SingleBit(),
-			N:         perIter,
-			Seed:      uint64(i),
-		}); err != nil {
+		if _, err := (&core.Engine{
+			Target: target,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnRead,
+				Config:    core.SingleBit(),
+			}},
+			N:    perIter,
+			Seed: uint64(i),
+		}).Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(perIter)*float64(b.N)/b.Elapsed().Seconds(), "experiments/s")
-}
-
-// BenchmarkCampaignBatchClaim ablates the experiment engine's batched
-// index claiming on the Table I qsort campaign: batch=1 is the
-// pre-engine claim-per-experiment behaviour (one shared atomic bump per
-// experiment), batch=16 the engine default. Results are bit-identical
-// either way (TestEngineClaimBatchInvariance enforces it); the delta is
-// pure claim-counter contention. The engine is built from RegisterModel
-// directly, the way campaigns composed on core.Engine are.
-func BenchmarkCampaignBatchClaim(b *testing.B) {
-	bench, err := prog.ByName("qsort")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := bench.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	target, err := core.NewTarget(bench.Name, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const perIter = 200
-	for _, batch := range []int{1, 16} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			spec := &core.CampaignSpec{Target: target, Technique: core.InjectOnRead, Config: core.SingleBit()}
-			for i := 0; i < b.N; i++ {
-				eng := &core.Engine{
-					Target:     target,
-					Model:      &core.RegisterModel{Spec: spec},
-					N:          perIter,
-					Seed:       uint64(i),
-					ClaimBatch: batch,
-				}
-				if _, err := eng.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(perIter)*float64(b.N)/b.Elapsed().Seconds(), "experiments/s")
-		})
-	}
 }
 
 // BenchmarkCampaignStuckAt measures the stuck-at model end to end: the
@@ -582,12 +551,12 @@ func BenchmarkCampaignStuckAt(b *testing.B) {
 	const perIter = 200
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunStuckAt(core.StuckAtSpec{
+		if _, err := (&core.Engine{
 			Target: target,
-			Window: core.Win(100),
+			Model:  &core.StuckAtModel{Spec: &core.StuckAtSpec{Window: core.Win(100)}},
 			N:      perIter,
 			Seed:   uint64(i),
-		}); err != nil {
+		}).Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -684,14 +653,16 @@ func BenchmarkCampaignSupervised(b *testing.B) {
 	} {
 		b.Run(tt.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunCampaign(core.CampaignSpec{
-					Target:    target,
-					Technique: core.InjectOnRead,
-					Config:    core.Config{MaxMBF: 3, Win: core.Win(10)},
-					N:         benchN,
-					Seed:      1,
-					OnFailure: tt.policy,
-				})
+				res, err := (&core.Engine{
+					Target: target,
+					Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+						Technique: core.InjectOnRead,
+						Config:    core.Config{MaxMBF: 3, Win: core.Win(10)},
+					}},
+					N:             benchN,
+					Seed:          1,
+					FailurePolicy: tt.policy,
+				}).Run()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -149,13 +149,24 @@ func (o *options) target() (*core.Target, error) {
 	return core.NewTargetOpts(o.prog, p, core.TargetOptions{Disable: o.disable})
 }
 
-// service returns the campaign Service for the flags, or nil without
-// -journal (the campaign then runs on the engine's in-memory fast path).
-func (o *options) service() *core.Service {
-	if o.journal == "" {
-		return nil
+// engine returns the campaign the flags describe for one fault model.
+// Without -journal it has no Service and runs on the engine's in-memory
+// fast path.
+func (o *options) engine(target *core.Target, m core.FaultModel) *core.Engine {
+	e := &core.Engine{
+		Target:        target,
+		Model:         m,
+		N:             o.n,
+		Seed:          o.seed,
+		HangFactor:    o.hang,
+		Workers:       o.workers,
+		Classifier:    o.classifier,
+		FailurePolicy: o.onfail,
 	}
-	return &core.Service{Dir: o.journal, Resume: o.resume}
+	if o.journal != "" {
+		e.Service = &core.Service{Dir: o.journal, Resume: o.resume}
+	}
+	return e
 }
 
 func runFlip(target *core.Target, win core.WinSize, o options) error {
@@ -169,46 +180,27 @@ func runFlip(target *core.Target, win core.WinSize, o options) error {
 		return fmt.Errorf("unknown technique %q (want read or write)", o.tech)
 	}
 	cfg := core.Config{MaxMBF: o.mbf, Win: win}
-	res, err := core.RunCampaign(core.CampaignSpec{
-		Target:     target,
-		Technique:  tech,
-		Config:     cfg,
-		N:          o.n,
-		Seed:       o.seed,
-		HangFactor: o.hang,
-		Workers:    o.workers,
-		Classifier: o.classifier,
-		OnFailure:  o.onfail,
-		Service:    o.service(),
-	})
+	m := &core.RegisterModel{Spec: &core.CampaignSpec{Technique: tech, Config: cfg}}
+	res, err := o.engine(target, m).Run()
 	if err != nil {
 		return err
 	}
 	title := fmt.Sprintf("Campaign: %s, %s, %s, n=%d, seed=%d%s (golden: %d dyn instr, %d/%d candidates)",
 		target.Name, tech, cfg, res.N(), o.seed, classifierTag(o.classifier),
 		target.GoldenDyn, target.ReadCands, target.WriteCands)
-	return renderCampaign(title, &res.EngineResult)
+	return renderCampaign(title, res)
 }
 
 func runStuckAt(target *core.Target, win core.WinSize, o options) error {
-	res, err := core.RunStuckAt(core.StuckAtSpec{
-		Target:     target,
-		Window:     win,
-		N:          o.n,
-		Seed:       o.seed,
-		HangFactor: o.hang,
-		Workers:    o.workers,
-		Classifier: o.classifier,
-		OnFailure:  o.onfail,
-		Service:    o.service(),
-	})
+	m := &core.StuckAtModel{Spec: &core.StuckAtSpec{Window: win}}
+	res, err := o.engine(target, m).Run()
 	if err != nil {
 		return err
 	}
 	title := fmt.Sprintf("Campaign: %s, stuck-at (bit held for a %s-instruction read window), n=%d, seed=%d%s (golden: %d dyn instr, %d read candidates)",
 		target.Name, win, res.N(), o.seed, classifierTag(o.classifier),
 		target.GoldenDyn, target.ReadCands)
-	return renderCampaign(title, &res.EngineResult)
+	return renderCampaign(title, res)
 }
 
 // runStatus lists every campaign journal in the directory with its shard

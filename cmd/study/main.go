@@ -34,13 +34,13 @@ func main() {
 		progs       = flag.String("progs", "", "comma-separated program subset (empty = all 15)")
 		quick       = flag.Bool("quick", false, "reduced grid: max-MBF {2,3,10,30}, win {0,1,4,RND(11-100),1000}")
 		transitions = flag.Bool("transitions", true, "run the transition study (Table IV)")
-		ablations   = flag.Bool("ablations", true, "run the hang-budget and alignment ablations")
-		memfaults   = flag.Bool("memfault", true, "run the memory-word multi-bit fault extension (paper future work)")
+		ablations   = flag.Bool("ablations", true, "run the hang-budget, alignment and liveness-prediction ablations; they ignore -workers, -classifier, -onfail, -journal and -disable (GOMAXPROCS workers, exact classifier, fail-fast, in memory, every tier on)")
+		memfaults   = flag.Bool("memfault", true, "run the memory-word multi-bit fault extension (paper future work); it ignores -workers, -classifier, -onfail and -journal (GOMAXPROCS workers, exact classifier, fail-fast, in memory)")
 		stuckat     = flag.Bool("stuckat", true, "run the stuck-at register-fault extension (one campaign per program)")
 		stuckwin    = flag.String("stuckwin", "", `stuck-at extension hold window in Table I notation ("100", "11-100"; empty = default)`)
 		workers     = flag.Int("workers", 0, "parallel workers, split between the study's concurrently running campaigns (0 = GOMAXPROCS)")
-		classifier  = flag.String("classifier", "", `outcome classifier for every campaign: "exact" (default) or "tol:abs=E,rel=E[,word=4|8][,float]"`)
-		onfail      = flag.String("onfail", "", `failure policy for experiments failing every supervision tier: "fast" (abort once the campaigns already running end, default) or "quarantine" (poison and keep draining)`)
+		classifier  = flag.String("classifier", "", `outcome classifier for the grid and transition campaigns: "exact" (default) or "tol:abs=E,rel=E[,word=4|8][,float]"`)
+		onfail      = flag.String("onfail", "", `failure policy for experiments failing every supervision tier: "fast" (abort, interrupting the campaigns already running, default) or "quarantine" (poison and keep draining)`)
 		journal     = flag.String("journal", "", "journal directory: run campaigns as durable sharded jobs (checkpointed, resumable, multi-process)")
 		resume      = flag.Bool("resume", false, "resume journaled campaigns from their last checkpoints (requires -journal)")
 		out         = flag.String("o", "", "output file (empty = stdout)")

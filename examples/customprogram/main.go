@@ -70,13 +70,15 @@ func run() error {
 			core.SingleBit(),
 			{MaxMBF: 3, Win: core.Win(1)},
 		} {
-			res, err := core.RunCampaign(core.CampaignSpec{
-				Target:    target,
-				Technique: core.InjectOnWrite,
-				Config:    cfg,
-				N:         3000,
-				Seed:      5,
-			})
+			res, err := (&core.Engine{
+				Target: target,
+				Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+					Technique: core.InjectOnWrite,
+					Config:    cfg,
+				}},
+				N:    3000,
+				Seed: 5,
+			}).Run()
 			if err != nil {
 				return err
 			}

@@ -44,14 +44,16 @@ func run() error {
 
 	for _, tech := range core.Techniques() {
 		// 1. Recorded single-bit campaign: the per-location outcomes.
-		single, err := core.RunCampaign(core.CampaignSpec{
-			Target:    target,
-			Technique: tech,
-			Config:    core.SingleBit(),
-			N:         experiments,
-			Seed:      11,
-			Record:    true,
-		})
+		single, err := (&core.Engine{
+			Target: target,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: tech,
+				Config:    core.SingleBit(),
+			}},
+			N:      experiments,
+			Seed:   11,
+			Record: true,
+		}).Run()
 		if err != nil {
 			return err
 		}
@@ -62,14 +64,17 @@ func run() error {
 		for i, e := range single.Experiments {
 			pins[i] = core.Pin{Cand: e.Cand, Bit: e.Bit}
 		}
-		multi, err := core.RunCampaign(core.CampaignSpec{
-			Target:    target,
-			Technique: tech,
-			Config:    core.Config{MaxMBF: 3, Win: core.Win(1)},
-			Seed:      12,
-			Record:    true,
-			Pins:      pins,
-		})
+		multi, err := (&core.Engine{
+			Target: target,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: tech,
+				Config:    core.Config{MaxMBF: 3, Win: core.Win(1)},
+				Pins:      pins,
+			}},
+			N:      len(pins),
+			Seed:   12,
+			Record: true,
+		}).Run()
 		if err != nil {
 			return err
 		}

@@ -39,13 +39,15 @@ func run() error {
 
 	// 3. Run one campaign per technique with the single bit-flip model.
 	for _, tech := range core.Techniques() {
-		res, err := core.RunCampaign(core.CampaignSpec{
-			Target:    target,
-			Technique: tech,
-			Config:    core.SingleBit(),
-			N:         2000,
-			Seed:      42,
-		})
+		res, err := (&core.Engine{
+			Target: target,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: tech,
+				Config:    core.SingleBit(),
+			}},
+			N:    2000,
+			Seed: 42,
+		}).Run()
 		if err != nil {
 			return err
 		}

@@ -72,12 +72,11 @@ func run() error {
 	return nil
 }
 
-func campaign(target *core.Target, tech core.Technique, cfg core.Config) (*core.CampaignResult, error) {
-	return core.RunCampaign(core.CampaignSpec{
-		Target:    target,
-		Technique: tech,
-		Config:    cfg,
-		N:         experiments,
-		Seed:      7,
-	})
+func campaign(target *core.Target, tech core.Technique, cfg core.Config) (*core.EngineResult, error) {
+	return (&core.Engine{
+		Target: target,
+		Model:  &core.RegisterModel{Spec: &core.CampaignSpec{Technique: tech, Config: cfg}},
+		N:      experiments,
+		Seed:   7,
+	}).Run()
 }

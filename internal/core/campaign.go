@@ -68,83 +68,45 @@ func RecordFlipMeta(exp *Experiment, res *vm.Result) {
 	exp.Activated = res.Injected
 }
 
-// CampaignSpec describes a fault-injection campaign: N experiments with
-// one fault model on one workload (§III-E).
+// CampaignSpec parameterizes the paper's register fault model
+// (RegisterModel, §III-A and §III-C): the technique, the error cluster
+// and optional pins. The campaign itself — target, N, seed, workers,
+// classifier, journal — is the Engine that runs the model.
 type CampaignSpec struct {
-	// Target is the prepared workload.
+	// Target is ignored: the Engine carries the target.
+	//
+	// Deprecated: set Engine.Target instead.
 	Target *Target
 	// Technique selects inject-on-read or inject-on-write.
 	Technique Technique
 	// Config is the (max-MBF, win-size) cluster; MaxMBF = 1 for the
 	// single bit-flip model.
 	Config Config
-	// N is the number of experiments. Ignored when Pins is set.
-	N int
-	// Seed makes the campaign reproducible. Experiment i draws its
-	// private stream from (Seed, i) regardless of scheduling.
-	Seed uint64
-	// HangFactor scales the fault-free dynamic instruction count into the
-	// hang budget. Zero selects DefaultHangFactor.
-	HangFactor uint64
-	// Workers bounds campaign parallelism. Zero selects GOMAXPROCS.
-	Workers int
-	// Record keeps per-experiment records in the result (needed by the
-	// transition analysis).
-	Record bool
-	// NoAlignTrap disables the misaligned-access exception (alignment
-	// ablation).
-	NoAlignTrap bool
-	// Classifier judges golden-vs-actual output when classifying
-	// outcomes (nil = ExactClassifier). Non-default classifiers journal
-	// under their own campaign fingerprint.
-	Classifier Classifier
-	// OnFailure decides what happens to an experiment that fails or
-	// panics at every supervision tier: FailFast (default) aborts the
-	// campaign, Quarantine poisons the experiment (OutcomeInternal, repro
-	// metadata in CampaignResult.Quarantined) and keeps draining.
-	OnFailure FailurePolicy
 	// Pins, when non-empty, forces experiment i's first injection to
-	// Pins[i] and sets N = len(Pins).
+	// Pins[i]; the Engine's N must then be len(Pins).
 	Pins []Pin
-	// Service, when set (and naming a journal or directory), runs the
-	// campaign as a durable job: sharded, checkpointed, resumable, and
-	// drainable by several processes at once.
-	Service *Service
 }
 
-// validate checks the engine-level fields; the model-level checks
-// (technique, config, candidates) run once inside Engine.Run via
-// RegisterModel.Validate.
-func (s *CampaignSpec) validate() error {
-	if s.Target == nil {
-		return fmt.Errorf("core: campaign needs a target")
-	}
-	if len(s.Pins) == 0 && s.N <= 0 {
-		return fmt.Errorf("core: campaign needs N > 0 or pins")
-	}
-	return nil
-}
-
-// CampaignResult aggregates a campaign.
+// CampaignResult is a register campaign's result next to the model
+// parameters it ran with, for renderers that group campaigns by
+// cluster.
 type CampaignResult struct {
-	// Spec echoes the campaign parameters.
+	// Spec holds the campaign's technique, cluster and pins.
 	Spec CampaignSpec
 	// EngineResult holds the outcome tally, the activated-error and
 	// trap-kind histograms, the early-exit counters and (when
-	// Spec.Record is set) the per-experiment records.
+	// Engine.Record was set) the per-experiment records.
 	EngineResult
 }
 
 // RegisterModel is the paper's register bit-flip fault model expressed as
 // an engine FaultModel: single or multiple bit flips injected into the
 // registers an instruction reads (inject-on-read) or writes
-// (inject-on-write), clustered by (max-MBF, win-size). RunCampaign wraps
-// it; the type is exported so the engine seam tests — and campaigns
-// composed directly on the Engine — can construct it.
+// (inject-on-write), clustered by (max-MBF, win-size). A register
+// campaign is an Engine with this model.
 type RegisterModel struct {
 	// Spec supplies the technique, the error cluster and the optional
-	// pins; its engine-level fields (N, Seed, Workers, ...) are ignored
-	// here.
+	// pins.
 	Spec *CampaignSpec
 }
 
@@ -227,35 +189,4 @@ func (m *RegisterModel) Plan(t *Target, idx uint64, rng *xrand.Rand) Injection {
 // Record implements FaultModel.
 func (m *RegisterModel) Record(exp *Experiment, res *vm.Result) {
 	RecordFlipMeta(exp, res)
-}
-
-// RunCampaign executes the campaign on the shared experiment engine.
-// Experiments run in parallel but the result is identical for any worker
-// count: every experiment derives its private random stream from (Seed,
-// experiment index).
-func RunCampaign(spec CampaignSpec) (*CampaignResult, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	n := spec.N
-	if len(spec.Pins) > 0 {
-		n = len(spec.Pins)
-	}
-	er, err := (&Engine{
-		Target:        spec.Target,
-		Model:         &RegisterModel{Spec: &spec},
-		N:             n,
-		Seed:          spec.Seed,
-		HangFactor:    spec.HangFactor,
-		Workers:       spec.Workers,
-		Record:        spec.Record,
-		NoAlignTrap:   spec.NoAlignTrap,
-		Classifier:    spec.Classifier,
-		FailurePolicy: spec.OnFailure,
-		Service:       spec.Service,
-	}).Run()
-	if err != nil {
-		return nil, err
-	}
-	return &CampaignResult{Spec: spec, EngineResult: *er}, nil
 }

@@ -112,52 +112,32 @@ func TestZeroToleranceMatchesExact(t *testing.T) {
 	const n, seed = 80, 5
 	zero := core.ToleranceClassifier{}
 
-	t.Run("register", func(t *testing.T) {
-		spec := core.CampaignSpec{
-			Target: tg, Technique: core.InjectOnRead,
-			Config: core.Config{MaxMBF: 3, Win: core.Win(10)},
-			N:      n, Seed: seed, Record: true,
-		}
-		want, err := core.RunCampaign(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Classifier = zero
-		got, err := core.RunCampaign(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, "register eps-0", &want.EngineResult, &got.EngineResult, false)
-	})
-	t.Run("stuckat", func(t *testing.T) {
-		spec := core.StuckAtSpec{Target: tg, N: n, Seed: seed, Record: true}
-		want, err := core.RunStuckAt(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Classifier = zero
-		got, err := core.RunStuckAt(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, "stuckat eps-0", &want.EngineResult, &got.EngineResult, false)
-	})
-	t.Run("memfault", func(t *testing.T) {
-		spec := memfault.Spec{Target: tg, Bits: 2, N: n, Seed: seed, Record: true}
-		want, err := memfault.Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Classifier = zero
-		got, err := memfault.Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Tally != got.Tally {
-			t.Errorf("memfault eps-0: tallies differ: %+v vs %+v", want.Tally, got.Tally)
-		}
-		sameResult(t, "memfault eps-0", &want.EngineResult, &got.EngineResult, false)
-	})
+	for _, m := range []struct {
+		name  string
+		model core.FaultModel
+	}{
+		{"register", &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnRead,
+			Config:    core.Config{MaxMBF: 3, Win: core.Win(10)},
+		}}},
+		{"stuckat", &core.StuckAtModel{Spec: &core.StuckAtSpec{}}},
+		{"memfault", &memfault.Model{Bits: 2}},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			run := func(c core.Classifier) *core.EngineResult {
+				res, err := (&core.Engine{Target: tg, Model: m.model, N: n, Seed: seed, Record: true, Classifier: c}).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			want, got := run(nil), run(zero)
+			if want.Tally != got.Tally {
+				t.Errorf("%s eps-0: tallies differ: %+v vs %+v", m.name, want.Tally, got.Tally)
+			}
+			sameResult(t, m.name+" eps-0", want, got, false)
+		})
+	}
 }
 
 // TestClassifierFingerprint pins the content-address contract: the
@@ -171,7 +151,7 @@ func TestClassifierFingerprint(t *testing.T) {
 		return &core.Engine{
 			Target: tg,
 			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
-				Target: tg, Technique: core.InjectOnRead, Config: core.SingleBit(),
+				Technique: core.InjectOnRead, Config: core.SingleBit(),
 			}},
 			N: 10, Seed: 1, Classifier: c,
 		}

@@ -64,26 +64,29 @@ func TestCampaignCompileDifferential(t *testing.T) {
 		}
 		for _, tech := range core.Techniques() {
 			for _, cfg := range configs {
-				spec := core.CampaignSpec{
-					Target:    target,
-					Technique: tech,
-					Config:    cfg,
-					N:         n,
-					Seed:      seed,
-					Workers:   1,
-					Record:    true,
+				eng := func(tg *core.Target) *core.Engine {
+					return &core.Engine{
+						Target: tg,
+						Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+							Technique: tech,
+							Config:    cfg,
+						}},
+						N:       n,
+						Seed:    seed,
+						Workers: 1,
+						Record:  true,
+					}
 				}
-				fast, err := core.RunCampaign(spec)
+				fast, err := eng(target).Run()
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", bench.Name, tech, cfg, err)
 				}
-				spec.Target = off
-				slow, err := core.RunCampaign(spec)
+				slow, err := eng(off).Run()
 				if err != nil {
 					t.Fatalf("%s %s %s (nocompile): %v", bench.Name, tech, cfg, err)
 				}
 				sameResult(t, fmt.Sprintf("%s %s %s compiled vs nocompile", bench.Name, tech, cfg),
-					&fast.EngineResult, &slow.EngineResult, true)
+					fast, slow, true)
 			}
 		}
 	}
@@ -109,24 +112,25 @@ func TestStuckAtCompileDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := core.StuckAtSpec{
-			Target:  target,
-			Window:  core.Win(50),
-			N:       40,
-			Seed:    31,
-			Workers: 1,
-			Record:  true,
+		eng := func(tg *core.Target) *core.Engine {
+			return &core.Engine{
+				Target:  tg,
+				Model:   &core.StuckAtModel{Spec: &core.StuckAtSpec{Window: core.Win(50)}},
+				N:       40,
+				Seed:    31,
+				Workers: 1,
+				Record:  true,
+			}
 		}
-		fast, err := core.RunStuckAt(spec)
+		fast, err := eng(target).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec.Target = off
-		slow, err := core.RunStuckAt(spec)
+		slow, err := eng(off).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameResult(t, name+" stuckat compiled vs nocompile",
-			&fast.EngineResult, &slow.EngineResult, true)
+			fast, slow, true)
 	}
 }

@@ -51,20 +51,23 @@ func TestCampaignConvergeDifferential(t *testing.T) {
 		}
 		for _, tech := range core.Techniques() {
 			for _, cfg := range configs {
-				spec := core.CampaignSpec{
-					Target:    target,
-					Technique: tech,
-					Config:    cfg,
-					N:         n,
-					Seed:      seed,
-					Record:    true,
+				eng := func(tg *core.Target) *core.Engine {
+					return &core.Engine{
+						Target: tg,
+						Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+							Technique: tech,
+							Config:    cfg,
+						}},
+						N:      n,
+						Seed:   seed,
+						Record: true,
+					}
 				}
-				fast, err := core.RunCampaign(spec)
+				fast, err := eng(target).Run()
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", bench.Name, tech, cfg, err)
 				}
-				spec.Target = off
-				slow, err := core.RunCampaign(spec)
+				slow, err := eng(off).Run()
 				if err != nil {
 					t.Fatalf("%s %s %s (noconverge): %v", bench.Name, tech, cfg, err)
 				}
@@ -115,14 +118,16 @@ func TestCampaignMemoHit(t *testing.T) {
 	}
 	// Find an SDC location: its post-injection state diverges from golden,
 	// so the memo (not convergence) resolves the duplicate.
-	probe, err := core.RunCampaign(core.CampaignSpec{
-		Target:    target,
-		Technique: core.InjectOnWrite,
-		Config:    core.SingleBit(),
-		N:         60,
-		Seed:      7,
-		Record:    true,
-	})
+	probe, err := (&core.Engine{
+		Target: target,
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnWrite,
+			Config:    core.SingleBit(),
+		}},
+		N:      60,
+		Seed:   7,
+		Record: true,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,16 +143,21 @@ func TestCampaignMemoHit(t *testing.T) {
 	if !found {
 		t.Skip("no SDC experiment in the probe campaign")
 	}
-	spec := core.CampaignSpec{
-		Target:    target,
-		Technique: core.InjectOnWrite,
-		Config:    core.SingleBit(),
-		Seed:      8,
-		Workers:   1,
-		Record:    true,
-		Pins:      []core.Pin{pin, pin},
+	eng := func(tg *core.Target) *core.Engine {
+		return &core.Engine{
+			Target: tg,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnWrite,
+				Config:    core.SingleBit(),
+				Pins:      []core.Pin{pin, pin},
+			}},
+			N:       2,
+			Seed:    8,
+			Workers: 1,
+			Record:  true,
+		}
 	}
-	res, err := core.RunCampaign(spec)
+	res, err := eng(target).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +168,7 @@ func TestCampaignMemoHit(t *testing.T) {
 		t.Errorf("memoized experiment diverges from its twin: %+v vs %+v",
 			res.Experiments[0], res.Experiments[1])
 	}
-	spec.Target = off
-	slow, err := core.RunCampaign(spec)
+	slow, err := eng(off).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

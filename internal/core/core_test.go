@@ -205,13 +205,15 @@ func TestNewTargetProfiles(t *testing.T) {
 
 func TestRunCampaignSingleBit(t *testing.T) {
 	tg := target(t, "CRC32")
-	res, err := core.RunCampaign(core.CampaignSpec{
-		Target:    tg,
-		Technique: core.InjectOnRead,
-		Config:    core.SingleBit(),
-		N:         300,
-		Seed:      1,
-	})
+	res, err := (&core.Engine{
+		Target: tg,
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnRead,
+			Config:    core.SingleBit(),
+		}},
+		N:    300,
+		Seed: 1,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,16 +244,18 @@ func TestRunCampaignSingleBit(t *testing.T) {
 
 func TestRunCampaignDeterministicAcrossWorkers(t *testing.T) {
 	tg := target(t, "histo")
-	run := func(workers int) *core.CampaignResult {
-		res, err := core.RunCampaign(core.CampaignSpec{
-			Target:    tg,
-			Technique: core.InjectOnWrite,
-			Config:    core.Config{MaxMBF: 3, Win: core.Win(10)},
-			N:         200,
-			Seed:      42,
-			Workers:   workers,
-			Record:    true,
-		})
+	run := func(workers int) *core.EngineResult {
+		res, err := (&core.Engine{
+			Target: tg,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnWrite,
+				Config:    core.Config{MaxMBF: 3, Win: core.Win(10)},
+			}},
+			N:       200,
+			Seed:    42,
+			Workers: workers,
+			Record:  true,
+		}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,13 +275,15 @@ func TestRunCampaignDeterministicAcrossWorkers(t *testing.T) {
 func TestRunCampaignSeedMatters(t *testing.T) {
 	tg := target(t, "histo")
 	run := func(seed uint64) [core.NumOutcomes + 1]int {
-		res, err := core.RunCampaign(core.CampaignSpec{
-			Target:    tg,
-			Technique: core.InjectOnRead,
-			Config:    core.SingleBit(),
-			N:         200,
-			Seed:      seed,
-		})
+		res, err := (&core.Engine{
+			Target: tg,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnRead,
+				Config:    core.SingleBit(),
+			}},
+			N:    200,
+			Seed: seed,
+		}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,14 +296,16 @@ func TestRunCampaignSeedMatters(t *testing.T) {
 
 func TestMultiBitActivationBounded(t *testing.T) {
 	tg := target(t, "qsort")
-	res, err := core.RunCampaign(core.CampaignSpec{
-		Target:    tg,
-		Technique: core.InjectOnRead,
-		Config:    core.Config{MaxMBF: 30, Win: core.Win(1)},
-		N:         150,
-		Seed:      7,
-		Record:    true,
-	})
+	res, err := (&core.Engine{
+		Target: tg,
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnRead,
+			Config:    core.Config{MaxMBF: 30, Win: core.Win(1)},
+		}},
+		N:      150,
+		Seed:   7,
+		Record: true,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,14 +328,16 @@ func TestMultiBitActivationBounded(t *testing.T) {
 
 func TestSameRegisterClamp(t *testing.T) {
 	tg := target(t, "CRC32")
-	res, err := core.RunCampaign(core.CampaignSpec{
-		Target:    tg,
-		Technique: core.InjectOnWrite,
-		Config:    core.Config{MaxMBF: 30, Win: core.Win(0)},
-		N:         150,
-		Seed:      9,
-		Record:    true,
-	})
+	res, err := (&core.Engine{
+		Target: tg,
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnWrite,
+			Config:    core.Config{MaxMBF: 30, Win: core.Win(0)},
+		}},
+		N:      150,
+		Seed:   9,
+		Record: true,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,14 +354,16 @@ func TestPinnedCampaignReproducesExperiments(t *testing.T) {
 	// The §IV-C3 mechanism: re-running a recorded single-bit campaign with
 	// pinned (candidate, bit) pairs must reproduce the outcomes exactly.
 	tg := target(t, "stringsearch")
-	first, err := core.RunCampaign(core.CampaignSpec{
-		Target:    tg,
-		Technique: core.InjectOnRead,
-		Config:    core.SingleBit(),
-		N:         200,
-		Seed:      11,
-		Record:    true,
-	})
+	first, err := (&core.Engine{
+		Target: tg,
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnRead,
+			Config:    core.SingleBit(),
+		}},
+		N:      200,
+		Seed:   11,
+		Record: true,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,14 +371,17 @@ func TestPinnedCampaignReproducesExperiments(t *testing.T) {
 	for i, e := range first.Experiments {
 		pins[i] = core.Pin{Cand: e.Cand, Bit: e.Bit}
 	}
-	second, err := core.RunCampaign(core.CampaignSpec{
-		Target:    tg,
-		Technique: core.InjectOnRead,
-		Config:    core.SingleBit(),
-		Seed:      9999, // seed must not matter for pinned single-bit runs
-		Record:    true,
-		Pins:      pins,
-	})
+	second, err := (&core.Engine{
+		Target: tg,
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnRead,
+			Config:    core.SingleBit(),
+			Pins:      pins,
+		}},
+		N:      len(pins),
+		Seed:   9999, // seed must not matter for pinned single-bit runs
+		Record: true,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,16 +398,19 @@ func TestPinnedCampaignReproducesExperiments(t *testing.T) {
 
 func TestCampaignValidation(t *testing.T) {
 	tg := target(t, "CRC32")
-	bad := []core.CampaignSpec{
-		{Technique: core.InjectOnRead, Config: core.SingleBit(), N: 1},             // no target
-		{Target: tg, Config: core.SingleBit(), N: 1},                               // no technique
-		{Target: tg, Technique: core.InjectOnRead, Config: core.Config{}, N: 1},    // MaxMBF 0
-		{Target: tg, Technique: core.InjectOnRead, Config: core.SingleBit(), N: 0}, // no N
-		{Target: tg, Technique: core.InjectOnRead, Config: core.Config{MaxMBF: 2, Win: core.WinSize{Lo: 5, Hi: 2}}, N: 1},
+	model := func(tech core.Technique, cfg core.Config) core.FaultModel {
+		return &core.RegisterModel{Spec: &core.CampaignSpec{Technique: tech, Config: cfg}}
 	}
-	for i, spec := range bad {
-		if _, err := core.RunCampaign(spec); err == nil {
-			t.Errorf("spec %d accepted, want error", i)
+	bad := []*core.Engine{
+		{Model: model(core.InjectOnRead, core.SingleBit()), N: 1},             // no target
+		{Target: tg, Model: model(0, core.SingleBit()), N: 1},                 // no technique
+		{Target: tg, Model: model(core.InjectOnRead, core.Config{}), N: 1},    // MaxMBF 0
+		{Target: tg, Model: model(core.InjectOnRead, core.SingleBit()), N: 0}, // no N
+		{Target: tg, Model: model(core.InjectOnRead, core.Config{MaxMBF: 2, Win: core.WinSize{Lo: 5, Hi: 2}}), N: 1},
+	}
+	for i, e := range bad {
+		if _, err := e.Run(); err == nil {
+			t.Errorf("campaign %d accepted, want error", i)
 		}
 	}
 }
@@ -400,13 +418,15 @@ func TestCampaignValidation(t *testing.T) {
 func TestCI95ShrinksWithN(t *testing.T) {
 	tg := target(t, "histo")
 	run := func(n int) float64 {
-		res, err := core.RunCampaign(core.CampaignSpec{
-			Target:    tg,
-			Technique: core.InjectOnRead,
-			Config:    core.SingleBit(),
-			N:         n,
-			Seed:      5,
-		})
+		res, err := (&core.Engine{
+			Target: tg,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnRead,
+				Config:    core.SingleBit(),
+			}},
+			N:    n,
+			Seed: 5,
+		}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,8 @@ package core
 // fault class itself: what one experiment injects and how its record is
 // finalized. Register bit-flip campaigns (RegisterModel, campaign.go),
 // memory-word faults (memfault.Model) and stuck-at register faults
-// (StuckAtModel, stuckat.go) are all thin models over the one engine.
+// (StuckAtModel, stuckat.go) are all thin models over the one engine,
+// and every caller runs a campaign by building an Engine with its model.
 
 import (
 	"errors"
@@ -24,16 +25,6 @@ import (
 	"multiflip/internal/xrand"
 )
 
-// DefaultClaimBatch caps the number of experiment indices a worker
-// claims per atomic operation. At tens of thousands of experiments per
-// second a single shared counter bumped once per experiment is
-// measurable contention; claiming chunks amortizes it. Batches only
-// affect scheduling — experiment i always draws its random stream from
-// (Seed, i) — so results are bit-identical for any batch size. The
-// default batch auto-tunes to N and the worker count (autoClaimBatch);
-// an explicit ClaimBatch is honoured verbatim.
-const DefaultClaimBatch = 16
-
 // maxClaimBatch bounds the auto-tuned claim batch: past a few hundred
 // indices per claim the counter is already cold and bigger batches only
 // worsen tail imbalance.
@@ -44,11 +35,16 @@ const maxClaimBatch = 256
 // experiments, few enough to keep the counter cold.
 const claimSpread = 4
 
-// autoClaimBatch scales the claim batch to the run: N/(workers·
-// claimSpread), clamped to [1, maxClaimBatch]. Small runs degrade to
-// batch 1 so every worker still gets a share of the claim space; huge
-// runs stop at maxClaimBatch. Results are identical for any batch — the
-// invariance test covers the auto path against explicit batches.
+// autoClaimBatch returns the number of experiment indices a worker
+// claims per atomic operation. At tens of thousands of experiments per
+// second a single shared counter bumped once per experiment is
+// measurable contention; claiming chunks amortizes it. The batch scales
+// to the run: N/(workers·claimSpread), clamped to [1, maxClaimBatch].
+// Small runs degrade to batch 1 so every worker still gets a share of
+// the claim space; huge runs stop at maxClaimBatch. Batches only affect
+// scheduling — experiment i always draws its random stream from (Seed,
+// i) — so results are bit-identical for any batch; the invariance test
+// varies the worker count, and with it the batch.
 func autoClaimBatch(n, workers int) int {
 	b := n / (workers * claimSpread)
 	if b < 1 {
@@ -62,7 +58,8 @@ func autoClaimBatch(n, workers int) int {
 
 // ErrInterrupted reports a campaign stopped by Engine.Interrupt before
 // every experiment ran. A journaled campaign keeps its completed shard
-// checkpoints; re-running with Service.Resume folds them and continues.
+// checkpoints; running a new Engine with Service.Resume folds them and
+// continues.
 var ErrInterrupted = errors.New("core: campaign interrupted")
 
 // FaultModel plugs one fault class into the Engine. Implementations
@@ -113,9 +110,11 @@ type Injection struct {
 }
 
 // Engine runs N experiments of one FaultModel over one target: the
-// model-independent half of every campaign type. Campaign front-ends
-// (RunCampaign, memfault.Run, RunStuckAt) validate their specs, wrap
-// them in a model, and delegate here.
+// model-independent half of every campaign type, and the only way to
+// run a campaign. A caller builds an Engine with its model
+// (RegisterModel, StuckAtModel, memfault.Model or its own), sets the
+// engine-level parameters below and calls Run; the model carries only
+// its own fault parameters.
 type Engine struct {
 	// Target is the prepared workload.
 	Target *Target
@@ -131,12 +130,8 @@ type Engine struct {
 	HangFactor uint64
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
-	// ClaimBatch is the number of experiments a worker claims per atomic
-	// operation (0 = DefaultClaimBatch, shrunk for small N so the pool
-	// still spreads work). Results are identical for any value; the knob
-	// exists for the batch-claim ablation benchmark.
-	ClaimBatch int
-	// Record keeps per-experiment records in the result.
+	// Record keeps per-experiment records in the result (the transition
+	// study needs them).
 	Record bool
 	// NoAlignTrap disables the misaligned-access exception (alignment
 	// ablation).
@@ -160,22 +155,25 @@ type Engine struct {
 	// lease stealing.
 	Service *Service
 
-	// interrupted is set by Interrupt: workers stop claiming work and the
-	// run returns ErrInterrupted. Journaled campaigns keep their
-	// checkpoints.
+	// interrupted is set by Interrupt and never cleared: workers stop
+	// claiming work and the run returns ErrInterrupted. Journaled
+	// campaigns keep their checkpoints.
 	interrupted atomic.Bool
 }
 
-// Interrupt asks a running campaign to stop at the next experiment
-// boundary. The in-process analogue of SIGKILL for a journaled campaign:
-// completed shards stay checkpointed, the in-flight shard is abandoned
-// un-checkpointed, and Run returns ErrInterrupted. Safe to call from any
-// goroutine, including an experimentHook.
+// Interrupt stops the campaign at the next experiment boundary, and Run
+// returns ErrInterrupted. The interrupt sticks: called before Run, it
+// makes Run return ErrInterrupted without running any experiment, so
+// an interrupted Engine is not reused. For a journaled campaign it is
+// the in-process analogue of SIGKILL: completed shards stay
+// checkpointed, the in-flight shard is abandoned un-checkpointed. Safe
+// to call from any goroutine, including an experimentHook.
 func (e *Engine) Interrupt() { e.interrupted.Store(true) }
 
-// EngineResult aggregates an engine run. Campaign result types embed it,
-// so the outcome statistics (via Tally), histograms and early-exit
-// counters live in one place.
+// EngineResult aggregates an engine run: the outcome statistics (via
+// Tally), histograms and early-exit counters of every fault model live
+// in one place. CampaignResult embeds it next to the register model's
+// parameters.
 type EngineResult struct {
 	// Tally holds the per-outcome counts and derives the percentage and
 	// confidence-interval statistics (N, Pct, SDCPct, DetectionPct, CI95,
@@ -276,10 +274,11 @@ type engineShard struct {
 var experimentHook func(idx int)
 
 // Run executes the experiments. They run in parallel but the result is
-// identical for any worker count and claim batch: every experiment
-// derives its private random stream from (Seed, experiment index). With
-// an active Service the run executes as a journaled campaign
-// (runJournaled); otherwise it stays on the in-memory fast path.
+// identical for any worker count: every experiment derives its private
+// random stream from (Seed, experiment index). With an active Service
+// the run executes as a journaled campaign (runJournaled); otherwise it
+// stays on the in-memory fast path. After Interrupt, Run returns
+// ErrInterrupted.
 func (e *Engine) Run() (*EngineResult, error) {
 	if e.Target == nil {
 		return nil, fmt.Errorf("core: engine needs a target")
@@ -293,7 +292,9 @@ func (e *Engine) Run() (*EngineResult, error) {
 	if err := e.Model.Validate(e.Target, e.N); err != nil {
 		return nil, err
 	}
-	e.interrupted.Store(false)
+	if e.interrupted.Load() {
+		return nil, ErrInterrupted
+	}
 	if e.Service.active() {
 		return e.runJournaled()
 	}
@@ -305,12 +306,7 @@ func (e *Engine) Run() (*EngineResult, error) {
 	if workers > n {
 		workers = n
 	}
-	batch := e.ClaimBatch
-	if batch <= 0 {
-		// Auto-tune to the run; an explicit ClaimBatch is honoured
-		// verbatim (the ablation benchmark depends on that).
-		batch = autoClaimBatch(n, workers)
-	}
+	batch := autoClaimBatch(n, workers)
 
 	// Convergence-gated early termination plus the fault-equivalence
 	// memo: the VM compares the post-injection state against the

@@ -9,8 +9,10 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"multiflip/internal/core"
@@ -31,20 +33,15 @@ func engineModels() []engineModel {
 	return []engineModel{
 		{"register", "core", func(tg *core.Target) *core.Engine {
 			return &core.Engine{Target: tg, Model: &core.RegisterModel{Spec: &core.CampaignSpec{
-				Target:    tg,
 				Technique: core.InjectOnRead,
 				Config:    core.Config{MaxMBF: 3, Win: core.Win(10)},
 			}}}
 		}},
 		{"memfault", "memfault", func(tg *core.Target) *core.Engine {
-			return &core.Engine{Target: tg, Model: &memfault.Model{Spec: &memfault.Spec{
-				Target: tg,
-				Bits:   3,
-			}}}
+			return &core.Engine{Target: tg, Model: &memfault.Model{Bits: 3}}
 		}},
 		{"stuckat", "stuckat", func(tg *core.Target) *core.Engine {
 			return &core.Engine{Target: tg, Model: &core.StuckAtModel{Spec: &core.StuckAtSpec{
-				Target: tg,
 				Window: core.Win(50),
 			}}}
 		}},
@@ -100,6 +97,35 @@ func TestEngineJoinsConcurrentErrors(t *testing.T) {
 				t.Errorf("want a 2-error join, got %v", err)
 			}
 		})
+	}
+}
+
+// TestEngineInterruptBeforeRun checks that an interrupt sticks: for
+// every fault model, in memory and journaled, an Engine interrupted
+// before Run returns ErrInterrupted without running any experiment.
+func TestEngineInterruptBeforeRun(t *testing.T) {
+	tg := target(t, "CRC32")
+	var ran atomic.Int64
+	defer core.SetExperimentHook(func(int) { ran.Add(1) })()
+	for _, m := range engineModels() {
+		for _, journaled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/journaled=%v", m.name, journaled), func(t *testing.T) {
+				ran.Store(0)
+				eng := m.engine(tg)
+				eng.N = 2000
+				eng.Seed = 1
+				if journaled {
+					eng.Service = &core.Service{Dir: t.TempDir()}
+				}
+				eng.Interrupt()
+				if _, err := eng.Run(); !errors.Is(err, core.ErrInterrupted) {
+					t.Errorf("Run after Interrupt returned %v, want ErrInterrupted", err)
+				}
+				if n := ran.Load(); n != 0 {
+					t.Errorf("%d experiments ran after Interrupt", n)
+				}
+			})
+		}
 	}
 }
 
@@ -161,19 +187,20 @@ func TestEngineMemoDeterminism(t *testing.T) {
 }
 
 // TestEngineClaimBatchInvariance checks that the claim batch size is
-// invisible in the results: batch=1 (the pre-engine claim-per-experiment
-// behaviour), an oversized batch, and the auto-tuned default (batch=0)
-// produce bit-identical experiments.
+// invisible in the results. The batch follows the worker count: at
+// N = 100, workers 1, 4 and 100 claim batches of 25, 6 and 1 (the
+// pre-engine claim-per-experiment behaviour), and all three produce
+// bit-identical experiments.
 func TestEngineClaimBatchInvariance(t *testing.T) {
+	const n = 100
 	tg := target(t, "histo")
 	for _, m := range engineModels() {
 		t.Run(m.name, func(t *testing.T) {
-			run := func(batch int) *core.EngineResult {
+			run := func(workers int) *core.EngineResult {
 				eng := m.engine(tg)
-				eng.N = 100
+				eng.N = n
 				eng.Seed = 7
-				eng.Workers = 4
-				eng.ClaimBatch = batch
+				eng.Workers = workers
 				eng.Record = true
 				res, err := eng.Run()
 				if err != nil {
@@ -182,14 +209,17 @@ func TestEngineClaimBatchInvariance(t *testing.T) {
 				return res
 			}
 			one := run(1)
-			for _, batch := range []int{64, 0} {
-				other := run(batch)
+			for _, workers := range []int{4, n} {
+				if workers == n && core.AutoClaimBatch(n, workers) != 1 {
+					t.Fatalf("%d workers claim batches of %d, want 1", workers, core.AutoClaimBatch(n, workers))
+				}
+				other := run(workers)
 				if one.Counts != other.Counts {
-					t.Fatalf("tallies differ between claim batch 1 and %d: %v vs %v", batch, one.Counts, other.Counts)
+					t.Fatalf("tallies differ between 1 and %d workers: %v vs %v", workers, one.Counts, other.Counts)
 				}
 				for i := range one.Experiments {
 					if one.Experiments[i] != other.Experiments[i] {
-						t.Fatalf("experiment %d differs between claim batch 1 and %d", i, batch)
+						t.Fatalf("experiment %d differs between 1 and %d workers", i, workers)
 					}
 				}
 			}
@@ -254,7 +284,6 @@ func TestEngineValidation(t *testing.T) {
 	mismatched := &core.Engine{
 		Target: tg,
 		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
-			Target:    tg,
 			Technique: core.InjectOnRead,
 			Config:    core.SingleBit(),
 			Pins:      []core.Pin{{Cand: 0, Bit: 1}},

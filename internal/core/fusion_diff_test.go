@@ -43,20 +43,23 @@ func TestCampaignFusionDifferential(t *testing.T) {
 				{MaxMBF: 4, Win: core.Win(0)},
 				{MaxMBF: 3, Win: core.Win(10)},
 			} {
-				spec := core.CampaignSpec{
-					Target:    target,
-					Technique: tech,
-					Config:    cfg,
-					N:         n,
-					Seed:      seed,
-					Record:    true,
+				eng := func(tg *core.Target) *core.Engine {
+					return &core.Engine{
+						Target: tg,
+						Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+							Technique: tech,
+							Config:    cfg,
+						}},
+						N:      n,
+						Seed:   seed,
+						Record: true,
+					}
 				}
-				fused, err := core.RunCampaign(spec)
+				fused, err := eng(target).Run()
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", bench.Name, tech, cfg, err)
 				}
-				spec.Target = unfusedT
-				unfused, err := core.RunCampaign(spec)
+				unfused, err := eng(unfusedT).Run()
 				if err != nil {
 					t.Fatalf("%s %s %s (nofusion): %v", bench.Name, tech, cfg, err)
 				}
@@ -118,20 +121,23 @@ func TestTargetFusionDifferential(t *testing.T) {
 	// Cross: fused experiments resumed from an unfused target's snapshots.
 	cross := *fusedT
 	cross.Snapshots = unfusedT.Snapshots
-	spec := core.CampaignSpec{
-		Target:    &cross,
-		Technique: core.InjectOnRead,
-		Config:    core.Config{MaxMBF: 2, Win: core.Win(4)},
-		N:         50,
-		Seed:      9,
-		Record:    true,
+	eng := func(tg *core.Target) *core.Engine {
+		return &core.Engine{
+			Target: tg,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnRead,
+				Config:    core.Config{MaxMBF: 2, Win: core.Win(4)},
+			}},
+			N:      50,
+			Seed:   9,
+			Record: true,
+		}
 	}
-	crossRes, err := core.RunCampaign(spec)
+	crossRes, err := eng(&cross).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Target = fusedT
-	base, err := core.RunCampaign(spec)
+	base, err := eng(fusedT).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,23 +167,24 @@ func TestMemFaultFusionDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bits := range []int{1, 3, 8} {
-		spec := memfault.Spec{
-			Target: target,
-			Bits:   bits,
-			N:      60,
-			Seed:   7,
-			Record: true,
+		eng := func(tg *core.Target) *core.Engine {
+			return &core.Engine{
+				Target: tg,
+				Model:  &memfault.Model{Bits: bits},
+				N:      60,
+				Seed:   7,
+				Record: true,
+			}
 		}
-		fused, err := memfault.Run(spec)
+		fused, err := eng(target).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec.Target = unfusedT
-		unfused, err := memfault.Run(spec)
+		unfused, err := eng(unfusedT).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameResult(t, fmt.Sprintf("bits=%d fused vs unfused", bits),
-			&fused.EngineResult, &unfused.EngineResult, false)
+			fused, unfused, false)
 	}
 }

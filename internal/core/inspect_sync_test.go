@@ -17,34 +17,40 @@ import (
 
 func TestSyncModeCampaign(t *testing.T) {
 	tg := target(t, "CRC32")
-	spec := core.CampaignSpec{
-		Target:    tg,
-		Technique: core.InjectOnRead,
-		Config:    core.SingleBit(),
-		N:         24,
-		Seed:      61,
-		Record:    true,
+	const n = 24
+	eng := func(svc *core.Service) *core.Engine {
+		return &core.Engine{
+			Target: tg,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnRead,
+				Config:    core.SingleBit(),
+			}},
+			N:       n,
+			Seed:    61,
+			Record:  true,
+			Service: svc,
+		}
 	}
-	baseline, err := core.RunCampaign(spec)
+	baseline, err := eng(nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
-	spec.Service = &core.Service{Dir: dir, Sync: true, ShardSize: 8}
-	synced, err := core.RunCampaign(spec)
+	svc := &core.Service{Dir: dir, Sync: true, ShardSize: 8}
+	synced, err := eng(svc).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "synced campaign vs in-memory", &baseline.EngineResult, &synced.EngineResult, false)
+	sameResult(t, "synced campaign vs in-memory", baseline, synced, false)
 
 	// Resume folds the completed journal instead of re-running.
-	spec.Service.Resume = true
-	resumed, err := core.RunCampaign(spec)
+	svc.Resume = true
+	resumed, err := eng(svc).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "resumed synced campaign", &baseline.EngineResult, &resumed.EngineResult, false)
+	sameResult(t, "resumed synced campaign", baseline, resumed, false)
 
 	infos, err := core.InspectDir(dir)
 	if err != nil {
@@ -53,8 +59,8 @@ func TestSyncModeCampaign(t *testing.T) {
 	if len(infos) != 1 {
 		t.Fatalf("InspectDir found %d campaigns, want 1", len(infos))
 	}
-	if infos[0].Meta.N != spec.N {
-		t.Fatalf("inspected campaign has N=%d, want %d", infos[0].Meta.N, spec.N)
+	if infos[0].Meta.N != n {
+		t.Fatalf("inspected campaign has N=%d, want %d", infos[0].Meta.N, n)
 	}
 	if st := infos[0].Status; st.Done != st.Shards || st.ExperimentsDone != st.ExperimentsTotal {
 		t.Fatalf("completed campaign reports %d/%d shards, %d/%d experiments done",

@@ -27,13 +27,15 @@ func TestAllProgramsSurviveInjection(t *testing.T) {
 			tg := target(t, b.Name)
 			for _, tech := range core.Techniques() {
 				for _, cfg := range configs {
-					res, err := core.RunCampaign(core.CampaignSpec{
-						Target:    tg,
-						Technique: tech,
-						Config:    cfg,
-						N:         40,
-						Seed:      3,
-					})
+					res, err := (&core.Engine{
+						Target: tg,
+						Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+							Technique: tech,
+							Config:    cfg,
+						}},
+						N:    40,
+						Seed: 3,
+					}).Run()
 					if err != nil {
 						t.Fatalf("%s %s: %v", tech, cfg, err)
 					}
@@ -60,13 +62,15 @@ func TestSingleBitOutcomesVaryAcrossSuite(t *testing.T) {
 	minSDC, maxSDC := 101.0, -1.0
 	for _, b := range prog.All() {
 		tg := target(t, b.Name)
-		res, err := core.RunCampaign(core.CampaignSpec{
-			Target:    tg,
-			Technique: core.InjectOnWrite,
-			Config:    core.SingleBit(),
-			N:         150,
-			Seed:      17,
-		})
+		res, err := (&core.Engine{
+			Target: tg,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnWrite,
+				Config:    core.SingleBit(),
+			}},
+			N:    150,
+			Seed: 17,
+		}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}

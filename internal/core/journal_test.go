@@ -41,7 +41,6 @@ func baselineRun(t *testing.T, tg *core.Target, n int) *core.EngineResult {
 // model mix exercises every outcome class on the test programs).
 func registerEngine(tg *core.Target) *core.Engine {
 	return &core.Engine{Target: tg, Model: &core.RegisterModel{Spec: &core.CampaignSpec{
-		Target:    tg,
 		Technique: core.InjectOnRead,
 		Config:    core.Config{MaxMBF: 3, Win: core.Win(10)},
 	}}}

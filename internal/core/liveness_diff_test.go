@@ -58,20 +58,23 @@ func TestCampaignLivenessDifferential(t *testing.T) {
 		}
 		for _, tech := range core.Techniques() {
 			for _, cfg := range configs {
-				spec := core.CampaignSpec{
-					Target:    target,
-					Technique: tech,
-					Config:    cfg,
-					N:         n,
-					Seed:      seed,
-					Record:    true,
+				eng := func(tg *core.Target) *core.Engine {
+					return &core.Engine{
+						Target: tg,
+						Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+							Technique: tech,
+							Config:    cfg,
+						}},
+						N:      n,
+						Seed:   seed,
+						Record: true,
+					}
 				}
-				fast, err := core.RunCampaign(spec)
+				fast, err := eng(target).Run()
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", bench.Name, tech, cfg, err)
 				}
-				spec.Target = executed
-				slow, err := core.RunCampaign(spec)
+				slow, err := eng(executed).Run()
 				if err != nil {
 					t.Fatalf("%s %s %s (noliveness): %v", bench.Name, tech, cfg, err)
 				}
@@ -132,14 +135,16 @@ func TestLivenessGuaranteedPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunCampaign(core.CampaignSpec{
-		Target:    target,
-		Technique: core.InjectOnWrite,
-		Config:    core.SingleBit(),
-		N:         200,
-		Seed:      3,
-		Record:    true,
-	})
+	res, err := (&core.Engine{
+		Target: target,
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnWrite,
+			Config:    core.SingleBit(),
+		}},
+		N:      200,
+		Seed:   3,
+		Record: true,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +154,16 @@ func TestLivenessGuaranteedPrune(t *testing.T) {
 		t.Fatalf("StaticPruned = %d over 200 experiments on a mostly-dead program", res.StaticPruned)
 	}
 	// Differential on the same synthetic target for good measure.
-	slow, err := core.RunCampaign(core.CampaignSpec{
-		Target:    executed,
-		Technique: core.InjectOnWrite,
-		Config:    core.SingleBit(),
-		N:         200,
-		Seed:      3,
-		Record:    true,
-	})
+	slow, err := (&core.Engine{
+		Target: executed,
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnWrite,
+			Config:    core.SingleBit(),
+		}},
+		N:      200,
+		Seed:   3,
+		Record: true,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,17 +229,24 @@ func TestMemFaultLivenessNeutral(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := memfault.Spec{Target: on, Bits: 2, N: 30, Seed: 11, Record: true}
-		a, err := memfault.Run(spec)
+		eng := func(tg *core.Target) *core.Engine {
+			return &core.Engine{
+				Target: tg,
+				Model:  &memfault.Model{Bits: 2},
+				N:      30,
+				Seed:   11,
+				Record: true,
+			}
+		}
+		a, err := eng(on).Run()
 		if err != nil {
 			t.Fatalf("%s: %v", bench.Name, err)
 		}
-		spec.Target = off
-		b, err := memfault.Run(spec)
+		b, err := eng(off).Run()
 		if err != nil {
 			t.Fatalf("%s (noliveness): %v", bench.Name, err)
 		}
-		sameResult(t, bench.Name+" memfault liveness vs no-liveness", &a.EngineResult, &b.EngineResult, false)
+		sameResult(t, bench.Name+" memfault liveness vs no-liveness", a, b, false)
 	}
 }
 
@@ -253,13 +267,20 @@ func TestStuckAtLivenessNeutral(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := core.StuckAtSpec{Target: on, N: 30, Seed: 13, Record: true}
-		a, err := core.RunStuckAt(spec)
+		eng := func(tg *core.Target) *core.Engine {
+			return &core.Engine{
+				Target: tg,
+				Model:  &core.StuckAtModel{Spec: &core.StuckAtSpec{}},
+				N:      30,
+				Seed:   13,
+				Record: true,
+			}
+		}
+		a, err := eng(on).Run()
 		if err != nil {
 			t.Fatalf("%s: %v", bench.Name, err)
 		}
-		spec.Target = off
-		b, err := core.RunStuckAt(spec)
+		b, err := eng(off).Run()
 		if err != nil {
 			t.Fatalf("%s (noliveness): %v", bench.Name, err)
 		}

@@ -149,14 +149,16 @@ func FuzzMemoLoader(f *testing.F) {
 // another candidate.
 func sdcPins(t *testing.T, tg *core.Target) (sdc, other core.Pin) {
 	t.Helper()
-	probe, err := core.RunCampaign(core.CampaignSpec{
-		Target:    tg,
-		Technique: core.InjectOnWrite,
-		Config:    core.SingleBit(),
-		N:         60,
-		Seed:      7,
-		Record:    true,
-	})
+	probe, err := (&core.Engine{
+		Target: tg,
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnWrite,
+			Config:    core.SingleBit(),
+		}},
+		N:      60,
+		Seed:   7,
+		Record: true,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,17 +194,20 @@ func TestServiceMemoSeesPeerAppends(t *testing.T) {
 	dir := t.TempDir()
 	a := &core.Service{Dir: dir}
 	b := &core.Service{Dir: dir}
-	run := func(svc *core.Service, seed uint64, p core.Pin) *core.CampaignResult {
+	run := func(svc *core.Service, seed uint64, p core.Pin) *core.EngineResult {
 		t.Helper()
-		res, err := core.RunCampaign(core.CampaignSpec{
-			Target:    tg,
-			Technique: core.InjectOnWrite,
-			Config:    core.SingleBit(),
-			Seed:      seed,
-			Workers:   1,
-			Pins:      []core.Pin{p},
-			Service:   svc,
-		})
+		res, err := (&core.Engine{
+			Target: tg,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnWrite,
+				Config:    core.SingleBit(),
+				Pins:      []core.Pin{p},
+			}},
+			N:       1,
+			Seed:    seed,
+			Workers: 1,
+			Service: svc,
+		}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,12 +234,12 @@ func TestServicesDrainConcurrently(t *testing.T) {
 		func() *core.Engine { return registerEngine(tg) },
 		func() *core.Engine {
 			return &core.Engine{Target: tg, Model: &core.RegisterModel{Spec: &core.CampaignSpec{
-				Target: tg, Technique: core.InjectOnWrite, Config: core.SingleBit(),
+				Technique: core.InjectOnWrite, Config: core.SingleBit(),
 			}}}
 		},
 		func() *core.Engine {
 			return &core.Engine{Target: tg, Model: &core.StuckAtModel{Spec: &core.StuckAtSpec{
-				Target: tg, Window: core.Win(core.DefaultStuckWindow),
+				Window: core.Win(core.DefaultStuckWindow),
 			}}}
 		},
 	}

@@ -51,20 +51,23 @@ func TestCampaignSnapshotDifferential(t *testing.T) {
 		}
 		for _, tech := range core.Techniques() {
 			for _, cfg := range diffConfigs {
-				spec := core.CampaignSpec{
-					Target:    target,
-					Technique: tech,
-					Config:    cfg,
-					N:         n,
-					Seed:      seed,
-					Record:    true,
+				eng := func(tg *core.Target) *core.Engine {
+					return &core.Engine{
+						Target: tg,
+						Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+							Technique: tech,
+							Config:    cfg,
+						}},
+						N:      n,
+						Seed:   seed,
+						Record: true,
+					}
 				}
-				fast, err := core.RunCampaign(spec)
+				fast, err := eng(target).Run()
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", bench.Name, tech, cfg, err)
 				}
-				spec.Target = replay
-				slow, err := core.RunCampaign(spec)
+				slow, err := eng(replay).Run()
 				if err != nil {
 					t.Fatalf("%s %s %s (no snapshots): %v", bench.Name, tech, cfg, err)
 				}
@@ -107,21 +110,23 @@ func TestCampaignSnapshotIntervalInvariance(t *testing.T) {
 		{SnapshotInterval: 500},
 		{SnapshotInterval: 1 << 30}, // beyond the golden run: no snapshots land
 	}
-	baseline := make(map[core.Technique]*core.CampaignResult)
+	baseline := make(map[core.Technique]*core.EngineResult)
 	for i, topts := range variants {
 		target, err := core.NewTargetOpts(bench.Name, p, topts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tech := range core.Techniques() {
-			res, err := core.RunCampaign(core.CampaignSpec{
-				Target:    target,
-				Technique: tech,
-				Config:    core.Config{MaxMBF: 3, Win: core.Win(4)},
-				N:         n,
-				Seed:      seed + uint64(tech),
-				Record:    true,
-			})
+			res, err := (&core.Engine{
+				Target: target,
+				Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+					Technique: tech,
+					Config:    core.Config{MaxMBF: 3, Win: core.Win(4)},
+				}},
+				N:      n,
+				Seed:   seed + uint64(tech),
+				Record: true,
+			}).Run()
 			if err != nil {
 				t.Fatalf("variant %d %s: %v", i, tech, err)
 			}
@@ -156,14 +161,16 @@ func TestPinnedCampaignSnapshotDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := core.RunCampaign(core.CampaignSpec{
-		Target:    target,
-		Technique: core.InjectOnWrite,
-		Config:    core.SingleBit(),
-		N:         50,
-		Seed:      3,
-		Record:    true,
-	})
+	single, err := (&core.Engine{
+		Target: target,
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnWrite,
+			Config:    core.SingleBit(),
+		}},
+		N:      50,
+		Seed:   3,
+		Record: true,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,20 +178,24 @@ func TestPinnedCampaignSnapshotDifferential(t *testing.T) {
 	for i, e := range single.Experiments {
 		pins[i] = core.Pin{Cand: e.Cand, Bit: e.Bit}
 	}
-	spec := core.CampaignSpec{
-		Target:    target,
-		Technique: core.InjectOnWrite,
-		Config:    core.Config{MaxMBF: 3, Win: core.Win(1)},
-		Seed:      4,
-		Record:    true,
-		Pins:      pins,
+	eng := func(tg *core.Target) *core.Engine {
+		return &core.Engine{
+			Target: tg,
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnWrite,
+				Config:    core.Config{MaxMBF: 3, Win: core.Win(1)},
+				Pins:      pins,
+			}},
+			N:      len(pins),
+			Seed:   4,
+			Record: true,
+		}
 	}
-	fast, err := core.RunCampaign(spec)
+	fast, err := eng(target).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Target = replay
-	slow, err := core.RunCampaign(spec)
+	slow, err := eng(replay).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,20 +252,23 @@ func TestCampaignSnapshotDifferentialLargeGlobals(t *testing.T) {
 		}
 		for _, tech := range core.Techniques() {
 			for _, cfg := range []core.Config{core.SingleBit(), {MaxMBF: 3, Win: core.Win(10)}} {
-				spec := core.CampaignSpec{
-					Target:    target,
-					Technique: tech,
-					Config:    cfg,
-					N:         30,
-					Seed:      99,
-					Record:    true,
+				eng := func(tg *core.Target) *core.Engine {
+					return &core.Engine{
+						Target: tg,
+						Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+							Technique: tech,
+							Config:    cfg,
+						}},
+						N:      30,
+						Seed:   99,
+						Record: true,
+					}
 				}
-				fast, err := core.RunCampaign(spec)
+				fast, err := eng(target).Run()
 				if err != nil {
 					t.Fatal(err)
 				}
-				spec.Target = replay
-				slow, err := core.RunCampaign(spec)
+				slow, err := eng(replay).Run()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -25,37 +25,16 @@ import (
 // when StuckAtSpec.Window is left zero.
 const DefaultStuckWindow = 100
 
-// StuckAtSpec describes a stuck-at campaign: N experiments, each holding
-// one register bit at a constant value across a dynamic window.
+// StuckAtSpec parameterizes the stuck-at model (StuckAtModel): how long
+// one register bit is held at a constant value. The campaign itself is
+// the Engine that runs the model.
 type StuckAtSpec struct {
-	// Target is the prepared workload.
-	Target *Target
 	// Window is the hold length in dynamic instructions, in Table I
 	// notation (fixed, or an RND range sampled per experiment). The zero
 	// value selects Win(DefaultStuckWindow); note Win(0) IS the zero
 	// value, so a zero-length hold is not expressible (it would inject
 	// nothing anyway). Front-ends reject an explicit "0".
 	Window WinSize
-	// N is the number of experiments.
-	N int
-	// Seed makes the campaign reproducible.
-	Seed uint64
-	// HangFactor scales the hang budget (0 = DefaultHangFactor).
-	HangFactor uint64
-	// Workers bounds parallelism (0 = GOMAXPROCS).
-	Workers int
-	// Record keeps per-experiment records in the result.
-	Record bool
-	// Classifier judges golden-vs-actual output when classifying
-	// outcomes (nil = ExactClassifier).
-	Classifier Classifier
-	// OnFailure decides what happens to an experiment that fails or
-	// panics at every supervision tier (FailFast aborts, Quarantine
-	// poisons and keeps draining).
-	OnFailure FailurePolicy
-	// Service, when set (and naming a journal or directory), runs the
-	// campaign as a durable job (see core.Service).
-	Service *Service
 }
 
 // window returns the spec's hold window with the default applied.
@@ -81,25 +60,13 @@ func ParseStuckWindow(s string) (WinSize, error) {
 	return w, nil
 }
 
-// StuckAtResult aggregates a stuck-at campaign.
-type StuckAtResult struct {
-	// Spec echoes the campaign parameters.
-	Spec StuckAtSpec
-	// EngineResult holds the outcome tally, histograms, early-exit
-	// counters and (when Spec.Record is set) the per-experiment records.
-	// Experiment.Activated counts the reads whose value the hold actually
-	// changed, so — unlike single-bit flip campaigns, whose candidates
-	// are live by construction — it can be zero.
-	EngineResult
-}
-
 // StuckAtModel is the stuck-at register fault class expressed as an
-// engine FaultModel. RunStuckAt wraps it; the type is exported so the
-// engine seam tests — and campaigns composed directly on the Engine —
-// can construct it.
+// engine FaultModel; a stuck-at campaign is an Engine with this model.
+// Experiment.Activated counts the reads whose value the hold actually
+// changed, so — unlike single-bit flip campaigns, whose candidates are
+// live by construction — it can be zero.
 type StuckAtModel struct {
-	// Spec supplies the hold window; its engine-level fields (N, Seed,
-	// Workers, ...) are ignored here.
+	// Spec supplies the hold window.
 	Spec *StuckAtSpec
 }
 
@@ -153,32 +120,4 @@ func (m *StuckAtModel) Plan(t *Target, idx uint64, rng *xrand.Rand) Injection {
 // Record implements FaultModel.
 func (m *StuckAtModel) Record(exp *Experiment, res *vm.Result) {
 	RecordFlipMeta(exp, res)
-}
-
-// RunStuckAt executes a stuck-at campaign on the shared experiment
-// engine. Like the other campaign types, results are reproducible for
-// any worker count.
-func RunStuckAt(spec StuckAtSpec) (*StuckAtResult, error) {
-	if spec.Target == nil {
-		return nil, fmt.Errorf("core: stuck-at campaign needs a target")
-	}
-	if spec.N <= 0 {
-		return nil, fmt.Errorf("core: stuck-at campaign needs N > 0")
-	}
-	er, err := (&Engine{
-		Target:        spec.Target,
-		Model:         &StuckAtModel{Spec: &spec},
-		N:             spec.N,
-		Seed:          spec.Seed,
-		HangFactor:    spec.HangFactor,
-		Workers:       spec.Workers,
-		Record:        spec.Record,
-		Classifier:    spec.Classifier,
-		FailurePolicy: spec.OnFailure,
-		Service:       spec.Service,
-	}).Run()
-	if err != nil {
-		return nil, err
-	}
-	return &StuckAtResult{Spec: spec, EngineResult: *er}, nil
 }

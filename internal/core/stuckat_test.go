@@ -12,13 +12,13 @@ import (
 // activation within the window bound, and a non-degenerate outcome mix.
 func TestRunStuckAtBasic(t *testing.T) {
 	tg := target(t, "CRC32")
-	res, err := core.RunStuckAt(core.StuckAtSpec{
+	res, err := (&core.Engine{
 		Target: tg,
-		Window: core.Win(100),
+		Model:  &core.StuckAtModel{Spec: &core.StuckAtSpec{Window: core.Win(100)}},
 		N:      300,
 		Seed:   1,
 		Record: true,
-	})
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +56,15 @@ func TestRunStuckAtBasic(t *testing.T) {
 // guarantee: results are bit-identical for any worker count.
 func TestStuckAtDeterministicAcrossWorkers(t *testing.T) {
 	tg := target(t, "histo")
-	run := func(workers int) *core.StuckAtResult {
-		res, err := core.RunStuckAt(core.StuckAtSpec{
+	run := func(workers int) *core.EngineResult {
+		res, err := (&core.Engine{
 			Target:  tg,
-			Window:  core.WinRange(10, 200),
+			Model:   &core.StuckAtModel{Spec: &core.StuckAtSpec{Window: core.WinRange(10, 200)}},
 			N:       150,
 			Seed:    42,
 			Workers: workers,
 			Record:  true,
-		})
+		}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,19 +85,20 @@ func TestStuckAtDeterministicAcrossWorkers(t *testing.T) {
 // invisible to the stuck-at model, like it is for the flip models.
 func TestStuckAtSnapshotDifferential(t *testing.T) {
 	for _, name := range []string{"CRC32", "qsort", "FFT"} {
-		spec := core.StuckAtSpec{
-			Target: target(t, name),
-			Window: core.Win(50),
-			N:      60,
-			Seed:   9,
-			Record: true,
+		eng := func(tg *core.Target) *core.Engine {
+			return &core.Engine{
+				Target: tg,
+				Model:  &core.StuckAtModel{Spec: &core.StuckAtSpec{Window: core.Win(50)}},
+				N:      60,
+				Seed:   9,
+				Record: true,
+			}
 		}
-		fast, err := core.RunStuckAt(spec)
+		fast, err := eng(target(t, name)).Run()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		spec.Target = targetWith(t, name, vm.TierSnapshots)
-		slow, err := core.RunStuckAt(spec)
+		slow, err := eng(targetWith(t, name, vm.TierSnapshots)).Run()
 		if err != nil {
 			t.Fatalf("%s (nosnap): %v", name, err)
 		}
@@ -117,19 +118,20 @@ func TestStuckAtSnapshotDifferential(t *testing.T) {
 func TestStuckAtConvergeDifferential(t *testing.T) {
 	earlyExits := 0
 	for _, name := range []string{"CRC32", "sha", "histo", "qsort"} {
-		spec := core.StuckAtSpec{
-			Target: target(t, name),
-			Window: core.Win(100),
-			N:      60,
-			Seed:   11,
-			Record: true,
+		eng := func(tg *core.Target) *core.Engine {
+			return &core.Engine{
+				Target: tg,
+				Model:  &core.StuckAtModel{Spec: &core.StuckAtSpec{Window: core.Win(100)}},
+				N:      60,
+				Seed:   11,
+				Record: true,
+			}
 		}
-		fast, err := core.RunStuckAt(spec)
+		fast, err := eng(target(t, name)).Run()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		spec.Target = targetWith(t, name, vm.TierConverge)
-		slow, err := core.RunStuckAt(spec)
+		slow, err := eng(targetWith(t, name, vm.TierConverge)).Run()
 		if err != nil {
 			t.Fatalf("%s (noconverge): %v", name, err)
 		}
@@ -150,21 +152,29 @@ func TestStuckAtConvergeDifferential(t *testing.T) {
 	}
 }
 
-// TestStuckAtValidationErrors checks spec validation.
+// TestStuckAtValidationErrors checks campaign validation.
 func TestStuckAtValidationErrors(t *testing.T) {
 	tg := target(t, "CRC32")
-	bad := []core.StuckAtSpec{
-		{Window: core.Win(100), N: 1},                          // no target
-		{Target: tg, Window: core.Win(100)},                    // no N
-		{Target: tg, Window: core.WinSize{Lo: 5, Hi: 2}, N: 1}, // bad range
+	model := func(w core.WinSize) core.FaultModel {
+		return &core.StuckAtModel{Spec: &core.StuckAtSpec{Window: w}}
 	}
-	for i, spec := range bad {
-		if _, err := core.RunStuckAt(spec); err == nil {
-			t.Errorf("spec %d accepted, want error", i)
+	bad := []*core.Engine{
+		{Model: model(core.Win(100)), N: 1},                          // no target
+		{Target: tg, Model: model(core.Win(100))},                    // no N
+		{Target: tg, Model: model(core.WinSize{Lo: 5, Hi: 2}), N: 1}, // bad range
+	}
+	for i, e := range bad {
+		if _, err := e.Run(); err == nil {
+			t.Errorf("campaign %d accepted, want error", i)
 		}
 	}
 	// The zero window defaults rather than erroring.
-	if _, err := core.RunStuckAt(core.StuckAtSpec{Target: tg, N: 10, Seed: 1}); err != nil {
+	if _, err := (&core.Engine{
+		Target: tg,
+		Model:  &core.StuckAtModel{Spec: &core.StuckAtSpec{}},
+		N:      10,
+		Seed:   1,
+	}).Run(); err != nil {
 		t.Errorf("defaulted window rejected: %v", err)
 	}
 }

@@ -198,9 +198,8 @@ func (t *Target) Candidates(tech Technique) uint64 {
 
 // Classify maps a run result to the paper's outcome categories (§III-E)
 // with the default exact-output classifier. Campaigns that want a
-// different output judgement set Engine.Classifier (or the Classifier
-// field of their spec) instead; this method is the back-compat
-// shorthand for the default.
+// different output judgement set Engine.Classifier instead; this method
+// is the back-compat shorthand for the default.
 func (t *Target) Classify(res *vm.Result) Outcome {
 	return ExactClassifier{}.Classify(t.Golden, res)
 }

@@ -9,14 +9,16 @@ import (
 
 func TestTrapCountsMatchExceptionTotal(t *testing.T) {
 	tg := target(t, "qsort")
-	res, err := core.RunCampaign(core.CampaignSpec{
-		Target:    tg,
-		Technique: core.InjectOnRead,
-		Config:    core.SingleBit(),
-		N:         400,
-		Seed:      2,
-		Record:    true,
-	})
+	res, err := (&core.Engine{
+		Target: tg,
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnRead,
+			Config:    core.SingleBit(),
+		}},
+		N:      400,
+		Seed:   2,
+		Record: true,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +55,15 @@ func TestMisalignedTrapsOccurSomewhere(t *testing.T) {
 	// flips must land in an address's low bits and raise the misaligned
 	// trap — the class the alignment ablation toggles.
 	tg := target(t, "CRC32")
-	res, err := core.RunCampaign(core.CampaignSpec{
-		Target:    tg,
-		Technique: core.InjectOnRead,
-		Config:    core.SingleBit(),
-		N:         4000,
-		Seed:      6,
-	})
+	res, err := (&core.Engine{
+		Target: tg,
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnRead,
+			Config:    core.SingleBit(),
+		}},
+		N:    4000,
+		Seed: 6,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,20 +40,21 @@ func TestMemFaultCompileDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, bits := range []int{1, 3, 8} {
-			spec := memfault.Spec{
-				Target:  target,
-				Bits:    bits,
-				N:       50,
-				Seed:    23,
-				Workers: 1,
-				Record:  true,
+			eng := func(tg *core.Target) *core.Engine {
+				return &core.Engine{
+					Target:  tg,
+					Model:   &memfault.Model{Bits: bits},
+					N:       50,
+					Seed:    23,
+					Workers: 1,
+					Record:  true,
+				}
 			}
-			fast, err := memfault.Run(spec)
+			fast, err := eng(target).Run()
 			if err != nil {
 				t.Fatalf("%s bits=%d: %v", name, bits, err)
 			}
-			spec.Target = off
-			slow, err := memfault.Run(spec)
+			slow, err := eng(off).Run()
 			if err != nil {
 				t.Fatalf("%s bits=%d (nocompile): %v", name, bits, err)
 			}

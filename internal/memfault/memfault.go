@@ -25,80 +25,28 @@ import (
 	"multiflip/internal/xrand"
 )
 
-// Spec describes a memory-fault campaign.
-type Spec struct {
-	// Target is the prepared workload.
-	Target *core.Target
+// Model is the memory-word fault class expressed as an engine
+// FaultModel: k distinct bits of one uniformly drawn 64-bit global word
+// flipped at a uniformly sampled dynamic instant. A memory-fault
+// campaign is a core.Engine with this model; its experiment records'
+// Cand is the corruption instant.
+type Model struct {
 	// Bits is the number of distinct bits flipped in one 64-bit word.
 	// 1 and 2 model faults ECC would catch (baseline); >= 3 model the
 	// ECC-escaping faults the paper's future work targets.
 	Bits int
-	// N is the number of experiments.
-	N int
-	// Seed makes the campaign reproducible.
-	Seed uint64
-	// HangFactor scales the hang budget (0 = core.DefaultHangFactor).
-	HangFactor uint64
-	// Workers bounds parallelism (0 = GOMAXPROCS).
-	Workers int
-	// Record keeps per-experiment records in the result.
-	Record bool
-	// Classifier judges golden-vs-actual output when classifying
-	// outcomes (nil = core.ExactClassifier).
-	Classifier core.Classifier
-	// OnFailure decides what happens to an experiment that fails or
-	// panics at every supervision tier (core.FailFast aborts,
-	// core.Quarantine poisons and keeps draining).
-	OnFailure core.FailurePolicy
-	// Service, when set (and naming a journal or directory), runs the
-	// campaign as a durable job (see core.Service).
-	Service *core.Service
-}
-
-// validate checks the engine-level fields; the model-level checks (bit
-// count, global segment size) run once inside core.Engine.Run via
-// Model.Validate.
-func (s *Spec) validate() error {
-	if s.Target == nil {
-		return fmt.Errorf("memfault: campaign needs a target")
-	}
-	if s.N <= 0 {
-		return fmt.Errorf("memfault: campaign needs N > 0")
-	}
-	return nil
-}
-
-// Result aggregates a memory-fault campaign.
-type Result struct {
-	// Spec echoes the campaign parameters.
-	Spec Spec
-	// EngineResult holds the outcome tally, histograms, early-exit
-	// counters and (when Spec.Record is set) the per-experiment records,
-	// whose Cand is the corruption instant.
-	core.EngineResult
-}
-
-// Model is the memory-word fault class expressed as an engine FaultModel:
-// k distinct bits of one uniformly drawn 64-bit global word flipped at a
-// uniformly sampled dynamic instant. Run wraps it; the type is exported
-// so the engine seam tests — and campaigns composed directly on
-// core.Engine — can construct it.
-type Model struct {
-	// Spec supplies the flip count; its engine-level fields (N, Seed,
-	// Workers, ...) are ignored here.
-	Spec *Spec
 }
 
 // Prefix implements core.FaultModel.
 func (m *Model) Prefix() string { return "memfault" }
 
 // Describe implements core.FaultModel.
-func (m *Model) Describe() string { return fmt.Sprintf("memfault bits=%d", m.Spec.Bits) }
+func (m *Model) Describe() string { return fmt.Sprintf("memfault bits=%d", m.Bits) }
 
 // Validate implements core.FaultModel.
 func (m *Model) Validate(t *core.Target, n int) error {
-	if m.Spec.Bits < 1 || m.Spec.Bits > 64 {
-		return fmt.Errorf("memfault: bits must be in [1,64], got %d", m.Spec.Bits)
+	if m.Bits < 1 || m.Bits > 64 {
+		return fmt.Errorf("memfault: bits must be in [1,64], got %d", m.Bits)
 	}
 	if len(t.Prog.Globals) < 8 {
 		return fmt.Errorf("memfault: target %s has no global words", t.Name)
@@ -116,7 +64,7 @@ func (m *Model) Plan(t *core.Target, idx uint64, rng *xrand.Rand) core.Injection
 	flip := vm.MemFlip{
 		AtDyn: rng.Uint64n(t.GoldenDyn),
 		Word:  rng.Uint64n(words) * 8,
-		Mask:  rng.DistinctBits(m.Spec.Bits, 64),
+		Mask:  rng.DistinctBits(m.Bits, 64),
 	}
 	return core.Injection{
 		Cand:     flip.AtDyn,
@@ -130,28 +78,4 @@ func (m *Model) Plan(t *core.Target, idx uint64, rng *xrand.Rand) core.Injection
 // = 1) reports its bit position and direction like a register flip.
 func (m *Model) Record(exp *core.Experiment, res *vm.Result) {
 	core.RecordFlipMeta(exp, res)
-}
-
-// Run executes the campaign on the shared experiment engine. Like
-// register campaigns, results are reproducible for any worker count.
-func Run(spec Spec) (*Result, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	er, err := (&core.Engine{
-		Target:        spec.Target,
-		Model:         &Model{Spec: &spec},
-		N:             spec.N,
-		Seed:          spec.Seed,
-		HangFactor:    spec.HangFactor,
-		Workers:       spec.Workers,
-		Record:        spec.Record,
-		Classifier:    spec.Classifier,
-		FailurePolicy: spec.OnFailure,
-		Service:       spec.Service,
-	}).Run()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Spec: spec, EngineResult: *er}, nil
 }

@@ -35,7 +35,7 @@ func targetWith(t *testing.T, name string, disable vm.Tiers) *core.Target {
 // dimensional tallies, the trap and crash histograms and (with
 // wantEarly, for runs whose early-exit split is deterministic) the
 // early-exit counters.
-func sameResult(t *testing.T, label string, want, got *memfault.Result, wantEarly bool) {
+func sameResult(t *testing.T, label string, want, got *core.EngineResult, wantEarly bool) {
 	t.Helper()
 	if want.Counts != got.Counts || want.Dims != got.Dims {
 		t.Errorf("%s: tallies differ: %v vs %v", label, want.Counts, got.Counts)
@@ -60,7 +60,12 @@ func sameResult(t *testing.T, label string, want, got *memfault.Result, wantEarl
 
 func TestRunBasic(t *testing.T) {
 	tg := target(t, "CRC32")
-	res, err := memfault.Run(memfault.Spec{Target: tg, Bits: 3, N: 300, Seed: 1})
+	res, err := (&core.Engine{
+		Target: tg,
+		Model:  &memfault.Model{Bits: 3},
+		N:      300,
+		Seed:   1,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +86,13 @@ func TestRunBasic(t *testing.T) {
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	tg := target(t, "histo")
 	run := func(workers int) [core.NumOutcomes + 1]int {
-		res, err := memfault.Run(memfault.Spec{
-			Target: tg, Bits: 3, N: 200, Seed: 9, Workers: workers,
-		})
+		res, err := (&core.Engine{
+			Target:  tg,
+			Model:   &memfault.Model{Bits: 3},
+			N:       200,
+			Seed:    9,
+			Workers: workers,
+		}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,11 +108,21 @@ func TestMoreBitsNoFewerSDCsOnAverage(t *testing.T) {
 	// 16-bit word corruption must corrupt output at least as often as a
 	// 1-bit corruption within noise; assert a loose ordering.
 	tg := target(t, "sha")
-	one, err := memfault.Run(memfault.Spec{Target: tg, Bits: 1, N: 400, Seed: 4})
+	one, err := (&core.Engine{
+		Target: tg,
+		Model:  &memfault.Model{Bits: 1},
+		N:      400,
+		Seed:   4,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := memfault.Run(memfault.Spec{Target: tg, Bits: 16, N: 400, Seed: 4})
+	many, err := (&core.Engine{
+		Target: tg,
+		Model:  &memfault.Model{Bits: 16},
+		N:      400,
+		Seed:   4,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +134,15 @@ func TestMoreBitsNoFewerSDCsOnAverage(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	tg := target(t, "CRC32")
-	bad := []memfault.Spec{
-		{Bits: 3, N: 10},              // no target
-		{Target: tg, Bits: 0, N: 10},  // bits too small
-		{Target: tg, Bits: 65, N: 10}, // bits too large
-		{Target: tg, Bits: 3, N: 0},   // no N
+	bad := []*core.Engine{
+		{Model: &memfault.Model{Bits: 3}, N: 10},              // no target
+		{Target: tg, Model: &memfault.Model{Bits: 0}, N: 10},  // bits too small
+		{Target: tg, Model: &memfault.Model{Bits: 65}, N: 10}, // bits too large
+		{Target: tg, Model: &memfault.Model{Bits: 3}, N: 0},   // no N
 	}
-	for i, s := range bad {
-		if _, err := memfault.Run(s); err == nil {
-			t.Errorf("spec %d accepted", i)
+	for i, e := range bad {
+		if _, err := e.Run(); err == nil {
+			t.Errorf("campaign %d accepted", i)
 		}
 	}
 }

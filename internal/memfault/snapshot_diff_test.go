@@ -32,19 +32,20 @@ func TestMemFaultSnapshotDifferential(t *testing.T) {
 		}
 		replay := targetWith(t, name, vm.TierSnapshots)
 		for _, bits := range diffBits {
-			spec := memfault.Spec{
-				Target: tg,
-				Bits:   bits,
-				N:      n,
-				Seed:   seed,
-				Record: true,
+			eng := func(tg *core.Target) *core.Engine {
+				return &core.Engine{
+					Target: tg,
+					Model:  &memfault.Model{Bits: bits},
+					N:      n,
+					Seed:   seed,
+					Record: true,
+				}
 			}
-			fast, err := memfault.Run(spec)
+			fast, err := eng(tg).Run()
 			if err != nil {
 				t.Fatalf("%s bits=%d: %v", name, bits, err)
 			}
-			spec.Target = replay
-			slow, err := memfault.Run(spec)
+			slow, err := eng(replay).Run()
 			if err != nil {
 				t.Fatalf("%s bits=%d (no snapshots): %v", name, bits, err)
 			}
@@ -76,15 +77,19 @@ func TestMemFaultSnapshotIntervalInvariance(t *testing.T) {
 		{SnapshotInterval: 800},
 		{SnapshotInterval: 1 << 30}, // beyond the golden run: no snapshots land
 	}
-	var baseline *memfault.Result
+	var baseline *core.EngineResult
 	for i, topts := range variants {
 		tg, err := core.NewTargetOpts("CRC32", p, topts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := memfault.Run(memfault.Spec{
-			Target: tg, Bits: 3, N: n, Seed: seed, Record: true,
-		})
+		res, err := (&core.Engine{
+			Target: tg,
+			Model:  &memfault.Model{Bits: 3},
+			N:      n,
+			Seed:   seed,
+			Record: true,
+		}).Run()
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}

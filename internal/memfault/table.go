@@ -10,7 +10,9 @@ import (
 
 // SweepTable runs memory-fault campaigns over a list of per-word flip
 // counts and renders the outcome mix per count — the extension study's
-// equivalent of Fig 2 for memory words.
+// equivalent of Fig 2 for memory words. The campaigns run with the
+// Engine's defaults: GOMAXPROCS workers, the exact classifier,
+// core.FailFast and no journal.
 func SweepTable(target *core.Target, bitsList []int, n int, seed uint64) (*report.Table, error) {
 	t := &report.Table{
 		Title: fmt.Sprintf("Extension: multi-bit faults in memory words (%s, n=%d per row)",
@@ -18,12 +20,7 @@ func SweepTable(target *core.Target, bitsList []int, n int, seed uint64) (*repor
 		Columns: []string{"bits/word", "ECC outcome", "Benign%", "Detection%", "SDC%"},
 	}
 	for _, bits := range bitsList {
-		res, err := Run(Spec{
-			Target: target,
-			Bits:   bits,
-			N:      n,
-			Seed:   seed,
-		})
+		res, err := (&core.Engine{Target: target, Model: &Model{Bits: bits}, N: n, Seed: seed}).Run()
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,9 @@ import (
 // simulator: the hang watchdog budget (LLFI: 1-2 orders of magnitude over
 // fault-free time) and whether unaligned accesses trap. The ablations
 // quantify how sensitive the headline metric (single-bit SDC%) is to those
-// choices.
+// choices. They take no study Options: their campaigns run with the
+// Engine's defaults (GOMAXPROCS workers, the exact classifier,
+// core.FailFast, no journal) on targets with every tier on.
 
 // HangFactorAblation runs single-bit campaigns on one program under
 // several hang budgets and reports the outcome mix per factor.
@@ -29,14 +31,13 @@ func HangFactorAblation(name string, tech core.Technique, n int, seed uint64, fa
 		Columns: []string{"hang factor", "Benign%", "Detection%", "Hang%", "SDC%"},
 	}
 	for _, factor := range factors {
-		res, err := core.RunCampaign(core.CampaignSpec{
+		res, err := (&core.Engine{
 			Target:     target,
-			Technique:  tech,
-			Config:     core.SingleBit(),
+			Model:      singleBit(tech),
 			N:          n,
 			Seed:       seed,
 			HangFactor: factor,
-		})
+		}).Run()
 		if err != nil {
 			return nil, err
 		}
@@ -63,14 +64,13 @@ func AlignmentAblation(name string, tech core.Technique, n int, seed uint64) (*r
 		Columns: []string{"alignment trap", "Benign%", "Detection%", "SDC%"},
 	}
 	for _, disable := range []bool{false, true} {
-		res, err := core.RunCampaign(core.CampaignSpec{
+		res, err := (&core.Engine{
 			Target:      target,
-			Technique:   tech,
-			Config:      core.SingleBit(),
+			Model:       singleBit(tech),
 			N:           n,
 			Seed:        seed,
 			NoAlignTrap: disable,
-		})
+		}).Run()
 		if err != nil {
 			return nil, err
 		}
@@ -86,6 +86,11 @@ func AlignmentAblation(name string, tech core.Technique, n int, seed uint64) (*r
 	t.Notes = append(t.Notes,
 		"With the trap off, corrupted low address bits silently read/write skewed data instead of raising an exception, shifting Detection toward SDC/Benign.")
 	return t, nil
+}
+
+// singleBit returns the single bit-flip model under a technique.
+func singleBit(tech core.Technique) *core.RegisterModel {
+	return &core.RegisterModel{Spec: &core.CampaignSpec{Technique: tech, Config: core.SingleBit()}}
 }
 
 // buildTarget builds and profiles a benchmark by name, without the

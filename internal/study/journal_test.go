@@ -1,9 +1,11 @@
 package study_test
 
 import (
+	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"multiflip/internal/core"
@@ -102,19 +104,7 @@ func TestStudyJournaledMatchesInMemory(t *testing.T) {
 						t.Errorf("%s %s: transition matrices differ", name, tech)
 					}
 				}
-				sameCampaign(t, name+" stuck-at", &want.StuckAt.EngineResult, &got.StuckAt.EngineResult)
-				// The study keeps no Service, so each program's memos are
-				// freed once its last campaign ends.
-				for _, tech := range core.Techniques() {
-					for _, r := range append([]*core.CampaignResult{got.Single[tech]}, got.Multi[tech]...) {
-						if r.Spec.Service != nil {
-							t.Errorf("%s %s %s: result keeps the program's Service", name, tech, r.Spec.Config)
-						}
-					}
-				}
-				if got.StuckAt.Spec.Service != nil {
-					t.Errorf("%s stuck-at: result keeps the program's Service", name)
-				}
+				sameCampaign(t, name+" stuck-at", want.StuckAt, got.StuckAt)
 			}
 		})
 	}
@@ -175,5 +165,75 @@ func TestRunFailsFastThroughPool(t *testing.T) {
 	}
 	if n := campaignFiles(t, opts.JournalDir); n == 0 || n > opts.Workers {
 		t.Errorf("%d campaign journals after the failure, want 1 to %d", n, opts.Workers)
+	}
+}
+
+// countingClassifier is the exact classifier, counting its calls.
+type countingClassifier struct{ calls *atomic.Int64 }
+
+func (countingClassifier) Name() string { return "counting" }
+
+func (c countingClassifier) Classify(golden []byte, res *vm.Result) core.Outcome {
+	c.calls.Add(1)
+	return core.ExactClassifier{}.Classify(golden, res)
+}
+
+// multiBitPanicClassifier fails every experiment that flipped two bits
+// or more, at every supervision tier, and counts the experiments it
+// classifies.
+type multiBitPanicClassifier struct{ countingClassifier }
+
+func (c multiBitPanicClassifier) Classify(golden []byte, res *vm.Result) core.Outcome {
+	if res.Injected >= 2 {
+		panic("multi-bit boom")
+	}
+	return c.countingClassifier.Classify(golden, res)
+}
+
+// TestRunInterruptsRunningCampaigns checks that a failing campaign stops
+// the campaigns already running. On two workers the read single-bit and
+// multi-bit campaigns start together and the multi-bit one fails at
+// once; the single-bit one must then stop long before its N experiments
+// instead of running to its end, and the study must return the
+// multi-bit campaign's error, not the interrupt.
+func TestRunInterruptsRunningCampaigns(t *testing.T) {
+	const n = 20000
+	var calls atomic.Int64
+	_, err := study.Run(study.Options{
+		N:          n,
+		Seed:       1,
+		Programs:   []string{"CRC32"},
+		MaxMBFs:    []int{30},
+		WinSizes:   []core.WinSize{core.Win(0)},
+		NoStuckAt:  true,
+		Workers:    2,
+		Classifier: multiBitPanicClassifier{countingClassifier{&calls}},
+	})
+	if err == nil || errors.Is(err, core.ErrInterrupted) || !strings.Contains(err.Error(), "multi-bit boom") {
+		t.Fatalf("error %v, want the multi-bit campaign's failure", err)
+	}
+	if c := calls.Load(); c >= n/4 {
+		t.Errorf("%d experiments classified, want far fewer than the single-bit campaign's %d", c, n)
+	}
+}
+
+// TestTransitionsUseStudyClassifier checks that the transition reruns
+// classify with the study's classifier, like the single-bit campaigns
+// whose outcomes they are compared with.
+func TestTransitionsUseStudyClassifier(t *testing.T) {
+	var calls atomic.Int64
+	opts := tinyOpts()
+	opts.NoStuckAt = true
+	opts.Classifier = countingClassifier{&calls}
+	s, err := study.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := calls.Load()
+	if _, err := s.RunTransitions(); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() == before {
+		t.Error("the transition reruns classified no experiment with the study's classifier")
 	}
 }

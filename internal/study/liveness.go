@@ -39,25 +39,17 @@ func LivenessPredictionTable(names []string, n int, seed uint64) (*report.Table,
 			return nil, err
 		}
 		for _, tech := range core.Techniques() {
-			spec := core.CampaignSpec{
-				Target:    executed,
-				Technique: tech,
-				Config:    core.SingleBit(),
-				N:         n,
-				Seed:      seed,
-				Record:    true,
-			}
-			measured, err := core.RunCampaign(spec)
+			model := singleBit(tech)
+			measured, err := (&core.Engine{Target: executed, Model: model, N: n, Seed: seed, Record: true}).Run()
 			if err != nil {
 				return nil, err
 			}
-			model := &core.RegisterModel{Spec: &spec}
 			var sp core.StaticPredictor = model
 			predicted, benign, mismatches := 0, 0, 0
 			for idx := uint64(0); idx < uint64(n); idx++ {
 				// Replay the engine's per-experiment derivation exactly:
 				// private stream from (Seed, idx), then the model's plan.
-				rng := xrand.ForExperiment(spec.Seed, idx)
+				rng := xrand.ForExperiment(seed, idx)
 				inj := model.Plan(target, idx, rng)
 				exp, ok := sp.PredictStatic(target, &inj)
 				if !ok {

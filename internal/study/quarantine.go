@@ -45,7 +45,7 @@ func (s *Study) quarantined() []quarRow {
 			}
 		}
 		if d.StuckAt != nil {
-			add(name, fmt.Sprintf("stuck-at win=%s", d.StuckAt.Spec.Window), d.StuckAt.Quarantined)
+			add(name, fmt.Sprintf("stuck-at win=%s", s.Opts.StuckAtWindow), d.StuckAt.Quarantined)
 		}
 	}
 	return rows

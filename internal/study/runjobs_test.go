@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"multiflip/internal/core"
 )
 
 // TestRunJobsShares checks the split of workers between jobs: every job
@@ -27,7 +29,7 @@ func TestRunJobsShares(t *testing.T) {
 		)
 		jobs := make([]job, tc.jobs)
 		for i := range jobs {
-			jobs[i] = job{run: func(each int) error {
+			jobs[i] = job{run: func(each int, _ func(*core.Engine)) error {
 				mu.Lock()
 				running++
 				busy += each
@@ -81,7 +83,7 @@ func TestRunJobsLogsInListOrder(t *testing.T) {
 		jobs []job
 	)
 	for i := range 30 {
-		j := job{run: func(int) error {
+		j := job{run: func(int, func(*core.Engine)) error {
 			time.Sleep(time.Duration(i%4) * time.Millisecond)
 			return nil
 		}}
@@ -110,9 +112,9 @@ func TestRunJobsFirstErrorInListOrder(t *testing.T) {
 		log  bytes.Buffer
 	)
 	jobs := []job{
-		{run: func(int) error { <-failed; return first }},
-		{run: func(int) error { close(failed); return second }},
-		{log: "late", run: func(int) error { late.Store(true); return nil }},
+		{run: func(int, func(*core.Engine)) error { <-failed; return first }},
+		{run: func(int, func(*core.Engine)) error { close(failed); return second }},
+		{log: "late", run: func(int, func(*core.Engine)) error { late.Store(true); return nil }},
 	}
 	if err := runJobs(2, &log, jobs); err != first {
 		t.Errorf("error %v, want %v", err, first)
@@ -129,7 +131,7 @@ func TestRunJobsReleasesJobs(t *testing.T) {
 	freed := make(chan struct{})
 	jobs := []job{
 		capturing(freed),
-		{run: func(int) error {
+		{run: func(int, func(*core.Engine)) error {
 			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
 				runtime.GC()
 				select {
@@ -151,7 +153,7 @@ func TestRunJobsReleasesJobs(t *testing.T) {
 func capturing(freed chan struct{}) job {
 	obj := new([1024]byte)
 	runtime.SetFinalizer(obj, func(*[1024]byte) { close(freed) })
-	return job{run: func(int) error {
+	return job{run: func(int, func(*core.Engine)) error {
 		obj[0]++
 		return nil
 	}}

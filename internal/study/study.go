@@ -6,6 +6,7 @@
 package study
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -17,7 +18,12 @@ import (
 	"multiflip/internal/xrand"
 )
 
-// Options configures a study run.
+// Options configures a study run: the campaign grid Run executes and
+// the transition reruns of RunTransitions. HangFactorAblation,
+// AlignmentAblation, LivenessPredictionTable and memfault.SweepTable
+// take no Options: whatever these say, they run with GOMAXPROCS
+// workers, the exact classifier, core.FailFast and no journal, and the
+// ablations on targets with every tier on.
 type Options struct {
 	// N is the number of experiments per campaign. The paper uses 10,000;
 	// smaller values trade confidence-interval width for wall-clock time.
@@ -44,8 +50,7 @@ type Options struct {
 	// between them, so at most Workers experiments run at once. Results
 	// do not depend on it; Workers 1 runs the campaigns one after another
 	// in grid order. When a campaign fails under core.FailFast no further
-	// campaign starts, but Run returns only once the campaigns already
-	// running (up to Workers-1 of them) have ended.
+	// campaign starts, and the campaigns already running are interrupted.
 	Workers int
 	// HangFactor scales the hang budget (0 = core.DefaultHangFactor).
 	HangFactor uint64
@@ -60,10 +65,9 @@ type Options struct {
 	Classifier core.Classifier
 	// OnFailure decides what happens to an experiment that fails or
 	// panics at every supervision tier, in every campaign of the study:
-	// core.FailFast (default) aborts the study once the campaigns
-	// already running end (see Workers), core.Quarantine poisons the
-	// experiment and keeps draining (quarantined experiments then render
-	// in their own table).
+	// core.FailFast (default) aborts the study (see Workers),
+	// core.Quarantine poisons the experiment and keeps draining
+	// (quarantined experiments then render in their own table).
 	OnFailure core.FailurePolicy
 	// JournalDir, when set, runs every campaign as a durable journaled
 	// job under this directory: campaigns checkpoint per shard, a killed
@@ -92,6 +96,22 @@ func (o Options) service() *core.Service {
 		return nil
 	}
 	return &core.Service{Dir: o.JournalDir, Resume: o.Resume}
+}
+
+// engine returns one of the study's campaigns: n experiments of model m
+// on target t under the study's hang budget, classifier and failure
+// policy, journaled through svc unless it is nil.
+func (o Options) engine(t *core.Target, m core.FaultModel, n int, seed uint64, svc *core.Service) *core.Engine {
+	return &core.Engine{
+		Target:        t,
+		Model:         m,
+		N:             n,
+		Seed:          seed,
+		HangFactor:    o.HangFactor,
+		Classifier:    o.Classifier,
+		FailurePolicy: o.OnFailure,
+		Service:       svc,
+	}
 }
 
 func (o Options) withDefaults() Options {
@@ -124,8 +144,8 @@ type ProgData struct {
 	// order (max-MBF major, win-size minor).
 	Multi map[core.Technique][]*core.CampaignResult
 	// StuckAt is the stuck-at extension campaign: one register bit held
-	// at 0/1 across every read in the configured window.
-	StuckAt *core.StuckAtResult
+	// at 0/1 across every read in the Options.StuckAtWindow window.
+	StuckAt *core.EngineResult
 }
 
 // MultiByConfig returns the campaign for a configuration, or nil.
@@ -191,7 +211,7 @@ func Run(opts Options) (*Study, error) {
 	targets := make([]*core.Target, len(benches))
 	prepare := make([]job, len(benches))
 	for i, b := range benches {
-		prepare[i] = job{run: func(int) error {
+		prepare[i] = job{run: func(int, func(*core.Engine)) error {
 			p, err := b.Build()
 			if err != nil {
 				return fmt.Errorf("study: build %s: %w", b.Name, err)
@@ -237,28 +257,18 @@ func programJobs(opts Options, name string, d *ProgData, mu *sync.Mutex) []job {
 	grid := len(opts.MaxMBFs) * len(opts.WinSizes)
 	var jobs []job
 	flip := func(log string, tech core.Technique, cfg core.Config, record bool, store func(*core.CampaignResult)) {
-		jobs = append(jobs, job{log: log, run: func(workers int) error {
-			res, err := core.RunCampaign(core.CampaignSpec{
-				Target:     d.Target,
-				Technique:  tech,
-				Config:     cfg,
-				N:          opts.N,
-				Seed:       campaignSeed(opts.Seed, name, tech, cfg),
-				HangFactor: opts.HangFactor,
-				Workers:    workers,
-				Record:     record,
-				Classifier: opts.Classifier,
-				OnFailure:  opts.OnFailure,
-				Service:    svc,
-			})
+		jobs = append(jobs, job{log: log, run: func(workers int, start func(*core.Engine)) error {
+			spec := core.CampaignSpec{Technique: tech, Config: cfg}
+			seed := campaignSeed(opts.Seed, name, tech, cfg)
+			e := opts.engine(d.Target, &core.RegisterModel{Spec: &spec}, opts.N, seed, svc)
+			e.Workers, e.Record = workers, record
+			start(e)
+			res, err := e.Run()
 			if err != nil {
 				return err
 			}
-			// The result echoes its spec; without the Service in it, the
-			// program's memos are freed with its last campaign.
-			res.Spec.Service = nil
 			mu.Lock()
-			store(res)
+			store(&core.CampaignResult{Spec: spec, EngineResult: *res})
 			mu.Unlock()
 			return nil
 		}})
@@ -280,22 +290,15 @@ func programJobs(opts Options, name string, d *ProgData, mu *sync.Mutex) []job {
 	// The stuck-at extension rides the same engine: one campaign per
 	// program, anchored in the inject-on-read candidate space.
 	log := fmt.Sprintf("%s stuck-at: window %s (n=%d)", name, opts.StuckAtWindow, opts.N)
-	return append(jobs, job{log: log, run: func(workers int) error {
-		res, err := core.RunStuckAt(core.StuckAtSpec{
-			Target:     d.Target,
-			Window:     opts.StuckAtWindow,
-			N:          opts.N,
-			Seed:       stuckSeed(opts.Seed, name, opts.StuckAtWindow),
-			HangFactor: opts.HangFactor,
-			Workers:    workers,
-			Classifier: opts.Classifier,
-			OnFailure:  opts.OnFailure,
-			Service:    svc,
-		})
+	return append(jobs, job{log: log, run: func(workers int, start func(*core.Engine)) error {
+		m := &core.StuckAtModel{Spec: &core.StuckAtSpec{Window: opts.StuckAtWindow}}
+		e := opts.engine(d.Target, m, opts.N, stuckSeed(opts.Seed, name, opts.StuckAtWindow), svc)
+		e.Workers = workers
+		start(e)
+		res, err := e.Run()
 		if err != nil {
 			return err
 		}
-		res.Spec.Service = nil
 		mu.Lock()
 		d.StuckAt = res
 		mu.Unlock()
@@ -309,8 +312,10 @@ type job struct {
 	// log, when not empty, is the progress line written as the job
 	// starts; a batch's first campaign carries the batch's line.
 	log string
-	// run runs the job on the given number of engine workers.
-	run func(workers int) error
+	// run runs the job on the given number of engine workers. A campaign
+	// hands its Engine to start before running it, so that runJobs can
+	// interrupt it when another job fails.
+	run func(workers int, start func(*core.Engine)) error
 }
 
 // runJobs runs a list of jobs, starting them in list order, up to
@@ -320,9 +325,10 @@ type job struct {
 // job's log line goes to log as it starts, so the log keeps list order.
 // A job is dropped once it has run, so what it captured (a program's
 // Service and the memos it keeps) is freed with the program's last
-// campaign. After a failure no further job starts, but the jobs already
-// running are waited for; the error returned is that of the first
-// failed job in list order.
+// campaign. After a failure no further job starts, and the campaigns
+// still running are interrupted; the error returned is that of the
+// first failed job in list order, not counting the interrupts runJobs
+// caused.
 func runJobs(workers int, log io.Writer, jobs []job) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -330,10 +336,11 @@ func runJobs(workers int, log io.Writer, jobs []job) error {
 	inFlight := min(workers, len(jobs))
 	errs := make([]error, len(jobs))
 	var (
-		mu     sync.Mutex // guards next, failed, errs and the log
-		next   int
-		failed bool
-		wg     sync.WaitGroup
+		mu      sync.Mutex // guards next, failed, running, errs and the log
+		next    int
+		failed  bool
+		running = make(map[int]*core.Engine) // the campaigns in flight, by job
+		wg      sync.WaitGroup
 	)
 	// claim hands out the next job. It writes the job's log line under
 	// mu, so the lines keep list order; a slow log delays only the next
@@ -366,11 +373,29 @@ func runJobs(workers int, log io.Writer, jobs []job) error {
 				if i < 0 {
 					return
 				}
-				if err := j.run(each); err != nil {
+				err := j.run(each, func(e *core.Engine) {
 					mu.Lock()
-					errs[i], failed = err, true
-					mu.Unlock()
+					defer mu.Unlock()
+					// A campaign that starts after a failure stops at once.
+					if failed {
+						e.Interrupt()
+					}
+					running[i] = e
+				})
+				mu.Lock()
+				delete(running, i)
+				// Only runJobs interrupts the study's campaigns, and only
+				// after a failure.
+				if err != nil && !(failed && errors.Is(err, core.ErrInterrupted)) {
+					errs[i] = err
+					if !failed {
+						failed = true
+						for _, e := range running {
+							e.Interrupt()
+						}
+					}
 				}
+				mu.Unlock()
 			}
 		}()
 	}

@@ -63,23 +63,17 @@ func (s *Study) runTransitions() (map[string]map[core.Technique]*TransitionResul
 				return nil, err
 			}
 			log := fmt.Sprintf("%s %s: transition rerun at %s", name, tech, best.Config)
-			jobs = append(jobs, job{log: log, run: func(workers int) error {
+			jobs = append(jobs, job{log: log, run: func(workers int, start func(*core.Engine)) error {
 				pins := make([]core.Pin, len(single.Experiments))
 				for i, e := range single.Experiments {
 					pins[i] = core.Pin{Cand: e.Cand, Bit: e.Bit}
 				}
-				pinned, err := core.RunCampaign(core.CampaignSpec{
-					Target:     d.Target,
-					Technique:  tech,
-					Config:     best.Config,
-					Seed:       campaignSeed(s.Opts.Seed, name+"/tran", tech, best.Config),
-					HangFactor: s.Opts.HangFactor,
-					Workers:    workers,
-					Record:     true,
-					Pins:       pins,
-					OnFailure:  s.Opts.OnFailure,
-					Service:    svc,
-				})
+				m := &core.RegisterModel{Spec: &core.CampaignSpec{Technique: tech, Config: best.Config, Pins: pins}}
+				seed := campaignSeed(s.Opts.Seed, name+"/tran", tech, best.Config)
+				e := s.Opts.engine(d.Target, m, len(pins), seed, svc)
+				e.Workers, e.Record = workers, true
+				start(e)
+				pinned, err := e.Run()
 				if err != nil {
 					return err
 				}
