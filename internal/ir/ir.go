@@ -388,7 +388,16 @@ type Program struct {
 	Funcs   []*Func
 	Globals []byte // initial image of the global data segment
 	Main    int    // index into Funcs of the entry point
+
+	maxNR int // largest Instr.NR, cached by Validate
 }
+
+// MaxNR returns the largest register-read count (Instr.NR) of any
+// instruction, as cached by the last successful Validate; zero for a
+// program that has not been validated. No instruction consumes more
+// inject-on-read candidates, so the VM uses it to bound how soon a
+// read-slot index can be reached.
+func (p *Program) MaxNR() int { return p.maxNR }
 
 // FuncByName returns the index of the named function, or -1.
 func (p *Program) FuncByName(name string) int {
@@ -414,18 +423,24 @@ func (p *Program) StaticInstrs() int {
 // arity, widths present where required, and a terminated instruction
 // stream. It also populates the per-instruction caches the VM relies on
 // (Instr.NR, Instr.DW, the dispatch token Instr.Tok, and the
-// superinstruction annotation Instr.FTok), so a hand-assembled Program
-// must pass through Validate before it is run. Programs produced by the
-// builder are validated at Build time.
+// superinstruction annotation Instr.FTok) and the program-wide MaxNR, so a
+// hand-assembled Program must pass through Validate before it is run.
+// Programs produced by the builder are validated at Build time.
 func (p *Program) Validate() error {
+	p.maxNR = 0
 	if p.Main < 0 || p.Main >= len(p.Funcs) {
 		return fmt.Errorf("ir: main index %d out of range (%d funcs)", p.Main, len(p.Funcs))
 	}
+	maxNR := 0
 	for fi, f := range p.Funcs {
 		if err := p.validateFunc(f); err != nil {
 			return fmt.Errorf("ir: func %d (%s): %w", fi, f.Name, err)
 		}
+		for pc := range f.Code {
+			maxNR = max(maxNR, int(f.Code[pc].NR))
+		}
 	}
+	p.maxNR = maxNR
 	return nil
 }
 

@@ -281,3 +281,30 @@ func TestDisassembleSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateCachesMaxNR pins the program-wide read-slot bound the VM's
+// injection horizon divides by: the largest Instr.NR over every function
+// (a call's register arguments count), recomputed by each Validate and
+// zero after a failed one. TestFingerprintStable keeps it out of the
+// fingerprint.
+func TestValidateCachesMaxNR(t *testing.T) {
+	mb := NewModule("maxnr")
+	f := mb.Func("main", 0)
+	a := f.Let(C(1))
+	b := f.Add(a, a)
+	f.Out32(f.Call("wide", a, b, C(3), a))
+	f.RetVoid()
+	w := mb.Func("wide", 4)
+	w.Ret(w.Add(w.Arg(0), w.Arg(1)))
+	p := mb.MustBuild()
+	if got := p.MaxNR(); got != 3 {
+		t.Fatalf("MaxNR = %d, want 3 (the call's register arguments)", got)
+	}
+	p.Funcs[0].Code = p.Funcs[0].Code[:len(p.Funcs[0].Code)-1] // drop the terminator
+	if err := p.Validate(); err == nil {
+		t.Fatal("expected terminator error")
+	}
+	if got := p.MaxNR(); got != 0 {
+		t.Fatalf("MaxNR after a failed Validate = %d, want 0", got)
+	}
+}

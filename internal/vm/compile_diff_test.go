@@ -58,7 +58,9 @@ func TestCompiledKernelsEngage(t *testing.T) {
 // placement and golden-trace fingerprints), cross-tier snapshot resume,
 // register injection plans (both techniques), stuck-at holds, scheduled
 // memory flips and convergence-gated runs all match the interpreter bit
-// for bit.
+// for bit. Plans and holds also match their stepped reference (the same
+// run with CountRoles, which steps every instruction), so the injection
+// horizon both tiers share is checked against execution that has none.
 func TestCompiledDifferential(t *testing.T) {
 	for _, p := range suitePrograms() {
 		p := p
@@ -154,6 +156,14 @@ func TestCompiledDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameResult(t, fmt.Sprintf("plan onWrite=%v compiled vs interpreted", onWrite), a, b)
+				po = hang
+				po.Plan = mkPlan()
+				po.CountRoles = true
+				ref, err := Run(p, po)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameStepped(t, fmt.Sprintf("plan onWrite=%v compiled vs stepped", onWrite), a, ref)
 
 				po = hang
 				po.Plan = mkPlan()
@@ -170,6 +180,7 @@ func TestCompiledDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameResult(t, fmt.Sprintf("plan+trace onWrite=%v compiled vs interpreted", onWrite), ac, bc)
+				sameStepped(t, fmt.Sprintf("plan+trace onWrite=%v compiled vs stepped", onWrite), ac, ref)
 				if ac.Converged != bc.Converged {
 					t.Fatalf("plan onWrite=%v: convergence diverges: %v vs %v", onWrite, ac.Converged, bc.Converged)
 				}
@@ -200,6 +211,14 @@ func TestCompiledDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameResult(t, "stuck-at compiled vs interpreted", sa, sb)
+			po = hang
+			po.Plan = mkStuck()
+			po.CountRoles = true
+			sref, err := Run(p, po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameStepped(t, "stuck-at compiled vs stepped", sa, sref)
 
 			// A scheduled memory flip mid-run.
 			if len(p.Globals) >= 8 {

@@ -8,13 +8,16 @@ package vm
 // tests.
 //
 // The table drives the observer tier (machine.step), which interleaves
-// injection checks between handlers. The fast tier (machine.sprint in
-// vm.go) threads the same tokens through an inline jump table — the
-// handler bodies duplicated or inlined — and also executes the
-// superinstructions an instruction's FTok annotation names: its switch
-// over ir.FuseKind is where fused pairs run in a single dispatch round,
-// gated on the event horizon so no injection, memory flip, or snapshot
-// can fire between the halves.
+// injection checks between handlers: every instruction of a role-counting
+// run, and an armed plan's instructions at its injection horizon
+// (machine.injHorizon), the only places a flip can land. The fast tier
+// (machine.sprint in vm.go) runs everything else, the gaps between an
+// armed plan's injection points included. It threads the same tokens
+// through an inline jump table — the handler bodies duplicated or
+// inlined — and also executes the superinstructions an instruction's
+// FTok annotation names: its switch over ir.FuseKind is where fused pairs
+// run in a single dispatch round, gated on the event horizon so no
+// injection, memory flip, or snapshot can fire between the halves.
 
 import (
 	"encoding/binary"

@@ -161,7 +161,10 @@ func genFuzzProg(data []byte) *ir.Program {
 // budget is always respected, checkpointing never perturbs a run, and
 // resuming from any captured snapshot — fault-free, with a register
 // injection plan, or with a scheduled memory flip — is bit-identical to
-// the corresponding cold start.
+// the corresponding cold start. A register plan also matches its stepped
+// reference (the same run with CountRoles, which steps every
+// instruction), so the injection horizon is checked against execution
+// that has none.
 func FuzzVM(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -296,6 +299,15 @@ func FuzzVM(f *testing.F) {
 			t.Fatalf("plan resumed: %v", err)
 		}
 		sameResult(t, "plan resumed vs cold", pr, ps)
+		*z = zz
+		planStepped := base
+		planStepped.Plan = mkPlan()
+		planStepped.CountRoles = true
+		pst, err := Run(p, planStepped)
+		if err != nil {
+			t.Fatalf("plan stepped: %v", err)
+		}
+		sameStepped(t, "plan cold vs stepped", ps, pst)
 
 		// A scheduled memory flip behaves identically from a cold start and
 		// from a snapshot at or before its instant.

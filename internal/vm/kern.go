@@ -14,13 +14,17 @@ package vm
 //
 // The kernel contract mirrors sprint's: execute from fr.pc with the
 // dynamic, read-slot and write counters in locals, never past the event
-// horizon `lim`, and flush exact counter values on every exit. Unlike
-// sprint, a kernel performs no dispatch at all — blocks are native
-// straight-line code with one horizon check per block, and a stepwise
-// per-instruction path handles blocks the horizon interrupts — so between
-// events the interpreter is escaped entirely. Calls and returns are left
-// to the interpreter (kernOut): frame manipulation is rare, cold, and
-// shared with the observer tier.
+// horizon `lim`, and flush exact counter values on every exit. The
+// horizon includes an armed plan's injection horizon, so kernels also
+// run the gaps between injection points; the instruction where a flip
+// can land is stepped by the observer tier. Unlike sprint, a kernel
+// performs no dispatch at all — blocks are native straight-line code with
+// one horizon check per block, and a stepwise per-instruction path
+// handles blocks the horizon interrupts — so between events the
+// interpreter is escaped entirely. Calls and returns are left to the
+// interpreter (kernOut): frame manipulation is rare, cold, and shared
+// with the observer tier, whose injection checks cannot fire there
+// because the call or return lies before the injection horizon.
 
 import (
 	"sync"

@@ -98,6 +98,48 @@ func (p *Plan) validate() error {
 	return nil
 }
 
+// noInj is the injection horizon of a run with no plan armed.
+const noInj = ^uint64(0)
+
+// injHorizon returns the armed plan's injection horizon: the first
+// dynamic index at which the plan could act. No instruction before it can
+// land a flip or observe a stuck-at hold, so run lets the fast tiers
+// execute up to it, steps the instruction at the horizon through the
+// observer tier, and asks again. The RNG is drawn only when a flip lands,
+// which still happens in step, so the horizon never changes a result.
+//
+//   - Follow-up flips: nothing is due before nextDyn (maybeInjectRead and
+//     maybeInjectWrite skip every earlier instruction).
+//   - A live stuck-at hold observes every read: the horizon is now.
+//   - First inject-on-write flip: an instruction makes at most one write
+//     candidate (a call's result counts at its ret), so FirstCand is at
+//     least FirstCand-writes instructions away.
+//   - First inject-on-read or stuck-at candidate: an instruction consumes
+//     at most MaxNR read slots, and the instruction holding slot FirstCand
+//     starts at most MaxNR-1 slots before it, so it is at least
+//     (FirstCand-readSlots)/MaxNR instructions away.
+//
+// Until the first flip the counters cannot pass FirstCand (restore rejects
+// a snapshot beyond it), so the subtractions do not wrap.
+func (m *machine) injHorizon() uint64 {
+	p := m.plan
+	switch {
+	case m.firstDone && p.Stuck:
+		return m.dyn
+	case m.firstDone:
+		return m.nextDyn
+	case p.OnWrite:
+		return m.dyn + (p.FirstCand - m.writes)
+	}
+	nr := uint64(m.prog.MaxNR())
+	if nr == 0 {
+		// A program that reads no register, or was never validated: step,
+		// as without a horizon.
+		return m.dyn
+	}
+	return m.dyn + (p.FirstCand-m.readSlots)/nr
+}
+
 // maybeInjectRead performs due inject-on-read flips for the instruction at
 // dynamic index di, before it executes. nr is the instruction's register
 // read-slot count.

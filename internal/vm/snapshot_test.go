@@ -18,7 +18,9 @@ import (
 var checkIntervals = []uint64{37, 256, 4096}
 
 // sameResult compares the observable fields of two results (everything
-// except Snapshots, which only a checkpointing run fills).
+// except Snapshots, which only a checkpointing run fills). FirstPre and
+// FirstRole are what campaigns record as an experiment's flip direction
+// and role.
 func sameResult(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if got.Stop != want.Stop || got.Trap != want.Trap {
@@ -31,9 +33,11 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 		t.Fatalf("%s: counters (dyn=%d rs=%d w=%d), want (dyn=%d rs=%d w=%d)", label,
 			got.Dyn, got.ReadSlots, got.Writes, want.Dyn, want.ReadSlots, want.Writes)
 	}
-	if got.Injected != want.Injected || got.FirstBit != want.FirstBit {
-		t.Fatalf("%s: injected=%d firstBit=%d, want injected=%d firstBit=%d", label,
-			got.Injected, got.FirstBit, want.Injected, want.FirstBit)
+	if got.Injected != want.Injected || got.FirstBit != want.FirstBit ||
+		got.FirstPre != want.FirstPre || got.FirstRole != want.FirstRole {
+		t.Fatalf("%s: injected=%d first bit=%d pre=%d role=%v, want injected=%d first bit=%d pre=%d role=%v", label,
+			got.Injected, got.FirstBit, got.FirstPre, got.FirstRole,
+			want.Injected, want.FirstBit, want.FirstPre, want.FirstRole)
 	}
 	if !reflect.DeepEqual(got.InjectionDyns, want.InjectionDyns) {
 		t.Fatalf("%s: injection dyns %v, want %v", label, got.InjectionDyns, want.InjectionDyns)
@@ -41,6 +45,18 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 	if got.ReadRoles != want.ReadRoles || got.WriteRoles != want.WriteRoles {
 		t.Fatalf("%s: role counters differ", label)
 	}
+}
+
+// sameStepped compares a run against its stepped reference: the same
+// options plus CountRoles, which steps every instruction through the
+// observer tier and so never uses an injection horizon. Everything
+// sameResult compares must match except the role tallies, which only the
+// reference fills.
+func sameStepped(t *testing.T, label string, got, ref *Result) {
+	t.Helper()
+	g := *got
+	g.ReadRoles, g.WriteRoles = ref.ReadRoles, ref.WriteRoles
+	sameResult(t, label, &g, ref)
 }
 
 // TestSnapshotRoundTrip proves the core resume property on every workload:

@@ -258,6 +258,11 @@ type Result struct {
 	// after the injections completed with state diverging from golden.
 	PostKeyed bool
 	PostKey   StateKey
+
+	// steps counts the instructions run's observer branch stepped (see
+	// machine.steps); the tests use it to check that an armed plan runs
+	// the fast tiers between its injection points.
+	steps uint64
 }
 
 // frame is one call-stack entry. Register files live in the machine's
@@ -310,11 +315,18 @@ type machine struct {
 	writeRoles [ir.NumSlotRoles]uint64
 
 	plan *Plan
-	// injRead/injWrite gate the per-instruction injection checks; both
-	// drop to false once the plan has performed its last flip, so the
-	// post-injection tail runs at fault-free speed.
+	// injRead/injWrite mark the plan armed: step runs the injection checks
+	// they gate, and run steps only the instructions at or past the
+	// plan's injection horizon (injHorizon), running the fast tiers up to
+	// it. Both drop to false once the plan has performed its last flip;
+	// only then may convergence checks arm.
 	injRead  bool
 	injWrite bool
+	// steps counts the instructions run's observer branch stepped: every
+	// instruction of a role-counting run, and an armed plan's instructions
+	// at its injection horizon. The kernels' call/return punts (kernOut),
+	// which step with or without a plan, are not counted.
+	steps uint64
 	// fuse enables superinstruction execution (see dispatch.go); cleared
 	// when TierFuse is disabled.
 	fuse bool
@@ -583,6 +595,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		Converged:     m.converged,
 		PostKeyed:     m.postKeyed,
 		PostKey:       m.postKey,
+		steps:         m.steps,
 	}
 	if m.rec != nil {
 		m.rec.finalDyn = m.dyn
@@ -675,8 +688,9 @@ func (m *machine) trapOut(k TrapKind) {
 	m.stop = StopTrap
 }
 
-// endPlan marks the injection plan complete, removing its per-instruction
-// checks from the interpreter loop.
+// endPlan marks the injection plan complete: the run stops computing its
+// injection horizon, step drops its injection checks, and convergence
+// checks may arm.
 func (m *machine) endPlan() {
 	m.injRead = false
 	m.injWrite = false
@@ -694,25 +708,30 @@ func val(regs []uint64, o ir.Operand) uint64 {
 //
 // The loop is two-tier. The outer tier handles the events that can fire
 // between instructions — hang budget, snapshot capture, scheduled memory
-// flips — and decides which execution tier the next stretch takes:
+// flips, an armed plan's injection horizon — and decides which execution
+// tier the next stretch takes:
 //
-//   - While any per-instruction observer is armed (an injection plan
-//     still in progress, or role counting), instructions execute one at
-//     a time through step(), which drives the indirect handler table and
-//     interleaves the injection checks exactly as the pre-dispatch-table
-//     interpreter did.
+//   - Role-counting runs, and an armed injection plan at its injection
+//     horizon (injHorizon: the first instruction at which the plan could
+//     act), execute one instruction through step(), which drives the
+//     indirect handler table and interleaves the injection checks and
+//     role tallies. The horizon is recomputed at every stop, so a plan
+//     steps only where a flip can land, plus every instruction of a live
+//     stuck-at hold.
 //   - Otherwise sprint() runs: a tight token-threaded loop that executes
 //     up to the event horizon (the nearest of the hang budget, the next
-//     snapshot and the next memory flip) with no per-instruction event
-//     checks at all, keeping the dynamic and candidate counters in
-//     locals. Superinstructions execute there in a single dispatch
-//     round; the horizon check (at least two instructions of headroom)
-//     guarantees no event can fire between the halves, so fusion never
-//     perturbs snapshot boundaries or flip instants.
+//     snapshot, the next memory flip, the next convergence check and the
+//     injection horizon) with no per-instruction event checks at all,
+//     keeping the dynamic and candidate counters in locals.
+//     Superinstructions execute there in a single dispatch round; the
+//     horizon check (at least two instructions of headroom) guarantees
+//     no event can fire between the halves, so fusion never perturbs
+//     snapshot boundaries or flip instants.
 //
-// Injection plans re-enter the fast tier once complete: endPlan clears
-// the armed flags, so the post-injection tail of every experiment runs at
-// fault-free speed.
+// Convergence checks arm only once the plan has ended (endPlan clears the
+// armed flags), at the first stop after its last flip, which is stepped;
+// so the first check, and the StateKey it takes, do not depend on which
+// tiers ran the injected prefix.
 func (m *machine) run() {
 	fr := &m.frames[len(m.frames)-1]
 	for {
@@ -726,16 +745,22 @@ func (m *machine) run() {
 		if m.dyn >= m.nextMemFlip {
 			m.applyMemFlip(m.dyn)
 		}
-		if m.injRead || m.injWrite || m.countRoles {
+		armed := m.injRead || m.injWrite
+		inj := noInj
+		if armed {
+			inj = m.injHorizon()
+		}
+		if m.countRoles || inj <= m.dyn {
+			m.steps++
 			if fr = m.step(fr); fr == nil {
 				return
 			}
 			continue
 		}
-		// Convergence checks arm once every injection is done (an armed
-		// plan keeps the observer tier above; memory flips are checked
-		// here) and fire at golden-trace boundaries via the event horizon.
-		if m.trace != nil && m.memIdx == len(m.memFlips) {
+		// Convergence checks arm once every injection is done (memory
+		// flips are checked here) and fire at golden-trace boundaries via
+		// the event horizon.
+		if m.trace != nil && !armed && m.memIdx == len(m.memFlips) {
 			if !m.convSched {
 				m.scheduleConv()
 			}
@@ -743,10 +768,11 @@ func (m *machine) run() {
 				return
 			}
 		}
-		// The event horizon: no snapshot, memory flip, convergence check
-		// or hang stop can fire strictly before this dynamic index.
-		// applyMemFlip, takeSnapshot and checkConverge always advance
-		// their cursors past m.dyn, so the execution tiers below make
+		// The event horizon: no snapshot, memory flip, convergence check,
+		// injection or hang stop can fire strictly before this dynamic
+		// index. applyMemFlip, takeSnapshot and checkConverge always
+		// advance their cursors past m.dyn, and an injection horizon at
+		// m.dyn was stepped above, so the execution tiers below make
 		// progress on every outer iteration (m.dyn < limit holds here).
 		limit := m.maxDyn
 		if m.nextSnap < limit {
@@ -757,6 +783,9 @@ func (m *machine) run() {
 		}
 		if m.nextConv < limit {
 			limit = m.nextConv
+		}
+		if inj < limit {
+			limit = inj
 		}
 		// Third tier: the workload's generated native kernel executes to
 		// the horizon with no dispatch at all. Calls and returns punt to
@@ -1198,8 +1227,8 @@ halt:
 // armed: inject-on-read before the instruction consumes its operands,
 // role tallies, and inject-on-write after the destination is written. It
 // returns the frame holding control afterwards, or nil when the run
-// stopped. Events (hang, snapshot, memory flips) are the outer loop's
-// job.
+// stopped. Events (hang, snapshot, memory flips) and the choice of which
+// instructions to step (the injection horizon) are the outer loop's job.
 func (m *machine) step(fr *frame) *frame {
 	di := m.dyn
 	m.dyn++
