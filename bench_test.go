@@ -241,25 +241,17 @@ func BenchmarkMemFaultSweep(b *testing.B) {
 // BenchmarkVMGoldenRun measures raw VM throughput on fault-free runs of
 // three differently shaped workloads, under the default configuration:
 // compiled fast-tier kernels between event horizons, token-threaded
-// dispatch with superinstruction fusion everywhere else.
+// dispatch everywhere else.
 func BenchmarkVMGoldenRun(b *testing.B) {
 	benchVMGoldenRun(b, vm.Options{})
 }
 
 // BenchmarkVMGoldenRunDisableCompile is the compiled-tier ablation: the
 // same runs forced onto the token-threaded interpreter, isolating the
-// fast-tier share of the speedup. The compiled-tier differential tests
-// guarantee both variants produce bit-identical results.
+// fast-tier share of the speedup. The tier contract guarantees both
+// variants produce bit-identical results.
 func BenchmarkVMGoldenRunDisableCompile(b *testing.B) {
 	benchVMGoldenRun(b, vm.Options{Disable: vm.TierCompile})
-}
-
-// BenchmarkVMGoldenRunDisableFuse is the dispatch ablation: the compiled
-// tier off and superinstructions disabled too, isolating the fusion
-// share. (The compiled tier would otherwise mask fusion entirely on
-// these kernel-covered workloads.)
-func BenchmarkVMGoldenRunDisableFuse(b *testing.B) {
-	benchVMGoldenRun(b, vm.Options{Disable: vm.TierCompile | vm.TierFuse})
 }
 
 func benchVMGoldenRun(b *testing.B, opts vm.Options) {

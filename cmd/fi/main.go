@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -75,7 +76,7 @@ func main() {
 	flag.Uint64Var(&o.seed, "seed", 1, "campaign seed (campaigns are exactly reproducible)")
 	flag.Uint64Var(&o.hang, "hang", core.DefaultHangFactor, "hang budget as a multiple of the fault-free dynamic instruction count")
 	flag.IntVar(&o.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	flag.Var(&o.disable, "disable", "comma-separated speed `tiers` to turn off: snapshots, fuse, compile, converge, liveness (results are identical)")
+	flag.Var(&o.disable, "disable", "comma-separated speed `tiers` to turn off: snapshots, compile, converge, liveness (results are identical)")
 	flag.StringVar(&o.classSpec, "classifier", "", `outcome classifier: "exact" (default) or "tol:abs=E,rel=E[,word=4|8][,float]" (tolerant output comparison)`)
 	flag.StringVar(&o.onfailSpec, "onfail", "", `failure policy for experiments failing every supervision tier: "fast" (abort, default) or "quarantine" (poison and keep draining)`)
 	flag.StringVar(&o.journal, "journal", "", "journal directory: run the campaign as a durable sharded job (checkpointed, resumable, multi-process)")
@@ -96,7 +97,7 @@ func run(o options) error {
 		if o.journal == "" {
 			return fmt.Errorf("-status needs -journal DIR")
 		}
-		return runStatus(o.journal)
+		return runStatus(os.Stdout, o.journal)
 	}
 	// Reject a bad model name or window before target preparation:
 	// profiling runs the whole golden run plus snapshot and trace
@@ -203,15 +204,15 @@ func runStuckAt(target *core.Target, win core.WinSize, o options) error {
 	return renderCampaign(title, res)
 }
 
-// runStatus lists every campaign journal in the directory with its shard
-// progress and the running tally over checkpointed shards.
-func runStatus(dir string) error {
+// runStatus writes to w a list of every campaign journal in the directory
+// with its shard progress and the running tally over checkpointed shards.
+func runStatus(w io.Writer, dir string) error {
 	infos, err := core.InspectDir(dir)
 	if err != nil {
 		return err
 	}
 	if len(infos) == 0 {
-		fmt.Printf("no campaign journals in %s\n", dir)
+		fmt.Fprintf(w, "no campaign journals in %s\n", dir)
 		return nil
 	}
 	t := &report.Table{
@@ -257,7 +258,7 @@ func runStatus(dir string) error {
 		"0->1 / 1->0 split checkpointed experiments by flip direction (count and SDC%); journals written before the dimensional tally show \"-\".",
 		"pruned counts experiments classified Benign by the static liveness tier without executing; \"-\" means none (or a journal written before the tier).")
 	t.Notes = append(t.Notes, extra...)
-	return t.Render(os.Stdout)
+	return t.Render(w)
 }
 
 // dirCell renders one flip-direction column of the status table:

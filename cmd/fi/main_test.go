@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -36,8 +38,9 @@ func TestRunRejectsUnknowns(t *testing.T) {
 
 // TestDisableFlag checks the -disable flag: it names tiers the way
 // MULTIFLIP_DISABLE and study.Options.Disable do, rejects unknown names
-// with the valid list, and "snapshots" yields a target that keeps no
-// snapshots but still records the golden trace convergence needs.
+// (the retired "fuse" tier included) with the valid list, and
+// "snapshots" yields a target that keeps no snapshots but still records
+// the golden trace convergence needs.
 func TestDisableFlag(t *testing.T) {
 	o := base()
 	if err := o.disable.Set("snapshots"); err != nil {
@@ -56,7 +59,33 @@ func TestDisableFlag(t *testing.T) {
 	if tg.Trace == nil && !vm.EnvDisabled().Has(vm.TierConverge) {
 		t.Error("-disable snapshots lost the golden trace")
 	}
-	if err := o.disable.Set("snapshot"); err == nil || !strings.Contains(err.Error(), "snapshots, fuse, compile, converge, liveness") {
-		t.Errorf("-disable snapshot: want an error naming the valid tiers, got %v", err)
+	for _, bad := range []string{"snapshot", "fuse"} {
+		if err := o.disable.Set(bad); err == nil || !strings.Contains(err.Error(), "snapshots, compile, converge, liveness") {
+			t.Errorf("-disable %s: want an error naming the valid tiers, got %v", bad, err)
+		}
+	}
+}
+
+// TestStatusRendersRetiredRung renders -status over a journal written
+// when the supervision ladder still had a "nofuse" rung (the fixture of
+// internal/core's TestRetiredRungJournalLoads): its quarantined
+// experiments must still be reported.
+func TestStatusRendersRetiredRung(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "core", "testdata", "nofuse-quarantine.mfj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "campaign-ff630f794b9d72bd.mfj"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := runStatus(&out, dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"2/0/0 of 2", "4/4", "seed=5: 4 experiment(s) quarantined"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-status output misses %q:\n%s", want, out.String())
+		}
 	}
 }

@@ -49,7 +49,7 @@ func main() {
 		verbose     = flag.Bool("v", false, "log campaign progress to stderr")
 	)
 	var disable vm.Tiers
-	flag.Var(&disable, "disable", "comma-separated speed `tiers` to turn off: snapshots, fuse, compile, converge, liveness (results are identical)")
+	flag.Var(&disable, "disable", "comma-separated speed `tiers` to turn off: snapshots, compile, converge, liveness (results are identical)")
 	flag.Parse()
 	if err := run(params{
 		n: *n, seed: *seed, progs: *progs, quick: *quick,

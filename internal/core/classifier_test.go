@@ -12,6 +12,7 @@ import (
 
 	"multiflip/internal/core"
 	"multiflip/internal/memfault"
+	"multiflip/internal/tiercontract"
 	"multiflip/internal/vm"
 )
 
@@ -135,7 +136,7 @@ func TestZeroToleranceMatchesExact(t *testing.T) {
 			if want.Tally != got.Tally {
 				t.Errorf("%s eps-0: tallies differ: %+v vs %+v", m.name, want.Tally, got.Tally)
 			}
-			sameResult(t, m.name+" eps-0", want, got, false)
+			tiercontract.SameResult(t, m.name+" eps-0", want, got, false)
 		})
 	}
 }

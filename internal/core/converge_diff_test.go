@@ -9,91 +9,6 @@ import (
 	"multiflip/internal/vm"
 )
 
-// convergeOn reports whether MULTIFLIP_DISABLE leaves convergence on;
-// "early exits fire" and "targets record a trace" assertions only hold
-// then.
-func convergeOn() bool { return !vm.EnvDisabled().Has(vm.TierConverge) }
-
-// TestCampaignConvergeDifferential enforces the tentpole invariant at the
-// campaign level: for every workload, both techniques and the single- and
-// multi-bit models, a campaign with convergence-gated early termination
-// and fault-equivalence memoization produces experiment records
-// bit-identical to one with both disabled — and the early exits actually
-// fire somewhere across the grid.
-func TestCampaignConvergeDifferential(t *testing.T) {
-	const (
-		n    = 40
-		seed = 4242
-	)
-	configs := []core.Config{
-		core.SingleBit(),
-		{MaxMBF: 3, Win: core.Win(10)},
-	}
-	earlyExits := 0
-	for _, bench := range prog.All() {
-		p, err := bench.Build()
-		if err != nil {
-			t.Fatalf("%s: %v", bench.Name, err)
-		}
-		target, err := core.NewTarget(bench.Name, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if target.Trace == nil && convergeOn() {
-			t.Fatalf("%s: target has no golden trace", bench.Name)
-		}
-		off, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierConverge})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if off.Trace != nil {
-			t.Fatalf("%s: converge-disabled target recorded a trace", bench.Name)
-		}
-		for _, tech := range core.Techniques() {
-			for _, cfg := range configs {
-				eng := func(tg *core.Target) *core.Engine {
-					return &core.Engine{
-						Target: tg,
-						Model: &core.RegisterModel{Spec: &core.CampaignSpec{
-							Technique: tech,
-							Config:    cfg,
-						}},
-						N:      n,
-						Seed:   seed,
-						Record: true,
-					}
-				}
-				fast, err := eng(target).Run()
-				if err != nil {
-					t.Fatalf("%s %s %s: %v", bench.Name, tech, cfg, err)
-				}
-				slow, err := eng(off).Run()
-				if err != nil {
-					t.Fatalf("%s %s %s (noconverge): %v", bench.Name, tech, cfg, err)
-				}
-				if slow.Converged != 0 || slow.MemoHits != 0 {
-					t.Fatalf("%s %s %s: converge-disabled campaign reported early exits", bench.Name, tech, cfg)
-				}
-				earlyExits += fast.Converged + fast.MemoHits
-				if !reflect.DeepEqual(fast.Experiments, slow.Experiments) {
-					t.Errorf("%s %s %s: experiments diverge between converge and no-converge campaigns",
-						bench.Name, tech, cfg)
-					continue
-				}
-				if fast.Counts != slow.Counts || fast.TrapCounts != slow.TrapCounts ||
-					fast.CrashActivated != slow.CrashActivated ||
-					fast.ActivatedTotal != slow.ActivatedTotal {
-					t.Errorf("%s %s %s: aggregates diverge between converge and no-converge campaigns",
-						bench.Name, tech, cfg)
-				}
-			}
-		}
-	}
-	if earlyExits == 0 && convergeOn() {
-		t.Error("no experiment across the grid converged or hit the memo; the early-exit tier never fires")
-	}
-}
-
 // TestCampaignMemoHit pins the fault-equivalence memo: two experiments
 // pinned to the same first-injection location collapse to the same
 // post-injection state, so the second reuses the first's recorded outcome
@@ -161,7 +76,7 @@ func TestCampaignMemoHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MemoHits != 1 && convergeOn() {
+	if res.MemoHits != 1 && tierOn(vm.TierConverge) {
 		t.Errorf("pinned duplicate campaign reported %d memo hits, want 1", res.MemoHits)
 	}
 	if !reflect.DeepEqual(res.Experiments[0], res.Experiments[1]) {

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"multiflip/internal/core"
+	"multiflip/internal/tiercontract"
 	"multiflip/internal/xrand"
 )
 
@@ -122,7 +123,7 @@ func TestCrashRestartDifferential(t *testing.T) {
 				if final == nil {
 					t.Fatal("campaign never completed")
 				}
-				sameResult(t, "crash/restart differential", baseline, final, false)
+				tiercontract.SameResult(t, "crash/restart differential", baseline, final, false)
 			})
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"multiflip/internal/core"
+	"multiflip/internal/tiercontract"
 )
 
 func TestSyncModeCampaign(t *testing.T) {
@@ -42,7 +43,7 @@ func TestSyncModeCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "synced campaign vs in-memory", baseline, synced, false)
+	tiercontract.SameResult(t, "synced campaign vs in-memory", baseline, synced, false)
 
 	// Resume folds the completed journal instead of re-running.
 	svc.Resume = true
@@ -50,7 +51,7 @@ func TestSyncModeCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "resumed synced campaign", baseline, resumed, false)
+	tiercontract.SameResult(t, "resumed synced campaign", baseline, resumed, false)
 
 	infos, err := core.InspectDir(dir)
 	if err != nil {

@@ -9,6 +9,7 @@ package core_test
 // never an error.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,7 +33,7 @@ func TestFingerprintStable(t *testing.T) {
 		"memfault": {0xbe686447a5ad7719, 0x6109f4c61f6d55c9},
 		"stuckat":  {0x4636fa024a4b6ad5, 0x2f87e432b57c4d1a},
 	}
-	for _, disable := range []vm.Tiers{0, vm.TierConverge, vm.TierSnapshots, vm.TierFuse, vm.TierCompile, vm.TierLiveness} {
+	for _, disable := range []vm.Tiers{0, vm.TierConverge, vm.TierSnapshots, vm.TierCompile, vm.TierLiveness} {
 		tg := targetWith(t, "CRC32", disable)
 		for _, m := range engineModels() {
 			eng := m.engine(tg)
@@ -185,5 +186,61 @@ func TestDimsJournalRoundTrip(t *testing.T) {
 		d.Count(core.OutcomeException, 63, core.Dir0to1) != 1 ||
 		d.Count(core.OutcomeSDC, -1, core.DirUnknown) != 1 {
 		t.Fatalf("dimensional cells did not round-trip: %+v", d)
+	}
+}
+
+// TestRetiredRungJournalLoads pins that journals outlive the tiers that
+// wrote them. The fixture was written when the supervision ladder still
+// had a "nofuse" rung (full -> nocompile -> nofuse -> interp): a
+// quarantine campaign on a broken target whose four experiments failed
+// on every rung, checkpointed as two shards. It must list in InspectDir
+// (the scan fi -status renders), and a resumed campaign must fold its
+// quarantine records, retired rung included, without re-running
+// anything.
+func TestRetiredRungJournalLoads(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "nofuse-quarantine.mfj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := registerEngine(brokenTarget(t))
+	eng.N, eng.Seed, eng.Workers, eng.Record = 4, 5, 1, true
+	eng.FailurePolicy = core.Quarantine
+	dir := t.TempDir()
+	name := fmt.Sprintf("campaign-%016x.mfj", core.EngineFingerprint(eng))
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	infos, err := core.InspectDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 {
+		t.Fatalf("InspectDir listed %d campaigns, want 1", len(infos))
+	}
+	if st := infos[0].Status; st.Done != 2 || st.Pending != 0 || st.Quarantined != 4 {
+		t.Fatalf("status = %+v, want 2 done shards and 4 quarantined experiments", st)
+	}
+
+	eng.Service = &core.Service{Dir: dir, Resume: true, ShardSize: 2}
+	restore := core.SetExperimentHook(func(idx int) {
+		t.Errorf("experiment %d re-ran; the journal's checkpoints should fold", idx)
+	})
+	defer restore()
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Count(core.OutcomeInternal); got != 4 {
+		t.Fatalf("Internal tally = %d, want 4", got)
+	}
+	if len(res.Quarantined) != 4 {
+		t.Fatalf("folded %d quarantine records, want 4", len(res.Quarantined))
+	}
+	for i, rec := range res.Quarantined {
+		if rec.Index != i || strings.Join(rec.Tiers, " -> ") != "full -> nocompile -> nofuse -> interp" ||
+			len(rec.Errs) != 4 {
+			t.Errorf("record %d = %+v, want the four-rung ladder it was written with", i, rec)
+		}
 	}
 }

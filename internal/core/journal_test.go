@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"multiflip/internal/core"
+	"multiflip/internal/tiercontract"
 	"multiflip/internal/vm"
 	"multiflip/internal/xrand"
 )
@@ -44,52 +44,6 @@ func registerEngine(tg *core.Target) *core.Engine {
 		Technique: core.InjectOnRead,
 		Config:    core.Config{MaxMBF: 3, Win: core.Win(10)},
 	}}}
-}
-
-// sameResult fails the test unless two engine results agree on every
-// deterministic field (Converged/MemoHits are compared too when both
-// runs had early exits disabled — callers pass wantEarly=false to skip
-// them for runs where scheduling may move the split).
-func sameResult(t *testing.T, label string, want, got *core.EngineResult, wantEarly bool) {
-	t.Helper()
-	if want.Counts != got.Counts {
-		t.Errorf("%s: tallies differ: %v vs %v", label, want.Counts, got.Counts)
-	}
-	if want.Tally.Dims != got.Tally.Dims {
-		t.Errorf("%s: dimensional tallies differ", label)
-	}
-	if want.CrashActivated != got.CrashActivated {
-		t.Errorf("%s: crash histograms differ", label)
-	}
-	if want.TrapCounts != got.TrapCounts {
-		t.Errorf("%s: trap counts differ", label)
-	}
-	if want.ActivatedTotal != got.ActivatedTotal {
-		t.Errorf("%s: activated totals differ: %d vs %d", label, want.ActivatedTotal, got.ActivatedTotal)
-	}
-	if wantEarly && (want.Converged != got.Converged || want.MemoHits != got.MemoHits) {
-		t.Errorf("%s: early-exit counters differ: conv %d vs %d, memo %d vs %d",
-			label, want.Converged, got.Converged, want.MemoHits, got.MemoHits)
-	}
-	if len(want.Experiments) != len(got.Experiments) {
-		t.Fatalf("%s: experiment counts differ: %d vs %d", label, len(want.Experiments), len(got.Experiments))
-	}
-	for i := range want.Experiments {
-		if want.Experiments[i] != got.Experiments[i] {
-			t.Fatalf("%s: experiment %d differs: %+v vs %+v",
-				label, i, want.Experiments[i], got.Experiments[i])
-		}
-	}
-	if len(want.Quarantined) != len(got.Quarantined) {
-		t.Fatalf("%s: quarantine counts differ: %d vs %d",
-			label, len(want.Quarantined), len(got.Quarantined))
-	}
-	for i := range want.Quarantined {
-		if !reflect.DeepEqual(want.Quarantined[i], got.Quarantined[i]) {
-			t.Fatalf("%s: quarantine record %d differs: %+v vs %+v",
-				label, i, want.Quarantined[i], got.Quarantined[i])
-		}
-	}
 }
 
 // TestShardMergeProperty checks the algebra resume correctness rests on:
@@ -148,7 +102,7 @@ func TestShardMergeProperty(t *testing.T) {
 			}
 			a, b := parts[pass%2], parts[(pass+1)%2]
 			a.Merge(b)
-			sameResult(t, "merged partition", want, a, true)
+			tiercontract.SameResult(t, "merged partition", want, a, true)
 		}
 	}
 }
@@ -209,7 +163,7 @@ func TestJournalLeaseSteal(t *testing.T) {
 		}
 		// Early-exit counters are scheduling-dependent; everything else
 		// must match the uninterrupted run bit for bit.
-		sameResult(t, "stolen-lease drain", want, res, false)
+		tiercontract.SameResult(t, "stolen-lease drain", want, res, false)
 	}
 
 	st, err := j.Status()
@@ -254,13 +208,13 @@ func TestFileJournalResume(t *testing.T) {
 	if ran != n {
 		t.Errorf("first run executed %d experiments, want %d", ran, n)
 	}
-	sameResult(t, "journaled run", want, first, false)
+	tiercontract.SameResult(t, "journaled run", want, first, false)
 
 	resumed, ran := run(true)
 	if ran != 0 {
 		t.Errorf("resume of a complete campaign executed %d experiments, want 0", ran)
 	}
-	sameResult(t, "resumed run", want, resumed, false)
+	tiercontract.SameResult(t, "resumed run", want, resumed, false)
 
 	infos, err := core.InspectDir(dir)
 	if err != nil {
@@ -277,7 +231,7 @@ func TestFileJournalResume(t *testing.T) {
 	if ran != n {
 		t.Errorf("non-resume rerun executed %d experiments, want %d (journal kept?)", ran, n)
 	}
-	sameResult(t, "fresh rerun", want, fresh, false)
+	tiercontract.SameResult(t, "fresh rerun", want, fresh, false)
 }
 
 // TestJournalBindMismatch checks the journal refuses to resume a
@@ -449,7 +403,7 @@ func TestLeaseHeartbeatOutlivesTTL(t *testing.T) {
 	if got := steals.Load(); got != 0 {
 		t.Fatalf("thief stole a heartbeat-protected lease %d times", got)
 	}
-	sameResult(t, "heartbeat-protected shard", baseline, res, false)
+	tiercontract.SameResult(t, "heartbeat-protected shard", baseline, res, false)
 
 	// Non-vacuity: the journal must hold the initial claim plus at least
 	// one renewal — the shard's ~1s runtime crosses the ~TTL/3 renewal

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"multiflip/internal/core"
+	"multiflip/internal/tiercontract"
 	"multiflip/internal/vm"
 )
 
@@ -186,7 +187,7 @@ func sdcPins(t *testing.T, tg *core.Target) (sdc, other core.Pin) {
 // same directory, then executes an SDC location and appends its fact;
 // A's next campaign at that location must resolve it from the memo.
 func TestServiceMemoSeesPeerAppends(t *testing.T) {
-	if !convergeOn() {
+	if !tierOn(vm.TierConverge) {
 		t.Skip("the shared memo needs the golden trace")
 	}
 	tg := target(t, "CRC32")
@@ -281,7 +282,7 @@ func TestServicesDrainConcurrently(t *testing.T) {
 			if errs[d][i] != nil {
 				t.Fatalf("drainer %d campaign %d: %v", d, i, errs[d][i])
 			}
-			sameResult(t, fmt.Sprintf("drainer %d campaign %d", d, i), want[i], res, false)
+			tiercontract.SameResult(t, fmt.Sprintf("drainer %d campaign %d", d, i), want[i], res, false)
 		}
 	}
 }

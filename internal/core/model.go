@@ -16,7 +16,8 @@
 // random stream — randomness is derived from (Seed, experiment index)
 // only — so campaign results are bit-identical for any worker count and
 // any checkpoint interval, including none (vm.TierSnapshots disabled); the
-// differential tests in snapshot_diff_test.go enforce this. For uniformly
+// tier contract (internal/tiercontract) and the interval-invariance tests
+// in snapshot_diff_test.go enforce this. For uniformly
 // drawn candidates the skipped prefix averages half the golden run, the
 // overhead checkpoint-based fault injectors exist to eliminate. Snapshots
 // are copy-on-write at page granularity (see internal/vm), so targets

@@ -10,83 +10,6 @@ import (
 	"multiflip/internal/vm"
 )
 
-// snapshotsOn reports whether MULTIFLIP_DISABLE leaves golden-run
-// snapshots on; "targets keep snapshots" assertions only hold then.
-func snapshotsOn() bool { return !vm.EnvDisabled().Has(vm.TierSnapshots) }
-
-// diffConfigs spans the fault-model shapes that stress the fast-forward
-// path differently: single-bit, same-register multi-bit (win-size 0), and
-// multi-register windows (fixed and random).
-var diffConfigs = []core.Config{
-	core.SingleBit(),
-	{MaxMBF: 4, Win: core.Win(0)},
-	{MaxMBF: 3, Win: core.Win(10)},
-	{MaxMBF: 2, Win: core.WinRange(2, 10)},
-}
-
-// TestCampaignSnapshotDifferential enforces the tentpole invariant: for
-// every workload, both techniques and several fault models, a campaign
-// fast-forwarded from golden-run snapshots produces experiment records
-// bit-identical to a full-replay campaign.
-func TestCampaignSnapshotDifferential(t *testing.T) {
-	const (
-		n    = 40
-		seed = 12345
-	)
-	for _, bench := range prog.All() {
-		p, err := bench.Build()
-		if err != nil {
-			t.Fatalf("%s: %v", bench.Name, err)
-		}
-		target, err := core.NewTarget(bench.Name, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(target.Snapshots) == 0 && snapshotsOn() {
-			t.Fatalf("%s: target has no golden-run snapshots", bench.Name)
-		}
-		replay, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierSnapshots})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tech := range core.Techniques() {
-			for _, cfg := range diffConfigs {
-				eng := func(tg *core.Target) *core.Engine {
-					return &core.Engine{
-						Target: tg,
-						Model: &core.RegisterModel{Spec: &core.CampaignSpec{
-							Technique: tech,
-							Config:    cfg,
-						}},
-						N:      n,
-						Seed:   seed,
-						Record: true,
-					}
-				}
-				fast, err := eng(target).Run()
-				if err != nil {
-					t.Fatalf("%s %s %s: %v", bench.Name, tech, cfg, err)
-				}
-				slow, err := eng(replay).Run()
-				if err != nil {
-					t.Fatalf("%s %s %s (no snapshots): %v", bench.Name, tech, cfg, err)
-				}
-				if !reflect.DeepEqual(fast.Experiments, slow.Experiments) {
-					t.Errorf("%s %s %s: experiments diverge between snapshot and full-replay campaigns",
-						bench.Name, tech, cfg)
-					continue
-				}
-				if fast.Counts != slow.Counts || fast.TrapCounts != slow.TrapCounts ||
-					fast.CrashActivated != slow.CrashActivated ||
-					fast.ActivatedTotal != slow.ActivatedTotal {
-					t.Errorf("%s %s %s: aggregates diverge between snapshot and full-replay campaigns",
-						bench.Name, tech, cfg)
-				}
-			}
-		}
-	}
-}
-
 // TestCampaignSnapshotIntervalInvariance checks that results do not depend
 // on where checkpoints happen to fall: targets prepared with very
 // different snapshot intervals (and the snapshot-free target) all yield

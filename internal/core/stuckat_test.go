@@ -1,11 +1,9 @@
 package core_test
 
 import (
-	"reflect"
 	"testing"
 
 	"multiflip/internal/core"
-	"multiflip/internal/vm"
 )
 
 // TestRunStuckAtBasic sanity-checks a stuck-at campaign: full tally,
@@ -78,77 +76,6 @@ func TestStuckAtDeterministicAcrossWorkers(t *testing.T) {
 		if a.Experiments[i] != b.Experiments[i] {
 			t.Fatalf("experiment %d differs across worker counts", i)
 		}
-	}
-}
-
-// TestStuckAtSnapshotDifferential checks golden-run fast-forwarding is
-// invisible to the stuck-at model, like it is for the flip models.
-func TestStuckAtSnapshotDifferential(t *testing.T) {
-	for _, name := range []string{"CRC32", "qsort", "FFT"} {
-		eng := func(tg *core.Target) *core.Engine {
-			return &core.Engine{
-				Target: tg,
-				Model:  &core.StuckAtModel{Spec: &core.StuckAtSpec{Window: core.Win(50)}},
-				N:      60,
-				Seed:   9,
-				Record: true,
-			}
-		}
-		fast, err := eng(target(t, name)).Run()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		slow, err := eng(targetWith(t, name, vm.TierSnapshots)).Run()
-		if err != nil {
-			t.Fatalf("%s (nosnap): %v", name, err)
-		}
-		if !reflect.DeepEqual(fast.Experiments, slow.Experiments) {
-			t.Errorf("%s: experiments diverge between fast-forwarded and full-replay stuck-at campaigns", name)
-		}
-		if fast.Counts != slow.Counts || fast.ActivatedTotal != slow.ActivatedTotal {
-			t.Errorf("%s: aggregates diverge between fast-forwarded and full-replay stuck-at campaigns", name)
-		}
-	}
-}
-
-// TestStuckAtConvergeDifferential checks convergence-gated early
-// termination and the fault-equivalence memo stay invisible for the
-// stuck-at model, and that the early exits actually fire (a hold whose
-// register is dead reconverges immediately after the window).
-func TestStuckAtConvergeDifferential(t *testing.T) {
-	earlyExits := 0
-	for _, name := range []string{"CRC32", "sha", "histo", "qsort"} {
-		eng := func(tg *core.Target) *core.Engine {
-			return &core.Engine{
-				Target: tg,
-				Model:  &core.StuckAtModel{Spec: &core.StuckAtSpec{Window: core.Win(100)}},
-				N:      60,
-				Seed:   11,
-				Record: true,
-			}
-		}
-		fast, err := eng(target(t, name)).Run()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		slow, err := eng(targetWith(t, name, vm.TierConverge)).Run()
-		if err != nil {
-			t.Fatalf("%s (noconverge): %v", name, err)
-		}
-		if slow.Converged != 0 || slow.MemoHits != 0 {
-			t.Fatalf("%s: converge-disabled stuck-at campaign reported early exits", name)
-		}
-		earlyExits += fast.Converged + fast.MemoHits
-		if !reflect.DeepEqual(fast.Experiments, slow.Experiments) {
-			t.Errorf("%s: experiments diverge between converge and no-converge stuck-at campaigns", name)
-		}
-		if fast.Counts != slow.Counts || fast.TrapCounts != slow.TrapCounts ||
-			fast.CrashActivated != slow.CrashActivated {
-			t.Errorf("%s: aggregates diverge between converge and no-converge stuck-at campaigns", name)
-		}
-	}
-	if earlyExits == 0 && convergeOn() {
-		t.Error("no stuck-at experiment converged or hit the memo")
 	}
 }
 

@@ -4,9 +4,9 @@ package core
 // and the failure-policy seam. The engine's worker loop never calls
 // runOne directly anymore — every experiment goes through runSupervised,
 // which walks a ladder of progressively degraded execution tiers
-// (compiled fast tier -> token-threaded interpreter -> unfused dispatch
-// -> full interpretation with convergence off). The differential suites
-// prove the tiers bit-identical, so a retry on a degraded tier is a
+// (compiled fast tier -> token-threaded interpreter -> interpretation
+// with convergence off). The tier contract (internal/tiercontract)
+// proves the tiers bit-identical, so a retry on a degraded tier is a
 // legitimate result, not an approximation: a buggy generated kernel or a
 // tripped VM invariant degrades one experiment to the interpreter
 // instead of killing a campaign of tens of thousands.
@@ -79,10 +79,8 @@ func rungName(disable vm.Tiers) string {
 	switch {
 	case !disable.Has(vm.TierCompile):
 		return "full"
-	case !disable.Has(vm.TierFuse):
-		return "nocompile"
 	case !disable.Has(vm.TierConverge):
-		return "nofuse"
+		return "nocompile"
 	}
 	return "interp"
 }
@@ -90,13 +88,12 @@ func rungName(disable vm.Tiers) string {
 // ladder returns the engine's degradation ladder, each rung the set of
 // tiers an attempt runs without: the target's set first, then
 // progressively less machinery — compiled kernels off, then
-// superinstruction fusion off, then convergence/memo off (pure
-// interpretation). Rungs the target already disables collapse away, so
-// a campaign on a compile-disabled target has a three-rung ladder and a
-// fully degraded one retries exactly once.
+// convergence/memo off (pure interpretation). Rungs the target already
+// disables collapse away, so a campaign on a compile-disabled target has
+// a two-rung ladder and a fully degraded one tries each experiment once.
 func (e *Engine) ladder() []vm.Tiers {
 	out := []vm.Tiers{e.Target.Disable}
-	for _, tier := range []vm.Tiers{vm.TierCompile, vm.TierFuse, vm.TierConverge} {
+	for _, tier := range []vm.Tiers{vm.TierCompile, vm.TierConverge} {
 		if rung := out[len(out)-1] | tier; rung != out[len(out)-1] {
 			out = append(out, rung)
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"multiflip/internal/core"
+	"multiflip/internal/tiercontract"
 	"multiflip/internal/vm"
 )
 
@@ -64,7 +65,7 @@ func TestPolicyEquivalenceOnHealthyCampaign(t *testing.T) {
 			}
 			fast := run(core.FailFast)
 			quar := run(core.Quarantine)
-			sameResult(t, "policy equivalence", fast, quar, true)
+			tiercontract.SameResult(t, "policy equivalence", fast, quar, true)
 			if len(fast.Quarantined)+len(quar.Quarantined) != 0 {
 				t.Fatalf("healthy campaign quarantined experiments: %d/%d",
 					len(fast.Quarantined), len(quar.Quarantined))
@@ -118,7 +119,7 @@ func TestTransientPanicDegrades(t *testing.T) {
 	if len(res.Quarantined) != 0 {
 		t.Fatalf("transient panics quarantined %d experiments", len(res.Quarantined))
 	}
-	sameResult(t, "transient-panic degradation", baseline, res, false)
+	tiercontract.SameResult(t, "transient-panic degradation", baseline, res, false)
 }
 
 // TestQuarantinePersistentFailure drives every fault model over a target
@@ -152,7 +153,7 @@ func TestQuarantinePersistentFailure(t *testing.T) {
 				if rec.Seed != eng.Seed || rec.Model == "" {
 					t.Fatalf("record %d misses repro identity: %+v", i, rec)
 				}
-				if len(rec.Tiers) != 4 || rec.Tiers[0] != "full" || rec.Tiers[3] != "interp" {
+				if len(rec.Tiers) != 3 || rec.Tiers[0] != "full" || rec.Tiers[2] != "interp" {
 					t.Fatalf("record %d tier ladder = %v", i, rec.Tiers)
 				}
 				if len(rec.Errs) != len(rec.Tiers) {
@@ -210,7 +211,7 @@ func TestFailFastNamesEveryTier(t *testing.T) {
 		t.Fatal("fail-fast campaign on a broken target succeeded")
 	}
 	msg := err.Error()
-	for _, want := range []string{"core:", "experiment 0", "failed at every supervision tier", "full -> nocompile -> nofuse -> interp"} {
+	for _, want := range []string{"core:", "experiment 0", "failed at every supervision tier", "full -> nocompile -> interp"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error misses %q: %v", want, err)
 		}
@@ -219,18 +220,17 @@ func TestFailFastNamesEveryTier(t *testing.T) {
 
 // TestLadderStartsFromTarget checks that every fault model reads its
 // tiers from the target: the supervision ladder starts from the
-// target's disable set and adds compile, fuse and converge in turn,
+// target's disable set and adds compile and converge in turn,
 // collapsing the rungs the target already disables.
 func TestLadderStartsFromTarget(t *testing.T) {
 	for _, c := range []struct {
 		disable vm.Tiers
 		ladder  string
 	}{
-		{0, "(full -> nocompile -> nofuse -> interp)"},
-		{vm.TierCompile, "(nocompile -> nofuse -> interp)"},
-		{vm.TierFuse, "(full -> nofuse -> interp)"},
-		{vm.TierConverge, "(full -> nocompile -> interp)"},
-		{vm.TierCompile | vm.TierFuse | vm.TierConverge, "(interp)"},
+		{0, "(full -> nocompile -> interp)"},
+		{vm.TierCompile, "(nocompile -> interp)"},
+		{vm.TierConverge, "(full -> interp)"},
+		{vm.TierCompile | vm.TierConverge, "(interp)"},
 	} {
 		broken := brokenTarget(t)
 		broken.Disable = c.disable
@@ -282,7 +282,7 @@ func TestQuarantineJournaledResume(t *testing.T) {
 	if got := reran.Load(); got != 0 {
 		t.Fatalf("resume re-ran %d experiments of a drained campaign", got)
 	}
-	sameResult(t, "quarantine journaled resume", first, second, true)
+	tiercontract.SameResult(t, "quarantine journaled resume", first, second, true)
 
 	paths, err := filepath.Glob(filepath.Join(dir, "campaign-*.mfj"))
 	if err != nil || len(paths) != 1 {

@@ -288,10 +288,6 @@ type Instr struct {
 	// with operand kinds and widths resolved once. Populated by
 	// Program.Validate; the zero value dispatches to an abort trap.
 	Tok Token
-	// FTok, when not FuseNone, marks this instruction and its successor as
-	// a superinstruction the VM may execute in one dispatch round.
-	// Populated by Program.Validate's fusion pass.
-	FTok FuseKind
 }
 
 // HasDst reports whether the instruction writes a destination register,
@@ -389,7 +385,8 @@ type Program struct {
 	Globals []byte // initial image of the global data segment
 	Main    int    // index into Funcs of the entry point
 
-	maxNR int // largest Instr.NR, cached by Validate
+	maxNR int    // largest Instr.NR, cached by Validate
+	fp    uint64 // Fingerprint, cached by Validate
 }
 
 // MaxNR returns the largest register-read count (Instr.NR) of any
@@ -398,6 +395,13 @@ type Program struct {
 // inject-on-read candidates, so the VM uses it to bound how soon a
 // read-slot index can be reached.
 func (p *Program) MaxNR() int { return p.maxNR }
+
+// ValidatedFingerprint returns the Fingerprint cached by the last
+// successful Validate; zero for a program that has not been validated.
+// Like Instr.NR it is only as fresh as that Validate, whereas Fingerprint
+// hashes the program as it is now. The VM compares it against its
+// compiled kernels' fingerprints on every run without rehashing.
+func (p *Program) ValidatedFingerprint() uint64 { return p.fp }
 
 // FuncByName returns the index of the named function, or -1.
 func (p *Program) FuncByName(name string) int {
@@ -422,12 +426,12 @@ func (p *Program) StaticInstrs() int {
 // ids within the frame, calls referencing existing functions with matching
 // arity, widths present where required, and a terminated instruction
 // stream. It also populates the per-instruction caches the VM relies on
-// (Instr.NR, Instr.DW, the dispatch token Instr.Tok, and the
-// superinstruction annotation Instr.FTok) and the program-wide MaxNR, so a
-// hand-assembled Program must pass through Validate before it is run.
+// (Instr.NR, Instr.DW and the dispatch token Instr.Tok) and the
+// program-wide MaxNR and fingerprint, so a hand-assembled Program must
+// pass through Validate before it is run.
 // Programs produced by the builder are validated at Build time.
 func (p *Program) Validate() error {
-	p.maxNR = 0
+	p.maxNR, p.fp = 0, 0
 	if p.Main < 0 || p.Main >= len(p.Funcs) {
 		return fmt.Errorf("ir: main index %d out of range (%d funcs)", p.Main, len(p.Funcs))
 	}
@@ -441,6 +445,7 @@ func (p *Program) Validate() error {
 		}
 	}
 	p.maxNR = maxNR
+	p.fp = p.Fingerprint()
 	return nil
 }
 
@@ -515,6 +520,5 @@ func (p *Program) validateFunc(f *Func) error {
 	if last.Op != OpRet && last.Op != OpBr && last.Op != OpAbort {
 		return fmt.Errorf("function does not end in ret/br/abort (got %s)", last.Op)
 	}
-	fuseFunc(f)
 	return nil
 }

@@ -102,9 +102,11 @@ func fpMixOperand(h uint64, o Operand) uint64 {
 // into a loud regeneration reminder.
 //
 // Only semantic content is hashed — the caches Validate populates (NR, DW,
-// Tok, FTok, MaxNR) and function names are derived or cosmetic and
-// excluded — so the fingerprint is stable across validation and across
-// renames that do not change behaviour.
+// Tok, MaxNR, ValidatedFingerprint) and function names are derived or
+// cosmetic and excluded — so the fingerprint is stable across validation
+// and across renames that do not change behaviour. Fingerprint always
+// hashes the program as it is now; ValidatedFingerprint is the cheap
+// cached copy.
 func (p *Program) Fingerprint() uint64 {
 	h := uint64(fpOffset)
 	h = fpMix(h, uint64(p.Main))

@@ -3,15 +3,12 @@ package ir
 // This file defines the dispatch metadata consumed by the VM's
 // token-threaded interpreter. Validate resolves every instruction to a
 // dispatch Token — a per-opcode handler index, specialized by operand
-// kind and width where that removes per-execution branches — and runs the
-// superinstruction fusion pass, which annotates instructions whose
-// adjacent successor can be executed in the same dispatch round.
+// kind and width where that removes per-execution branches.
 //
-// Tokens and fusion kinds are pure annotations: the instruction stream,
-// its PCs, and its injection-candidate accounting are unchanged. The VM
-// may execute an annotated pair fused (one dispatch, two instructions) or
-// unfused (two dispatches) and must produce bit-identical machine state
-// either way; the fusion pass only asserts legality, never semantics.
+// Tokens are pure annotations: the instruction stream, its PCs, and its
+// injection-candidate accounting are unchanged, and both of the VM's
+// interpreters (sprint's token switch and the observer tier's handler
+// table) must execute every token with bit-identical machine state.
 
 // Token indexes the VM's handler table. It is resolved once per
 // instruction at validation time, so per-execution dispatch is a single
@@ -81,69 +78,6 @@ const (
 
 	// NumTokens sizes token-indexed tables.
 	NumTokens
-)
-
-// FuseKind classifies a superinstruction: an instruction pair the VM may
-// execute in one dispatch round. The annotation lives on the pair's first
-// instruction and is only consulted when control is at that instruction,
-// so branching into the middle of a pair simply executes the second half
-// on its own — pair annotations may overlap freely.
-type FuseKind uint8
-
-// Fusion kinds, from generic to most specialized.
-const (
-	// FuseNone marks an instruction that must dispatch alone: control
-	// flow, calls/returns, aborts, the last instruction of a function,
-	// or a successor that is itself unfusable.
-	FuseNone FuseKind = iota
-	// FusePair marks a legal but unspecialized pair: both halves satisfy
-	// the fusion legality rules, but no dedicated superinstruction exists
-	// yet, so the VM executes them in separate dispatch rounds. The
-	// annotation documents pairability and is the candidate set for
-	// future specialized kinds (see the ROADMAP's dispatch follow-ups).
-	FusePair
-	// Kinds above FusePair execute both halves in one dispatch round.
-
-	// FuseAddLoad is add.64 feeding the address of the next load.
-	FuseAddLoad
-	// FuseAddStore is add.64 feeding the address of the next store.
-	FuseAddStore
-	// FuseMulAdd is mul.64 feeding an operand of the next add.64 — the
-	// address-scaling idiom (base + index*size) that profiling showed as
-	// the hottest annotation-only pair shape.
-	FuseMulAdd
-	// FuseShlAnd is a shift-left followed by an and — the shift-and-mask
-	// idiom of FFT's bit-reversal loop (rev = rev<<1 | v&1 runs it once
-	// per bit per element), the hottest remaining annotation-only pair in
-	// the FFT profile.
-	FuseShlAnd
-	// FuseAndLshr is an and followed by a logical shift-right — the
-	// mask-and-shift idiom of CRC32's table-derivation loop (lsb = c&1
-	// ahead of c>>1 runs once per bit per table entry), the ROADMAP's
-	// residual dispatch follow-up.
-	FuseAndLshr
-	// FuseCmpEQBr .. FuseCmpSLEBr are an integer compare followed by a
-	// conditional branch on the compare's destination register.
-	FuseCmpEQBr
-	FuseCmpNEBr
-	FuseCmpULTBr
-	FuseCmpULEBr
-	FuseCmpSLTBr
-	FuseCmpSLEBr
-	// FuseMov is a register-to-register mov (or bitcast) followed by any
-	// fusible instruction — the mov+arith superinstruction: the move
-	// executes inline and its successor dispatches in the same round.
-	FuseMov
-	// FuseCmpCmpBr is an integer compare followed by another integer
-	// compare followed by a conditional branch on the second compare's
-	// result — the three-wide loop-head idiom the builder's JmpIfNot
-	// expands to (cond; eq cond,0; condbr), the last ROADMAP dispatch
-	// residual. The annotation lives on the first compare; the second
-	// keeps its own cmp+br pair annotation for control entering mid-chain.
-	FuseCmpCmpBr
-
-	// NumFuseKinds sizes fusion-kind-indexed tables.
-	NumFuseKinds
 )
 
 // tokenOf resolves an instruction's dispatch token. Called by Validate.
@@ -254,122 +188,6 @@ func tokenOf(in *Instr) Token {
 		return TokAbort
 	}
 	return TokInvalid
-}
-
-// fusibleHead reports whether op may head a superinstruction: it must be
-// straight-line (control stays at pc+1 on success), keep the frame stack
-// unchanged, and fail only by halting the run (trap or output limit) —
-// exactly the shapes whose mid-pair accounting the VM can reproduce
-// unfused.
-func fusibleHead(op Op) bool {
-	switch op {
-	case OpBr, OpCondBr, OpCall, OpRet, OpAbort:
-		return false
-	}
-	return true
-}
-
-// fusibleTail reports whether op may close a superinstruction. Branches
-// are allowed (they end the pair by redirecting control); calls and
-// returns are not, because they change the frame the dispatch loop holds.
-func fusibleTail(op Op) bool {
-	switch op {
-	case OpCall, OpRet:
-		return false
-	}
-	return true
-}
-
-// fuseKind classifies the pair (a, b) at adjacent PCs, returning the most
-// specialized legal superinstruction, or FuseNone.
-func fuseKind(a, b *Instr) FuseKind {
-	if !fusibleHead(a.Op) || !fusibleTail(b.Op) {
-		return FuseNone
-	}
-	// cmp + condbr on the compare's result register.
-	if b.Op == OpCondBr && a.Dst != NoReg && b.A.IsReg() && b.A.reg == a.Dst {
-		switch a.Op {
-		case OpICmpEQ:
-			return FuseCmpEQBr
-		case OpICmpNE:
-			return FuseCmpNEBr
-		case OpICmpULT:
-			return FuseCmpULTBr
-		case OpICmpULE:
-			return FuseCmpULEBr
-		case OpICmpSLT:
-			return FuseCmpSLTBr
-		case OpICmpSLE:
-			return FuseCmpSLEBr
-		}
-	}
-	// add.64 feeding the next memory access's address operand.
-	if a.Op == OpAdd && a.W == W64 && a.Dst != NoReg {
-		if b.Op == OpLoad && b.A.IsReg() && b.A.reg == a.Dst {
-			return FuseAddLoad
-		}
-		if b.Op == OpStore && b.A.IsReg() && b.A.reg == a.Dst {
-			return FuseAddStore
-		}
-	}
-	// mul.64 feeding an operand of the next add.64 (address scaling).
-	if a.Op == OpMul && a.W == W64 && a.Dst != NoReg && b.Op == OpAdd && b.W == W64 {
-		if (b.A.IsReg() && b.A.reg == a.Dst) || (b.B.IsReg() && b.B.reg == a.Dst) {
-			return FuseMulAdd
-		}
-	}
-	// shl followed by and — the shift-and-mask idiom of FFT's
-	// bit-reversal loop (rev<<1 ahead of v&1). The halves need not be
-	// dependent: both run the generic width-masked bodies in order, and
-	// neither can trap, so any adjacent pair is legal.
-	if a.Op == OpShl && b.Op == OpAnd {
-		return FuseShlAnd
-	}
-	// and followed by lshr — the mask-and-shift idiom of CRC32's table
-	// loop (c&1 ahead of c>>1). Like shl+and, the halves need not be
-	// dependent and neither can trap, so any adjacent pair is legal.
-	if a.Op == OpAnd && b.Op == OpLShr {
-		return FuseAndLshr
-	}
-	// Register move + anything: the mov executes inline ahead of its
-	// successor's dispatch.
-	if (a.Op == OpMov || a.Op == OpBitcast) && a.A.IsReg() && a.Dst != NoReg {
-		return FuseMov
-	}
-	return FusePair
-}
-
-// fuse runs the superinstruction fusion pass over one function: every
-// instruction whose successor can legally share its dispatch round is
-// annotated with the pair's FuseKind. Annotations may overlap (pc and
-// pc+1 can both head pairs); the VM consults only the annotation of the
-// instruction control is at.
-func fuseFunc(f *Func) {
-	for pc := 0; pc+1 < len(f.Code); pc++ {
-		f.Code[pc].FTok = fuseKind(&f.Code[pc], &f.Code[pc+1])
-	}
-	f.Code[len(f.Code)-1].FTok = FuseNone
-	// Three-wide post-pass: an integer compare whose two successors are
-	// another integer compare and a conditional branch on the second
-	// compare's result. The annotation overrides the head's pair kind;
-	// the middle compare keeps its own cmp+br annotation, so control
-	// branching into the chain's interior still fuses the remaining pair.
-	for pc := 0; pc+2 < len(f.Code); pc++ {
-		a, b, c := &f.Code[pc], &f.Code[pc+1], &f.Code[pc+2]
-		if isICmp(a.Op) && isICmp(b.Op) && c.Op == OpCondBr &&
-			a.Dst != NoReg && b.Dst != NoReg && c.A.IsReg() && c.A.reg == b.Dst {
-			a.FTok = FuseCmpCmpBr
-		}
-	}
-}
-
-// isICmp reports whether op is one of the six integer compares.
-func isICmp(op Op) bool {
-	switch op {
-	case OpICmpEQ, OpICmpNE, OpICmpULT, OpICmpULE, OpICmpSLT, OpICmpSLE:
-		return true
-	}
-	return false
 }
 
 // RegRaw returns the operand's register id without checking the operand

@@ -7,13 +7,10 @@ import (
 	"multiflip/internal/core"
 	"multiflip/internal/memfault"
 	"multiflip/internal/prog"
-	"multiflip/internal/vm"
 )
 
-func target(t *testing.T, name string) *core.Target { return targetWith(t, name, 0) }
-
-// targetWith is target prepared without the disabled tiers.
-func targetWith(t *testing.T, name string, disable vm.Tiers) *core.Target {
+// target builds and profiles a benchmark with every tier on.
+func target(t *testing.T, name string) *core.Target {
 	t.Helper()
 	b, err := prog.ByName(name)
 	if err != nil {
@@ -23,39 +20,11 @@ func targetWith(t *testing.T, name string, disable vm.Tiers) *core.Target {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg, err := core.NewTargetOpts(name, p, core.TargetOptions{Disable: disable})
+	tg, err := core.NewTarget(name, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tg
-}
-
-// sameResult fails the test unless two campaigns agree on every
-// deterministic field: the per-experiment records, the flat and
-// dimensional tallies, the trap and crash histograms and (with
-// wantEarly, for runs whose early-exit split is deterministic) the
-// early-exit counters.
-func sameResult(t *testing.T, label string, want, got *core.EngineResult, wantEarly bool) {
-	t.Helper()
-	if want.Counts != got.Counts || want.Dims != got.Dims {
-		t.Errorf("%s: tallies differ: %v vs %v", label, want.Counts, got.Counts)
-	}
-	if want.TrapCounts != got.TrapCounts || want.CrashActivated != got.CrashActivated ||
-		want.ActivatedTotal != got.ActivatedTotal {
-		t.Errorf("%s: trap, crash or activation histograms differ", label)
-	}
-	if wantEarly && (want.Converged != got.Converged || want.MemoHits != got.MemoHits) {
-		t.Errorf("%s: early-exit counters differ: conv %d vs %d, memo %d vs %d",
-			label, want.Converged, got.Converged, want.MemoHits, got.MemoHits)
-	}
-	if len(want.Experiments) != len(got.Experiments) {
-		t.Fatalf("%s: experiment counts differ: %d vs %d", label, len(want.Experiments), len(got.Experiments))
-	}
-	for i := range want.Experiments {
-		if want.Experiments[i] != got.Experiments[i] {
-			t.Fatalf("%s: experiment %d differs: %+v vs %+v", label, i, want.Experiments[i], got.Experiments[i])
-		}
-	}
 }
 
 func TestRunBasic(t *testing.T) {

@@ -8,12 +8,18 @@ import (
 	"multiflip/internal/ir"
 )
 
-// TestEveryOpcodeExecutes runs a program touching every opcode the IR
-// defines and checks the numeric results, so no dispatch arm goes
-// untested.
+// TestEveryOpcodeExecutes runs a program touching every opcode and every
+// dispatch token the IR defines (the specialized register-operand tokens
+// included) and checks the numeric results, so no dispatch arm goes
+// untested. It runs the program through both interpreters — sprint's
+// token switch, and the observer tier's handler table, which a
+// role-counting run steps every instruction through — and requires
+// identical results.
 func TestEveryOpcodeExecutes(t *testing.T) {
 	mb := ir.NewModule("allops")
-	g := mb.GlobalU64s([]uint64{0x1122334455667788})
+	g := mb.GlobalU64s([]uint64{0x1122334455667788, 0})
+	sq := mb.Func("sq", 1)
+	sq.Ret(sq.BinW(ir.W64, ir.OpMul, sq.Arg(0), sq.Arg(0)))
 	f := mb.Func("main", 0)
 
 	// Integer width variants.
@@ -63,8 +69,48 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 	f.StoreW(ir.W16, ir.C(g), ir.C(0xBEEF), 4)
 	f.Out64(f.Load64(ir.C(g), 0))
 
+	// Register-operand forms: the specialized tokens bind operand kinds
+	// and widths at validation time.
+	const x0, y0 = 0x0123456789abcdef, 0x1111111111111111
+	x := f.Let(ir.C(x0))
+	y := f.Let(ir.C(y0))
+	f.Out64(f.BinW(ir.W64, ir.OpAdd, x, y))       // TokAdd64RR
+	f.Out64(f.BinW(ir.W64, ir.OpAdd, x, ir.C(1))) // TokAdd64RI
+	f.Out32(f.Add(x, y))                          // TokAdd32RR
+	f.Out32(f.Add(x, ir.C(0xffffffff)))           // TokAdd32RI
+	f.Out64(f.BinW(ir.W64, ir.OpXor, x, y))       // TokXor64RR
+	f.Out32(f.Slt(x, y))                          // TokCmpSLT32RR: int32(0x89abcdef) < 0x11111111
+	gr := f.Let(ir.C(g))
+	f.Store64(gr, y, 8)                          // TokStoreRR
+	f.Out64(f.Load64(gr, 8))                     // TokLoadR
+	f.Out64(f.Bitcast(x))                        // TokMovR
+	f.Out32(f.Sub(ir.C(3), ir.C(5)))             // -2
+	f.Out32(f.Eq(ir.C(4), ir.C(4)))              // 1
+	f.Out32(f.Ne(ir.C(4), ir.C(4)))              // 0
+	f.Out32(f.Slt(ir.CI(-1), ir.C(0)))           // 1
+	f.Out64(f.Select(ir.C(0), ir.C(7), ir.C(9))) // 9
+	f.Out64(f.Fsqrt(ir.CF(2.25)))                // 1.5
+	f.Out64(f.Call("sq", ir.C(12)))              // 144
+	slot := f.Alloca(8)
+	f.Store64(slot, ir.C(0xabcd), 0)
+	f.Out64(f.Load64(slot, 0))
+	acc := f.Let(ir.C(0))
+	f.For(ir.C(0), ir.C(3), func(i ir.Reg) { f.Mov(acc, f.Add(acc, i)) })
+	f.Out32(acc) // 0+1+2
+
 	f.RetVoid()
 	p := mb.MustBuild()
+	seen := make(map[ir.Token]bool)
+	for _, fn := range p.Funcs {
+		for _, in := range fn.Code {
+			seen[in.Tok] = true
+		}
+	}
+	for tok := ir.TokInvalid + 1; tok < ir.NumTokens; tok++ {
+		if !seen[tok] && tok != ir.TokAbort { // an abort would end the run
+			t.Errorf("token %d is not exercised", tok)
+		}
+	}
 	res, err := Run(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +118,11 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 	if res.Stop != StopReturned {
 		t.Fatalf("stop = %v trap=%v", res.Stop, res.Trap)
 	}
+	stepped, err := Run(p, Options{CountRoles: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStepped(t, "sprint vs stepped", res, stepped)
 	buf := res.Output
 	pos := 0
 	next8 := func() uint8 { v := buf[pos]; pos++; return v }
@@ -143,6 +194,40 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 	}
 	if v := next64(); v != 0x1122BEEF55667788 {
 		t.Errorf("store.i16 readback = %#x", v)
+	}
+	regWants := []struct {
+		name  string
+		bytes int
+		want  uint64
+	}{
+		{"add.64 rr", 8, x0 + y0},
+		{"add.64 ri", 8, x0 + 1},
+		{"add.32 rr", 4, (x0 + y0) & 0xffffffff},
+		{"add.32 ri", 4, (x0 + 0xffffffff) & 0xffffffff},
+		{"xor.64 rr", 8, x0 ^ y0},
+		{"icmp.slt.32 rr", 4, 1},
+		{"load rr-stored", 8, y0},
+		{"mov r", 8, x0},
+		{"sub", 4, 0xfffffffe},
+		{"icmp.eq", 4, 1},
+		{"icmp.ne", 4, 0},
+		{"icmp.slt", 4, 1},
+		{"select", 8, 9},
+		{"fsqrt", 8, math.Float64bits(1.5)},
+		{"call", 8, 144},
+		{"alloca readback", 8, 0xabcd},
+		{"loop", 4, 3},
+	}
+	for _, w := range regWants {
+		var v uint64
+		if w.bytes == 4 {
+			v = uint64(next32())
+		} else {
+			v = next64()
+		}
+		if v != w.want {
+			t.Errorf("%s = %#x, want %#x", w.name, v, w.want)
+		}
 	}
 	if pos != len(buf) {
 		t.Errorf("consumed %d of %d output bytes", pos, len(buf))

@@ -5,13 +5,15 @@ package vm
 // kernels must be bit-identical to compile-disabled runs through the
 // token-threaded interpreter — outputs, counters, snapshots, golden trace
 // fingerprints, injection behaviour and convergence alike. The companion
-// campaign-level suite lives in internal/core and internal/memfault.
+// campaign-level contract lives in internal/tiercontract.
 
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"multiflip/internal/ir"
 	"multiflip/internal/prog"
@@ -50,6 +52,35 @@ func TestCompiledKernelsEngage(t *testing.T) {
 		if !Compiled(p) {
 			t.Errorf("%s: no compiled kernel engages (stale fingerprint or missing registration; re-run go generate ./...)", p.Name)
 		}
+	}
+}
+
+// TestRunDoesNotPinPrograms checks that the compiled tier keeps no
+// reference to the programs it runs: a suite program that ran on its
+// kernel is collected once the caller drops it. (perfbench builds the
+// suite again on every pass, so a per-program entry would grow the heap
+// without bound.)
+func TestRunDoesNotPinPrograms(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		bench, err := prog.ByName("CRC32")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := bench.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(p, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.AddCleanup(p, func(ch chan struct{}) { close(ch) }, collected)
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a program that ran is still reachable after a collection")
 	}
 }
 

@@ -312,29 +312,3 @@ func TestConvergeResumeOffTraceGrid(t *testing.T) {
 	}
 	sameResult(t, "off-grid resume", got, want)
 }
-
-// TestFuseMulAddAnnotated checks the promoted mul+add superinstruction is
-// actually planted by the fusion pass on the workloads that motivated it.
-func TestFuseMulAddAnnotated(t *testing.T) {
-	for _, name := range []string{"qsort", "FFT"} {
-		bench, err := prog.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := bench.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, f := range p.Funcs {
-			for pc := range f.Code {
-				if f.Code[pc].FTok == ir.FuseMulAdd {
-					n++
-				}
-			}
-		}
-		if n == 0 {
-			t.Errorf("%s: no FuseMulAdd annotations planted", name)
-		}
-	}
-}

@@ -11,13 +11,11 @@ package vm
 // injection checks between handlers: every instruction of a role-counting
 // run, and an armed plan's instructions at its injection horizon
 // (machine.injHorizon), the only places a flip can land. The fast tier
-// (machine.sprint in vm.go) runs everything else, the gaps between an
-// armed plan's injection points included. It threads the same tokens
-// through an inline jump table — the handler bodies duplicated or
-// inlined — and also executes the superinstructions an instruction's
-// FTok annotation names: its switch over ir.FuseKind is where fused pairs
-// run in a single dispatch round, gated on the event horizon so no
-// injection, memory flip, or snapshot can fire between the halves.
+// (machine.sprint in vm.go) runs everything else that no compiled kernel
+// covers, the gaps between an armed plan's injection points included. It
+// threads the same tokens through an inline jump table — the handler
+// bodies duplicated or inlined — so the two interpreters must agree
+// token by token (TestEveryOpcodeExecutes runs every token through both).
 
 import (
 	"encoding/binary"
@@ -34,7 +32,7 @@ const (
 	// statNext: straight-line success; the loop advances pc and accounts
 	// the destination write.
 	statNext stat = iota
-	// statJump: pc is already set (branches, fused pairs).
+	// statJump: pc is already set (branches).
 	statJump
 	// statFrame: a frame was pushed (call); reload the frame pointer.
 	statFrame

@@ -158,7 +158,8 @@ func genFuzzProg(data []byte) *ir.Program {
 
 // FuzzVM generates random programs, injection plans and resume points and
 // checks the VM's core contracts on each: runs never panic, the dynamic
-// budget is always respected, checkpointing never perturbs a run, and
+// budget is always respected, the token-threaded sprint agrees with the
+// stepped handler table, checkpointing never perturbs a run, and
 // resuming from any captured snapshot — fault-free, with a register
 // injection plan, or with a scheduled memory flip — is bit-identical to
 // the corresponding cold start. A register plan also matches its stepped
@@ -189,16 +190,16 @@ func FuzzVM(f *testing.F) {
 			t.Fatalf("dynamic budget violated: %d > %d", straight.Dyn, maxDyn)
 		}
 
-		// Superinstruction fusion must be invisible: random programs are
-		// dense in fused pairs, and the unfused run must match the fused
-		// one bit for bit.
-		nofuse := base
-		nofuse.Disable = TierFuse
-		nf, err := Run(p, nofuse)
+		// The two interpreters must agree: the straight run sprints
+		// token-threaded, its stepped reference runs every instruction
+		// through the observer tier's handler table.
+		stepOpts := base
+		stepOpts.CountRoles = true
+		stepped, err := Run(p, stepOpts)
 		if err != nil {
-			t.Fatalf("unfused run: %v", err)
+			t.Fatalf("stepped run: %v", err)
 		}
-		sameResult(t, "unfused vs fused", nf, straight)
+		sameStepped(t, "straight vs stepped", straight, stepped)
 
 		ckOpts := base
 		ckOpts.Checkpoint = uint64(8 + z.n(300))
@@ -230,37 +231,6 @@ func FuzzVM(f *testing.F) {
 		if res.Dyn > maxDyn {
 			t.Fatalf("resumed run violated the budget: %d > %d", res.Dyn, maxDyn)
 		}
-
-		// Cross-dispatch resume: an unfused checkpointing run places its
-		// snapshots at the same instants, including between the halves of
-		// an annotated pair; resuming such a snapshot with fusion enabled
-		// (and vice versa) must replay identically.
-		ckUnfused := ckOpts
-		ckUnfused.Disable = TierFuse
-		ckptNF, err := Run(p, ckUnfused)
-		if err != nil {
-			t.Fatalf("unfused checkpointing run: %v", err)
-		}
-		sameResult(t, "unfused checkpointing run", ckptNF, straight)
-		if len(ckptNF.Snapshots) != len(ckpt.Snapshots) {
-			t.Fatalf("snapshot counts diverge across dispatch paths: %d vs %d",
-				len(ckptNF.Snapshots), len(ckpt.Snapshots))
-		}
-		snapNF := ckptNF.Snapshots[z.n(len(ckptNF.Snapshots))]
-		crossOpts := base
-		crossOpts.Resume = snapNF
-		cross, err := Run(p, crossOpts)
-		if err != nil {
-			t.Fatalf("fused resume from unfused snapshot dyn=%d: %v", snapNF.Dyn, err)
-		}
-		sameResult(t, fmt.Sprintf("fused resume from unfused dyn=%d", snapNF.Dyn), cross, straight)
-		crossOpts = nofuse
-		crossOpts.Resume = snap
-		cross, err = Run(p, crossOpts)
-		if err != nil {
-			t.Fatalf("unfused resume from fused snapshot dyn=%d: %v", snap.Dyn, err)
-		}
-		sameResult(t, fmt.Sprintf("unfused resume from fused dyn=%d", snap.Dyn), cross, straight)
 
 		// A register plan behaves identically from a cold start and from a
 		// snapshot preceding its first candidate.

@@ -8,9 +8,10 @@ package vm
 // a straight-line Go translation of its basic blocks operating on the
 // same frame/register-arena/CoW-memory state the interpreter uses. The
 // files register themselves here, keyed by program name and guarded by
-// the IR's semantic fingerprint (ir.Program.Fingerprint), so a kernel
-// generated from stale IR is silently ignored and the run falls back to
-// the interpreter.
+// the IR's semantic fingerprint (ir.Program.Fingerprint, as cached by
+// Validate), so a kernel generated from stale IR is silently ignored and
+// the run falls back to the interpreter. Nothing here holds a program:
+// the registry keeps only generated code.
 //
 // The kernel contract mirrors sprint's: execute from fr.pc with the
 // dynamic, read-slot and write counters in locals, never past the event
@@ -26,11 +27,7 @@ package vm
 // with the observer tier, whose injection checks cannot fire there
 // because the call or return lies before the injection horizon.
 
-import (
-	"sync"
-
-	"multiflip/internal/ir"
-)
+import "multiflip/internal/ir"
 
 //go:generate go run multiflip/internal/proggen
 
@@ -75,37 +72,26 @@ func registerKernel(name string, fp uint64, fns []kernFn) {
 	kernRegistry[name] = &kernProg{fp: fp, fns: fns}
 }
 
-// kernCache memoizes the fingerprint comparison per program pointer:
-// campaigns run hundreds of thousands of short VM runs against a handful
-// of long-lived *ir.Program values, and rehashing the program image each
-// run would dominate short experiments. Keyed misses for names outside
-// the registry are never cached (fuzz programs are churned by the
-// thousands).
-var kernCache sync.Map // *ir.Program -> []kernFn (nil when stale)
-
 // kernelsFor returns the generated kernels for p, or nil when p has none
-// or its IR no longer matches the generation-time fingerprint.
+// or its IR no longer matches the generation-time fingerprint. It
+// compares the fingerprint Validate cached in p: campaigns run hundreds
+// of thousands of short VM runs against a handful of long-lived
+// programs, and rehashing the program image each run would dominate
+// short experiments.
 func kernelsFor(p *ir.Program) []kernFn {
 	kp, ok := kernRegistry[p.Name]
-	if !ok {
+	if !ok || len(kp.fns) != len(p.Funcs) || kp.fp != p.ValidatedFingerprint() {
 		return nil
 	}
-	if v, ok := kernCache.Load(p); ok {
-		return v.([]kernFn)
-	}
-	var fns []kernFn
-	if len(kp.fns) == len(p.Funcs) && kp.fp == p.Fingerprint() {
-		fns = kp.fns
-	}
-	kernCache.Store(p, fns)
-	return fns
+	return kp.fns
 }
 
 // Compiled reports whether runs of p use the compiled fast tier (a
 // generated kernel is registered for p's name, its fingerprint matches,
 // and MULTIFLIP_DISABLE does not disable TierCompile process-wide). The
-// differential suites use it to prove they compare a real compiled run
-// against the interpreter rather than two interpreted runs.
+// tier contract and the compiled-tier suite use it to prove they compare
+// a real compiled run against the interpreter rather than two
+// interpreted runs.
 func Compiled(p *ir.Program) bool {
 	return !envDisabled.Has(TierCompile) && kernelsFor(p) != nil
 }

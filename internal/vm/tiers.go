@@ -8,11 +8,13 @@ import (
 )
 
 // Tiers is a set of speed tiers, used as a disable set: the zero value
-// leaves every tier on. Each tier's differential suite proves it
-// bit-identical to plain interpretation, so disabling tiers changes how
-// fast campaigns run, never what they record. The VM implements
-// TierFuse, TierCompile and TierConverge; TierSnapshots and TierLiveness
-// belong to target preparation in internal/core.
+// leaves every tier on. The tier contract (internal/tiercontract, one
+// row per member) proves each bit-identical to running without it, so
+// disabling tiers changes how fast campaigns run, never what they
+// record. The VM implements
+// TierCompile and TierConverge; TierSnapshots and TierLiveness belong to
+// target preparation in internal/core. Nothing persists a Tiers value,
+// so the bit positions carry no compatibility weight.
 type Tiers uint8
 
 // The speed tiers, in the order the -disable flags and MULTIFLIP_DISABLE
@@ -21,8 +23,6 @@ const (
 	// TierSnapshots fast-forwards experiments from golden-run snapshots
 	// instead of replaying the fault-free prefix.
 	TierSnapshots Tiers = 1 << iota
-	// TierFuse executes annotated instruction pairs as superinstructions.
-	TierFuse
 	// TierCompile runs the workload's generated native kernel between
 	// event horizons instead of the token-threaded interpreter.
 	TierCompile
@@ -33,7 +33,7 @@ const (
 	TierLiveness
 )
 
-var tierNames = []string{"snapshots", "fuse", "compile", "converge", "liveness"}
+var tierNames = []string{"snapshots", "compile", "converge", "liveness"}
 
 // Has reports whether every tier of x is in t.
 func (t Tiers) Has(x Tiers) bool { return t&x == x }

@@ -11,10 +11,10 @@ func TestParseTiers(t *testing.T) {
 		want Tiers
 	}{
 		{"", 0},
-		{"fuse", TierFuse},
+		{"snapshots", TierSnapshots},
 		{" compile , converge ,", TierCompile | TierConverge},
 		{"liveness,snapshots,liveness", TierLiveness | TierSnapshots},
-		{"snapshots,fuse,compile,converge,liveness", TierSnapshots | TierFuse | TierCompile | TierConverge | TierLiveness},
+		{"snapshots,compile,converge,liveness", TierSnapshots | TierCompile | TierConverge | TierLiveness},
 	} {
 		got, err := parseTiers(c.in)
 		if err != nil || got != c.want {
@@ -24,19 +24,21 @@ func TestParseTiers(t *testing.T) {
 			t.Errorf("%q does not round-trip through String: %q, %v", got, back, err)
 		}
 	}
-	for _, bad := range []string{"fusion", "snapshot", "fuse,nocompile", "all"} {
-		if _, err := parseTiers(bad); err == nil || !strings.Contains(err.Error(), "valid: snapshots, fuse, compile, converge, liveness") {
+	// "fuse" names the retired superinstruction tier: it is as unknown as
+	// a typo.
+	for _, bad := range []string{"fuse", "snapshot", "compile,fuse", "nocompile", "all"} {
+		if _, err := parseTiers(bad); err == nil || !strings.Contains(err.Error(), "valid: snapshots, compile, converge, liveness") {
 			t.Errorf("parseTiers(%q): want an error naming the valid tiers, got %v", bad, err)
 		}
 	}
 	var flag Tiers
-	if err := flag.Set("fuse"); err != nil {
+	if err := flag.Set("snapshots"); err != nil {
 		t.Fatal(err)
 	}
 	if err := flag.Set("compile"); err != nil {
 		t.Fatal(err)
 	}
-	if flag != TierFuse|TierCompile {
-		t.Errorf("repeated Set accumulated %q, want fuse,compile", flag)
+	if flag != TierSnapshots|TierCompile {
+		t.Errorf("repeated Set accumulated %q, want snapshots,compile", flag)
 	}
 }

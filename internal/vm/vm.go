@@ -159,11 +159,10 @@ type Options struct {
 	// Plan.FirstCand must not precede the snapshot's candidate counter, and
 	// no MemFlip may be due before the snapshot's Dyn.
 	Resume *Snapshot
-	// Disable turns speed tiers off for this run: with TierFuse in the
-	// set every instruction dispatches alone through the handler table,
-	// with TierCompile the VM sprints token-threaded between event
-	// horizons instead of running the workload's generated native kernel
-	// (kern.go), and with TierConverge it ignores Trace and MemoCheck.
+	// Disable turns speed tiers off for this run: with TierCompile in the
+	// set the VM sprints token-threaded between event horizons instead of
+	// running the workload's generated native kernel (kern.go), and with
+	// TierConverge it ignores Trace and MemoCheck.
 	// The other members are ignored here. MULTIFLIP_DISABLE adds to the
 	// set process-wide. Results are bit-identical either way (the
 	// differential tests enforce it).
@@ -327,9 +326,6 @@ type machine struct {
 	// at its injection horizon. The kernels' call/return punts (kernOut),
 	// which step with or without a plan, are not counted.
 	steps uint64
-	// fuse enables superinstruction execution (see dispatch.go); cleared
-	// when TierFuse is disabled.
-	fuse bool
 	// kern holds the program's generated native kernels (one per
 	// function), or nil when the program has none or TierCompile is
 	// disabled.
@@ -452,7 +448,6 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 	m.firstBit = -1
 	m.firstPre = -1
 	disable := opts.Disable | envDisabled
-	m.fuse = !disable.Has(TierFuse)
 	if !disable.Has(TierCompile) {
 		m.kern = kernelsFor(p)
 	}
@@ -722,11 +717,9 @@ func val(regs []uint64, o ir.Operand) uint64 {
 //     up to the event horizon (the nearest of the hang budget, the next
 //     snapshot, the next memory flip, the next convergence check and the
 //     injection horizon) with no per-instruction event checks at all,
-//     keeping the dynamic and candidate counters in locals.
-//     Superinstructions execute there in a single dispatch round; the
-//     horizon check (at least two instructions of headroom) guarantees
-//     no event can fire between the halves, so fusion never perturbs
-//     snapshot boundaries or flip instants.
+//     keeping the dynamic and candidate counters in locals. The
+//     workload's compiled kernel, when it has one, takes the stretch
+//     instead.
 //
 // Convergence checks arm only once the plan has ended (endPlan clears the
 // armed flags), at the first stop after its last flip, which is stepped;
@@ -827,158 +820,10 @@ func (m *machine) run() {
 // sprint — handlers never touch them — and are flushed back to the
 // machine on every exit so snapshots and the observer tier always see
 // exact values.
-//
-// Superinstructions (in.FTok) execute both halves in one dispatch round
-// with bit-identical accounting to their unfused expansion: the counters
-// advance per half, destination writes count per half, and a trap in the
-// second half leaves exactly the state the unfused execution would (the
-// head's effects visible, the tail's write uncounted). The fused path is
-// taken only with two instructions of headroom before the horizon, so no
-// snapshot or memory flip can land between the halves; pairs straddling
-// the horizon simply execute unfused, which is always legal.
 func (m *machine) sprint(fr *frame, limit uint64) *frame {
 	dyn, readSlots, writes := m.dyn, m.readSlots, m.writes
-	fuse := m.fuse
 	for dyn < limit {
 		in := &fr.code[fr.pc]
-		if ft := in.FTok; ft > ir.FusePair && fuse && limit-dyn >= 2 {
-			if ft == ir.FuseMov {
-				// mov+arith superinstruction: the move executes here with
-				// its own accounting, and its successor dispatches through
-				// the token switch below in the same round.
-				regs := fr.regs
-				regs[in.Dst] = regs[in.A.RegRaw()]
-				dyn++
-				readSlots += uint64(in.NR)
-				writes++
-				fr.pc++
-				in = &fr.code[fr.pc]
-				goto dispatch
-			}
-			if ft == ir.FuseCmpCmpBr {
-				// cmp+cmp+condbr loop-head superinstruction: three halves
-				// in one dispatch round. Both compare results are written
-				// to their destinations — later code, snapshots and the
-				// observer tier see them — before the branch consumes the
-				// second. A pair of headroom is not enough for three
-				// halves; the head then executes alone (always legal —
-				// fusion annotations are advisory).
-				if limit-dyn < 3 {
-					goto dispatch
-				}
-				in2 := &fr.code[fr.pc+1]
-				in3 := &fr.code[fr.pc+2]
-				regs := fr.regs
-				dyn += 3
-				readSlots += uint64(in.NR) + uint64(in2.NR) + uint64(in3.NR)
-				regs[in.Dst] = icmpVal(regs, in)
-				c := icmpVal(regs, in2)
-				regs[in2.Dst] = c
-				writes += 2
-				if c != 0 {
-					fr.pc = int(in3.Off)
-				} else {
-					fr.pc += 3
-				}
-				continue
-			}
-			// Pair-specialized superinstruction: both halves in this round.
-			in2 := &fr.code[fr.pc+1]
-			regs := fr.regs
-			dyn += 2
-			readSlots += uint64(in.NR) + uint64(in2.NR)
-			switch ft {
-			case ir.FuseAddLoad:
-				// The sum is still written to the add's destination —
-				// later code and snapshots observe it — then feeds the
-				// load address directly.
-				sum := val(regs, in.A) + val(regs, in.B)
-				regs[in.Dst] = sum
-				writes++
-				v, trap := m.load(sum+uint64(in2.Off), in2.W.Bytes())
-				if trap != TrapNone {
-					m.trapOut(trap)
-					goto halt
-				}
-				regs[in2.Dst] = v
-				writes++
-				fr.pc += 2
-			case ir.FuseAddStore:
-				sum := val(regs, in.A) + val(regs, in.B)
-				regs[in.Dst] = sum
-				writes++
-				if trap := m.store(sum+uint64(in2.Off), in2.W.Bytes(), val(regs, in2.B)); trap != TrapNone {
-					m.trapOut(trap)
-					goto halt
-				}
-				fr.pc += 2
-			case ir.FuseMulAdd:
-				// mul.64 feeding one operand of the next add.64 — the
-				// address-scaling idiom (base + index*size). The product is
-				// written first, then the add reads it like any operand.
-				regs[in.Dst] = val(regs, in.A) * val(regs, in.B)
-				writes++
-				regs[in2.Dst] = val(regs, in2.A) + val(regs, in2.B)
-				writes++
-				fr.pc += 2
-			case ir.FuseShlAnd:
-				// shl then and — FFT's shift-and-mask idiom. Both halves run
-				// their generic width-masked bodies in order; the shift is
-				// written first, so a dependent and reads it like any
-				// operand.
-				w := in.W
-				mask := w.Mask()
-				sh := val(regs, in.B) & uint64(w.Bits()-1)
-				regs[in.Dst] = ((val(regs, in.A) & mask) << sh) & mask
-				writes++
-				regs[in2.Dst] = val(regs, in2.A) & val(regs, in2.B) & in2.W.Mask()
-				writes++
-				fr.pc += 2
-			case ir.FuseAndLshr:
-				// and then lshr — CRC32's mask-and-shift idiom (lsb = c&1
-				// ahead of c>>1). Both halves run their generic
-				// width-masked bodies in order; the and is written first,
-				// so a dependent shift reads it like any operand.
-				regs[in.Dst] = val(regs, in.A) & val(regs, in.B) & in.W.Mask()
-				writes++
-				w2 := in2.W
-				sh := val(regs, in2.B) & uint64(w2.Bits()-1)
-				regs[in2.Dst] = (val(regs, in2.A) & w2.Mask()) >> sh
-				writes++
-				fr.pc += 2
-			default:
-				// Compare+branch: the compare result is still written to
-				// its destination register before the branch consumes it.
-				var c uint64
-				w := in.W
-				mask := w.Mask()
-				a := val(regs, in.A) & mask
-				b := val(regs, in.B) & mask
-				switch ft {
-				case ir.FuseCmpEQBr:
-					c = boolBit(a == b)
-				case ir.FuseCmpNEBr:
-					c = boolBit(a != b)
-				case ir.FuseCmpULTBr:
-					c = boolBit(a < b)
-				case ir.FuseCmpULEBr:
-					c = boolBit(a <= b)
-				case ir.FuseCmpSLTBr:
-					c = boolBit(w.SignExtend(a) < w.SignExtend(b))
-				default: // ir.FuseCmpSLEBr
-					c = boolBit(w.SignExtend(a) <= w.SignExtend(b))
-				}
-				regs[in.Dst] = c
-				writes++
-				if c != 0 {
-					fr.pc = int(in2.Off)
-				} else {
-					fr.pc += 2
-				}
-			}
-			continue
-		}
-	dispatch:
 		dyn++
 		readSlots += uint64(in.NR)
 		regs := fr.regs
@@ -1298,30 +1143,6 @@ func boolBit(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// icmpVal evaluates one integer-compare instruction over regs: the
-// generic width-masked compare body, shared by the cmp+cmp+condbr
-// superinstruction whose halves can be any of the six compares.
-func icmpVal(regs []uint64, in *ir.Instr) uint64 {
-	w := in.W
-	mask := w.Mask()
-	a := val(regs, in.A) & mask
-	b := val(regs, in.B) & mask
-	switch in.Op {
-	case ir.OpICmpEQ:
-		return boolBit(a == b)
-	case ir.OpICmpNE:
-		return boolBit(a != b)
-	case ir.OpICmpULT:
-		return boolBit(a < b)
-	case ir.OpICmpULE:
-		return boolBit(a <= b)
-	case ir.OpICmpSLT:
-		return boolBit(w.SignExtend(a) < w.SignExtend(b))
-	default: // ir.OpICmpSLE
-		return boolBit(w.SignExtend(a) <= w.SignExtend(b))
-	}
 }
 
 // intDiv evaluates division/remainder, reporting arithmetic traps.
