@@ -240,15 +240,15 @@ func BenchmarkMemFaultSweep(b *testing.B) {
 
 // BenchmarkVMGoldenRun measures raw VM throughput on fault-free runs of
 // three differently shaped workloads, under the default configuration:
-// compiled fast-tier kernels between event horizons, token-threaded
-// dispatch everywhere else.
+// compiled fast-tier kernels between event horizons, the interpreter
+// (the handler table) everywhere else.
 func BenchmarkVMGoldenRun(b *testing.B) {
 	benchVMGoldenRun(b, vm.Options{})
 }
 
 // BenchmarkVMGoldenRunDisableCompile is the compiled-tier ablation: the
-// same runs forced onto the token-threaded interpreter, isolating the
-// fast-tier share of the speedup. The tier contract guarantees both
+// same runs forced onto the interpreter (sprint driving the handler
+// table), isolating the fast-tier share of the speedup. The tier contract guarantees both
 // variants produce bit-identical results.
 func BenchmarkVMGoldenRunDisableCompile(b *testing.B) {
 	benchVMGoldenRun(b, vm.Options{Disable: vm.TierCompile})

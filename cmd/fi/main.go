@@ -60,9 +60,11 @@ type options struct {
 	resume     bool
 	status     bool
 
-	// classifier is the parsed classSpec; onfail the parsed onfailSpec.
+	// classifier is the parsed classSpec, onfail the parsed onfailSpec,
+	// technique the parsed tech.
 	classifier core.Classifier
 	onfail     core.FailurePolicy
+	technique  core.Technique
 }
 
 func main() {
@@ -99,11 +101,27 @@ func run(o options) error {
 		}
 		return runStatus(os.Stdout, o.journal)
 	}
-	// Reject a bad model name or window before target preparation:
-	// profiling runs the whole golden run plus snapshot and trace
-	// capture, which is seconds of waste on a typo.
+	// Reject bad flags before target preparation: profiling runs the
+	// whole golden run plus snapshot and trace capture, which is seconds
+	// of waste on a typo.
 	if o.model != "flip" && o.model != "stuckat" {
 		return fmt.Errorf("unknown model %q (want flip or stuckat)", o.model)
+	}
+	if o.n < 1 {
+		return fmt.Errorf("-n must be >= 1, got %d", o.n)
+	}
+	if o.model == "flip" {
+		switch o.tech {
+		case "read":
+			o.technique = core.InjectOnRead
+		case "write":
+			o.technique = core.InjectOnWrite
+		default:
+			return fmt.Errorf("unknown technique %q (want read or write)", o.tech)
+		}
+		if o.mbf < 1 {
+			return fmt.Errorf("-mbf must be >= 1, got %d", o.mbf)
+		}
 	}
 	var err error
 	if o.classifier, err = core.ParseClassifier(o.classSpec); err != nil {
@@ -171,23 +189,14 @@ func (o *options) engine(target *core.Target, m core.FaultModel) *core.Engine {
 }
 
 func runFlip(target *core.Target, win core.WinSize, o options) error {
-	var tech core.Technique
-	switch o.tech {
-	case "read":
-		tech = core.InjectOnRead
-	case "write":
-		tech = core.InjectOnWrite
-	default:
-		return fmt.Errorf("unknown technique %q (want read or write)", o.tech)
-	}
 	cfg := core.Config{MaxMBF: o.mbf, Win: win}
-	m := &core.RegisterModel{Spec: &core.CampaignSpec{Technique: tech, Config: cfg}}
+	m := &core.RegisterModel{Spec: &core.CampaignSpec{Technique: o.technique, Config: cfg}}
 	res, err := o.engine(target, m).Run()
 	if err != nil {
 		return err
 	}
 	title := fmt.Sprintf("Campaign: %s, %s, %s, n=%d, seed=%d%s (golden: %d dyn instr, %d/%d candidates)",
-		target.Name, tech, cfg, res.N(), o.seed, classifierTag(o.classifier),
+		target.Name, o.technique, cfg, res.N(), o.seed, classifierTag(o.classifier),
 		target.GoldenDyn, target.ReadCands, target.WriteCands)
 	return renderCampaign(title, res)
 }

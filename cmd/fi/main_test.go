@@ -15,23 +15,35 @@ func base() options {
 		winSpec: "0", n: 10, seed: 1, hang: 10, workers: 1}
 }
 
+// TestRunRejectsUnknowns checks that every bad flag fails with its own
+// error. The cases that pair a flag typo with an unknown program prove
+// the flag is checked before target preparation, which would otherwise
+// fail first on the program.
 func TestRunRejectsUnknowns(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*options)
+		want string
 	}{
-		{"unknown program", func(o *options) { o.prog = "no-such-prog" }},
-		{"unknown technique", func(o *options) { o.tech = "sideways" }},
-		{"unknown model", func(o *options) { o.model = "no-such-model" }},
-		{"stuck-at zero window", func(o *options) { o.model = "stuckat" }},
-		{"resume without journal", func(o *options) { o.resume = true }},
-		{"status without journal", func(o *options) { o.status = true }},
+		{"unknown program", func(o *options) { o.prog = "no-such-prog" }, "unknown benchmark"},
+		{"unknown technique", func(o *options) { o.tech = "sideways" }, "unknown technique"},
+		{"unknown technique, unknown program", func(o *options) {
+			o.prog, o.tech = "no-such-prog", "sideways"
+		}, "unknown technique"},
+		{"zero mbf, unknown program", func(o *options) { o.prog, o.mbf = "no-such-prog", 0 }, "-mbf must be >= 1"},
+		{"zero n, unknown program", func(o *options) { o.prog, o.n = "no-such-prog", 0 }, "-n must be >= 1"},
+		{"unknown model", func(o *options) { o.model = "no-such-model" }, "unknown model"},
+		{"stuck-at zero window", func(o *options) { o.model = "stuckat" }, "stuck-at window"},
+		{"resume without journal", func(o *options) { o.resume = true }, "-resume needs -journal"},
+		{"status without journal", func(o *options) { o.status = true }, "-status needs -journal"},
 	}
 	for _, c := range cases {
 		o := base()
 		c.mut(&o)
 		if err := run(o); err == nil {
 			t.Errorf("%s accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q, want one containing %q", c.name, err, c.want)
 		}
 	}
 }

@@ -1,17 +1,16 @@
 package core_test
 
 // Liveness-tier tests beyond the tier contract (internal/tiercontract):
-// a program built so that pruning must fire, and a target prepared with
-// the liveness oracle profiling exactly like one prepared without it.
+// a program built so that pruning must fire. That a target prepared with
+// the liveness oracle profiles exactly like one prepared without it is
+// the contract's own check (sameProfile, on all 15 workloads).
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
 	"multiflip/internal/core"
 	"multiflip/internal/ir"
-	"multiflip/internal/prog"
 	"multiflip/internal/vm"
 )
 
@@ -82,45 +81,5 @@ func TestLivenessGuaranteedPrune(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Experiments, slow.Experiments) {
 		t.Error("experiments diverge between pruned and executed campaigns on the synthetic target")
-	}
-}
-
-// TestTargetLivenessNeutral checks that building the liveness oracle
-// during target preparation does not perturb the profile: golden output,
-// dynamic count, candidate spaces, role decomposition and snapshot
-// placement are bit-identical with the tier on and off.
-func TestTargetLivenessNeutral(t *testing.T) {
-	bench, err := prog.ByName("qsort")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := bench.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := core.NewTarget(bench.Name, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierLiveness})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(on.Golden, off.Golden) {
-		t.Fatal("golden outputs diverge between liveness and no-liveness profiling")
-	}
-	if on.GoldenDyn != off.GoldenDyn ||
-		on.ReadCands != off.ReadCands || on.WriteCands != off.WriteCands ||
-		on.ReadRoles != off.ReadRoles || on.WriteRoles != off.WriteRoles {
-		t.Fatal("profiles diverge between liveness and no-liveness target preparation")
-	}
-	if len(on.Snapshots) != len(off.Snapshots) {
-		t.Fatalf("snapshot counts diverge: %d vs %d", len(on.Snapshots), len(off.Snapshots))
-	}
-	for i := range on.Snapshots {
-		if on.Snapshots[i].Dyn != off.Snapshots[i].Dyn {
-			t.Fatalf("snapshot %d placed at dyn %d (liveness) vs %d (no-liveness)",
-				i, on.Snapshots[i].Dyn, off.Snapshots[i].Dyn)
-		}
 	}
 }

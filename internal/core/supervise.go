@@ -4,8 +4,8 @@ package core
 // and the failure-policy seam. The engine's worker loop never calls
 // runOne directly anymore — every experiment goes through runSupervised,
 // which walks a ladder of progressively degraded execution tiers
-// (compiled fast tier -> token-threaded interpreter -> interpretation
-// with convergence off). The tier contract (internal/tiercontract)
+// (compiled fast tier -> the interpreter, the VM's handler table ->
+// interpretation with convergence off). The tier contract (internal/tiercontract)
 // proves the tiers bit-identical, so a retry on a degraded tier is a
 // legitimate result, not an approximation: a buggy generated kernel or a
 // tripped VM invariant degrades one experiment to the interpreter

@@ -6,9 +6,10 @@ package ir
 // kind and width where that removes per-execution branches.
 //
 // Tokens are pure annotations: the instruction stream, its PCs, and its
-// injection-candidate accounting are unchanged, and both of the VM's
-// interpreters (sprint's token switch and the observer tier's handler
-// table) must execute every token with bit-identical machine state.
+// injection-candidate accounting are unchanged. The VM implements each
+// token once, as a handler in its handler table, which both of its
+// interpreter loops (the fast sprint and the observer tier's step)
+// drive.
 
 // Token indexes the VM's handler table. It is resolved once per
 // instruction at validation time, so per-execution dispatch is a single
@@ -23,7 +24,7 @@ type Token uint8
 // memory access, register moves).
 const (
 	// TokInvalid marks an unvalidated instruction; the VM's handler for
-	// it raises an abort trap, mirroring the old switch's default case.
+	// it raises an abort trap.
 	TokInvalid Token = iota
 
 	TokAdd

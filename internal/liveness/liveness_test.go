@@ -89,7 +89,7 @@ func TestControlAndTrapSurfacesStayLive(t *testing.T) {
 	m := ir.NewModule("t")
 	addr := m.GlobalZero(16)
 	f := m.Func("main", 0)
-	v := f.Let(ir.C(9))                         // pc0
+	v := f.Let(ir.C(9))                               // pc0
 	cond := f.CmpW(ir.W64, ir.OpICmpSLT, v, ir.C(10)) // pc1
 	exit := f.NewLabel()
 	f.JmpIf(cond, exit) // pc2
@@ -131,7 +131,7 @@ func TestJoinAcrossBranches(t *testing.T) {
 	f := m.Func("main", 0)
 	v := f.Let(ir.C(5)) // pc0
 	thenL, end := f.NewLabel(), f.NewLabel()
-	f.JmpIf(ir.C(1), thenL) // pc1
+	f.JmpIf(ir.C(1), thenL)                      // pc1
 	lo := f.BinW(ir.W64, ir.OpAnd, v, ir.C(0xf)) // pc2: else arm sees low nibble
 	f.Out64(lo)
 	f.Jmp(end)
@@ -197,10 +197,10 @@ func TestCallBoundaries(t *testing.T) {
 	g.Ret(r)                                         // g pc1
 
 	f := m.Func("main", 0)
-	x := f.Let(ir.C(41))     // main pc0
-	y := f.Call("g", x)      // main pc1
+	x := f.Let(ir.C(41))                       // main pc0
+	y := f.Call("g", x)                        // main pc1
 	lo := f.BinW(ir.W64, ir.OpAnd, y, ir.C(1)) // main pc2
-	f.Out64(lo)              // main pc3
+	f.Out64(lo)                                // main pc3
 	f.RetVoid()
 	p := m.MustBuild()
 

@@ -10,11 +10,14 @@ import (
 
 // TestEveryOpcodeExecutes runs a program touching every opcode and every
 // dispatch token the IR defines (the specialized register-operand tokens
-// included) and checks the numeric results, so no dispatch arm goes
-// untested. It runs the program through both interpreters — sprint's
-// token switch, and the observer tier's handler table, which a
-// role-counting run steps every instruction through — and requires
-// identical results.
+// included) and checks the numeric results against hand-computed
+// values: the semantic oracle for the handler table, the VM's one
+// hand-written implementation of the tokens. The generic tokens whose
+// handlers mask or sign-extend by width are checked at several widths,
+// on register operands carrying garbage above the width. The program
+// runs twice — straight, which sprint executes with no observer step,
+// and role-counting, which steps every instruction — and the two runs
+// must agree, so the check covers both loops over the table.
 func TestEveryOpcodeExecutes(t *testing.T) {
 	mb := ir.NewModule("allops")
 	g := mb.GlobalU64s([]uint64{0x1122334455667788, 0})
@@ -98,6 +101,68 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 	f.For(ir.C(0), ir.C(3), func(i ir.Reg) { f.Mov(acc, f.Add(acc, i)) })
 	f.Out32(acc) // 0+1+2
 
+	// Width variants of the generic tokens that mask or sign-extend by
+	// width. The register operands carry garbage above the width.
+	a8 := f.Let(ir.C(0x1F0))                  // low byte 0xF0 = -16
+	a16 := f.Let(ir.C(0x3_8001))              // low half 0x8001 = -32767
+	a64 := f.Let(ir.C(0x8000_0000_0000_0001)) // negative
+	widthWants := []struct {
+		name string
+		v    ir.Reg
+		want uint64
+	}{
+		{"shl.8", f.BinW(ir.W8, ir.OpShl, a8, ir.C(9)), 0xE0}, // count 9&7 = 1
+		{"lshr.8", f.BinW(ir.W8, ir.OpLShr, a8, ir.C(4)), 0x0F},
+		{"ashr.8", f.BinW(ir.W8, ir.OpAShr, a8, ir.C(4)), 0xFF},
+		{"shl.16", f.BinW(ir.W16, ir.OpShl, a16, ir.C(17)), 0x0002}, // count 17&15 = 1
+		{"lshr.16", f.BinW(ir.W16, ir.OpLShr, a16, ir.C(15)), 1},
+		{"ashr.16", f.BinW(ir.W16, ir.OpAShr, a16, ir.C(1)), 0xC000},
+		{"shl.64", f.BinW(ir.W64, ir.OpShl, a64, ir.C(65)), 2}, // count 65&63 = 1
+		{"lshr.64", f.BinW(ir.W64, ir.OpLShr, a64, ir.C(63)), 1},
+		{"ashr.64", f.BinW(ir.W64, ir.OpAShr, a64, ir.C(1)), 0xC000_0000_0000_0000},
+
+		{"icmp.eq.8", f.CmpW(ir.W8, ir.OpICmpEQ, a8, ir.C(0xF0)), 1},
+		{"icmp.ne.8", f.CmpW(ir.W8, ir.OpICmpNE, a8, ir.C(0xF0)), 0},
+		{"icmp.ult.8", f.CmpW(ir.W8, ir.OpICmpULT, a8, ir.C(0xF1)), 1},
+		{"icmp.ule.8", f.CmpW(ir.W8, ir.OpICmpULE, a8, ir.C(0xF0)), 1},
+		{"icmp.slt.8", f.CmpW(ir.W8, ir.OpICmpSLT, a8, ir.C(1)), 1},
+		{"icmp.sle.8", f.CmpW(ir.W8, ir.OpICmpSLE, ir.C(0x7F), a8), 0},
+		{"icmp.ult.16", f.CmpW(ir.W16, ir.OpICmpULT, ir.C(0x7FFF), a16), 1},
+		{"icmp.ule.16", f.CmpW(ir.W16, ir.OpICmpULE, a16, ir.C(0x8000)), 0},
+		{"icmp.slt.16", f.CmpW(ir.W16, ir.OpICmpSLT, a16, ir.C(0x7FFF)), 1},
+		{"icmp.sle.16", f.CmpW(ir.W16, ir.OpICmpSLE, a16, ir.C(0)), 1},
+		{"icmp.ult.64", f.CmpW(ir.W64, ir.OpICmpULT, ir.C(1), a64), 1},
+		{"icmp.ule.64", f.CmpW(ir.W64, ir.OpICmpULE, a64, ir.C(1)), 0},
+		{"icmp.slt.64", f.CmpW(ir.W64, ir.OpICmpSLT, a64, ir.C(1)), 1},
+		{"icmp.sle.64", f.CmpW(ir.W64, ir.OpICmpSLE, ir.C(0), a64), 0},
+
+		{"sext.16", f.Sext(ir.W16, ir.C(0x1_8000)), 0xFFFF_FFFF_FFFF_8000},
+		{"sext.32", f.Sext(ir.W32, ir.C(0x1_8000_0000)), 0xFFFF_FFFF_8000_0000},
+		{"sext.64", f.Sext(ir.W64, a64), 0x8000_0000_0000_0001},
+		{"sitofp.8", f.SiToFp(ir.W8, a8), math.Float64bits(-16)},
+		{"sitofp.32", f.SiToFp(ir.W32, ir.C(0x1_FFFF_FFFE)), math.Float64bits(-2)},
+		{"sitofp.64", f.SiToFp(ir.W64, ir.CI(-3)), math.Float64bits(-3)},
+		{"fptosi.8", f.FpToSi(ir.W8, ir.CF(-3.9)), 0xFD},
+		{"fptosi.8 saturate", f.FpToSi(ir.W8, ir.CF(-200.7)), 0x80},
+		{"fptosi.16 saturate", f.FpToSi(ir.W16, ir.CF(40000)), 0x7FFF},
+		{"fptosi.64", f.FpToSi(ir.W64, ir.CF(-2.5)), 0xFFFF_FFFF_FFFF_FFFE},
+		{"fptosi.64 saturate", f.FpToSi(ir.W64, ir.CF(-1e300)), 0x8000_0000_0000_0000},
+
+		{"udiv.8", f.BinW(ir.W8, ir.OpUDiv, ir.C(0x1F9), ir.C(2)), 0x7C},
+		{"sdiv.8", f.BinW(ir.W8, ir.OpSDiv, ir.C(0x1F9), ir.C(2)), 0xFD},
+		{"urem.8", f.BinW(ir.W8, ir.OpURem, ir.C(0x1F9), ir.C(2)), 1},
+		{"srem.8", f.BinW(ir.W8, ir.OpSRem, ir.C(0x1F9), ir.C(2)), 0xFF},
+		{"sdiv.16", f.BinW(ir.W16, ir.OpSDiv, ir.C(0xFFF9), ir.C(0x1_0002)), 0xFFFD},
+		{"urem.16", f.BinW(ir.W16, ir.OpURem, ir.C(0xFFF9), ir.C(0x10)), 9},
+		{"udiv.64", f.BinW(ir.W64, ir.OpUDiv, ir.CI(-7), ir.C(2)), 0x7FFF_FFFF_FFFF_FFFC},
+		{"sdiv.64", f.BinW(ir.W64, ir.OpSDiv, ir.CI(-7), ir.C(2)), 0xFFFF_FFFF_FFFF_FFFD},
+		{"urem.64", f.BinW(ir.W64, ir.OpURem, ir.CI(-7), ir.C(16)), 9},
+		{"srem.64", f.BinW(ir.W64, ir.OpSRem, ir.CI(-7), ir.C(2)), 0xFFFF_FFFF_FFFF_FFFF},
+	}
+	for _, w := range widthWants {
+		f.Out64(w.v)
+	}
+
 	f.RetVoid()
 	p := mb.MustBuild()
 	seen := make(map[ir.Token]bool)
@@ -121,6 +186,15 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 	stepped, err := Run(p, Options{CountRoles: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The comparison is loop against step: no instruction of the
+	// straight run went through the observer tier, and every instruction
+	// of the role-counting run did.
+	if res.steps != 0 {
+		t.Errorf("straight run stepped %d instructions, want 0", res.steps)
+	}
+	if stepped.steps != stepped.Dyn {
+		t.Errorf("role-counting run stepped %d of %d instructions", stepped.steps, stepped.Dyn)
 	}
 	sameStepped(t, "sprint vs stepped", res, stepped)
 	buf := res.Output
@@ -226,6 +300,11 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 			v = next64()
 		}
 		if v != w.want {
+			t.Errorf("%s = %#x, want %#x", w.name, v, w.want)
+		}
+	}
+	for _, w := range widthWants {
+		if v := next64(); v != w.want {
 			t.Errorf("%s = %#x, want %#x", w.name, v, w.want)
 		}
 	}

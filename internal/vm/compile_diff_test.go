@@ -3,9 +3,12 @@ package vm
 // The compiled-tier differential suite: for every workload in the suite
 // (the 15 paper programs plus the extras), runs with the generated native
 // kernels must be bit-identical to compile-disabled runs through the
-// token-threaded interpreter — outputs, counters, snapshots, golden trace
-// fingerprints, injection behaviour and convergence alike. The companion
-// campaign-level contract lives in internal/tiercontract.
+// interpreter (the handler table, driven by sprint and step) — outputs,
+// counters, snapshots, golden trace fingerprints, injection behaviour and
+// convergence alike. The kernels are generated and the handlers written
+// by hand, so this suite compares the VM's two implementations of the
+// token semantics. The companion campaign-level contract lives in
+// internal/tiercontract.
 
 import (
 	"fmt"

@@ -7,15 +7,16 @@ package vm
 // validation time, so their handlers carry no per-execution operand
 // tests.
 //
-// The table drives the observer tier (machine.step), which interleaves
-// injection checks between handlers: every instruction of a role-counting
-// run, and an armed plan's instructions at its injection horizon
-// (machine.injHorizon), the only places a flip can land. The fast tier
-// (machine.sprint in vm.go) runs everything else that no compiled kernel
-// covers, the gaps between an armed plan's injection points included. It
-// threads the same tokens through an inline jump table — the handler
-// bodies duplicated or inlined — so the two interpreters must agree
-// token by token (TestEveryOpcodeExecutes runs every token through both).
+// The handlers are the VM's one hand-written implementation of the
+// instruction semantics, and two loops drive them. The observer tier
+// (machine.step) interleaves injection checks and role tallies between
+// handlers: every instruction of a role-counting run, and an armed plan's
+// instructions at its injection horizon (machine.injHorizon), the only
+// places a flip can land. The fast tier (machine.sprint in vm.go) runs
+// everything else that no compiled kernel covers, the gaps between an
+// armed plan's injection points included, with no per-instruction
+// observers. The generated kernels (kern.go) are the other
+// implementation; the differential tests hold them to this one.
 
 import (
 	"encoding/binary"
@@ -54,7 +55,7 @@ var handlers [256]handlerFunc
 
 func init() {
 	assign := map[ir.Token]handlerFunc{
-		ir.TokInvalid:    hInvalid,
+		ir.TokInvalid:    hAbort,
 		ir.TokAdd:        hAdd,
 		ir.TokSub:        hSub,
 		ir.TokMul:        hMul,
@@ -105,19 +106,11 @@ func init() {
 		panic("vm: dispatch table does not cover the token space")
 	}
 	for i := range handlers {
-		handlers[i] = hInvalid
+		handlers[i] = hAbort
 	}
 	for tok, h := range assign {
 		handlers[tok] = h
 	}
-
-}
-
-// hInvalid mirrors the old switch's default case: an instruction the
-// dispatcher does not know (an unvalidated program) aborts the run.
-func hInvalid(m *machine, fr *frame, in *ir.Instr) stat {
-	m.trapOut(TrapAbort)
-	return statHalt
 }
 
 func hAdd(m *machine, fr *frame, in *ir.Instr) stat {
@@ -472,17 +465,26 @@ func hRet(m *machine, fr *frame, in *ir.Instr) stat {
 }
 
 func hOut(m *machine, fr *frame, in *ir.Instr) stat {
-	v := val(fr.regs, in.A) & in.W.Mask()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	m.out = append(m.out, buf[:in.W.Bytes()]...)
-	if len(m.out) > m.maxOut {
+	if !m.outAppend(val(fr.regs, in.A)&in.W.Mask(), in.W.Bytes()) {
 		m.stop = StopOutputLimit
 		return statHalt
 	}
 	return statNext
 }
 
+// outAppend appends the low n bytes of v little-endian to the output
+// buffer and reports whether the output limit still holds. hOut and the
+// generated kernels' Out instructions both frame output through it.
+func (m *machine) outAppend(v uint64, n int) bool {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
+	m.out = append(m.out, buf[:n]...)
+	return len(m.out) <= m.maxOut
+}
+
+// hAbort ends the run with an abort trap. It serves the abort
+// instruction, TokInvalid (an unvalidated program) and the table's
+// unused slots.
 func hAbort(m *machine, fr *frame, in *ir.Instr) stat {
 	m.trapOut(TrapAbort)
 	return statHalt

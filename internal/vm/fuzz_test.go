@@ -158,8 +158,8 @@ func genFuzzProg(data []byte) *ir.Program {
 
 // FuzzVM generates random programs, injection plans and resume points and
 // checks the VM's core contracts on each: runs never panic, the dynamic
-// budget is always respected, the token-threaded sprint agrees with the
-// stepped handler table, checkpointing never perturbs a run, and
+// budget is always respected, the sprint loop agrees with stepping every
+// instruction, checkpointing never perturbs a run, and
 // resuming from any captured snapshot — fault-free, with a register
 // injection plan, or with a scheduled memory flip — is bit-identical to
 // the corresponding cold start. A register plan also matches its stepped
@@ -190,9 +190,11 @@ func FuzzVM(f *testing.F) {
 			t.Fatalf("dynamic budget violated: %d > %d", straight.Dyn, maxDyn)
 		}
 
-		// The two interpreters must agree: the straight run sprints
-		// token-threaded, its stepped reference runs every instruction
-		// through the observer tier's handler table.
+		// Both loops over the handler table must agree: the straight run
+		// sprints, its stepped reference runs every instruction through
+		// the observer tier. The handlers are shared, so this checks the
+		// sprint loop's counters, horizons and exits; the semantics'
+		// oracle is TestEveryOpcodeExecutes.
 		stepOpts := base
 		stepOpts.CountRoles = true
 		stepped, err := Run(p, stepOpts)

@@ -18,14 +18,18 @@ package vm
 // horizon `lim`, and flush exact counter values on every exit. The
 // horizon includes an armed plan's injection horizon, so kernels also
 // run the gaps between injection points; the instruction where a flip
-// can land is stepped by the observer tier. Unlike sprint, a kernel
-// performs no dispatch at all — blocks are native straight-line code with
-// one horizon check per block, and a stepwise per-instruction path
-// handles blocks the horizon interrupts — so between events the
-// interpreter is escaped entirely. Calls and returns are left to the
-// interpreter (kernOut): frame manipulation is rare, cold, and shared
-// with the observer tier, whose injection checks cannot fire there
-// because the call or return lies before the injection horizon.
+// can land is stepped by the observer tier. Unlike sprint, which calls
+// a handler (dispatch.go) per instruction, a kernel performs no dispatch
+// at all — blocks are native straight-line code with one horizon check
+// per block, and a stepwise per-instruction path handles blocks the
+// horizon interrupts — so between events the interpreter is escaped
+// entirely. The kernels are the generated twin of the handler table;
+// the compiled-tier differential tests hold them to it, and Out
+// instructions share its output framing (outAppend). Calls and returns
+// are left to the interpreter (kernOut): frame manipulation is rare,
+// cold, and shared with the observer tier, whose injection checks cannot
+// fire there because the call or return lies before the injection
+// horizon.
 
 import "multiflip/internal/ir"
 
@@ -94,21 +98,4 @@ func kernelsFor(p *ir.Program) []kernFn {
 // interpreted runs.
 func Compiled(p *ir.Program) bool {
 	return !envDisabled.Has(TierCompile) && kernelsFor(p) != nil
-}
-
-// outAppend appends the low n bytes of v little-endian to the output
-// buffer and reports whether the output limit still holds. Generated
-// kernels call it for Out instructions.
-func (m *machine) outAppend(v uint64, n int) bool {
-	var buf [8]byte
-	buf[0] = byte(v)
-	buf[1] = byte(v >> 8)
-	buf[2] = byte(v >> 16)
-	buf[3] = byte(v >> 24)
-	buf[4] = byte(v >> 32)
-	buf[5] = byte(v >> 40)
-	buf[6] = byte(v >> 48)
-	buf[7] = byte(v >> 56)
-	m.out = append(m.out, buf[:n]...)
-	return len(m.out) <= m.maxOut
 }

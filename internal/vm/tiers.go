@@ -24,7 +24,7 @@ const (
 	// instead of replaying the fault-free prefix.
 	TierSnapshots Tiers = 1 << iota
 	// TierCompile runs the workload's generated native kernel between
-	// event horizons instead of the token-threaded interpreter.
+	// event horizons instead of the interpreter (sprint).
 	TierCompile
 	// TierConverge terminates runs whose state reconverges with the
 	// golden trace, and lets campaigns memoize post-injection states.

@@ -160,7 +160,7 @@ type Options struct {
 	// no MemFlip may be due before the snapshot's Dyn.
 	Resume *Snapshot
 	// Disable turns speed tiers off for this run: with TierCompile in the
-	// set the VM sprints token-threaded between event horizons instead of
+	// set the VM interprets (sprint) between event horizons instead of
 	// running the workload's generated native kernel (kern.go), and with
 	// TierConverge it ignores Trace and MemoCheck.
 	// The other members are ignored here. MULTIFLIP_DISABLE adds to the
@@ -709,17 +709,16 @@ func val(regs []uint64, o ir.Operand) uint64 {
 //   - Role-counting runs, and an armed injection plan at its injection
 //     horizon (injHorizon: the first instruction at which the plan could
 //     act), execute one instruction through step(), which drives the
-//     indirect handler table and interleaves the injection checks and
-//     role tallies. The horizon is recomputed at every stop, so a plan
-//     steps only where a flip can land, plus every instruction of a live
+//     handler table and interleaves the injection checks and role
+//     tallies. The horizon is recomputed at every stop, so a plan steps
+//     only where a flip can land, plus every instruction of a live
 //     stuck-at hold.
-//   - Otherwise sprint() runs: a tight token-threaded loop that executes
+//   - Otherwise the workload's compiled kernel, when it has one, runs
 //     up to the event horizon (the nearest of the hang budget, the next
 //     snapshot, the next memory flip, the next convergence check and the
-//     injection horizon) with no per-instruction event checks at all,
-//     keeping the dynamic and candidate counters in locals. The
-//     workload's compiled kernel, when it has one, takes the stretch
-//     instead.
+//     injection horizon); without one, sprint() drives the same handler
+//     table to the horizon with no per-instruction event checks at all,
+//     keeping the dynamic and candidate counters in locals.
 //
 // Convergence checks arm only once the plan has ended (endPlan clears the
 // armed flags), at the first stop after its last flip, which is stepped;
@@ -780,11 +779,11 @@ func (m *machine) run() {
 		if inj < limit {
 			limit = inj
 		}
-		// Third tier: the workload's generated native kernel executes to
-		// the horizon with no dispatch at all. Calls and returns punt to
-		// one observed step (cheap: they are rare and already cold), halts
-		// end the run, and a bail — a pc or frame shape the kernel does
-		// not know — falls back to the token-threaded sprint.
+		// The workload's generated native kernel executes to the horizon
+		// with no dispatch at all. Calls and returns punt to one observed
+		// step (cheap: they are rare and already cold), halts end the run,
+		// and a bail — a pc or frame shape the kernel does not know —
+		// falls back to sprint.
 		if m.kern != nil && int(fr.fn) < len(m.kern) {
 			if kf := m.kern[fr.fn]; kf != nil {
 				switch kf(m, fr, limit) {
@@ -812,260 +811,34 @@ func (m *machine) run() {
 // the run stops, and returns the frame holding control, or nil when the
 // run is over.
 //
-// Dispatch is token-threaded: the switch over validation-resolved tokens
-// compiles to a dense jump table whose targets are the handler bodies
-// (the small handlers inline; the rest are direct calls), so there is no
-// per-instruction indirect call and no operand-kind or width re-testing.
-// The dynamic, read-slot and write counters live in locals for the whole
-// sprint — handlers never touch them — and are flushed back to the
-// machine on every exit so snapshots and the observer tier always see
-// exact values.
+// Each instruction executes through the handler table, like step, but
+// with no per-instruction event checks or observers: the dynamic,
+// read-slot and write counters live in locals for the whole sprint —
+// handlers never touch them — and are flushed back to the machine on
+// every exit so snapshots and the observer tier always see exact values.
 func (m *machine) sprint(fr *frame, limit uint64) *frame {
 	dyn, readSlots, writes := m.dyn, m.readSlots, m.writes
 	for dyn < limit {
 		in := &fr.code[fr.pc]
 		dyn++
 		readSlots += uint64(in.NR)
-		regs := fr.regs
-		switch in.Tok {
-		case ir.TokAdd64RR:
-			regs[in.Dst] = regs[in.A.RegRaw()] + regs[in.B.RegRaw()]
-			writes++
+		switch handlers[in.Tok](m, fr, in) {
+		case statNext:
+			writes += uint64(in.DW)
 			fr.pc++
-		case ir.TokAdd64RI:
-			regs[in.Dst] = regs[in.A.RegRaw()] + in.B.ImmRaw()
-			writes++
-			fr.pc++
-		case ir.TokAdd32RR:
-			regs[in.Dst] = uint64(uint32(regs[in.A.RegRaw()]) + uint32(regs[in.B.RegRaw()]))
-			writes++
-			fr.pc++
-		case ir.TokAdd32RI:
-			regs[in.Dst] = uint64(uint32(regs[in.A.RegRaw()]) + uint32(in.B.ImmRaw()))
-			writes++
-			fr.pc++
-		case ir.TokCmpSLT32RR:
-			regs[in.Dst] = boolBit(int32(regs[in.A.RegRaw()]) < int32(regs[in.B.RegRaw()]))
-			writes++
-			fr.pc++
-		case ir.TokXor64RR:
-			regs[in.Dst] = regs[in.A.RegRaw()] ^ regs[in.B.RegRaw()]
-			writes++
-			fr.pc++
-		case ir.TokMovR:
-			regs[in.Dst] = regs[in.A.RegRaw()]
-			writes++
-			fr.pc++
-		case ir.TokLoadR:
-			v, trap := m.load(regs[in.A.RegRaw()]+uint64(in.Off), in.W.Bytes())
-			if trap != TrapNone {
-				m.trapOut(trap)
-				goto halt
-			}
-			regs[in.Dst] = v
-			writes++
-			fr.pc++
-		case ir.TokStoreRR:
-			if trap := m.store(regs[in.A.RegRaw()]+uint64(in.Off), in.W.Bytes(), regs[in.B.RegRaw()]); trap != TrapNone {
-				m.trapOut(trap)
-				goto halt
-			}
-			fr.pc++
-		case ir.TokAdd:
-			regs[in.Dst] = (val(regs, in.A) + val(regs, in.B)) & in.W.Mask()
-			writes++
-			fr.pc++
-		case ir.TokSub:
-			regs[in.Dst] = (val(regs, in.A) - val(regs, in.B)) & in.W.Mask()
-			writes++
-			fr.pc++
-		case ir.TokMul:
-			regs[in.Dst] = (val(regs, in.A) * val(regs, in.B)) & in.W.Mask()
-			writes++
-			fr.pc++
-		case ir.TokAnd:
-			regs[in.Dst] = val(regs, in.A) & val(regs, in.B) & in.W.Mask()
-			writes++
-			fr.pc++
-		case ir.TokOr:
-			regs[in.Dst] = (val(regs, in.A) | val(regs, in.B)) & in.W.Mask()
-			writes++
-			fr.pc++
-		case ir.TokXor:
-			regs[in.Dst] = (val(regs, in.A) ^ val(regs, in.B)) & in.W.Mask()
-			writes++
-			fr.pc++
-		case ir.TokShl:
-			mask := in.W.Mask()
-			sh := val(regs, in.B) & uint64(in.W.Bits()-1)
-			regs[in.Dst] = ((val(regs, in.A) & mask) << sh) & mask
-			writes++
-			fr.pc++
-		case ir.TokLShr:
-			mask := in.W.Mask()
-			sh := val(regs, in.B) & uint64(in.W.Bits()-1)
-			regs[in.Dst] = (val(regs, in.A) & mask) >> sh
-			writes++
-			fr.pc++
-		case ir.TokAShr:
-			w := in.W
-			sh := val(regs, in.B) & w.Mask() & uint64(w.Bits()-1)
-			regs[in.Dst] = uint64(w.SignExtend(val(regs, in.A)&w.Mask())>>sh) & w.Mask()
-			writes++
-			fr.pc++
-		case ir.TokDiv:
-			mask := in.W.Mask()
-			r, trap := intDiv(in.Op, in.W, val(regs, in.A)&mask, val(regs, in.B)&mask)
-			if trap != TrapNone {
-				m.trapOut(trap)
-				goto halt
-			}
-			regs[in.Dst] = r & mask
-			writes++
-			fr.pc++
-		case ir.TokFBin:
-			a := math.Float64frombits(val(regs, in.A))
-			b := math.Float64frombits(val(regs, in.B))
-			regs[in.Dst] = math.Float64bits(floatBin(in.Op, a, b))
-			writes++
-			fr.pc++
-		case ir.TokFNeg:
-			regs[in.Dst] = math.Float64bits(-math.Float64frombits(val(regs, in.A)))
-			writes++
-			fr.pc++
-		case ir.TokFAbs:
-			regs[in.Dst] = math.Float64bits(math.Abs(math.Float64frombits(val(regs, in.A))))
-			writes++
-			fr.pc++
-		case ir.TokFSqrt:
-			regs[in.Dst] = math.Float64bits(math.Sqrt(math.Float64frombits(val(regs, in.A))))
-			writes++
-			fr.pc++
-		case ir.TokSExt:
-			regs[in.Dst] = uint64(in.W.SignExtend(val(regs, in.A) & in.W.Mask()))
-			writes++
-			fr.pc++
-		case ir.TokZTrunc:
-			regs[in.Dst] = val(regs, in.A) & in.W.Mask()
-			writes++
-			fr.pc++
-		case ir.TokSIToFP:
-			regs[in.Dst] = math.Float64bits(float64(in.W.SignExtend(val(regs, in.A) & in.W.Mask())))
-			writes++
-			fr.pc++
-		case ir.TokFPToSI:
-			regs[in.Dst] = fpToSI(math.Float64frombits(val(regs, in.A)), in.W)
-			writes++
-			fr.pc++
-		case ir.TokMov:
-			regs[in.Dst] = val(regs, in.A)
-			writes++
-			fr.pc++
-		case ir.TokCmpEQ:
-			mask := in.W.Mask()
-			regs[in.Dst] = boolBit(val(regs, in.A)&mask == val(regs, in.B)&mask)
-			writes++
-			fr.pc++
-		case ir.TokCmpNE:
-			mask := in.W.Mask()
-			regs[in.Dst] = boolBit(val(regs, in.A)&mask != val(regs, in.B)&mask)
-			writes++
-			fr.pc++
-		case ir.TokCmpULT:
-			mask := in.W.Mask()
-			regs[in.Dst] = boolBit(val(regs, in.A)&mask < val(regs, in.B)&mask)
-			writes++
-			fr.pc++
-		case ir.TokCmpULE:
-			mask := in.W.Mask()
-			regs[in.Dst] = boolBit(val(regs, in.A)&mask <= val(regs, in.B)&mask)
-			writes++
-			fr.pc++
-		case ir.TokCmpSLT:
-			w := in.W
-			mask := w.Mask()
-			regs[in.Dst] = boolBit(w.SignExtend(val(regs, in.A)&mask) < w.SignExtend(val(regs, in.B)&mask))
-			writes++
-			fr.pc++
-		case ir.TokCmpSLE:
-			w := in.W
-			mask := w.Mask()
-			regs[in.Dst] = boolBit(w.SignExtend(val(regs, in.A)&mask) <= w.SignExtend(val(regs, in.B)&mask))
-			writes++
-			fr.pc++
-		case ir.TokFCmp:
-			a := math.Float64frombits(val(regs, in.A))
-			b := math.Float64frombits(val(regs, in.B))
-			regs[in.Dst] = boolBit(floatCmp(in.Op, a, b))
-			writes++
-			fr.pc++
-		case ir.TokSelect:
-			if val(regs, in.A) != 0 {
-				regs[in.Dst] = val(regs, in.B)
-			} else {
-				regs[in.Dst] = val(regs, in.C)
-			}
-			writes++
-			fr.pc++
-		case ir.TokLoad:
-			v, trap := m.load(val(regs, in.A)+uint64(in.Off), in.W.Bytes())
-			if trap != TrapNone {
-				m.trapOut(trap)
-				goto halt
-			}
-			regs[in.Dst] = v
-			writes++
-			fr.pc++
-		case ir.TokStore:
-			if trap := m.store(val(regs, in.A)+uint64(in.Off), in.W.Bytes(), val(regs, in.B)); trap != TrapNone {
-				m.trapOut(trap)
-				goto halt
-			}
-			fr.pc++
-		case ir.TokAlloca:
-			if hAlloca(m, fr, in) != statNext {
-				goto halt
-			}
-			writes++
-			fr.pc++
-		case ir.TokBr:
-			fr.pc = int(in.Off)
-		case ir.TokCondBr:
-			if val(regs, in.A) != 0 {
-				fr.pc = int(in.Off)
-			} else {
-				fr.pc++
-			}
-		case ir.TokCall:
-			if hCall(m, fr, in) != statFrame {
-				goto halt
-			}
+		case statJump:
+		case statFrame, statRet:
 			fr = &m.frames[len(m.frames)-1]
-		case ir.TokRet:
-			switch hRet(m, fr, in) {
-			case statRet:
-				fr = &m.frames[len(m.frames)-1]
-			case statRetWrote:
-				fr = &m.frames[len(m.frames)-1]
-				writes++
-			default: // statHalt: main returned
-				goto halt
-			}
-		case ir.TokOut:
-			if hOut(m, fr, in) != statNext {
-				goto halt
-			}
-			fr.pc++
-		default: // TokAbort, TokInvalid (unvalidated program)
-			m.trapOut(TrapAbort)
-			goto halt
+		case statRetWrote:
+			fr = &m.frames[len(m.frames)-1]
+			writes++
+		default: // statHalt
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			return nil
 		}
 	}
 	m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 	return fr
-halt:
-	m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-	return nil
 }
 
 // step executes a single instruction with the per-instruction observers
