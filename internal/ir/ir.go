@@ -511,8 +511,10 @@ func (p *Program) validateFunc(f *Func) error {
 			OpAdd, OpSub, OpMul, OpUDiv, OpSDiv, OpURem, OpSRem,
 			OpAnd, OpOr, OpXor, OpShl, OpLShr, OpAShr,
 			OpICmpEQ, OpICmpNE, OpICmpULT, OpICmpULE, OpICmpSLT, OpICmpSLE:
-			if in.W.Bits() == 0 {
-				return fmt.Errorf("pc %d: %s requires a width", pc, in.Op)
+			// W1 has a bit count but no byte size: it describes injection
+			// widths only.
+			if in.W < W8 || in.W > W64 {
+				return fmt.Errorf("pc %d: %s requires width i8, i16, i32 or i64, got %s", pc, in.Op, in.W)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -306,5 +307,35 @@ func TestValidateCachesMaxNR(t *testing.T) {
 	}
 	if got := p.MaxNR(); got != 0 {
 		t.Fatalf("MaxNR after a failed Validate = %d, want 0", got)
+	}
+}
+
+// TestValidateRejectsW1 pins that the width-carrying ops take W8..W64
+// only: W1 has a bit count but no byte size, so a W1 load, store or Out
+// would access or print nothing sensible.
+func TestValidateRejectsW1(t *testing.T) {
+	ops := []Op{OpLoad, OpStore, OpOut, OpTrunc, OpZExt, OpSExt, OpSIToFP, OpFPToSI,
+		OpAdd, OpSub, OpMul, OpUDiv, OpSDiv, OpURem, OpSRem,
+		OpAnd, OpOr, OpXor, OpShl, OpLShr, OpAShr,
+		OpICmpEQ, OpICmpNE, OpICmpULT, OpICmpULE, OpICmpSLT, OpICmpSLE}
+	for _, op := range ops {
+		mb := NewModule("t")
+		f := mb.Func("main", 0)
+		f.Let(C(GlobalBase))
+		in := Instr{Op: op, W: W1, Dst: NoReg, A: C(GlobalBase), B: C(1), C: noneOperand}
+		if op == OpStore || op == OpOut {
+			f.emit(in)
+		} else {
+			f.emitDst(in)
+		}
+		f.RetVoid()
+		_, err := mb.Build()
+		if err == nil {
+			t.Errorf("%s with width i1 accepted", op)
+			continue
+		}
+		if want := fmt.Sprintf("pc 1: %s requires", op); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s with width i1: error %q does not contain %q", op, err, want)
+		}
 	}
 }

@@ -20,8 +20,12 @@
 //     rejoins the batched flow at the next block boundary;
 //   - the dynamic, read-slot and write counters are bit-identical to the
 //     interpreter's at every exit, including partial-block trap exits;
-//   - memory goes through machine.load/store, so CoW page installation,
-//     dirty tracking and convergence hashing behave identically;
+//   - every load and store first takes the VM's inlined flat accessor
+//     for its width (machine.flatLoad8..64, flatStore8..64), which serves
+//     an aligned access inside flat globals with no tracking work due,
+//     and falls back to machine.load/store for every other access, so
+//     traps, CoW page installation, dirty tracking and convergence
+//     hashing behave identically;
 //   - calls and returns are not compiled: the kernel flushes state and
 //     reports kernOut, and the VM executes the frame operation through
 //     the observer tier.
@@ -616,14 +620,27 @@ func (g *gen) genInstr(pc int, in *ir.Instr, trapAcct string) {
 		g.p("%s = %s", dst, g.uval(in.C))
 		g.p("}")
 	case ir.OpLoad:
-		g.p("v%d, t%d := m.load(%s, %d)", pc, pc, g.addr(in.A, in.Off), w.Bytes())
-		g.p("if t%d != TrapNone {", pc)
+		a := g.addr(in.A, in.Off)
+		g.p("v%d, ok%d := m.flatLoad%d(%s)", pc, pc, w.Bits(), a)
+		g.p("if !ok%d {", pc)
+		g.p("var t%d TrapKind", pc)
+		g.p("if v%d, t%d = m.load(%s, %d); t%d != TrapNone {", pc, pc, a, w.Bytes(), pc)
 		exit(fmt.Sprintf("m.trapOut(t%d)", pc))
+		g.p("}")
 		g.p("}")
 		g.p("%s = v%d", dst, pc)
 	case ir.OpStore:
-		g.p("if t%d := m.store(%s, %d, %s); t%d != TrapNone {", pc, g.addr(in.A, in.Off), w.Bytes(), g.uval(in.B), pc)
+		a := g.addr(in.A, in.Off)
+		// The accessor takes the value at its width; an immediate is
+		// truncated here, a register by conversion.
+		fv := fmt.Sprintf("uint%d(%s)", w.Bits(), g.uval(in.B))
+		if in.B.IsImm() {
+			fv = fmt.Sprintf("%#x", in.B.Imm()&w.Mask())
+		}
+		g.p("if !m.flatStore%d(%s, %s) {", w.Bits(), a, fv)
+		g.p("if t%d := m.store(%s, %d, %s); t%d != TrapNone {", pc, a, w.Bytes(), g.uval(in.B), pc)
 		exit(fmt.Sprintf("m.trapOut(t%d)", pc))
+		g.p("}")
 		g.p("}")
 	case ir.OpAlloca:
 		g.usesIR = true

@@ -48,7 +48,7 @@ func suitePrograms() []*ir.Program {
 // run on its generated kernel — otherwise the differential tests below
 // compare the interpreter against itself.
 func TestCompiledKernelsEngage(t *testing.T) {
-	if envDisabled.Has(TierCompile) {
+	if EnvDisabled().Has(TierCompile) {
 		t.Skip("MULTIFLIP_DISABLE includes compile")
 	}
 	for _, p := range suitePrograms() {

@@ -96,7 +96,7 @@ func TestConvergeDifferentialWorkloads(t *testing.T) {
 			}
 		}
 	}
-	if converged == 0 && !envDisabled.Has(TierConverge) {
+	if converged == 0 && !EnvDisabled().Has(TierConverge) {
 		t.Error("no run converged across the whole suite; the detector never fires")
 	}
 }
@@ -140,7 +140,7 @@ func TestConvergeMemFlipGuaranteed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Converged && !envDisabled.Has(TierConverge) {
+	if !got.Converged && !EnvDisabled().Has(TierConverge) {
 		t.Error("dead memory corruption did not converge with the golden run")
 	}
 	sameResult(t, "guaranteed memflip convergence", got, want)
@@ -204,7 +204,7 @@ func TestConvergePlanGuaranteed(t *testing.T) {
 		sameResult(t, fmt.Sprintf("cand=%d", cand), got, want)
 		found = found || got.Converged
 	}
-	if !found && !envDisabled.Has(TierConverge) {
+	if !found && !EnvDisabled().Has(TierConverge) {
 		t.Error("no masked register fault converged in the scanned candidate range")
 	}
 }

@@ -25,7 +25,12 @@ package vm
 // horizon interrupts — so between events the interpreter is escaped
 // entirely. The kernels are the generated twin of the handler table;
 // the compiled-tier differential tests hold them to it, and Out
-// instructions share its output framing (outAppend). Calls and returns
+// instructions share its output framing (outAppend). Each load and store
+// first takes the inlined flat accessor for its width (flatLoad8..64,
+// flatStore8..64 in vm.go), which serves an aligned access to flat
+// globals with no tracking work due, and falls back to machine.load or
+// machine.store, which keep the one definition of traps, page installs,
+// dirty bits and convergence hashing. Calls and returns
 // are left to the interpreter (kernOut): frame manipulation is rare,
 // cold, and shared with the observer tier, whose injection checks cannot
 // fire there because the call or return lies before the injection
@@ -97,5 +102,5 @@ func kernelsFor(p *ir.Program) []kernFn {
 // a real compiled run against the interpreter rather than two
 // interpreted runs.
 func Compiled(p *ir.Program) bool {
-	return !envDisabled.Has(TierCompile) && kernelsFor(p) != nil
+	return !EnvDisabled().Has(TierCompile) && kernelsFor(p) != nil
 }

@@ -194,34 +194,43 @@ B4:
 		regs[3] = (regs[0] * uint64(0x3)) & 0xffffffff
 		regs[4] = regs[3] * uint64(0x8)
 		regs[5] = uint64(0x10000000) + regs[4]
-		v7, t7 := m.load(regs[5], 8)
-		if t7 != TrapNone {
-			dyn += 4
-			readSlots += 4
-			writes += 3
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t7)
-			return kernHalt
+		v7, ok7 := m.flatLoad64(regs[5])
+		if !ok7 {
+			var t7 TrapKind
+			if v7, t7 = m.load(regs[5], 8); t7 != TrapNone {
+				dyn += 4
+				readSlots += 4
+				writes += 3
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t7)
+				return kernHalt
+			}
 		}
 		regs[6] = v7
-		v8, t8 := m.load(regs[5]+0x8, 8)
-		if t8 != TrapNone {
-			dyn += 5
-			readSlots += 5
-			writes += 4
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t8)
-			return kernHalt
+		v8, ok8 := m.flatLoad64(regs[5] + 0x8)
+		if !ok8 {
+			var t8 TrapKind
+			if v8, t8 = m.load(regs[5]+0x8, 8); t8 != TrapNone {
+				dyn += 5
+				readSlots += 5
+				writes += 4
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t8)
+				return kernHalt
+			}
 		}
 		regs[7] = v8
-		v9, t9 := m.load(regs[5]+0x10, 8)
-		if t9 != TrapNone {
-			dyn += 6
-			readSlots += 6
-			writes += 5
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t9)
-			return kernHalt
+		v9, ok9 := m.flatLoad64(regs[5] + 0x10)
+		if !ok9 {
+			var t9 TrapKind
+			if v9, t9 = m.load(regs[5]+0x10, 8); t9 != TrapNone {
+				dyn += 6
+				readSlots += 6
+				writes += 5
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t9)
+				return kernHalt
+			}
 		}
 		regs[8] = v9
 		dyn += 6
@@ -279,11 +288,14 @@ S7:
 		}
 		dyn++
 		readSlots += 1
-		v7, t7 := m.load(regs[5], 8)
-		if t7 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t7)
-			return kernHalt
+		v7, ok7 := m.flatLoad64(regs[5])
+		if !ok7 {
+			var t7 TrapKind
+			if v7, t7 = m.load(regs[5], 8); t7 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t7)
+				return kernHalt
+			}
 		}
 		regs[6] = v7
 		writes++
@@ -297,11 +309,14 @@ S8:
 		}
 		dyn++
 		readSlots += 1
-		v8, t8 := m.load(regs[5]+0x8, 8)
-		if t8 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t8)
-			return kernHalt
+		v8, ok8 := m.flatLoad64(regs[5] + 0x8)
+		if !ok8 {
+			var t8 TrapKind
+			if v8, t8 = m.load(regs[5]+0x8, 8); t8 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t8)
+				return kernHalt
+			}
 		}
 		regs[7] = v8
 		writes++
@@ -315,11 +330,14 @@ S9:
 		}
 		dyn++
 		readSlots += 1
-		v9, t9 := m.load(regs[5]+0x10, 8)
-		if t9 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t9)
-			return kernHalt
+		v9, ok9 := m.flatLoad64(regs[5] + 0x10)
+		if !ok9 {
+			var t9 TrapKind
+			if v9, t9 = m.load(regs[5]+0x10, 8); t9 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t9)
+				return kernHalt
+			}
 		}
 		regs[8] = v9
 		writes++
@@ -461,14 +479,17 @@ B18:
 		}
 		regs[13] = regs[10] * uint64(0x4)
 		regs[14] = uint64(0x10000180) + regs[13]
-		v20, t20 := m.load(regs[14], 4)
-		if t20 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t20)
-			return kernHalt
+		v20, ok20 := m.flatLoad32(regs[14])
+		if !ok20 {
+			var t20 TrapKind
+			if v20, t20 = m.load(regs[14], 4); t20 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t20)
+				return kernHalt
+			}
 		}
 		regs[15] = v20
 		dyn += 3
@@ -514,11 +535,14 @@ S20:
 		}
 		dyn++
 		readSlots += 1
-		v20, t20 := m.load(regs[14], 4)
-		if t20 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t20)
-			return kernHalt
+		v20, ok20 := m.flatLoad32(regs[14])
+		if !ok20 {
+			var t20 TrapKind
+			if v20, t20 = m.load(regs[14], 4); t20 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t20)
+				return kernHalt
+			}
 		}
 		regs[15] = v20
 		writes++

@@ -245,13 +245,15 @@ B4:
 		}
 		regs[3] = regs[0] * uint64(0x4)
 		regs[4] = uint64(0x10001398) + regs[3]
-		if t6 := m.store(regs[4], 4, uint64(0xffffffffffffffff)); t6 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t6)
-			return kernHalt
+		if !m.flatStore32(regs[4], 0xffffffff) {
+			if t6 := m.store(regs[4], 4, uint64(0xffffffffffffffff)); t6 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t6)
+				return kernHalt
+			}
 		}
 		regs[5] = (regs[0] + uint64(0x1)) & 0xffffffff
 		regs[0] = regs[5]
@@ -293,10 +295,12 @@ S6:
 		}
 		dyn++
 		readSlots += 1
-		if t6 := m.store(regs[4], 4, uint64(0xffffffffffffffff)); t6 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t6)
-			return kernHalt
+		if !m.flatStore32(regs[4], 0xffffffff) {
+			if t6 := m.store(regs[4], 4, uint64(0xffffffffffffffff)); t6 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t6)
+				return kernHalt
+			}
 		}
 	}
 S7:
@@ -338,17 +342,21 @@ B10:
 		if lim-dyn < 4 {
 			goto S10
 		}
-		if t10 := m.store(uint64(0x10001398), 4, uint64(0x0)); t10 != TrapNone {
-			dyn += 1
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t10)
-			return kernHalt
+		if !m.flatStore32(uint64(0x10001398), 0x0) {
+			if t10 := m.store(uint64(0x10001398), 4, uint64(0x0)); t10 != TrapNone {
+				dyn += 1
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t10)
+				return kernHalt
+			}
 		}
-		if t11 := m.store(uint64(0x10001798), 4, uint64(0x0)); t11 != TrapNone {
-			dyn += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t11)
-			return kernHalt
+		if !m.flatStore32(uint64(0x10001798), 0x0) {
+			if t11 := m.store(uint64(0x10001798), 4, uint64(0x0)); t11 != TrapNone {
+				dyn += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t11)
+				return kernHalt
+			}
 		}
 		regs[6] = uint64(0x0)
 		regs[7] = uint64(0x1)
@@ -364,10 +372,12 @@ S10:
 			return kernHorizon
 		}
 		dyn++
-		if t10 := m.store(uint64(0x10001398), 4, uint64(0x0)); t10 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t10)
-			return kernHalt
+		if !m.flatStore32(uint64(0x10001398), 0x0) {
+			if t10 := m.store(uint64(0x10001398), 4, uint64(0x0)); t10 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t10)
+				return kernHalt
+			}
 		}
 	}
 S11:
@@ -378,10 +388,12 @@ S11:
 			return kernHorizon
 		}
 		dyn++
-		if t11 := m.store(uint64(0x10001798), 4, uint64(0x0)); t11 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t11)
-			return kernHalt
+		if !m.flatStore32(uint64(0x10001798), 0x0) {
+			if t11 := m.store(uint64(0x10001798), 4, uint64(0x0)); t11 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t11)
+				return kernHalt
+			}
 		}
 	}
 S12:
@@ -467,53 +479,65 @@ B17:
 		}
 		regs[10] = regs[6] * uint64(0x4)
 		regs[11] = uint64(0x10001798) + regs[10]
-		v19, t19 := m.load(regs[11], 4)
-		if t19 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t19)
-			return kernHalt
+		v19, ok19 := m.flatLoad32(regs[11])
+		if !ok19 {
+			var t19 TrapKind
+			if v19, t19 = m.load(regs[11], 4); t19 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t19)
+				return kernHalt
+			}
 		}
 		regs[12] = v19
 		regs[13] = (regs[6] + uint64(0x1)) & 0xffffffff
 		regs[6] = regs[13]
 		regs[14] = regs[12] * uint64(0x4)
 		regs[15] = uint64(0x10001398) + regs[14]
-		v24, t24 := m.load(regs[15], 4)
-		if t24 != TrapNone {
-			dyn += 8
-			readSlots += 8
-			writes += 7
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t24)
-			return kernHalt
+		v24, ok24 := m.flatLoad32(regs[15])
+		if !ok24 {
+			var t24 TrapKind
+			if v24, t24 = m.load(regs[15], 4); t24 != TrapNone {
+				dyn += 8
+				readSlots += 8
+				writes += 7
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t24)
+				return kernHalt
+			}
 		}
 		regs[16] = v24
 		regs[17] = regs[12] * uint64(0x4)
 		regs[18] = uint64(0x10000000) + regs[17]
-		v27, t27 := m.load(regs[18], 4)
-		if t27 != TrapNone {
-			dyn += 11
-			readSlots += 11
-			writes += 10
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t27)
-			return kernHalt
+		v27, ok27 := m.flatLoad32(regs[18])
+		if !ok27 {
+			var t27 TrapKind
+			if v27, t27 = m.load(regs[18], 4); t27 != TrapNone {
+				dyn += 11
+				readSlots += 11
+				writes += 10
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t27)
+				return kernHalt
+			}
 		}
 		regs[19] = v27
 		regs[20] = (regs[12] + uint64(0x1)) & 0xffffffff
 		regs[21] = regs[20] * uint64(0x4)
 		regs[22] = uint64(0x10000000) + regs[21]
-		v31, t31 := m.load(regs[22], 4)
-		if t31 != TrapNone {
-			dyn += 15
-			readSlots += 15
-			writes += 14
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t31)
-			return kernHalt
+		v31, ok31 := m.flatLoad32(regs[22])
+		if !ok31 {
+			var t31 TrapKind
+			if v31, t31 = m.load(regs[22], 4); t31 != TrapNone {
+				dyn += 15
+				readSlots += 15
+				writes += 14
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t31)
+				return kernHalt
+			}
 		}
 		regs[23] = v31
 		regs[24] = regs[19]
@@ -555,11 +579,14 @@ S19:
 		}
 		dyn++
 		readSlots += 1
-		v19, t19 := m.load(regs[11], 4)
-		if t19 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t19)
-			return kernHalt
+		v19, ok19 := m.flatLoad32(regs[11])
+		if !ok19 {
+			var t19 TrapKind
+			if v19, t19 = m.load(regs[11], 4); t19 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t19)
+				return kernHalt
+			}
 		}
 		regs[12] = v19
 		writes++
@@ -621,11 +648,14 @@ S24:
 		}
 		dyn++
 		readSlots += 1
-		v24, t24 := m.load(regs[15], 4)
-		if t24 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t24)
-			return kernHalt
+		v24, ok24 := m.flatLoad32(regs[15])
+		if !ok24 {
+			var t24 TrapKind
+			if v24, t24 = m.load(regs[15], 4); t24 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t24)
+				return kernHalt
+			}
 		}
 		regs[16] = v24
 		writes++
@@ -663,11 +693,14 @@ S27:
 		}
 		dyn++
 		readSlots += 1
-		v27, t27 := m.load(regs[18], 4)
-		if t27 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t27)
-			return kernHalt
+		v27, ok27 := m.flatLoad32(regs[18])
+		if !ok27 {
+			var t27 TrapKind
+			if v27, t27 = m.load(regs[18], 4); t27 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t27)
+				return kernHalt
+			}
 		}
 		regs[19] = v27
 		writes++
@@ -717,11 +750,14 @@ S31:
 		}
 		dyn++
 		readSlots += 1
-		v31, t31 := m.load(regs[22], 4)
-		if t31 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t31)
-			return kernHalt
+		v31, ok31 := m.flatLoad32(regs[22])
+		if !ok31 {
+			var t31 TrapKind
+			if v31, t31 = m.load(regs[22], 4); t31 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t31)
+				return kernHalt
+			}
 		}
 		regs[23] = v31
 		writes++
@@ -799,26 +835,32 @@ B36:
 		}
 		regs[27] = regs[24] * uint64(0x4)
 		regs[28] = uint64(0x10000408) + regs[27]
-		v38, t38 := m.load(regs[28], 4)
-		if t38 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t38)
-			return kernHalt
+		v38, ok38 := m.flatLoad32(regs[28])
+		if !ok38 {
+			var t38 TrapKind
+			if v38, t38 = m.load(regs[28], 4); t38 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t38)
+				return kernHalt
+			}
 		}
 		regs[29] = v38
 		regs[30] = regs[29] * uint64(0x4)
 		regs[31] = uint64(0x10001398) + regs[30]
-		v41, t41 := m.load(regs[31], 4)
-		if t41 != TrapNone {
-			dyn += 6
-			readSlots += 6
-			writes += 5
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t41)
-			return kernHalt
+		v41, ok41 := m.flatLoad32(regs[31])
+		if !ok41 {
+			var t41 TrapKind
+			if v41, t41 = m.load(regs[31], 4); t41 != TrapNone {
+				dyn += 6
+				readSlots += 6
+				writes += 5
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t41)
+				return kernHalt
+			}
 		}
 		regs[32] = v41
 		regs[33] = boolBit((regs[32] & 0xffffffff) == uint64(0xffffffff))
@@ -864,11 +906,14 @@ S38:
 		}
 		dyn++
 		readSlots += 1
-		v38, t38 := m.load(regs[28], 4)
-		if t38 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t38)
-			return kernHalt
+		v38, ok38 := m.flatLoad32(regs[28])
+		if !ok38 {
+			var t38 TrapKind
+			if v38, t38 = m.load(regs[28], 4); t38 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t38)
+				return kernHalt
+			}
 		}
 		regs[29] = v38
 		writes++
@@ -906,11 +951,14 @@ S41:
 		}
 		dyn++
 		readSlots += 1
-		v41, t41 := m.load(regs[31], 4)
-		if t41 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t41)
-			return kernHalt
+		v41, ok41 := m.flatLoad32(regs[31])
+		if !ok41 {
+			var t41 TrapKind
+			if v41, t41 = m.load(regs[31], 4); t41 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t41)
+				return kernHalt
+			}
 		}
 		regs[32] = v41
 		writes++
@@ -961,23 +1009,27 @@ B45:
 		regs[35] = regs[29] * uint64(0x4)
 		regs[36] = uint64(0x10001398) + regs[35]
 		regs[37] = (regs[16] + uint64(0x1)) & 0xffffffff
-		if t48 := m.store(regs[36], 4, regs[37]); t48 != TrapNone {
-			dyn += 4
-			readSlots += 5
-			writes += 3
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t48)
-			return kernHalt
+		if !m.flatStore32(regs[36], uint32(regs[37])) {
+			if t48 := m.store(regs[36], 4, regs[37]); t48 != TrapNone {
+				dyn += 4
+				readSlots += 5
+				writes += 3
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t48)
+				return kernHalt
+			}
 		}
 		regs[38] = regs[7] * uint64(0x4)
 		regs[39] = uint64(0x10001798) + regs[38]
-		if t51 := m.store(regs[39], 4, regs[29]); t51 != TrapNone {
-			dyn += 7
-			readSlots += 9
-			writes += 5
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t51)
-			return kernHalt
+		if !m.flatStore32(regs[39], uint32(regs[29])) {
+			if t51 := m.store(regs[39], 4, regs[29]); t51 != TrapNone {
+				dyn += 7
+				readSlots += 9
+				writes += 5
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t51)
+				return kernHalt
+			}
 		}
 		regs[40] = (regs[7] + uint64(0x1)) & 0xffffffff
 		regs[7] = regs[40]
@@ -1031,10 +1083,12 @@ S48:
 		}
 		dyn++
 		readSlots += 2
-		if t48 := m.store(regs[36], 4, regs[37]); t48 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t48)
-			return kernHalt
+		if !m.flatStore32(regs[36], uint32(regs[37])) {
+			if t48 := m.store(regs[36], 4, regs[37]); t48 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t48)
+				return kernHalt
+			}
 		}
 	}
 S49:
@@ -1070,10 +1124,12 @@ S51:
 		}
 		dyn++
 		readSlots += 2
-		if t51 := m.store(regs[39], 4, regs[29]); t51 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t51)
-			return kernHalt
+		if !m.flatStore32(regs[39], uint32(regs[29])) {
+			if t51 := m.store(regs[39], 4, regs[29]); t51 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t51)
+				return kernHalt
+			}
 		}
 	}
 S52:
@@ -1247,14 +1303,17 @@ B62:
 		}
 		regs[45] = regs[42] * uint64(0x4)
 		regs[46] = uint64(0x10001398) + regs[45]
-		v64, t64 := m.load(regs[46], 4)
-		if t64 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t64)
-			return kernHalt
+		v64, ok64 := m.flatLoad32(regs[46])
+		if !ok64 {
+			var t64 TrapKind
+			if v64, t64 = m.load(regs[46], 4); t64 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t64)
+				return kernHalt
+			}
 		}
 		regs[47] = v64
 		if !m.outAppend((regs[47] & 0xffffffff), 4) {
@@ -1305,11 +1364,14 @@ S64:
 		}
 		dyn++
 		readSlots += 1
-		v64, t64 := m.load(regs[46], 4)
-		if t64 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t64)
-			return kernHalt
+		v64, ok64 := m.flatLoad32(regs[46])
+		if !ok64 {
+			var t64 TrapKind
+			if v64, t64 = m.load(regs[46], 4); t64 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t64)
+				return kernHalt
+			}
 		}
 		regs[47] = v64
 		writes++

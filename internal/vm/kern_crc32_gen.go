@@ -403,13 +403,15 @@ B17:
 		}
 		regs[12] = regs[0] * uint64(0x4)
 		regs[13] = uint64(0x10000200) + regs[12]
-		if t19 := m.store(regs[13], 4, regs[3]); t19 != TrapNone {
-			dyn += 3
-			readSlots += 4
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t19)
-			return kernHalt
+		if !m.flatStore32(regs[13], uint32(regs[3])) {
+			if t19 := m.store(regs[13], 4, regs[3]); t19 != TrapNone {
+				dyn += 3
+				readSlots += 4
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t19)
+				return kernHalt
+			}
 		}
 		regs[14] = (regs[0] + uint64(0x1)) & 0xffffffff
 		regs[0] = regs[14]
@@ -451,10 +453,12 @@ S19:
 		}
 		dyn++
 		readSlots += 2
-		if t19 := m.store(regs[13], 4, regs[3]); t19 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t19)
-			return kernHalt
+		if !m.flatStore32(regs[13], uint32(regs[3])) {
+			if t19 := m.store(regs[13], 4, regs[3]); t19 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t19)
+				return kernHalt
+			}
 		}
 	}
 S20:
@@ -585,28 +589,34 @@ B28:
 		}
 		regs[19] = regs[16] * uint64(0x1)
 		regs[20] = uint64(0x10000000) + regs[19]
-		v30, t30 := m.load(regs[20], 1)
-		if t30 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t30)
-			return kernHalt
+		v30, ok30 := m.flatLoad8(regs[20])
+		if !ok30 {
+			var t30 TrapKind
+			if v30, t30 = m.load(regs[20], 1); t30 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t30)
+				return kernHalt
+			}
 		}
 		regs[21] = v30
 		regs[22] = (regs[15] ^ regs[21]) & 0xffffffff
 		regs[23] = (regs[22] & uint64(0xff)) & 0xffffffff
 		regs[24] = regs[23] * uint64(0x4)
 		regs[25] = uint64(0x10000200) + regs[24]
-		v35, t35 := m.load(regs[25], 4)
-		if t35 != TrapNone {
-			dyn += 8
-			readSlots += 9
-			writes += 7
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t35)
-			return kernHalt
+		v35, ok35 := m.flatLoad32(regs[25])
+		if !ok35 {
+			var t35 TrapKind
+			if v35, t35 = m.load(regs[25], 4); t35 != TrapNone {
+				dyn += 8
+				readSlots += 9
+				writes += 7
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t35)
+				return kernHalt
+			}
 		}
 		regs[26] = v35
 		regs[27] = (regs[15] & 0xffffffff) >> 8
@@ -652,11 +662,14 @@ S30:
 		}
 		dyn++
 		readSlots += 1
-		v30, t30 := m.load(regs[20], 1)
-		if t30 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t30)
-			return kernHalt
+		v30, ok30 := m.flatLoad8(regs[20])
+		if !ok30 {
+			var t30 TrapKind
+			if v30, t30 = m.load(regs[20], 1); t30 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t30)
+				return kernHalt
+			}
 		}
 		regs[21] = v30
 		writes++
@@ -718,11 +731,14 @@ S35:
 		}
 		dyn++
 		readSlots += 1
-		v35, t35 := m.load(regs[25], 4)
-		if t35 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t35)
-			return kernHalt
+		v35, ok35 := m.flatLoad32(regs[25])
+		if !ok35 {
+			var t35 TrapKind
+			if v35, t35 = m.load(regs[25], 4); t35 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t35)
+				return kernHalt
+			}
 		}
 		regs[26] = v35
 		writes++

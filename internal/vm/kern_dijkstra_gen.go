@@ -594,23 +594,27 @@ B4:
 		}
 		regs[5] = regs[2] * uint64(0x4)
 		regs[6] = uint64(0x10000640) + regs[5]
-		if t6 := m.store(regs[6], 4, uint64(0x3fffffff)); t6 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t6)
-			return kernHalt
+		if !m.flatStore32(regs[6], 0x3fffffff) {
+			if t6 := m.store(regs[6], 4, uint64(0x3fffffff)); t6 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t6)
+				return kernHalt
+			}
 		}
 		regs[7] = regs[2] * uint64(0x4)
 		regs[8] = uint64(0x10000690) + regs[7]
-		if t9 := m.store(regs[8], 4, uint64(0x0)); t9 != TrapNone {
-			dyn += 6
-			readSlots += 6
-			writes += 4
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t9)
-			return kernHalt
+		if !m.flatStore32(regs[8], 0x0) {
+			if t9 := m.store(regs[8], 4, uint64(0x0)); t9 != TrapNone {
+				dyn += 6
+				readSlots += 6
+				writes += 4
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t9)
+				return kernHalt
+			}
 		}
 		regs[9] = (regs[2] + uint64(0x1)) & 0xffffffff
 		regs[2] = regs[9]
@@ -652,10 +656,12 @@ S6:
 		}
 		dyn++
 		readSlots += 1
-		if t6 := m.store(regs[6], 4, uint64(0x3fffffff)); t6 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t6)
-			return kernHalt
+		if !m.flatStore32(regs[6], 0x3fffffff) {
+			if t6 := m.store(regs[6], 4, uint64(0x3fffffff)); t6 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t6)
+				return kernHalt
+			}
 		}
 	}
 S7:
@@ -691,10 +697,12 @@ S9:
 		}
 		dyn++
 		readSlots += 1
-		if t9 := m.store(regs[8], 4, uint64(0x0)); t9 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t9)
-			return kernHalt
+		if !m.flatStore32(regs[8], 0x0) {
+			if t9 := m.store(regs[8], 4, uint64(0x0)); t9 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t9)
+				return kernHalt
+			}
 		}
 	}
 S10:
@@ -738,13 +746,15 @@ B13:
 		}
 		regs[10] = regs[0] * uint64(0x4)
 		regs[11] = uint64(0x10000640) + regs[10]
-		if t15 := m.store(regs[11], 4, uint64(0x0)); t15 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t15)
-			return kernHalt
+		if !m.flatStore32(regs[11], 0x0) {
+			if t15 := m.store(regs[11], 4, uint64(0x0)); t15 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t15)
+				return kernHalt
+			}
 		}
 		regs[12] = uint64(0x0)
 		dyn += 4
@@ -785,10 +795,12 @@ S15:
 		}
 		dyn++
 		readSlots += 1
-		if t15 := m.store(regs[11], 4, uint64(0x0)); t15 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t15)
-			return kernHalt
+		if !m.flatStore32(regs[11], 0x0) {
+			if t15 := m.store(regs[11], 4, uint64(0x0)); t15 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t15)
+				return kernHalt
+			}
 		}
 	}
 S16:
@@ -962,14 +974,17 @@ B26:
 		}
 		regs[20] = regs[17] * uint64(0x4)
 		regs[21] = uint64(0x10000690) + regs[20]
-		v28, t28 := m.load(regs[21], 4)
-		if t28 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t28)
-			return kernHalt
+		v28, ok28 := m.flatLoad32(regs[21])
+		if !ok28 {
+			var t28 TrapKind
+			if v28, t28 = m.load(regs[21], 4); t28 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t28)
+				return kernHalt
+			}
 		}
 		regs[22] = v28
 		regs[23] = boolBit((regs[22] & 0xffffffff) == uint64(0x0))
@@ -1015,11 +1030,14 @@ S28:
 		}
 		dyn++
 		readSlots += 1
-		v28, t28 := m.load(regs[21], 4)
-		if t28 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t28)
-			return kernHalt
+		v28, ok28 := m.flatLoad32(regs[21])
+		if !ok28 {
+			var t28 TrapKind
+			if v28, t28 = m.load(regs[21], 4); t28 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t28)
+				return kernHalt
+			}
 		}
 		regs[22] = v28
 		writes++
@@ -1069,14 +1087,17 @@ B32:
 		}
 		regs[25] = regs[17] * uint64(0x4)
 		regs[26] = uint64(0x10000640) + regs[25]
-		v34, t34 := m.load(regs[26], 4)
-		if t34 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t34)
-			return kernHalt
+		v34, ok34 := m.flatLoad32(regs[26])
+		if !ok34 {
+			var t34 TrapKind
+			if v34, t34 = m.load(regs[26], 4); t34 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t34)
+				return kernHalt
+			}
 		}
 		regs[27] = v34
 		regs[28] = boolBit((regs[27] & 0xffffffff) < (regs[15] & 0xffffffff))
@@ -1122,11 +1143,14 @@ S34:
 		}
 		dyn++
 		readSlots += 1
-		v34, t34 := m.load(regs[26], 4)
-		if t34 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t34)
-			return kernHalt
+		v34, ok34 := m.flatLoad32(regs[26])
+		if !ok34 {
+			var t34 TrapKind
+			if v34, t34 = m.load(regs[26], 4); t34 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t34)
+				return kernHalt
+			}
 		}
 		regs[27] = v34
 		writes++
@@ -1312,24 +1336,29 @@ B46:
 		}
 		regs[33] = regs[16] * uint64(0x4)
 		regs[34] = uint64(0x10000690) + regs[33]
-		if t48 := m.store(regs[34], 4, uint64(0x1)); t48 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t48)
-			return kernHalt
+		if !m.flatStore32(regs[34], 0x1) {
+			if t48 := m.store(regs[34], 4, uint64(0x1)); t48 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t48)
+				return kernHalt
+			}
 		}
 		regs[35] = regs[16] * uint64(0x4)
 		regs[36] = uint64(0x10000640) + regs[35]
-		v51, t51 := m.load(regs[36], 4)
-		if t51 != TrapNone {
-			dyn += 6
-			readSlots += 6
-			writes += 4
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t51)
-			return kernHalt
+		v51, ok51 := m.flatLoad32(regs[36])
+		if !ok51 {
+			var t51 TrapKind
+			if v51, t51 = m.load(regs[36], 4); t51 != TrapNone {
+				dyn += 6
+				readSlots += 6
+				writes += 4
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t51)
+				return kernHalt
+			}
 		}
 		regs[37] = v51
 		regs[38] = (regs[16] * uint64(0x14)) & 0xffffffff
@@ -1374,10 +1403,12 @@ S48:
 		}
 		dyn++
 		readSlots += 1
-		if t48 := m.store(regs[34], 4, uint64(0x1)); t48 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t48)
-			return kernHalt
+		if !m.flatStore32(regs[34], 0x1) {
+			if t48 := m.store(regs[34], 4, uint64(0x1)); t48 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t48)
+				return kernHalt
+			}
 		}
 	}
 S49:
@@ -1413,11 +1444,14 @@ S51:
 		}
 		dyn++
 		readSlots += 1
-		v51, t51 := m.load(regs[36], 4)
-		if t51 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t51)
-			return kernHalt
+		v51, ok51 := m.flatLoad32(regs[36])
+		if !ok51 {
+			var t51 TrapKind
+			if v51, t51 = m.load(regs[36], 4); t51 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t51)
+				return kernHalt
+			}
 		}
 		regs[37] = v51
 		writes++
@@ -1530,14 +1564,17 @@ B59:
 		}
 		regs[44] = regs[41] * uint64(0x4)
 		regs[45] = regs[40] + regs[44]
-		v61, t61 := m.load(regs[45], 4)
-		if t61 != TrapNone {
-			dyn += 3
-			readSlots += 4
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t61)
-			return kernHalt
+		v61, ok61 := m.flatLoad32(regs[45])
+		if !ok61 {
+			var t61 TrapKind
+			if v61, t61 = m.load(regs[45], 4); t61 != TrapNone {
+				dyn += 3
+				readSlots += 4
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t61)
+				return kernHalt
+			}
 		}
 		regs[46] = v61
 		regs[47] = boolBit((regs[46] & 0xffffffff) < uint64(0x3fffffff))
@@ -1583,11 +1620,14 @@ S61:
 		}
 		dyn++
 		readSlots += 1
-		v61, t61 := m.load(regs[45], 4)
-		if t61 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t61)
-			return kernHalt
+		v61, ok61 := m.flatLoad32(regs[45])
+		if !ok61 {
+			var t61 TrapKind
+			if v61, t61 = m.load(regs[45], 4); t61 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t61)
+				return kernHalt
+			}
 		}
 		regs[46] = v61
 		writes++
@@ -1638,14 +1678,17 @@ B65:
 		regs[49] = (regs[37] + regs[46]) & 0xffffffff
 		regs[50] = regs[41] * uint64(0x4)
 		regs[51] = uint64(0x10000640) + regs[50]
-		v68, t68 := m.load(regs[51], 4)
-		if t68 != TrapNone {
-			dyn += 4
-			readSlots += 5
-			writes += 3
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t68)
-			return kernHalt
+		v68, ok68 := m.flatLoad32(regs[51])
+		if !ok68 {
+			var t68 TrapKind
+			if v68, t68 = m.load(regs[51], 4); t68 != TrapNone {
+				dyn += 4
+				readSlots += 5
+				writes += 3
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t68)
+				return kernHalt
+			}
 		}
 		regs[52] = v68
 		regs[53] = boolBit((regs[49] & 0xffffffff) < (regs[52] & 0xffffffff))
@@ -1703,11 +1746,14 @@ S68:
 		}
 		dyn++
 		readSlots += 1
-		v68, t68 := m.load(regs[51], 4)
-		if t68 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t68)
-			return kernHalt
+		v68, ok68 := m.flatLoad32(regs[51])
+		if !ok68 {
+			var t68 TrapKind
+			if v68, t68 = m.load(regs[51], 4); t68 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t68)
+				return kernHalt
+			}
 		}
 		regs[52] = v68
 		writes++
@@ -1757,13 +1803,15 @@ B72:
 		}
 		regs[55] = regs[41] * uint64(0x4)
 		regs[56] = uint64(0x10000640) + regs[55]
-		if t74 := m.store(regs[56], 4, regs[49]); t74 != TrapNone {
-			dyn += 3
-			readSlots += 4
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t74)
-			return kernHalt
+		if !m.flatStore32(regs[56], uint32(regs[49])) {
+			if t74 := m.store(regs[56], 4, regs[49]); t74 != TrapNone {
+				dyn += 3
+				readSlots += 4
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t74)
+				return kernHalt
+			}
 		}
 		dyn += 3
 		readSlots += 4
@@ -1803,10 +1851,12 @@ S74:
 		}
 		dyn++
 		readSlots += 2
-		if t74 := m.store(regs[56], 4, regs[49]); t74 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t74)
-			return kernHalt
+		if !m.flatStore32(regs[56], uint32(regs[49])) {
+			if t74 := m.store(regs[56], 4, regs[49]); t74 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t74)
+				return kernHalt
+			}
 		}
 		goto B75
 	}
@@ -1909,14 +1959,17 @@ B81:
 		}
 		regs[59] = regs[1] * uint64(0x4)
 		regs[60] = uint64(0x10000640) + regs[59]
-		v83, t83 := m.load(regs[60], 4)
-		if t83 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t83)
-			return kernHalt
+		v83, ok83 := m.flatLoad32(regs[60])
+		if !ok83 {
+			var t83 TrapKind
+			if v83, t83 = m.load(regs[60], 4); t83 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t83)
+				return kernHalt
+			}
 		}
 		regs[61] = v83
 		dyn += 3
@@ -1962,11 +2015,14 @@ S83:
 		}
 		dyn++
 		readSlots += 1
-		v83, t83 := m.load(regs[60], 4)
-		if t83 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t83)
-			return kernHalt
+		v83, ok83 := m.flatLoad32(regs[60])
+		if !ok83 {
+			var t83 TrapKind
+			if v83, t83 = m.load(regs[60], 4); t83 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t83)
+				return kernHalt
+			}
 		}
 		regs[61] = v83
 		writes++

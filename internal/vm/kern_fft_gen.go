@@ -848,77 +848,97 @@ B39:
 		regs[32] = uint64(0x10000100) + regs[31]
 		regs[33] = regs[3] * uint64(0x8)
 		regs[34] = uint64(0x10000100) + regs[33]
-		v47, t47 := m.load(regs[28], 8)
-		if t47 != TrapNone {
-			dyn += 9
-			readSlots += 9
-			writes += 8
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t47)
-			return kernHalt
+		v47, ok47 := m.flatLoad64(regs[28])
+		if !ok47 {
+			var t47 TrapKind
+			if v47, t47 = m.load(regs[28], 8); t47 != TrapNone {
+				dyn += 9
+				readSlots += 9
+				writes += 8
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t47)
+				return kernHalt
+			}
 		}
 		regs[35] = v47
-		v48, t48 := m.load(regs[30], 8)
-		if t48 != TrapNone {
-			dyn += 10
-			readSlots += 10
-			writes += 9
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t48)
-			return kernHalt
+		v48, ok48 := m.flatLoad64(regs[30])
+		if !ok48 {
+			var t48 TrapKind
+			if v48, t48 = m.load(regs[30], 8); t48 != TrapNone {
+				dyn += 10
+				readSlots += 10
+				writes += 9
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t48)
+				return kernHalt
+			}
 		}
 		regs[36] = v48
-		if t49 := m.store(regs[28], 8, regs[36]); t49 != TrapNone {
-			dyn += 11
-			readSlots += 12
-			writes += 10
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t49)
-			return kernHalt
+		if !m.flatStore64(regs[28], uint64(regs[36])) {
+			if t49 := m.store(regs[28], 8, regs[36]); t49 != TrapNone {
+				dyn += 11
+				readSlots += 12
+				writes += 10
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t49)
+				return kernHalt
+			}
 		}
-		if t50 := m.store(regs[30], 8, regs[35]); t50 != TrapNone {
-			dyn += 12
-			readSlots += 14
-			writes += 10
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t50)
-			return kernHalt
+		if !m.flatStore64(regs[30], uint64(regs[35])) {
+			if t50 := m.store(regs[30], 8, regs[35]); t50 != TrapNone {
+				dyn += 12
+				readSlots += 14
+				writes += 10
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t50)
+				return kernHalt
+			}
 		}
-		v51, t51 := m.load(regs[32], 8)
-		if t51 != TrapNone {
-			dyn += 13
-			readSlots += 15
-			writes += 10
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t51)
-			return kernHalt
+		v51, ok51 := m.flatLoad64(regs[32])
+		if !ok51 {
+			var t51 TrapKind
+			if v51, t51 = m.load(regs[32], 8); t51 != TrapNone {
+				dyn += 13
+				readSlots += 15
+				writes += 10
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t51)
+				return kernHalt
+			}
 		}
 		regs[37] = v51
-		v52, t52 := m.load(regs[34], 8)
-		if t52 != TrapNone {
-			dyn += 14
-			readSlots += 16
-			writes += 11
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t52)
-			return kernHalt
+		v52, ok52 := m.flatLoad64(regs[34])
+		if !ok52 {
+			var t52 TrapKind
+			if v52, t52 = m.load(regs[34], 8); t52 != TrapNone {
+				dyn += 14
+				readSlots += 16
+				writes += 11
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t52)
+				return kernHalt
+			}
 		}
 		regs[38] = v52
-		if t53 := m.store(regs[32], 8, regs[38]); t53 != TrapNone {
-			dyn += 15
-			readSlots += 18
-			writes += 12
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t53)
-			return kernHalt
+		if !m.flatStore64(regs[32], uint64(regs[38])) {
+			if t53 := m.store(regs[32], 8, regs[38]); t53 != TrapNone {
+				dyn += 15
+				readSlots += 18
+				writes += 12
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t53)
+				return kernHalt
+			}
 		}
-		if t54 := m.store(regs[34], 8, regs[37]); t54 != TrapNone {
-			dyn += 16
-			readSlots += 20
-			writes += 12
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t54)
-			return kernHalt
+		if !m.flatStore64(regs[34], uint64(regs[37])) {
+			if t54 := m.store(regs[34], 8, regs[37]); t54 != TrapNone {
+				dyn += 16
+				readSlots += 20
+				writes += 12
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t54)
+				return kernHalt
+			}
 		}
 		dyn += 16
 		readSlots += 20
@@ -1030,11 +1050,14 @@ S47:
 		}
 		dyn++
 		readSlots += 1
-		v47, t47 := m.load(regs[28], 8)
-		if t47 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t47)
-			return kernHalt
+		v47, ok47 := m.flatLoad64(regs[28])
+		if !ok47 {
+			var t47 TrapKind
+			if v47, t47 = m.load(regs[28], 8); t47 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t47)
+				return kernHalt
+			}
 		}
 		regs[35] = v47
 		writes++
@@ -1048,11 +1071,14 @@ S48:
 		}
 		dyn++
 		readSlots += 1
-		v48, t48 := m.load(regs[30], 8)
-		if t48 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t48)
-			return kernHalt
+		v48, ok48 := m.flatLoad64(regs[30])
+		if !ok48 {
+			var t48 TrapKind
+			if v48, t48 = m.load(regs[30], 8); t48 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t48)
+				return kernHalt
+			}
 		}
 		regs[36] = v48
 		writes++
@@ -1066,10 +1092,12 @@ S49:
 		}
 		dyn++
 		readSlots += 2
-		if t49 := m.store(regs[28], 8, regs[36]); t49 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t49)
-			return kernHalt
+		if !m.flatStore64(regs[28], uint64(regs[36])) {
+			if t49 := m.store(regs[28], 8, regs[36]); t49 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t49)
+				return kernHalt
+			}
 		}
 	}
 S50:
@@ -1081,10 +1109,12 @@ S50:
 		}
 		dyn++
 		readSlots += 2
-		if t50 := m.store(regs[30], 8, regs[35]); t50 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t50)
-			return kernHalt
+		if !m.flatStore64(regs[30], uint64(regs[35])) {
+			if t50 := m.store(regs[30], 8, regs[35]); t50 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t50)
+				return kernHalt
+			}
 		}
 	}
 S51:
@@ -1096,11 +1126,14 @@ S51:
 		}
 		dyn++
 		readSlots += 1
-		v51, t51 := m.load(regs[32], 8)
-		if t51 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t51)
-			return kernHalt
+		v51, ok51 := m.flatLoad64(regs[32])
+		if !ok51 {
+			var t51 TrapKind
+			if v51, t51 = m.load(regs[32], 8); t51 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t51)
+				return kernHalt
+			}
 		}
 		regs[37] = v51
 		writes++
@@ -1114,11 +1147,14 @@ S52:
 		}
 		dyn++
 		readSlots += 1
-		v52, t52 := m.load(regs[34], 8)
-		if t52 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t52)
-			return kernHalt
+		v52, ok52 := m.flatLoad64(regs[34])
+		if !ok52 {
+			var t52 TrapKind
+			if v52, t52 = m.load(regs[34], 8); t52 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t52)
+				return kernHalt
+			}
 		}
 		regs[38] = v52
 		writes++
@@ -1132,10 +1168,12 @@ S53:
 		}
 		dyn++
 		readSlots += 2
-		if t53 := m.store(regs[32], 8, regs[38]); t53 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t53)
-			return kernHalt
+		if !m.flatStore64(regs[32], uint64(regs[38])) {
+			if t53 := m.store(regs[32], 8, regs[38]); t53 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t53)
+				return kernHalt
+			}
 		}
 	}
 S54:
@@ -1147,10 +1185,12 @@ S54:
 		}
 		dyn++
 		readSlots += 2
-		if t54 := m.store(regs[34], 8, regs[37]); t54 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t54)
-			return kernHalt
+		if !m.flatStore64(regs[34], uint64(regs[37])) {
+			if t54 := m.store(regs[34], 8, regs[37]); t54 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t54)
+				return kernHalt
+			}
 		}
 		goto B55
 	}
@@ -1489,26 +1529,32 @@ B72:
 		regs[51] = (regs[48] * regs[44]) & 0xffffffff
 		regs[52] = regs[51] * uint64(0x8)
 		regs[53] = uint64(0x10000200) + regs[52]
-		v75, t75 := m.load(regs[53], 8)
-		if t75 != TrapNone {
-			dyn += 4
-			readSlots += 5
-			writes += 3
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t75)
-			return kernHalt
+		v75, ok75 := m.flatLoad64(regs[53])
+		if !ok75 {
+			var t75 TrapKind
+			if v75, t75 = m.load(regs[53], 8); t75 != TrapNone {
+				dyn += 4
+				readSlots += 5
+				writes += 3
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t75)
+				return kernHalt
+			}
 		}
 		regs[54] = v75
 		regs[55] = regs[51] * uint64(0x8)
 		regs[56] = uint64(0x10000280) + regs[55]
-		v78, t78 := m.load(regs[56], 8)
-		if t78 != TrapNone {
-			dyn += 7
-			readSlots += 8
-			writes += 6
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t78)
-			return kernHalt
+		v78, ok78 := m.flatLoad64(regs[56])
+		if !ok78 {
+			var t78 TrapKind
+			if v78, t78 = m.load(regs[56], 8); t78 != TrapNone {
+				dyn += 7
+				readSlots += 8
+				writes += 6
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t78)
+				return kernHalt
+			}
 		}
 		regs[57] = v78
 		regs[58] = (regs[45] + regs[48]) & 0xffffffff
@@ -1521,24 +1567,30 @@ B72:
 		regs[65] = uint64(0x10000000) + regs[64]
 		regs[66] = regs[59] * uint64(0x8)
 		regs[67] = uint64(0x10000100) + regs[66]
-		v89, t89 := m.load(regs[65], 8)
-		if t89 != TrapNone {
-			dyn += 18
-			readSlots += 21
-			writes += 17
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t89)
-			return kernHalt
+		v89, ok89 := m.flatLoad64(regs[65])
+		if !ok89 {
+			var t89 TrapKind
+			if v89, t89 = m.load(regs[65], 8); t89 != TrapNone {
+				dyn += 18
+				readSlots += 21
+				writes += 17
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t89)
+				return kernHalt
+			}
 		}
 		regs[68] = v89
-		v90, t90 := m.load(regs[67], 8)
-		if t90 != TrapNone {
-			dyn += 19
-			readSlots += 22
-			writes += 18
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t90)
-			return kernHalt
+		v90, ok90 := m.flatLoad64(regs[67])
+		if !ok90 {
+			var t90 TrapKind
+			if v90, t90 = m.load(regs[67], 8); t90 != TrapNone {
+				dyn += 19
+				readSlots += 22
+				writes += 18
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t90)
+				return kernHalt
+			}
 		}
 		regs[69] = v90
 		regs[70] = math.Float64bits(math.Float64frombits(regs[68]) * math.Float64frombits(regs[54]))
@@ -1547,61 +1599,75 @@ B72:
 		regs[73] = math.Float64bits(math.Float64frombits(regs[68]) * math.Float64frombits(regs[57]))
 		regs[74] = math.Float64bits(math.Float64frombits(regs[69]) * math.Float64frombits(regs[54]))
 		regs[75] = math.Float64bits(math.Float64frombits(regs[73]) + math.Float64frombits(regs[74]))
-		v97, t97 := m.load(regs[61], 8)
-		if t97 != TrapNone {
-			dyn += 26
-			readSlots += 35
-			writes += 25
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t97)
-			return kernHalt
+		v97, ok97 := m.flatLoad64(regs[61])
+		if !ok97 {
+			var t97 TrapKind
+			if v97, t97 = m.load(regs[61], 8); t97 != TrapNone {
+				dyn += 26
+				readSlots += 35
+				writes += 25
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t97)
+				return kernHalt
+			}
 		}
 		regs[76] = v97
-		v98, t98 := m.load(regs[63], 8)
-		if t98 != TrapNone {
-			dyn += 27
-			readSlots += 36
-			writes += 26
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t98)
-			return kernHalt
+		v98, ok98 := m.flatLoad64(regs[63])
+		if !ok98 {
+			var t98 TrapKind
+			if v98, t98 = m.load(regs[63], 8); t98 != TrapNone {
+				dyn += 27
+				readSlots += 36
+				writes += 26
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t98)
+				return kernHalt
+			}
 		}
 		regs[77] = v98
 		regs[78] = math.Float64bits(math.Float64frombits(regs[76]) + math.Float64frombits(regs[72]))
-		if t100 := m.store(regs[61], 8, regs[78]); t100 != TrapNone {
-			dyn += 29
-			readSlots += 40
-			writes += 28
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t100)
-			return kernHalt
+		if !m.flatStore64(regs[61], uint64(regs[78])) {
+			if t100 := m.store(regs[61], 8, regs[78]); t100 != TrapNone {
+				dyn += 29
+				readSlots += 40
+				writes += 28
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t100)
+				return kernHalt
+			}
 		}
 		regs[79] = math.Float64bits(math.Float64frombits(regs[77]) + math.Float64frombits(regs[75]))
-		if t102 := m.store(regs[63], 8, regs[79]); t102 != TrapNone {
-			dyn += 31
-			readSlots += 44
-			writes += 29
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t102)
-			return kernHalt
+		if !m.flatStore64(regs[63], uint64(regs[79])) {
+			if t102 := m.store(regs[63], 8, regs[79]); t102 != TrapNone {
+				dyn += 31
+				readSlots += 44
+				writes += 29
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t102)
+				return kernHalt
+			}
 		}
 		regs[80] = math.Float64bits(math.Float64frombits(regs[76]) - math.Float64frombits(regs[72]))
-		if t104 := m.store(regs[65], 8, regs[80]); t104 != TrapNone {
-			dyn += 33
-			readSlots += 48
-			writes += 30
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t104)
-			return kernHalt
+		if !m.flatStore64(regs[65], uint64(regs[80])) {
+			if t104 := m.store(regs[65], 8, regs[80]); t104 != TrapNone {
+				dyn += 33
+				readSlots += 48
+				writes += 30
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t104)
+				return kernHalt
+			}
 		}
 		regs[81] = math.Float64bits(math.Float64frombits(regs[77]) - math.Float64frombits(regs[75]))
-		if t106 := m.store(regs[67], 8, regs[81]); t106 != TrapNone {
-			dyn += 35
-			readSlots += 52
-			writes += 31
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t106)
-			return kernHalt
+		if !m.flatStore64(regs[67], uint64(regs[81])) {
+			if t106 := m.store(regs[67], 8, regs[81]); t106 != TrapNone {
+				dyn += 35
+				readSlots += 52
+				writes += 31
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t106)
+				return kernHalt
+			}
 		}
 		regs[82] = (regs[48] + uint64(0x1)) & 0xffffffff
 		regs[48] = regs[82]
@@ -1655,11 +1721,14 @@ S75:
 		}
 		dyn++
 		readSlots += 1
-		v75, t75 := m.load(regs[53], 8)
-		if t75 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t75)
-			return kernHalt
+		v75, ok75 := m.flatLoad64(regs[53])
+		if !ok75 {
+			var t75 TrapKind
+			if v75, t75 = m.load(regs[53], 8); t75 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t75)
+				return kernHalt
+			}
 		}
 		regs[54] = v75
 		writes++
@@ -1697,11 +1766,14 @@ S78:
 		}
 		dyn++
 		readSlots += 1
-		v78, t78 := m.load(regs[56], 8)
-		if t78 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t78)
-			return kernHalt
+		v78, ok78 := m.flatLoad64(regs[56])
+		if !ok78 {
+			var t78 TrapKind
+			if v78, t78 = m.load(regs[56], 8); t78 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t78)
+				return kernHalt
+			}
 		}
 		regs[57] = v78
 		writes++
@@ -1835,11 +1907,14 @@ S89:
 		}
 		dyn++
 		readSlots += 1
-		v89, t89 := m.load(regs[65], 8)
-		if t89 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t89)
-			return kernHalt
+		v89, ok89 := m.flatLoad64(regs[65])
+		if !ok89 {
+			var t89 TrapKind
+			if v89, t89 = m.load(regs[65], 8); t89 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t89)
+				return kernHalt
+			}
 		}
 		regs[68] = v89
 		writes++
@@ -1853,11 +1928,14 @@ S90:
 		}
 		dyn++
 		readSlots += 1
-		v90, t90 := m.load(regs[67], 8)
-		if t90 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t90)
-			return kernHalt
+		v90, ok90 := m.flatLoad64(regs[67])
+		if !ok90 {
+			var t90 TrapKind
+			if v90, t90 = m.load(regs[67], 8); t90 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t90)
+				return kernHalt
+			}
 		}
 		regs[69] = v90
 		writes++
@@ -1943,11 +2021,14 @@ S97:
 		}
 		dyn++
 		readSlots += 1
-		v97, t97 := m.load(regs[61], 8)
-		if t97 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t97)
-			return kernHalt
+		v97, ok97 := m.flatLoad64(regs[61])
+		if !ok97 {
+			var t97 TrapKind
+			if v97, t97 = m.load(regs[61], 8); t97 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t97)
+				return kernHalt
+			}
 		}
 		regs[76] = v97
 		writes++
@@ -1961,11 +2042,14 @@ S98:
 		}
 		dyn++
 		readSlots += 1
-		v98, t98 := m.load(regs[63], 8)
-		if t98 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t98)
-			return kernHalt
+		v98, ok98 := m.flatLoad64(regs[63])
+		if !ok98 {
+			var t98 TrapKind
+			if v98, t98 = m.load(regs[63], 8); t98 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t98)
+				return kernHalt
+			}
 		}
 		regs[77] = v98
 		writes++
@@ -1991,10 +2075,12 @@ S100:
 		}
 		dyn++
 		readSlots += 2
-		if t100 := m.store(regs[61], 8, regs[78]); t100 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t100)
-			return kernHalt
+		if !m.flatStore64(regs[61], uint64(regs[78])) {
+			if t100 := m.store(regs[61], 8, regs[78]); t100 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t100)
+				return kernHalt
+			}
 		}
 	}
 S101:
@@ -2018,10 +2104,12 @@ S102:
 		}
 		dyn++
 		readSlots += 2
-		if t102 := m.store(regs[63], 8, regs[79]); t102 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t102)
-			return kernHalt
+		if !m.flatStore64(regs[63], uint64(regs[79])) {
+			if t102 := m.store(regs[63], 8, regs[79]); t102 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t102)
+				return kernHalt
+			}
 		}
 	}
 S103:
@@ -2045,10 +2133,12 @@ S104:
 		}
 		dyn++
 		readSlots += 2
-		if t104 := m.store(regs[65], 8, regs[80]); t104 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t104)
-			return kernHalt
+		if !m.flatStore64(regs[65], uint64(regs[80])) {
+			if t104 := m.store(regs[65], 8, regs[80]); t104 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t104)
+				return kernHalt
+			}
 		}
 	}
 S105:
@@ -2072,10 +2162,12 @@ S106:
 		}
 		dyn++
 		readSlots += 2
-		if t106 := m.store(regs[67], 8, regs[81]); t106 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t106)
-			return kernHalt
+		if !m.flatStore64(regs[67], uint64(regs[81])) {
+			if t106 := m.store(regs[67], 8, regs[81]); t106 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t106)
+				return kernHalt
+			}
 		}
 	}
 S107:
@@ -2286,14 +2378,17 @@ B120:
 		}
 		regs[88] = regs[85] * uint64(0x8)
 		regs[89] = uint64(0x10000000) + regs[88]
-		v122, t122 := m.load(regs[89], 8)
-		if t122 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t122)
-			return kernHalt
+		v122, ok122 := m.flatLoad64(regs[89])
+		if !ok122 {
+			var t122 TrapKind
+			if v122, t122 = m.load(regs[89], 8); t122 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t122)
+				return kernHalt
+			}
 		}
 		regs[90] = v122
 		if !m.outAppend(regs[90], 8) {
@@ -2306,14 +2401,17 @@ B120:
 		}
 		regs[91] = regs[85] * uint64(0x8)
 		regs[92] = uint64(0x10000100) + regs[91]
-		v126, t126 := m.load(regs[92], 8)
-		if t126 != TrapNone {
-			dyn += 7
-			readSlots += 7
-			writes += 5
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t126)
-			return kernHalt
+		v126, ok126 := m.flatLoad64(regs[92])
+		if !ok126 {
+			var t126 TrapKind
+			if v126, t126 = m.load(regs[92], 8); t126 != TrapNone {
+				dyn += 7
+				readSlots += 7
+				writes += 5
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t126)
+				return kernHalt
+			}
 		}
 		regs[93] = v126
 		if !m.outAppend(regs[93], 8) {
@@ -2364,11 +2462,14 @@ S122:
 		}
 		dyn++
 		readSlots += 1
-		v122, t122 := m.load(regs[89], 8)
-		if t122 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t122)
-			return kernHalt
+		v122, ok122 := m.flatLoad64(regs[89])
+		if !ok122 {
+			var t122 TrapKind
+			if v122, t122 = m.load(regs[89], 8); t122 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t122)
+				return kernHalt
+			}
 		}
 		regs[90] = v122
 		writes++
@@ -2421,11 +2522,14 @@ S126:
 		}
 		dyn++
 		readSlots += 1
-		v126, t126 := m.load(regs[92], 8)
-		if t126 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t126)
-			return kernHalt
+		v126, ok126 := m.flatLoad64(regs[92])
+		if !ok126 {
+			var t126 TrapKind
+			if v126, t126 = m.load(regs[92], 8); t126 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t126)
+				return kernHalt
+			}
 		}
 		regs[93] = v126
 		writes++

@@ -177,14 +177,17 @@ B4:
 		}
 		regs[3] = regs[0] * uint64(0x4)
 		regs[4] = uint64(0x10000000) + regs[3]
-		v6, t6 := m.load(regs[4], 4)
-		if t6 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t6)
-			return kernHalt
+		v6, ok6 := m.flatLoad32(regs[4])
+		if !ok6 {
+			var t6 TrapKind
+			if v6, t6 = m.load(regs[4], 4); t6 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t6)
+				return kernHalt
+			}
 		}
 		regs[5] = v6
 		q7, t7 := intDiv(ir.OpUDiv, ir.W32, (regs[5] & 0xffffffff), uint64(0xc))
@@ -221,14 +224,17 @@ B4:
 		regs[10] = (regs[9] + regs[8]) & 0xffffffff
 		regs[11] = regs[10] * uint64(0x1)
 		regs[12] = uint64(0x10001000) + regs[11]
-		v14, t14 := m.load(regs[12], 1)
-		if t14 != TrapNone {
-			dyn += 11
-			readSlots += 12
-			writes += 10
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t14)
-			return kernHalt
+		v14, ok14 := m.flatLoad8(regs[12])
+		if !ok14 {
+			var t14 TrapKind
+			if v14, t14 = m.load(regs[12], 1); t14 != TrapNone {
+				dyn += 11
+				readSlots += 12
+				writes += 10
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t14)
+				return kernHalt
+			}
 		}
 		regs[13] = v14
 		regs[14] = (regs[13] + uint64(0x1)) & 0xffffffff
@@ -238,13 +244,15 @@ B4:
 		} else {
 			regs[16] = uint64(0xff)
 		}
-		if t18 := m.store(regs[12], 1, regs[16]); t18 != TrapNone {
-			dyn += 15
-			readSlots += 18
-			writes += 14
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t18)
-			return kernHalt
+		if !m.flatStore8(regs[12], uint8(regs[16])) {
+			if t18 := m.store(regs[12], 1, regs[16]); t18 != TrapNone {
+				dyn += 15
+				readSlots += 18
+				writes += 14
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t18)
+				return kernHalt
+			}
 		}
 		regs[17] = (regs[0] + uint64(0x1)) & 0xffffffff
 		regs[0] = regs[17]
@@ -286,11 +294,14 @@ S6:
 		}
 		dyn++
 		readSlots += 1
-		v6, t6 := m.load(regs[4], 4)
-		if t6 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t6)
-			return kernHalt
+		v6, ok6 := m.flatLoad32(regs[4])
+		if !ok6 {
+			var t6 TrapKind
+			if v6, t6 = m.load(regs[4], 4); t6 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t6)
+				return kernHalt
+			}
 		}
 		regs[5] = v6
 		writes++
@@ -406,11 +417,14 @@ S14:
 		}
 		dyn++
 		readSlots += 1
-		v14, t14 := m.load(regs[12], 1)
-		if t14 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t14)
-			return kernHalt
+		v14, ok14 := m.flatLoad8(regs[12])
+		if !ok14 {
+			var t14 TrapKind
+			if v14, t14 = m.load(regs[12], 1); t14 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t14)
+				return kernHalt
+			}
 		}
 		regs[13] = v14
 		writes++
@@ -464,10 +478,12 @@ S18:
 		}
 		dyn++
 		readSlots += 2
-		if t18 := m.store(regs[12], 1, regs[16]); t18 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t18)
-			return kernHalt
+		if !m.flatStore8(regs[12], uint8(regs[16])) {
+			if t18 := m.store(regs[12], 1, regs[16]); t18 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t18)
+				return kernHalt
+			}
 		}
 	}
 S19:
@@ -586,14 +602,17 @@ B26:
 		}
 		regs[21] = regs[18] * uint64(0x1)
 		regs[22] = uint64(0x10001000) + regs[21]
-		v28, t28 := m.load(regs[22], 1)
-		if t28 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t28)
-			return kernHalt
+		v28, ok28 := m.flatLoad8(regs[22])
+		if !ok28 {
+			var t28 TrapKind
+			if v28, t28 = m.load(regs[22], 1); t28 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t28)
+				return kernHalt
+			}
 		}
 		regs[23] = v28
 		if !m.outAppend((regs[23] & 0xff), 1) {
@@ -644,11 +663,14 @@ S28:
 		}
 		dyn++
 		readSlots += 1
-		v28, t28 := m.load(regs[22], 1)
-		if t28 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t28)
-			return kernHalt
+		v28, ok28 := m.flatLoad8(regs[22])
+		if !ok28 {
+			var t28 TrapKind
+			if v28, t28 = m.load(regs[22], 1); t28 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t28)
+				return kernHalt
+			}
 		}
 		regs[23] = v28
 		writes++

@@ -194,13 +194,15 @@ B4:
 		regs[5] = regs[3] ^ regs[4]
 		regs[6] = regs[0] * uint64(0x8)
 		regs[7] = uint64(0x10000000) + regs[6]
-		if t9 := m.store(regs[7], 8, regs[5]); t9 != TrapNone {
-			dyn += 6
-			readSlots += 8
-			writes += 5
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t9)
-			return kernHalt
+		if !m.flatStore64(regs[7], uint64(regs[5])) {
+			if t9 := m.store(regs[7], 8, regs[5]); t9 != TrapNone {
+				dyn += 6
+				readSlots += 8
+				writes += 5
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t9)
+				return kernHalt
+			}
 		}
 		regs[8] = (regs[0] + uint64(0x1)) & 0xffffffff
 		regs[0] = regs[8]
@@ -278,10 +280,12 @@ S9:
 		}
 		dyn++
 		readSlots += 2
-		if t9 := m.store(regs[7], 8, regs[5]); t9 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t9)
-			return kernHalt
+		if !m.flatStore64(regs[7], uint64(regs[5])) {
+			if t9 := m.store(regs[7], 8, regs[5]); t9 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t9)
+				return kernHalt
+			}
 		}
 	}
 S10:
@@ -400,45 +404,56 @@ B17:
 		}
 		regs[12] = regs[9] * uint64(0x8)
 		regs[13] = uint64(0x10000000) + regs[12]
-		v19, t19 := m.load(regs[13]+0xfffffffffffffff8, 8)
-		if t19 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t19)
-			return kernHalt
+		v19, ok19 := m.flatLoad64(regs[13] + 0xfffffffffffffff8)
+		if !ok19 {
+			var t19 TrapKind
+			if v19, t19 = m.load(regs[13]+0xfffffffffffffff8, 8); t19 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t19)
+				return kernHalt
+			}
 		}
 		regs[14] = v19
-		v20, t20 := m.load(regs[13], 8)
-		if t20 != TrapNone {
-			dyn += 4
-			readSlots += 4
-			writes += 3
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t20)
-			return kernHalt
+		v20, ok20 := m.flatLoad64(regs[13])
+		if !ok20 {
+			var t20 TrapKind
+			if v20, t20 = m.load(regs[13], 8); t20 != TrapNone {
+				dyn += 4
+				readSlots += 4
+				writes += 3
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t20)
+				return kernHalt
+			}
 		}
 		regs[15] = v20
-		v21, t21 := m.load(regs[13]+0x8, 8)
-		if t21 != TrapNone {
-			dyn += 5
-			readSlots += 5
-			writes += 4
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t21)
-			return kernHalt
+		v21, ok21 := m.flatLoad64(regs[13] + 0x8)
+		if !ok21 {
+			var t21 TrapKind
+			if v21, t21 = m.load(regs[13]+0x8, 8); t21 != TrapNone {
+				dyn += 5
+				readSlots += 5
+				writes += 4
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t21)
+				return kernHalt
+			}
 		}
 		regs[16] = v21
 		regs[17] = regs[14] + regs[16]
 		regs[18] = regs[17] + regs[15]
-		if t24 := m.store(regs[13], 8, regs[18]); t24 != TrapNone {
-			dyn += 8
-			readSlots += 11
-			writes += 7
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t24)
-			return kernHalt
+		if !m.flatStore64(regs[13], uint64(regs[18])) {
+			if t24 := m.store(regs[13], 8, regs[18]); t24 != TrapNone {
+				dyn += 8
+				readSlots += 11
+				writes += 7
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t24)
+				return kernHalt
+			}
 		}
 		regs[19] = (regs[9] + uint64(0x1)) & 0xffffffff
 		regs[9] = regs[19]
@@ -480,11 +495,14 @@ S19:
 		}
 		dyn++
 		readSlots += 1
-		v19, t19 := m.load(regs[13]+0xfffffffffffffff8, 8)
-		if t19 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t19)
-			return kernHalt
+		v19, ok19 := m.flatLoad64(regs[13] + 0xfffffffffffffff8)
+		if !ok19 {
+			var t19 TrapKind
+			if v19, t19 = m.load(regs[13]+0xfffffffffffffff8, 8); t19 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t19)
+				return kernHalt
+			}
 		}
 		regs[14] = v19
 		writes++
@@ -498,11 +516,14 @@ S20:
 		}
 		dyn++
 		readSlots += 1
-		v20, t20 := m.load(regs[13], 8)
-		if t20 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t20)
-			return kernHalt
+		v20, ok20 := m.flatLoad64(regs[13])
+		if !ok20 {
+			var t20 TrapKind
+			if v20, t20 = m.load(regs[13], 8); t20 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t20)
+				return kernHalt
+			}
 		}
 		regs[15] = v20
 		writes++
@@ -516,11 +537,14 @@ S21:
 		}
 		dyn++
 		readSlots += 1
-		v21, t21 := m.load(regs[13]+0x8, 8)
-		if t21 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t21)
-			return kernHalt
+		v21, ok21 := m.flatLoad64(regs[13] + 0x8)
+		if !ok21 {
+			var t21 TrapKind
+			if v21, t21 = m.load(regs[13]+0x8, 8); t21 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t21)
+				return kernHalt
+			}
 		}
 		regs[16] = v21
 		writes++
@@ -558,10 +582,12 @@ S24:
 		}
 		dyn++
 		readSlots += 2
-		if t24 := m.store(regs[13], 8, regs[18]); t24 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t24)
-			return kernHalt
+		if !m.flatStore64(regs[13], uint64(regs[18])) {
+			if t24 := m.store(regs[13], 8, regs[18]); t24 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t24)
+				return kernHalt
+			}
 		}
 	}
 S25:
@@ -692,14 +718,17 @@ B33:
 		}
 		regs[24] = regs[21] * uint64(0x200)
 		regs[25] = uint64(0x10000000) + regs[24]
-		v35, t35 := m.load(regs[25], 8)
-		if t35 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t35)
-			return kernHalt
+		v35, ok35 := m.flatLoad64(regs[25])
+		if !ok35 {
+			var t35 TrapKind
+			if v35, t35 = m.load(regs[25], 8); t35 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t35)
+				return kernHalt
+			}
 		}
 		regs[26] = v35
 		regs[27] = regs[20] ^ regs[26]
@@ -744,11 +773,14 @@ S35:
 		}
 		dyn++
 		readSlots += 1
-		v35, t35 := m.load(regs[25], 8)
-		if t35 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t35)
-			return kernHalt
+		v35, ok35 := m.flatLoad64(regs[25])
+		if !ok35 {
+			var t35 TrapKind
+			if v35, t35 = m.load(regs[25], 8); t35 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t35)
+				return kernHalt
+			}
 		}
 		regs[26] = v35
 		writes++

@@ -140,14 +140,17 @@ B5:
 		}
 		regs[3] = regs[0] * uint64(0x4)
 		regs[4] = uint64(0x10000000) + regs[3]
-		v7, t7 := m.load(regs[4], 4)
-		if t7 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t7)
-			return kernHalt
+		v7, ok7 := m.flatLoad32(regs[4])
+		if !ok7 {
+			var t7 TrapKind
+			if v7, t7 = m.load(regs[4], 4); t7 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t7)
+				return kernHalt
+			}
 		}
 		regs[5] = v7
 		if !m.outAppend((regs[5] & 0xffffffff), 4) {
@@ -198,11 +201,14 @@ S7:
 		}
 		dyn++
 		readSlots += 1
-		v7, t7 := m.load(regs[4], 4)
-		if t7 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t7)
-			return kernHalt
+		v7, ok7 := m.flatLoad32(regs[4])
+		if !ok7 {
+			var t7 TrapKind
+			if v7, t7 = m.load(regs[4], 4); t7 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t7)
+				return kernHalt
+			}
 		}
 		regs[5] = v7
 		writes++
@@ -450,14 +456,17 @@ B4:
 		}
 		regs[5] = regs[2] * uint64(0x4)
 		regs[6] = regs[0] + regs[5]
-		v6, t6 := m.load(regs[6], 4)
-		if t6 != TrapNone {
-			dyn += 3
-			readSlots += 4
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t6)
-			return kernHalt
+		v6, ok6 := m.flatLoad32(regs[6])
+		if !ok6 {
+			var t6 TrapKind
+			if v6, t6 = m.load(regs[6], 4); t6 != TrapNone {
+				dyn += 3
+				readSlots += 4
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t6)
+				return kernHalt
+			}
 		}
 		regs[7] = v6
 		regs[8] = (regs[1] - uint64(0x1)) & 0xffffffff
@@ -501,11 +510,14 @@ S6:
 		}
 		dyn++
 		readSlots += 1
-		v6, t6 := m.load(regs[6], 4)
-		if t6 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t6)
-			return kernHalt
+		v6, ok6 := m.flatLoad32(regs[6])
+		if !ok6 {
+			var t6 TrapKind
+			if v6, t6 = m.load(regs[6], 4); t6 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t6)
+				return kernHalt
+			}
 		}
 		regs[7] = v6
 		writes++
@@ -607,14 +619,17 @@ B13:
 		}
 		regs[13] = regs[10] * uint64(0x4)
 		regs[14] = regs[0] + regs[13]
-		v15, t15 := m.load(regs[14], 4)
-		if t15 != TrapNone {
-			dyn += 3
-			readSlots += 4
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t15)
-			return kernHalt
+		v15, ok15 := m.flatLoad32(regs[14])
+		if !ok15 {
+			var t15 TrapKind
+			if v15, t15 = m.load(regs[14], 4); t15 != TrapNone {
+				dyn += 3
+				readSlots += 4
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t15)
+				return kernHalt
+			}
 		}
 		regs[15] = v15
 		regs[16] = boolBit(int64(int32(regs[15])) <= int64(int32(regs[7])))
@@ -660,11 +675,14 @@ S15:
 		}
 		dyn++
 		readSlots += 1
-		v15, t15 := m.load(regs[14], 4)
-		if t15 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t15)
-			return kernHalt
+		v15, ok15 := m.flatLoad32(regs[14])
+		if !ok15 {
+			var t15 TrapKind
+			if v15, t15 = m.load(regs[14], 4); t15 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t15)
+				return kernHalt
+			}
 		}
 		regs[15] = v15
 		writes++
@@ -716,35 +734,42 @@ B19:
 		regs[9] = regs[18]
 		regs[19] = regs[9] * uint64(0x4)
 		regs[20] = regs[0] + regs[19]
-		v23, t23 := m.load(regs[20], 4)
-		if t23 != TrapNone {
-			dyn += 5
-			readSlots += 6
-			writes += 4
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t23)
-			return kernHalt
+		v23, ok23 := m.flatLoad32(regs[20])
+		if !ok23 {
+			var t23 TrapKind
+			if v23, t23 = m.load(regs[20], 4); t23 != TrapNone {
+				dyn += 5
+				readSlots += 6
+				writes += 4
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t23)
+				return kernHalt
+			}
 		}
 		regs[21] = v23
 		regs[22] = regs[9] * uint64(0x4)
 		regs[23] = regs[0] + regs[22]
-		if t26 := m.store(regs[23], 4, regs[15]); t26 != TrapNone {
-			dyn += 8
-			readSlots += 11
-			writes += 7
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t26)
-			return kernHalt
+		if !m.flatStore32(regs[23], uint32(regs[15])) {
+			if t26 := m.store(regs[23], 4, regs[15]); t26 != TrapNone {
+				dyn += 8
+				readSlots += 11
+				writes += 7
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t26)
+				return kernHalt
+			}
 		}
 		regs[24] = regs[10] * uint64(0x4)
 		regs[25] = regs[0] + regs[24]
-		if t29 := m.store(regs[25], 4, regs[21]); t29 != TrapNone {
-			dyn += 11
-			readSlots += 16
-			writes += 9
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t29)
-			return kernHalt
+		if !m.flatStore32(regs[25], uint32(regs[21])) {
+			if t29 := m.store(regs[25], 4, regs[21]); t29 != TrapNone {
+				dyn += 11
+				readSlots += 16
+				writes += 9
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t29)
+				return kernHalt
+			}
 		}
 		dyn += 11
 		readSlots += 16
@@ -808,11 +833,14 @@ S23:
 		}
 		dyn++
 		readSlots += 1
-		v23, t23 := m.load(regs[20], 4)
-		if t23 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t23)
-			return kernHalt
+		v23, ok23 := m.flatLoad32(regs[20])
+		if !ok23 {
+			var t23 TrapKind
+			if v23, t23 = m.load(regs[20], 4); t23 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t23)
+				return kernHalt
+			}
 		}
 		regs[21] = v23
 		writes++
@@ -850,10 +878,12 @@ S26:
 		}
 		dyn++
 		readSlots += 2
-		if t26 := m.store(regs[23], 4, regs[15]); t26 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t26)
-			return kernHalt
+		if !m.flatStore32(regs[23], uint32(regs[15])) {
+			if t26 := m.store(regs[23], 4, regs[15]); t26 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t26)
+				return kernHalt
+			}
 		}
 	}
 S27:
@@ -889,10 +919,12 @@ S29:
 		}
 		dyn++
 		readSlots += 2
-		if t29 := m.store(regs[25], 4, regs[21]); t29 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t29)
-			return kernHalt
+		if !m.flatStore32(regs[25], uint32(regs[21])) {
+			if t29 := m.store(regs[25], 4, regs[21]); t29 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t29)
+				return kernHalt
+			}
 		}
 		goto B30
 	}
@@ -950,47 +982,57 @@ B33:
 		regs[27] = (regs[9] + uint64(0x1)) & 0xffffffff
 		regs[28] = regs[27] * uint64(0x4)
 		regs[29] = regs[0] + regs[28]
-		v36, t36 := m.load(regs[29], 4)
-		if t36 != TrapNone {
-			dyn += 4
-			readSlots += 5
-			writes += 3
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t36)
-			return kernHalt
+		v36, ok36 := m.flatLoad32(regs[29])
+		if !ok36 {
+			var t36 TrapKind
+			if v36, t36 = m.load(regs[29], 4); t36 != TrapNone {
+				dyn += 4
+				readSlots += 5
+				writes += 3
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t36)
+				return kernHalt
+			}
 		}
 		regs[30] = v36
 		regs[31] = regs[2] * uint64(0x4)
 		regs[32] = regs[0] + regs[31]
-		v39, t39 := m.load(regs[32], 4)
-		if t39 != TrapNone {
-			dyn += 7
-			readSlots += 9
-			writes += 6
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t39)
-			return kernHalt
+		v39, ok39 := m.flatLoad32(regs[32])
+		if !ok39 {
+			var t39 TrapKind
+			if v39, t39 = m.load(regs[32], 4); t39 != TrapNone {
+				dyn += 7
+				readSlots += 9
+				writes += 6
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t39)
+				return kernHalt
+			}
 		}
 		regs[33] = v39
 		regs[34] = regs[27] * uint64(0x4)
 		regs[35] = regs[0] + regs[34]
-		if t42 := m.store(regs[35], 4, regs[33]); t42 != TrapNone {
-			dyn += 10
-			readSlots += 14
-			writes += 9
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t42)
-			return kernHalt
+		if !m.flatStore32(regs[35], uint32(regs[33])) {
+			if t42 := m.store(regs[35], 4, regs[33]); t42 != TrapNone {
+				dyn += 10
+				readSlots += 14
+				writes += 9
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t42)
+				return kernHalt
+			}
 		}
 		regs[36] = regs[2] * uint64(0x4)
 		regs[37] = regs[0] + regs[36]
-		if t45 := m.store(regs[37], 4, regs[30]); t45 != TrapNone {
-			dyn += 13
-			readSlots += 19
-			writes += 11
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t45)
-			return kernHalt
+		if !m.flatStore32(regs[37], uint32(regs[30])) {
+			if t45 := m.store(regs[37], 4, regs[30]); t45 != TrapNone {
+				dyn += 13
+				readSlots += 19
+				writes += 11
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t45)
+				return kernHalt
+			}
 		}
 		regs[38] = (regs[27] - uint64(0x1)) & 0xffffffff
 		dyn += 14
@@ -1048,11 +1090,14 @@ S36:
 		}
 		dyn++
 		readSlots += 1
-		v36, t36 := m.load(regs[29], 4)
-		if t36 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t36)
-			return kernHalt
+		v36, ok36 := m.flatLoad32(regs[29])
+		if !ok36 {
+			var t36 TrapKind
+			if v36, t36 = m.load(regs[29], 4); t36 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t36)
+				return kernHalt
+			}
 		}
 		regs[30] = v36
 		writes++
@@ -1090,11 +1135,14 @@ S39:
 		}
 		dyn++
 		readSlots += 1
-		v39, t39 := m.load(regs[32], 4)
-		if t39 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t39)
-			return kernHalt
+		v39, ok39 := m.flatLoad32(regs[32])
+		if !ok39 {
+			var t39 TrapKind
+			if v39, t39 = m.load(regs[32], 4); t39 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t39)
+				return kernHalt
+			}
 		}
 		regs[33] = v39
 		writes++
@@ -1132,10 +1180,12 @@ S42:
 		}
 		dyn++
 		readSlots += 2
-		if t42 := m.store(regs[35], 4, regs[33]); t42 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t42)
-			return kernHalt
+		if !m.flatStore32(regs[35], uint32(regs[33])) {
+			if t42 := m.store(regs[35], 4, regs[33]); t42 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t42)
+				return kernHalt
+			}
 		}
 	}
 S43:
@@ -1171,10 +1221,12 @@ S45:
 		}
 		dyn++
 		readSlots += 2
-		if t45 := m.store(regs[37], 4, regs[30]); t45 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t45)
-			return kernHalt
+		if !m.flatStore32(regs[37], uint32(regs[30])) {
+			if t45 := m.store(regs[37], 4, regs[30]); t45 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t45)
+				return kernHalt
+			}
 		}
 	}
 S46:

@@ -935,28 +935,34 @@ B44:
 		regs[38] = (regs[31] + regs[37]) & 0xffffffff
 		regs[39] = regs[38] * uint64(0x1)
 		regs[40] = uint64(0x10000000) + regs[39]
-		v48, t48 := m.load(regs[40], 1)
-		if t48 != TrapNone {
-			dyn += 5
-			readSlots += 7
-			writes += 4
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t48)
-			return kernHalt
+		v48, ok48 := m.flatLoad8(regs[40])
+		if !ok48 {
+			var t48 TrapKind
+			if v48, t48 = m.load(regs[40], 1); t48 != TrapNone {
+				dyn += 5
+				readSlots += 7
+				writes += 4
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t48)
+				return kernHalt
+			}
 		}
 		regs[41] = v48
 		regs[42] = (regs[17] + regs[34]) & 0xffffffff
 		regs[43] = (regs[33] + regs[42]) & 0xffffffff
 		regs[44] = regs[43] * uint64(0x1)
 		regs[45] = uint64(0x10000100) + regs[44]
-		v53, t53 := m.load(regs[45], 1)
-		if t53 != TrapNone {
-			dyn += 10
-			readSlots += 14
-			writes += 9
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t53)
-			return kernHalt
+		v53, ok53 := m.flatLoad8(regs[45])
+		if !ok53 {
+			var t53 TrapKind
+			if v53, t53 = m.load(regs[45], 1); t53 != TrapNone {
+				dyn += 10
+				readSlots += 14
+				writes += 9
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t53)
+				return kernHalt
+			}
 		}
 		regs[46] = v53
 		regs[47] = (regs[41] - regs[46]) & 0xffffffff
@@ -1033,11 +1039,14 @@ S48:
 		}
 		dyn++
 		readSlots += 1
-		v48, t48 := m.load(regs[40], 1)
-		if t48 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t48)
-			return kernHalt
+		v48, ok48 := m.flatLoad8(regs[40])
+		if !ok48 {
+			var t48 TrapKind
+			if v48, t48 = m.load(regs[40], 1); t48 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t48)
+				return kernHalt
+			}
 		}
 		regs[41] = v48
 		writes++
@@ -1099,11 +1108,14 @@ S53:
 		}
 		dyn++
 		readSlots += 1
-		v53, t53 := m.load(regs[45], 1)
-		if t53 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t53)
-			return kernHalt
+		v53, ok53 := m.flatLoad8(regs[45])
+		if !ok53 {
+			var t53 TrapKind
+			if v53, t53 = m.load(regs[45], 1); t53 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t53)
+				return kernHalt
+			}
 		}
 		regs[46] = v53
 		writes++

@@ -455,23 +455,28 @@ B4:
 		regs[4] = uint64(0x10000100) + regs[3]
 		regs[5] = regs[0] * uint64(0x1)
 		regs[6] = uint64(0x10000000) + regs[5]
-		v8, t8 := m.load(regs[6], 1)
-		if t8 != TrapNone {
-			dyn += 5
-			readSlots += 5
-			writes += 4
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t8)
-			return kernHalt
+		v8, ok8 := m.flatLoad8(regs[6])
+		if !ok8 {
+			var t8 TrapKind
+			if v8, t8 = m.load(regs[6], 1); t8 != TrapNone {
+				dyn += 5
+				readSlots += 5
+				writes += 4
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t8)
+				return kernHalt
+			}
 		}
 		regs[7] = v8
-		if t9 := m.store(regs[4], 1, regs[7]); t9 != TrapNone {
-			dyn += 6
-			readSlots += 7
-			writes += 5
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t9)
-			return kernHalt
+		if !m.flatStore8(regs[4], uint8(regs[7])) {
+			if t9 := m.store(regs[4], 1, regs[7]); t9 != TrapNone {
+				dyn += 6
+				readSlots += 7
+				writes += 5
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t9)
+				return kernHalt
+			}
 		}
 		regs[8] = (regs[0] + uint64(0x1)) & 0xffffffff
 		regs[0] = regs[8]
@@ -537,11 +542,14 @@ S8:
 		}
 		dyn++
 		readSlots += 1
-		v8, t8 := m.load(regs[6], 1)
-		if t8 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t8)
-			return kernHalt
+		v8, ok8 := m.flatLoad8(regs[6])
+		if !ok8 {
+			var t8 TrapKind
+			if v8, t8 = m.load(regs[6], 1); t8 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t8)
+				return kernHalt
+			}
 		}
 		regs[7] = v8
 		writes++
@@ -555,10 +563,12 @@ S9:
 		}
 		dyn++
 		readSlots += 2
-		if t9 := m.store(regs[4], 1, regs[7]); t9 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t9)
-			return kernHalt
+		if !m.flatStore8(regs[4], uint8(regs[7])) {
+			if t9 := m.store(regs[4], 1, regs[7]); t9 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t9)
+				return kernHalt
+			}
 		}
 	}
 S10:
@@ -600,59 +610,77 @@ B13:
 		if lim-dyn < 15 {
 			goto S13
 		}
-		if t13 := m.store(uint64(0x10000200), 1, uint64(0x80)); t13 != TrapNone {
-			dyn += 1
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t13)
-			return kernHalt
+		if !m.flatStore8(uint64(0x10000200), 0x80) {
+			if t13 := m.store(uint64(0x10000200), 1, uint64(0x80)); t13 != TrapNone {
+				dyn += 1
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t13)
+				return kernHalt
+			}
 		}
-		if t14 := m.store(uint64(0x10000238), 1, uint64(0x0)); t14 != TrapNone {
-			dyn += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t14)
-			return kernHalt
+		if !m.flatStore8(uint64(0x10000238), 0x0) {
+			if t14 := m.store(uint64(0x10000238), 1, uint64(0x0)); t14 != TrapNone {
+				dyn += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t14)
+				return kernHalt
+			}
 		}
-		if t15 := m.store(uint64(0x10000239), 1, uint64(0x0)); t15 != TrapNone {
-			dyn += 3
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t15)
-			return kernHalt
+		if !m.flatStore8(uint64(0x10000239), 0x0) {
+			if t15 := m.store(uint64(0x10000239), 1, uint64(0x0)); t15 != TrapNone {
+				dyn += 3
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t15)
+				return kernHalt
+			}
 		}
-		if t16 := m.store(uint64(0x1000023a), 1, uint64(0x0)); t16 != TrapNone {
-			dyn += 4
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t16)
-			return kernHalt
+		if !m.flatStore8(uint64(0x1000023a), 0x0) {
+			if t16 := m.store(uint64(0x1000023a), 1, uint64(0x0)); t16 != TrapNone {
+				dyn += 4
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t16)
+				return kernHalt
+			}
 		}
-		if t17 := m.store(uint64(0x1000023b), 1, uint64(0x0)); t17 != TrapNone {
-			dyn += 5
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t17)
-			return kernHalt
+		if !m.flatStore8(uint64(0x1000023b), 0x0) {
+			if t17 := m.store(uint64(0x1000023b), 1, uint64(0x0)); t17 != TrapNone {
+				dyn += 5
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t17)
+				return kernHalt
+			}
 		}
-		if t18 := m.store(uint64(0x1000023c), 1, uint64(0x0)); t18 != TrapNone {
-			dyn += 6
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t18)
-			return kernHalt
+		if !m.flatStore8(uint64(0x1000023c), 0x0) {
+			if t18 := m.store(uint64(0x1000023c), 1, uint64(0x0)); t18 != TrapNone {
+				dyn += 6
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t18)
+				return kernHalt
+			}
 		}
-		if t19 := m.store(uint64(0x1000023d), 1, uint64(0x0)); t19 != TrapNone {
-			dyn += 7
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t19)
-			return kernHalt
+		if !m.flatStore8(uint64(0x1000023d), 0x0) {
+			if t19 := m.store(uint64(0x1000023d), 1, uint64(0x0)); t19 != TrapNone {
+				dyn += 7
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t19)
+				return kernHalt
+			}
 		}
-		if t20 := m.store(uint64(0x1000023e), 1, uint64(0x8)); t20 != TrapNone {
-			dyn += 8
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t20)
-			return kernHalt
+		if !m.flatStore8(uint64(0x1000023e), 0x8) {
+			if t20 := m.store(uint64(0x1000023e), 1, uint64(0x8)); t20 != TrapNone {
+				dyn += 8
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t20)
+				return kernHalt
+			}
 		}
-		if t21 := m.store(uint64(0x1000023f), 1, uint64(0x0)); t21 != TrapNone {
-			dyn += 9
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t21)
-			return kernHalt
+		if !m.flatStore8(uint64(0x1000023f), 0x0) {
+			if t21 := m.store(uint64(0x1000023f), 1, uint64(0x0)); t21 != TrapNone {
+				dyn += 9
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t21)
+				return kernHalt
+			}
 		}
 		regs[9] = uint64(0x67452301)
 		regs[10] = uint64(0xefcdab89)
@@ -672,10 +700,12 @@ S13:
 			return kernHorizon
 		}
 		dyn++
-		if t13 := m.store(uint64(0x10000200), 1, uint64(0x80)); t13 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t13)
-			return kernHalt
+		if !m.flatStore8(uint64(0x10000200), 0x80) {
+			if t13 := m.store(uint64(0x10000200), 1, uint64(0x80)); t13 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t13)
+				return kernHalt
+			}
 		}
 	}
 S14:
@@ -686,10 +716,12 @@ S14:
 			return kernHorizon
 		}
 		dyn++
-		if t14 := m.store(uint64(0x10000238), 1, uint64(0x0)); t14 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t14)
-			return kernHalt
+		if !m.flatStore8(uint64(0x10000238), 0x0) {
+			if t14 := m.store(uint64(0x10000238), 1, uint64(0x0)); t14 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t14)
+				return kernHalt
+			}
 		}
 	}
 S15:
@@ -700,10 +732,12 @@ S15:
 			return kernHorizon
 		}
 		dyn++
-		if t15 := m.store(uint64(0x10000239), 1, uint64(0x0)); t15 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t15)
-			return kernHalt
+		if !m.flatStore8(uint64(0x10000239), 0x0) {
+			if t15 := m.store(uint64(0x10000239), 1, uint64(0x0)); t15 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t15)
+				return kernHalt
+			}
 		}
 	}
 S16:
@@ -714,10 +748,12 @@ S16:
 			return kernHorizon
 		}
 		dyn++
-		if t16 := m.store(uint64(0x1000023a), 1, uint64(0x0)); t16 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t16)
-			return kernHalt
+		if !m.flatStore8(uint64(0x1000023a), 0x0) {
+			if t16 := m.store(uint64(0x1000023a), 1, uint64(0x0)); t16 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t16)
+				return kernHalt
+			}
 		}
 	}
 S17:
@@ -728,10 +764,12 @@ S17:
 			return kernHorizon
 		}
 		dyn++
-		if t17 := m.store(uint64(0x1000023b), 1, uint64(0x0)); t17 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t17)
-			return kernHalt
+		if !m.flatStore8(uint64(0x1000023b), 0x0) {
+			if t17 := m.store(uint64(0x1000023b), 1, uint64(0x0)); t17 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t17)
+				return kernHalt
+			}
 		}
 	}
 S18:
@@ -742,10 +780,12 @@ S18:
 			return kernHorizon
 		}
 		dyn++
-		if t18 := m.store(uint64(0x1000023c), 1, uint64(0x0)); t18 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t18)
-			return kernHalt
+		if !m.flatStore8(uint64(0x1000023c), 0x0) {
+			if t18 := m.store(uint64(0x1000023c), 1, uint64(0x0)); t18 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t18)
+				return kernHalt
+			}
 		}
 	}
 S19:
@@ -756,10 +796,12 @@ S19:
 			return kernHorizon
 		}
 		dyn++
-		if t19 := m.store(uint64(0x1000023d), 1, uint64(0x0)); t19 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t19)
-			return kernHalt
+		if !m.flatStore8(uint64(0x1000023d), 0x0) {
+			if t19 := m.store(uint64(0x1000023d), 1, uint64(0x0)); t19 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t19)
+				return kernHalt
+			}
 		}
 	}
 S20:
@@ -770,10 +812,12 @@ S20:
 			return kernHorizon
 		}
 		dyn++
-		if t20 := m.store(uint64(0x1000023e), 1, uint64(0x8)); t20 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t20)
-			return kernHalt
+		if !m.flatStore8(uint64(0x1000023e), 0x8) {
+			if t20 := m.store(uint64(0x1000023e), 1, uint64(0x8)); t20 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t20)
+				return kernHalt
+			}
 		}
 	}
 S21:
@@ -784,10 +828,12 @@ S21:
 			return kernHorizon
 		}
 		dyn++
-		if t21 := m.store(uint64(0x1000023f), 1, uint64(0x0)); t21 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t21)
-			return kernHalt
+		if !m.flatStore8(uint64(0x1000023f), 0x0) {
+			if t21 := m.store(uint64(0x1000023f), 1, uint64(0x0)); t21 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t21)
+				return kernHalt
+			}
 		}
 	}
 S22:
@@ -1019,44 +1065,56 @@ B37:
 		}
 		regs[22] = regs[19] * uint64(0x4)
 		regs[23] = regs[18] + regs[22]
-		v39, t39 := m.load(regs[23], 1)
-		if t39 != TrapNone {
-			dyn += 3
-			readSlots += 4
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t39)
-			return kernHalt
+		v39, ok39 := m.flatLoad8(regs[23])
+		if !ok39 {
+			var t39 TrapKind
+			if v39, t39 = m.load(regs[23], 1); t39 != TrapNone {
+				dyn += 3
+				readSlots += 4
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t39)
+				return kernHalt
+			}
 		}
 		regs[24] = v39
-		v40, t40 := m.load(regs[23]+0x1, 1)
-		if t40 != TrapNone {
-			dyn += 4
-			readSlots += 5
-			writes += 3
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t40)
-			return kernHalt
+		v40, ok40 := m.flatLoad8(regs[23] + 0x1)
+		if !ok40 {
+			var t40 TrapKind
+			if v40, t40 = m.load(regs[23]+0x1, 1); t40 != TrapNone {
+				dyn += 4
+				readSlots += 5
+				writes += 3
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t40)
+				return kernHalt
+			}
 		}
 		regs[25] = v40
-		v41, t41 := m.load(regs[23]+0x2, 1)
-		if t41 != TrapNone {
-			dyn += 5
-			readSlots += 6
-			writes += 4
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t41)
-			return kernHalt
+		v41, ok41 := m.flatLoad8(regs[23] + 0x2)
+		if !ok41 {
+			var t41 TrapKind
+			if v41, t41 = m.load(regs[23]+0x2, 1); t41 != TrapNone {
+				dyn += 5
+				readSlots += 6
+				writes += 4
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t41)
+				return kernHalt
+			}
 		}
 		regs[26] = v41
-		v42, t42 := m.load(regs[23]+0x3, 1)
-		if t42 != TrapNone {
-			dyn += 6
-			readSlots += 7
-			writes += 5
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t42)
-			return kernHalt
+		v42, ok42 := m.flatLoad8(regs[23] + 0x3)
+		if !ok42 {
+			var t42 TrapKind
+			if v42, t42 = m.load(regs[23]+0x3, 1); t42 != TrapNone {
+				dyn += 6
+				readSlots += 7
+				writes += 5
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t42)
+				return kernHalt
+			}
 		}
 		regs[27] = v42
 		regs[28] = ((regs[24] & 0xffffffff) << 24) & 0xffffffff
@@ -1067,13 +1125,15 @@ B37:
 		regs[33] = (regs[30] | regs[32]) & 0xffffffff
 		regs[34] = regs[19] * uint64(0x4)
 		regs[35] = uint64(0x10000240) + regs[34]
-		if t51 := m.store(regs[35], 4, regs[33]); t51 != TrapNone {
-			dyn += 15
-			readSlots += 20
-			writes += 14
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t51)
-			return kernHalt
+		if !m.flatStore32(regs[35], uint32(regs[33])) {
+			if t51 := m.store(regs[35], 4, regs[33]); t51 != TrapNone {
+				dyn += 15
+				readSlots += 20
+				writes += 14
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t51)
+				return kernHalt
+			}
 		}
 		regs[36] = (regs[19] + uint64(0x1)) & 0xffffffff
 		regs[19] = regs[36]
@@ -1115,11 +1175,14 @@ S39:
 		}
 		dyn++
 		readSlots += 1
-		v39, t39 := m.load(regs[23], 1)
-		if t39 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t39)
-			return kernHalt
+		v39, ok39 := m.flatLoad8(regs[23])
+		if !ok39 {
+			var t39 TrapKind
+			if v39, t39 = m.load(regs[23], 1); t39 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t39)
+				return kernHalt
+			}
 		}
 		regs[24] = v39
 		writes++
@@ -1133,11 +1196,14 @@ S40:
 		}
 		dyn++
 		readSlots += 1
-		v40, t40 := m.load(regs[23]+0x1, 1)
-		if t40 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t40)
-			return kernHalt
+		v40, ok40 := m.flatLoad8(regs[23] + 0x1)
+		if !ok40 {
+			var t40 TrapKind
+			if v40, t40 = m.load(regs[23]+0x1, 1); t40 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t40)
+				return kernHalt
+			}
 		}
 		regs[25] = v40
 		writes++
@@ -1151,11 +1217,14 @@ S41:
 		}
 		dyn++
 		readSlots += 1
-		v41, t41 := m.load(regs[23]+0x2, 1)
-		if t41 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t41)
-			return kernHalt
+		v41, ok41 := m.flatLoad8(regs[23] + 0x2)
+		if !ok41 {
+			var t41 TrapKind
+			if v41, t41 = m.load(regs[23]+0x2, 1); t41 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t41)
+				return kernHalt
+			}
 		}
 		regs[26] = v41
 		writes++
@@ -1169,11 +1238,14 @@ S42:
 		}
 		dyn++
 		readSlots += 1
-		v42, t42 := m.load(regs[23]+0x3, 1)
-		if t42 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t42)
-			return kernHalt
+		v42, ok42 := m.flatLoad8(regs[23] + 0x3)
+		if !ok42 {
+			var t42 TrapKind
+			if v42, t42 = m.load(regs[23]+0x3, 1); t42 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t42)
+				return kernHalt
+			}
 		}
 		regs[27] = v42
 		writes++
@@ -1283,10 +1355,12 @@ S51:
 		}
 		dyn++
 		readSlots += 2
-		if t51 := m.store(regs[35], 4, regs[33]); t51 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t51)
-			return kernHalt
+		if !m.flatStore32(regs[35], uint32(regs[33])) {
+			if t51 := m.store(regs[35], 4, regs[33]); t51 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t51)
+				return kernHalt
+			}
 		}
 	}
 S52:
@@ -1406,54 +1480,66 @@ B59:
 		regs[40] = (regs[37] - uint64(0x3)) & 0xffffffff
 		regs[41] = regs[40] * uint64(0x4)
 		regs[42] = uint64(0x10000240) + regs[41]
-		v62, t62 := m.load(regs[42], 4)
-		if t62 != TrapNone {
-			dyn += 4
-			readSlots += 4
-			writes += 3
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t62)
-			return kernHalt
+		v62, ok62 := m.flatLoad32(regs[42])
+		if !ok62 {
+			var t62 TrapKind
+			if v62, t62 = m.load(regs[42], 4); t62 != TrapNone {
+				dyn += 4
+				readSlots += 4
+				writes += 3
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t62)
+				return kernHalt
+			}
 		}
 		regs[43] = v62
 		regs[44] = (regs[37] - uint64(0x8)) & 0xffffffff
 		regs[45] = regs[44] * uint64(0x4)
 		regs[46] = uint64(0x10000240) + regs[45]
-		v66, t66 := m.load(regs[46], 4)
-		if t66 != TrapNone {
-			dyn += 8
-			readSlots += 8
-			writes += 7
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t66)
-			return kernHalt
+		v66, ok66 := m.flatLoad32(regs[46])
+		if !ok66 {
+			var t66 TrapKind
+			if v66, t66 = m.load(regs[46], 4); t66 != TrapNone {
+				dyn += 8
+				readSlots += 8
+				writes += 7
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t66)
+				return kernHalt
+			}
 		}
 		regs[47] = v66
 		regs[48] = (regs[43] ^ regs[47]) & 0xffffffff
 		regs[49] = (regs[37] - uint64(0xe)) & 0xffffffff
 		regs[50] = regs[49] * uint64(0x4)
 		regs[51] = uint64(0x10000240) + regs[50]
-		v71, t71 := m.load(regs[51], 4)
-		if t71 != TrapNone {
-			dyn += 13
-			readSlots += 14
-			writes += 12
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t71)
-			return kernHalt
+		v71, ok71 := m.flatLoad32(regs[51])
+		if !ok71 {
+			var t71 TrapKind
+			if v71, t71 = m.load(regs[51], 4); t71 != TrapNone {
+				dyn += 13
+				readSlots += 14
+				writes += 12
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t71)
+				return kernHalt
+			}
 		}
 		regs[52] = v71
 		regs[53] = (regs[37] - uint64(0x10)) & 0xffffffff
 		regs[54] = regs[53] * uint64(0x4)
 		regs[55] = uint64(0x10000240) + regs[54]
-		v75, t75 := m.load(regs[55], 4)
-		if t75 != TrapNone {
-			dyn += 17
-			readSlots += 18
-			writes += 16
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t75)
-			return kernHalt
+		v75, ok75 := m.flatLoad32(regs[55])
+		if !ok75 {
+			var t75 TrapKind
+			if v75, t75 = m.load(regs[55], 4); t75 != TrapNone {
+				dyn += 17
+				readSlots += 18
+				writes += 16
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t75)
+				return kernHalt
+			}
 		}
 		regs[56] = v75
 		regs[57] = (regs[52] ^ regs[56]) & 0xffffffff
@@ -1463,13 +1549,15 @@ B59:
 		regs[61] = ((regs[58] & 0xffffffff) << 1) & 0xffffffff
 		regs[62] = (regs[58] & 0xffffffff) >> 31
 		regs[63] = (regs[61] | regs[62]) & 0xffffffff
-		if t83 := m.store(regs[60], 4, regs[63]); t83 != TrapNone {
-			dyn += 25
-			readSlots += 30
-			writes += 24
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t83)
-			return kernHalt
+		if !m.flatStore32(regs[60], uint32(regs[63])) {
+			if t83 := m.store(regs[60], 4, regs[63]); t83 != TrapNone {
+				dyn += 25
+				readSlots += 30
+				writes += 24
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t83)
+				return kernHalt
+			}
 		}
 		regs[64] = (regs[37] + uint64(0x1)) & 0xffffffff
 		regs[37] = regs[64]
@@ -1523,11 +1611,14 @@ S62:
 		}
 		dyn++
 		readSlots += 1
-		v62, t62 := m.load(regs[42], 4)
-		if t62 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t62)
-			return kernHalt
+		v62, ok62 := m.flatLoad32(regs[42])
+		if !ok62 {
+			var t62 TrapKind
+			if v62, t62 = m.load(regs[42], 4); t62 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t62)
+				return kernHalt
+			}
 		}
 		regs[43] = v62
 		writes++
@@ -1577,11 +1668,14 @@ S66:
 		}
 		dyn++
 		readSlots += 1
-		v66, t66 := m.load(regs[46], 4)
-		if t66 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t66)
-			return kernHalt
+		v66, ok66 := m.flatLoad32(regs[46])
+		if !ok66 {
+			var t66 TrapKind
+			if v66, t66 = m.load(regs[46], 4); t66 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t66)
+				return kernHalt
+			}
 		}
 		regs[47] = v66
 		writes++
@@ -1643,11 +1737,14 @@ S71:
 		}
 		dyn++
 		readSlots += 1
-		v71, t71 := m.load(regs[51], 4)
-		if t71 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t71)
-			return kernHalt
+		v71, ok71 := m.flatLoad32(regs[51])
+		if !ok71 {
+			var t71 TrapKind
+			if v71, t71 = m.load(regs[51], 4); t71 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t71)
+				return kernHalt
+			}
 		}
 		regs[52] = v71
 		writes++
@@ -1697,11 +1794,14 @@ S75:
 		}
 		dyn++
 		readSlots += 1
-		v75, t75 := m.load(regs[55], 4)
-		if t75 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t75)
-			return kernHalt
+		v75, ok75 := m.flatLoad32(regs[55])
+		if !ok75 {
+			var t75 TrapKind
+			if v75, t75 = m.load(regs[55], 4); t75 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t75)
+				return kernHalt
+			}
 		}
 		regs[56] = v75
 		writes++
@@ -1799,10 +1899,12 @@ S83:
 		}
 		dyn++
 		readSlots += 2
-		if t83 := m.store(regs[60], 4, regs[63]); t83 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t83)
-			return kernHalt
+		if !m.flatStore32(regs[60], uint32(regs[63])) {
+			if t83 := m.store(regs[60], 4, regs[63]); t83 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t83)
+				return kernHalt
+			}
 		}
 	}
 S84:
@@ -2564,14 +2666,17 @@ B132:
 		}
 		regs[97] = regs[70] * uint64(0x4)
 		regs[98] = uint64(0x10000240) + regs[97]
-		v134, t134 := m.load(regs[98], 4)
-		if t134 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t134)
-			return kernHalt
+		v134, ok134 := m.flatLoad32(regs[98])
+		if !ok134 {
+			var t134 TrapKind
+			if v134, t134 = m.load(regs[98], 4); t134 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t134)
+				return kernHalt
+			}
 		}
 		regs[99] = v134
 		regs[100] = ((regs[65] & 0xffffffff) << 5) & 0xffffffff
@@ -2629,11 +2734,14 @@ S134:
 		}
 		dyn++
 		readSlots += 1
-		v134, t134 := m.load(regs[98], 4)
-		if t134 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t134)
-			return kernHalt
+		v134, ok134 := m.flatLoad32(regs[98])
+		if !ok134 {
+			var t134 TrapKind
+			if v134, t134 = m.load(regs[98], 4); t134 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t134)
+				return kernHalt
+			}
 		}
 		regs[99] = v134
 		writes++

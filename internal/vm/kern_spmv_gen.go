@@ -155,14 +155,17 @@ B6:
 		}
 		regs[3] = regs[0] * uint64(0x8)
 		regs[4] = uint64(0x100013c0) + regs[3]
-		v8, t8 := m.load(regs[4], 8)
-		if t8 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t8)
-			return kernHalt
+		v8, ok8 := m.flatLoad64(regs[4])
+		if !ok8 {
+			var t8 TrapKind
+			if v8, t8 = m.load(regs[4], 8); t8 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t8)
+				return kernHalt
+			}
 		}
 		regs[5] = v8
 		if !m.outAppend(regs[5], 8) {
@@ -213,11 +216,14 @@ S8:
 		}
 		dyn++
 		readSlots += 1
-		v8, t8 := m.load(regs[4], 8)
-		if t8 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t8)
-			return kernHalt
+		v8, ok8 := m.flatLoad64(regs[4])
+		if !ok8 {
+			var t8 TrapKind
+			if v8, t8 = m.load(regs[4], 8); t8 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t8)
+				return kernHalt
+			}
 		}
 		regs[5] = v8
 		writes++
@@ -453,27 +459,33 @@ B4:
 		regs[5] = uint64(0x0)
 		regs[6] = regs[2] * uint64(0x4)
 		regs[7] = uint64(0x10000000) + regs[6]
-		v7, t7 := m.load(regs[7], 4)
-		if t7 != TrapNone {
-			dyn += 4
-			readSlots += 3
-			writes += 3
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t7)
-			return kernHalt
+		v7, ok7 := m.flatLoad32(regs[7])
+		if !ok7 {
+			var t7 TrapKind
+			if v7, t7 = m.load(regs[7], 4); t7 != TrapNone {
+				dyn += 4
+				readSlots += 3
+				writes += 3
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t7)
+				return kernHalt
+			}
 		}
 		regs[8] = v7
 		regs[9] = (regs[2] + uint64(0x1)) & 0xffffffff
 		regs[10] = regs[9] * uint64(0x4)
 		regs[11] = uint64(0x10000000) + regs[10]
-		v11, t11 := m.load(regs[11], 4)
-		if t11 != TrapNone {
-			dyn += 8
-			readSlots += 7
-			writes += 7
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t11)
-			return kernHalt
+		v11, ok11 := m.flatLoad32(regs[11])
+		if !ok11 {
+			var t11 TrapKind
+			if v11, t11 = m.load(regs[11], 4); t11 != TrapNone {
+				dyn += 8
+				readSlots += 7
+				writes += 7
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t11)
+				return kernHalt
+			}
 		}
 		regs[12] = v11
 		regs[13] = regs[8]
@@ -526,11 +538,14 @@ S7:
 		}
 		dyn++
 		readSlots += 1
-		v7, t7 := m.load(regs[7], 4)
-		if t7 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t7)
-			return kernHalt
+		v7, ok7 := m.flatLoad32(regs[7])
+		if !ok7 {
+			var t7 TrapKind
+			if v7, t7 = m.load(regs[7], 4); t7 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t7)
+				return kernHalt
+			}
 		}
 		regs[8] = v7
 		writes++
@@ -580,11 +595,14 @@ S11:
 		}
 		dyn++
 		readSlots += 1
-		v11, t11 := m.load(regs[11], 4)
-		if t11 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t11)
-			return kernHalt
+		v11, ok11 := m.flatLoad32(regs[11])
+		if !ok11 {
+			var t11 TrapKind
+			if v11, t11 = m.load(regs[11], 4); t11 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t11)
+				return kernHalt
+			}
 		}
 		regs[12] = v11
 		writes++
@@ -662,38 +680,47 @@ B16:
 		}
 		regs[16] = regs[13] * uint64(0x4)
 		regs[17] = uint64(0x10000108) + regs[16]
-		v18, t18 := m.load(regs[17], 4)
-		if t18 != TrapNone {
-			dyn += 3
-			readSlots += 3
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t18)
-			return kernHalt
+		v18, ok18 := m.flatLoad32(regs[17])
+		if !ok18 {
+			var t18 TrapKind
+			if v18, t18 = m.load(regs[17], 4); t18 != TrapNone {
+				dyn += 3
+				readSlots += 3
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t18)
+				return kernHalt
+			}
 		}
 		regs[18] = v18
 		regs[19] = regs[13] * uint64(0x8)
 		regs[20] = uint64(0x100005f0) + regs[19]
-		v21, t21 := m.load(regs[20], 8)
-		if t21 != TrapNone {
-			dyn += 6
-			readSlots += 6
-			writes += 5
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t21)
-			return kernHalt
+		v21, ok21 := m.flatLoad64(regs[20])
+		if !ok21 {
+			var t21 TrapKind
+			if v21, t21 = m.load(regs[20], 8); t21 != TrapNone {
+				dyn += 6
+				readSlots += 6
+				writes += 5
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t21)
+				return kernHalt
+			}
 		}
 		regs[21] = v21
 		regs[22] = regs[18] * uint64(0x8)
 		regs[23] = regs[0] + regs[22]
-		v24, t24 := m.load(regs[23], 8)
-		if t24 != TrapNone {
-			dyn += 9
-			readSlots += 10
-			writes += 8
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t24)
-			return kernHalt
+		v24, ok24 := m.flatLoad64(regs[23])
+		if !ok24 {
+			var t24 TrapKind
+			if v24, t24 = m.load(regs[23], 8); t24 != TrapNone {
+				dyn += 9
+				readSlots += 10
+				writes += 8
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t24)
+				return kernHalt
+			}
 		}
 		regs[24] = v24
 		regs[25] = math.Float64bits(math.Float64frombits(regs[21]) * math.Float64frombits(regs[24]))
@@ -739,11 +766,14 @@ S18:
 		}
 		dyn++
 		readSlots += 1
-		v18, t18 := m.load(regs[17], 4)
-		if t18 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t18)
-			return kernHalt
+		v18, ok18 := m.flatLoad32(regs[17])
+		if !ok18 {
+			var t18 TrapKind
+			if v18, t18 = m.load(regs[17], 4); t18 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t18)
+				return kernHalt
+			}
 		}
 		regs[18] = v18
 		writes++
@@ -781,11 +811,14 @@ S21:
 		}
 		dyn++
 		readSlots += 1
-		v21, t21 := m.load(regs[20], 8)
-		if t21 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t21)
-			return kernHalt
+		v21, ok21 := m.flatLoad64(regs[20])
+		if !ok21 {
+			var t21 TrapKind
+			if v21, t21 = m.load(regs[20], 8); t21 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t21)
+				return kernHalt
+			}
 		}
 		regs[21] = v21
 		writes++
@@ -823,11 +856,14 @@ S24:
 		}
 		dyn++
 		readSlots += 1
-		v24, t24 := m.load(regs[23], 8)
-		if t24 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t24)
-			return kernHalt
+		v24, ok24 := m.flatLoad64(regs[23])
+		if !ok24 {
+			var t24 TrapKind
+			if v24, t24 = m.load(regs[23], 8); t24 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t24)
+				return kernHalt
+			}
 		}
 		regs[24] = v24
 		writes++
@@ -909,13 +945,15 @@ B31:
 		}
 		regs[28] = regs[2] * uint64(0x8)
 		regs[29] = regs[1] + regs[28]
-		if t33 := m.store(regs[29], 8, regs[5]); t33 != TrapNone {
-			dyn += 3
-			readSlots += 5
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t33)
-			return kernHalt
+		if !m.flatStore64(regs[29], uint64(regs[5])) {
+			if t33 := m.store(regs[29], 8, regs[5]); t33 != TrapNone {
+				dyn += 3
+				readSlots += 5
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t33)
+				return kernHalt
+			}
 		}
 		regs[30] = (regs[2] + uint64(0x1)) & 0xffffffff
 		regs[2] = regs[30]
@@ -957,10 +995,12 @@ S33:
 		}
 		dyn++
 		readSlots += 2
-		if t33 := m.store(regs[29], 8, regs[5]); t33 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t33)
-			return kernHalt
+		if !m.flatStore64(regs[29], uint64(regs[5])) {
+			if t33 := m.store(regs[29], 8, regs[5]); t33 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t33)
+				return kernHalt
+			}
 		}
 	}
 S34:

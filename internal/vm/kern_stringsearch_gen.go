@@ -888,13 +888,15 @@ B4:
 		}
 		regs[7] = regs[4] * uint64(0x4)
 		regs[8] = uint64(0x10000100) + regs[7]
-		if t6 := m.store(regs[8], 4, regs[3]); t6 != TrapNone {
-			dyn += 3
-			readSlots += 4
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t6)
-			return kernHalt
+		if !m.flatStore32(regs[8], uint32(regs[3])) {
+			if t6 := m.store(regs[8], 4, regs[3]); t6 != TrapNone {
+				dyn += 3
+				readSlots += 4
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t6)
+				return kernHalt
+			}
 		}
 		regs[9] = (regs[4] + uint64(0x1)) & 0xffffffff
 		regs[4] = regs[9]
@@ -936,10 +938,12 @@ S6:
 		}
 		dyn++
 		readSlots += 2
-		if t6 := m.store(regs[8], 4, regs[3]); t6 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t6)
-			return kernHalt
+		if !m.flatStore32(regs[8], uint32(regs[3])) {
+			if t6 := m.store(regs[8], 4, regs[3]); t6 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t6)
+				return kernHalt
+			}
 		}
 	}
 S7:
@@ -1072,38 +1076,46 @@ B15:
 		}
 		regs[14] = regs[11] * uint64(0x1)
 		regs[15] = regs[2] + regs[14]
-		v17, t17 := m.load(regs[15], 1)
-		if t17 != TrapNone {
-			dyn += 3
-			readSlots += 4
-			writes += 2
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t17)
-			return kernHalt
+		v17, ok17 := m.flatLoad8(regs[15])
+		if !ok17 {
+			var t17 TrapKind
+			if v17, t17 = m.load(regs[15], 1); t17 != TrapNone {
+				dyn += 3
+				readSlots += 4
+				writes += 2
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t17)
+				return kernHalt
+			}
 		}
 		regs[16] = v17
 		regs[17] = regs[16] * uint64(0x1)
 		regs[18] = uint64(0x10000000) + regs[17]
-		v20, t20 := m.load(regs[18], 1)
-		if t20 != TrapNone {
-			dyn += 6
-			readSlots += 7
-			writes += 5
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t20)
-			return kernHalt
+		v20, ok20 := m.flatLoad8(regs[18])
+		if !ok20 {
+			var t20 TrapKind
+			if v20, t20 = m.load(regs[18], 1); t20 != TrapNone {
+				dyn += 6
+				readSlots += 7
+				writes += 5
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t20)
+				return kernHalt
+			}
 		}
 		regs[19] = v20
 		regs[20] = regs[19] * uint64(0x4)
 		regs[21] = uint64(0x10000100) + regs[20]
 		regs[22] = (regs[10] - regs[11]) & 0xffffffff
-		if t24 := m.store(regs[21], 4, regs[22]); t24 != TrapNone {
-			dyn += 10
-			readSlots += 13
-			writes += 9
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t24)
-			return kernHalt
+		if !m.flatStore32(regs[21], uint32(regs[22])) {
+			if t24 := m.store(regs[21], 4, regs[22]); t24 != TrapNone {
+				dyn += 10
+				readSlots += 13
+				writes += 9
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t24)
+				return kernHalt
+			}
 		}
 		regs[23] = (regs[11] + uint64(0x1)) & 0xffffffff
 		regs[11] = regs[23]
@@ -1145,11 +1157,14 @@ S17:
 		}
 		dyn++
 		readSlots += 1
-		v17, t17 := m.load(regs[15], 1)
-		if t17 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t17)
-			return kernHalt
+		v17, ok17 := m.flatLoad8(regs[15])
+		if !ok17 {
+			var t17 TrapKind
+			if v17, t17 = m.load(regs[15], 1); t17 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t17)
+				return kernHalt
+			}
 		}
 		regs[16] = v17
 		writes++
@@ -1187,11 +1202,14 @@ S20:
 		}
 		dyn++
 		readSlots += 1
-		v20, t20 := m.load(regs[18], 1)
-		if t20 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t20)
-			return kernHalt
+		v20, ok20 := m.flatLoad8(regs[18])
+		if !ok20 {
+			var t20 TrapKind
+			if v20, t20 = m.load(regs[18], 1); t20 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t20)
+				return kernHalt
+			}
 		}
 		regs[19] = v20
 		writes++
@@ -1241,10 +1259,12 @@ S24:
 		}
 		dyn++
 		readSlots += 2
-		if t24 := m.store(regs[21], 4, regs[22]); t24 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t24)
-			return kernHalt
+		if !m.flatStore32(regs[21], uint32(regs[22])) {
+			if t24 := m.store(regs[21], 4, regs[22]); t24 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t24)
+				return kernHalt
+			}
 		}
 	}
 S25:
@@ -1543,50 +1563,62 @@ B44:
 		regs[38] = (regs[24] + regs[32]) & 0xffffffff
 		regs[39] = regs[38] * uint64(0x1)
 		regs[40] = regs[0] + regs[39]
-		v47, t47 := m.load(regs[40], 1)
-		if t47 != TrapNone {
-			dyn += 4
-			readSlots += 6
-			writes += 3
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t47)
-			return kernHalt
+		v47, ok47 := m.flatLoad8(regs[40])
+		if !ok47 {
+			var t47 TrapKind
+			if v47, t47 = m.load(regs[40], 1); t47 != TrapNone {
+				dyn += 4
+				readSlots += 6
+				writes += 3
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t47)
+				return kernHalt
+			}
 		}
 		regs[41] = v47
 		regs[42] = regs[41] * uint64(0x1)
 		regs[43] = uint64(0x10000000) + regs[42]
-		v50, t50 := m.load(regs[43], 1)
-		if t50 != TrapNone {
-			dyn += 7
-			readSlots += 9
-			writes += 6
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t50)
-			return kernHalt
+		v50, ok50 := m.flatLoad8(regs[43])
+		if !ok50 {
+			var t50 TrapKind
+			if v50, t50 = m.load(regs[43], 1); t50 != TrapNone {
+				dyn += 7
+				readSlots += 9
+				writes += 6
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t50)
+				return kernHalt
+			}
 		}
 		regs[44] = v50
 		regs[45] = regs[32] * uint64(0x1)
 		regs[46] = regs[2] + regs[45]
-		v53, t53 := m.load(regs[46], 1)
-		if t53 != TrapNone {
-			dyn += 10
-			readSlots += 13
-			writes += 9
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t53)
-			return kernHalt
+		v53, ok53 := m.flatLoad8(regs[46])
+		if !ok53 {
+			var t53 TrapKind
+			if v53, t53 = m.load(regs[46], 1); t53 != TrapNone {
+				dyn += 10
+				readSlots += 13
+				writes += 9
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t53)
+				return kernHalt
+			}
 		}
 		regs[47] = v53
 		regs[48] = regs[47] * uint64(0x1)
 		regs[49] = uint64(0x10000000) + regs[48]
-		v56, t56 := m.load(regs[49], 1)
-		if t56 != TrapNone {
-			dyn += 13
-			readSlots += 16
-			writes += 12
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t56)
-			return kernHalt
+		v56, ok56 := m.flatLoad8(regs[49])
+		if !ok56 {
+			var t56 TrapKind
+			if v56, t56 = m.load(regs[49], 1); t56 != TrapNone {
+				dyn += 13
+				readSlots += 16
+				writes += 12
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t56)
+				return kernHalt
+			}
 		}
 		regs[50] = v56
 		regs[51] = boolBit((regs[44] & 0xffffffff) == (regs[50] & 0xffffffff))
@@ -1644,11 +1676,14 @@ S47:
 		}
 		dyn++
 		readSlots += 1
-		v47, t47 := m.load(regs[40], 1)
-		if t47 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t47)
-			return kernHalt
+		v47, ok47 := m.flatLoad8(regs[40])
+		if !ok47 {
+			var t47 TrapKind
+			if v47, t47 = m.load(regs[40], 1); t47 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t47)
+				return kernHalt
+			}
 		}
 		regs[41] = v47
 		writes++
@@ -1686,11 +1721,14 @@ S50:
 		}
 		dyn++
 		readSlots += 1
-		v50, t50 := m.load(regs[43], 1)
-		if t50 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t50)
-			return kernHalt
+		v50, ok50 := m.flatLoad8(regs[43])
+		if !ok50 {
+			var t50 TrapKind
+			if v50, t50 = m.load(regs[43], 1); t50 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t50)
+				return kernHalt
+			}
 		}
 		regs[44] = v50
 		writes++
@@ -1728,11 +1766,14 @@ S53:
 		}
 		dyn++
 		readSlots += 1
-		v53, t53 := m.load(regs[46], 1)
-		if t53 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t53)
-			return kernHalt
+		v53, ok53 := m.flatLoad8(regs[46])
+		if !ok53 {
+			var t53 TrapKind
+			if v53, t53 = m.load(regs[46], 1); t53 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t53)
+				return kernHalt
+			}
 		}
 		regs[47] = v53
 		writes++
@@ -1770,11 +1811,14 @@ S56:
 		}
 		dyn++
 		readSlots += 1
-		v56, t56 := m.load(regs[49], 1)
-		if t56 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t56)
-			return kernHalt
+		v56, ok56 := m.flatLoad8(regs[49])
+		if !ok56 {
+			var t56 TrapKind
+			if v56, t56 = m.load(regs[49], 1); t56 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t56)
+				return kernHalt
+			}
 		}
 		regs[50] = v56
 		writes++
@@ -2009,38 +2053,47 @@ B71:
 		regs[56] = (regs[24] + regs[10]) & 0xffffffff
 		regs[57] = regs[56] * uint64(0x1)
 		regs[58] = regs[0] + regs[57]
-		v74, t74 := m.load(regs[58], 1)
-		if t74 != TrapNone {
-			dyn += 4
-			readSlots += 6
-			writes += 3
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t74)
-			return kernHalt
+		v74, ok74 := m.flatLoad8(regs[58])
+		if !ok74 {
+			var t74 TrapKind
+			if v74, t74 = m.load(regs[58], 1); t74 != TrapNone {
+				dyn += 4
+				readSlots += 6
+				writes += 3
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t74)
+				return kernHalt
+			}
 		}
 		regs[59] = v74
 		regs[60] = regs[59] * uint64(0x1)
 		regs[61] = uint64(0x10000000) + regs[60]
-		v77, t77 := m.load(regs[61], 1)
-		if t77 != TrapNone {
-			dyn += 7
-			readSlots += 9
-			writes += 6
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t77)
-			return kernHalt
+		v77, ok77 := m.flatLoad8(regs[61])
+		if !ok77 {
+			var t77 TrapKind
+			if v77, t77 = m.load(regs[61], 1); t77 != TrapNone {
+				dyn += 7
+				readSlots += 9
+				writes += 6
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t77)
+				return kernHalt
+			}
 		}
 		regs[62] = v77
 		regs[63] = regs[62] * uint64(0x4)
 		regs[64] = uint64(0x10000100) + regs[63]
-		v80, t80 := m.load(regs[64], 4)
-		if t80 != TrapNone {
-			dyn += 10
-			readSlots += 12
-			writes += 9
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t80)
-			return kernHalt
+		v80, ok80 := m.flatLoad32(regs[64])
+		if !ok80 {
+			var t80 TrapKind
+			if v80, t80 = m.load(regs[64], 4); t80 != TrapNone {
+				dyn += 10
+				readSlots += 12
+				writes += 9
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t80)
+				return kernHalt
+			}
 		}
 		regs[65] = v80
 		regs[66] = (regs[24] + regs[65]) & 0xffffffff
@@ -2095,11 +2148,14 @@ S74:
 		}
 		dyn++
 		readSlots += 1
-		v74, t74 := m.load(regs[58], 1)
-		if t74 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t74)
-			return kernHalt
+		v74, ok74 := m.flatLoad8(regs[58])
+		if !ok74 {
+			var t74 TrapKind
+			if v74, t74 = m.load(regs[58], 1); t74 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t74)
+				return kernHalt
+			}
 		}
 		regs[59] = v74
 		writes++
@@ -2137,11 +2193,14 @@ S77:
 		}
 		dyn++
 		readSlots += 1
-		v77, t77 := m.load(regs[61], 1)
-		if t77 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t77)
-			return kernHalt
+		v77, ok77 := m.flatLoad8(regs[61])
+		if !ok77 {
+			var t77 TrapKind
+			if v77, t77 = m.load(regs[61], 1); t77 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t77)
+				return kernHalt
+			}
 		}
 		regs[62] = v77
 		writes++
@@ -2179,11 +2238,14 @@ S80:
 		}
 		dyn++
 		readSlots += 1
-		v80, t80 := m.load(regs[64], 4)
-		if t80 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t80)
-			return kernHalt
+		v80, ok80 := m.flatLoad32(regs[64])
+		if !ok80 {
+			var t80 TrapKind
+			if v80, t80 = m.load(regs[64], 4); t80 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t80)
+				return kernHalt
+			}
 		}
 		regs[65] = v80
 		writes++

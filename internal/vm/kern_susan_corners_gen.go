@@ -292,14 +292,17 @@ B8:
 		regs[7] = (regs[6] + regs[3]) & 0xffffffff
 		regs[8] = regs[7] * uint64(0x1)
 		regs[9] = uint64(0x10000000) + regs[8]
-		v12, t12 := m.load(regs[9], 1)
-		if t12 != TrapNone {
-			dyn += 5
-			readSlots += 6
-			writes += 4
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t12)
-			return kernHalt
+		v12, ok12 := m.flatLoad8(regs[9])
+		if !ok12 {
+			var t12 TrapKind
+			if v12, t12 = m.load(regs[9], 1); t12 != TrapNone {
+				dyn += 5
+				readSlots += 6
+				writes += 4
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t12)
+				return kernHalt
+			}
 		}
 		regs[10] = v12
 		regs[11] = uint64(0x0)
@@ -366,11 +369,14 @@ S12:
 		}
 		dyn++
 		readSlots += 1
-		v12, t12 := m.load(regs[9], 1)
-		if t12 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t12)
-			return kernHalt
+		v12, ok12 := m.flatLoad8(regs[9])
+		if !ok12 {
+			var t12 TrapKind
+			if v12, t12 = m.load(regs[9], 1); t12 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t12)
+				return kernHalt
+			}
 		}
 		regs[10] = v12
 		writes++
@@ -562,14 +568,17 @@ B24:
 		regs[21] = (regs[16] + regs[20]) & 0xffffffff
 		regs[22] = regs[21] * uint64(0x1)
 		regs[23] = uint64(0x10000000) + regs[22]
-		v28, t28 := m.load(regs[23], 1)
-		if t28 != TrapNone {
-			dyn += 5
-			readSlots += 7
-			writes += 4
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t28)
-			return kernHalt
+		v28, ok28 := m.flatLoad8(regs[23])
+		if !ok28 {
+			var t28 TrapKind
+			if v28, t28 = m.load(regs[23], 1); t28 != TrapNone {
+				dyn += 5
+				readSlots += 7
+				writes += 4
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t28)
+				return kernHalt
+			}
 		}
 		regs[24] = v28
 		regs[25] = (regs[24] - regs[10]) & 0xffffffff
@@ -582,14 +591,17 @@ B24:
 		}
 		regs[29] = regs[28] * uint64(0x1)
 		regs[30] = uint64(0x10000100) + regs[29]
-		v35, t35 := m.load(regs[30], 1)
-		if t35 != TrapNone {
-			dyn += 12
-			readSlots += 17
-			writes += 11
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t35)
-			return kernHalt
+		v35, ok35 := m.flatLoad8(regs[30])
+		if !ok35 {
+			var t35 TrapKind
+			if v35, t35 = m.load(regs[30], 1); t35 != TrapNone {
+				dyn += 12
+				readSlots += 17
+				writes += 11
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t35)
+				return kernHalt
+			}
 		}
 		regs[31] = v35
 		regs[32] = (regs[11] + regs[31]) & 0xffffffff
@@ -658,11 +670,14 @@ S28:
 		}
 		dyn++
 		readSlots += 1
-		v28, t28 := m.load(regs[23], 1)
-		if t28 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t28)
-			return kernHalt
+		v28, ok28 := m.flatLoad8(regs[23])
+		if !ok28 {
+			var t28 TrapKind
+			if v28, t28 = m.load(regs[23], 1); t28 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t28)
+				return kernHalt
+			}
 		}
 		regs[24] = v28
 		writes++
@@ -752,11 +767,14 @@ S35:
 		}
 		dyn++
 		readSlots += 1
-		v35, t35 := m.load(regs[30], 1)
-		if t35 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t35)
-			return kernHalt
+		v35, ok35 := m.flatLoad8(regs[30])
+		if !ok35 {
+			var t35 TrapKind
+			if v35, t35 = m.load(regs[30], 1); t35 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t35)
+				return kernHalt
+			}
 		}
 		regs[31] = v35
 		writes++

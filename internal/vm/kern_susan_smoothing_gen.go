@@ -300,14 +300,17 @@ B8:
 		regs[7] = (regs[6] + regs[3]) & 0xffffffff
 		regs[8] = regs[7] * uint64(0x1)
 		regs[9] = uint64(0x10000000) + regs[8]
-		v12, t12 := m.load(regs[9], 1)
-		if t12 != TrapNone {
-			dyn += 5
-			readSlots += 6
-			writes += 4
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t12)
-			return kernHalt
+		v12, ok12 := m.flatLoad8(regs[9])
+		if !ok12 {
+			var t12 TrapKind
+			if v12, t12 = m.load(regs[9], 1); t12 != TrapNone {
+				dyn += 5
+				readSlots += 6
+				writes += 4
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t12)
+				return kernHalt
+			}
 		}
 		regs[10] = v12
 		regs[11] = uint64(0x0)
@@ -375,11 +378,14 @@ S12:
 		}
 		dyn++
 		readSlots += 1
-		v12, t12 := m.load(regs[9], 1)
-		if t12 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t12)
-			return kernHalt
+		v12, ok12 := m.flatLoad8(regs[9])
+		if !ok12 {
+			var t12 TrapKind
+			if v12, t12 = m.load(regs[9], 1); t12 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t12)
+				return kernHalt
+			}
 		}
 		regs[10] = v12
 		writes++
@@ -582,14 +588,17 @@ B25:
 		regs[22] = (regs[17] + regs[21]) & 0xffffffff
 		regs[23] = regs[22] * uint64(0x1)
 		regs[24] = uint64(0x10000000) + regs[23]
-		v29, t29 := m.load(regs[24], 1)
-		if t29 != TrapNone {
-			dyn += 5
-			readSlots += 7
-			writes += 4
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t29)
-			return kernHalt
+		v29, ok29 := m.flatLoad8(regs[24])
+		if !ok29 {
+			var t29 TrapKind
+			if v29, t29 = m.load(regs[24], 1); t29 != TrapNone {
+				dyn += 5
+				readSlots += 7
+				writes += 4
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t29)
+				return kernHalt
+			}
 		}
 		regs[25] = v29
 		regs[26] = (regs[25] - regs[10]) & 0xffffffff
@@ -602,14 +611,17 @@ B25:
 		}
 		regs[30] = regs[29] * uint64(0x1)
 		regs[31] = uint64(0x10000100) + regs[30]
-		v36, t36 := m.load(regs[31], 1)
-		if t36 != TrapNone {
-			dyn += 12
-			readSlots += 17
-			writes += 11
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t36)
-			return kernHalt
+		v36, ok36 := m.flatLoad8(regs[31])
+		if !ok36 {
+			var t36 TrapKind
+			if v36, t36 = m.load(regs[31], 1); t36 != TrapNone {
+				dyn += 12
+				readSlots += 17
+				writes += 11
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t36)
+				return kernHalt
+			}
 		}
 		regs[32] = v36
 		regs[33] = (regs[32] * regs[25]) & 0xffffffff
@@ -681,11 +693,14 @@ S29:
 		}
 		dyn++
 		readSlots += 1
-		v29, t29 := m.load(regs[24], 1)
-		if t29 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t29)
-			return kernHalt
+		v29, ok29 := m.flatLoad8(regs[24])
+		if !ok29 {
+			var t29 TrapKind
+			if v29, t29 = m.load(regs[24], 1); t29 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t29)
+				return kernHalt
+			}
 		}
 		regs[25] = v29
 		writes++
@@ -775,11 +790,14 @@ S36:
 		}
 		dyn++
 		readSlots += 1
-		v36, t36 := m.load(regs[31], 1)
-		if t36 != TrapNone {
-			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
-			m.trapOut(t36)
-			return kernHalt
+		v36, ok36 := m.flatLoad8(regs[31])
+		if !ok36 {
+			var t36 TrapKind
+			if v36, t36 = m.load(regs[31], 1); t36 != TrapNone {
+				m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+				m.trapOut(t36)
+				return kernHalt
+			}
 		}
 		regs[32] = v36
 		writes++

@@ -340,6 +340,16 @@ func (s *mem) store(off, size int, v uint64) {
 	}
 }
 
+// tracks reports whether a store at off is due tracking work: the
+// segment tracks dirty pages and off's page is still clean, so the
+// store must set its dirty bit (and, under convergence tracking, hash
+// its first touch). The flat store accessors inline it, and testing
+// the bit on the uint64 offset directly costs them less of the
+// inliner's budget than bitmap.get.
+func (s *mem) tracks(off uint64) bool {
+	return s.dirty != nil && s.dirty[off>>(pageShift+6)]&(1<<(off>>pageShift&63)) == 0
+}
+
 // pageDelta records the pages of one segment dirtied during a snapshot
 // interval: ascending page indices and private copies of their contents.
 // Clean pages are represented implicitly by the snapshot's base chain, so

@@ -5,6 +5,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // Tiers is a set of speed tiers, used as a disable set: the zero value
@@ -75,18 +76,24 @@ func parseTiers(s string) (Tiers, error) {
 	return t, nil
 }
 
-// envDisabled is the process-wide disable set from MULTIFLIP_DISABLE,
-// parsed once. CI's ablation matrix sets it to run the test suites with
-// one tier off; a malformed value fails every Run with envErr.
-var envDisabled, envErr = func() (Tiers, error) {
+// envTiers returns the process-wide disable set from MULTIFLIP_DISABLE,
+// parsed on first use. CI's ablation matrix sets it to run the test
+// suites with one tier off; a malformed value fails every Run. The read
+// happens on first use rather than in a package initializer so that
+// `go test`, which logs only the environment reads made while tests run,
+// keys its result cache on the variable.
+var envTiers = sync.OnceValues(func() (Tiers, error) {
 	t, err := parseTiers(os.Getenv("MULTIFLIP_DISABLE"))
 	if err != nil {
 		return 0, fmt.Errorf("vm: MULTIFLIP_DISABLE: %w", err)
 	}
 	return t, nil
-}()
+})
 
 // EnvDisabled returns the process-wide disable set from MULTIFLIP_DISABLE.
 // Run adds it to every run's Options.Disable; core.NewTargetOpts adds it
 // to the target-level tiers.
-func EnvDisabled() Tiers { return envDisabled }
+func EnvDisabled() Tiers {
+	t, _ := envTiers()
+	return t
+}

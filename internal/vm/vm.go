@@ -31,6 +31,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -420,8 +421,9 @@ func putMachine(m *machine) {
 // hand-assembled, unvalidated Program mis-counts injection candidates
 // silently.
 func Run(p *ir.Program, opts Options) (*Result, error) {
-	if envErr != nil {
-		return nil, envErr
+	envDisabled, err := envTiers()
+	if err != nil {
+		return nil, err
 	}
 	mainFn := p.Funcs[p.Main]
 	if mainFn.NumArgs != 0 {
@@ -1018,14 +1020,104 @@ func (m *machine) resolve(addr uint64, size int) (*mem, int, TrapKind) {
 	if addr&uint64(size-1) != 0 && !m.noAlign {
 		return nil, 0, TrapMisaligned
 	}
-	if addr >= ir.GlobalBase && addr+uint64(size) <= ir.GlobalBase+uint64(m.globals.n) {
-		return &m.globals, int(addr - ir.GlobalBase), TrapNone
+	// The checks subtract the segment base rather than add size to addr,
+	// which wraps for an access in the top size bytes of the address
+	// space; an address below the base wraps to an offset past the end.
+	if off := addr - ir.GlobalBase; off < uint64(m.globals.n) && uint64(m.globals.n)-off >= uint64(size) {
+		return &m.globals, int(off), TrapNone
 	}
 	// Only the live part of the stack ([StackBase, StackBase+sp)) is mapped.
-	if addr >= ir.StackBase && addr+uint64(size) <= ir.StackBase+uint64(m.sp) {
-		return &m.stack, int(addr - ir.StackBase), TrapNone
+	if off := addr - ir.StackBase; off < uint64(m.sp) && uint64(m.sp)-off >= uint64(size) {
+		return &m.stack, int(off), TrapNone
 	}
 	return nil, 0, TrapSegfault
+}
+
+// The flat accessors are the inlinable fast paths of machine.load and
+// machine.store for one access size each; the generated kernels call
+// them at every load and store. Each serves an aligned access wholly
+// inside flat globals (mem.res == nil), and a store only when no
+// tracking work is due: no dirty map, or its page already dirty, so
+// there is no first touch to hash. They report false for every other
+// access, which the caller then hands to machine.load or machine.store,
+// the one definition of traps, page installs, dirty bits and
+// convergence hashing.
+//
+// The stack is left to the fallback: no workload with a generated
+// kernel allocates stack, so sp stays 0 and the stack is never mapped
+// in a kernel. The globals base is page-aligned, so an aligned access
+// never crosses a page, and the offset test against the segment length
+// rounded down to the access size keeps an aligned access wholly
+// inside. Each accessor must stay within the inliner's budget (CI
+// checks `go build -gcflags=-m`): as a call, the fast path would cost
+// more than the work it saves.
+
+func (m *machine) flatLoad8(addr uint64) (uint64, bool) {
+	g, off := &m.globals, addr-ir.GlobalBase
+	if off >= uint64(g.n) || g.res != nil {
+		return 0, false
+	}
+	return uint64(g.flat[off]), true
+}
+
+func (m *machine) flatLoad16(addr uint64) (uint64, bool) {
+	g, off := &m.globals, addr-ir.GlobalBase
+	if off >= uint64(g.n)&^1 || addr&1 != 0 || g.res != nil {
+		return 0, false
+	}
+	return uint64(binary.LittleEndian.Uint16(g.flat[off:])), true
+}
+
+func (m *machine) flatLoad32(addr uint64) (uint64, bool) {
+	g, off := &m.globals, addr-ir.GlobalBase
+	if off >= uint64(g.n)&^3 || addr&3 != 0 || g.res != nil {
+		return 0, false
+	}
+	return uint64(binary.LittleEndian.Uint32(g.flat[off:])), true
+}
+
+func (m *machine) flatLoad64(addr uint64) (uint64, bool) {
+	g, off := &m.globals, addr-ir.GlobalBase
+	if off >= uint64(g.n)&^7 || addr&7 != 0 || g.res != nil {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(g.flat[off:]), true
+}
+
+func (m *machine) flatStore8(addr uint64, v uint8) bool {
+	g, off := &m.globals, addr-ir.GlobalBase
+	if off >= uint64(g.n) || g.res != nil || g.tracks(off) {
+		return false
+	}
+	g.flat[off] = v
+	return true
+}
+
+func (m *machine) flatStore16(addr uint64, v uint16) bool {
+	g, off := &m.globals, addr-ir.GlobalBase
+	if off >= uint64(g.n)&^1 || addr&1 != 0 || g.res != nil || g.tracks(off) {
+		return false
+	}
+	binary.LittleEndian.PutUint16(g.flat[off:], v)
+	return true
+}
+
+func (m *machine) flatStore32(addr uint64, v uint32) bool {
+	g, off := &m.globals, addr-ir.GlobalBase
+	if off >= uint64(g.n)&^3 || addr&3 != 0 || g.res != nil || g.tracks(off) {
+		return false
+	}
+	binary.LittleEndian.PutUint32(g.flat[off:], v)
+	return true
+}
+
+func (m *machine) flatStore64(addr uint64, v uint64) bool {
+	g, off := &m.globals, addr-ir.GlobalBase
+	if off >= uint64(g.n)&^7 || addr&7 != 0 || g.res != nil || g.tracks(off) {
+		return false
+	}
+	binary.LittleEndian.PutUint64(g.flat[off:], v)
+	return true
 }
 
 // applyMemFlip performs every due memory flip at dynamic index di.

@@ -201,6 +201,43 @@ func TestTrapSegfaultPastGlobals(t *testing.T) {
 	}
 }
 
+// TestTrapSegfaultTopOfAddressSpace: an access in the top size bytes of
+// the address space, where addr+size wraps to a small number, maps to no
+// segment. Loads and stores of each width, aligned and (with the trap
+// off) unaligned.
+func TestTrapSegfaultTopOfAddressSpace(t *testing.T) {
+	for _, w := range []ir.Width{ir.W8, ir.W16, ir.W32, ir.W64} {
+		size := uint64(w.Bytes())
+		for addr := -size; addr != 0; addr++ {
+			for _, noAlign := range []bool{false, true} {
+				if addr != -size && !noAlign {
+					continue // misaligned: TestTrapMisaligned's trap
+				}
+				for _, store := range []bool{false, true} {
+					mb := ir.NewModule("t")
+					f := mb.Func("main", 0)
+					mb.GlobalU64s([]uint64{1, 2})
+					f.Alloca(16)
+					if store {
+						f.StoreW(w, ir.C(addr), ir.C(1), 0)
+					} else {
+						f.OutW(w, f.LoadW(w, ir.C(addr), 0))
+					}
+					f.RetVoid()
+					res, err := Run(mb.MustBuild(), Options{NoAlignTrap: noAlign})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Stop != StopTrap || res.Trap != TrapSegfault {
+						t.Errorf("%s store=%v at %#x (noAlign=%v): stop=%v trap=%v, want segfault",
+							w, store, addr, noAlign, res.Stop, res.Trap)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTrapMisaligned(t *testing.T) {
 	res := buildAndRun(t, func(mb *ir.ModuleBuilder, f *ir.FuncBuilder) {
 		g := mb.GlobalU32s([]uint32{1, 2})
