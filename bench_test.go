@@ -478,11 +478,11 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 }
 
 // BenchmarkCampaignLargeGlobals runs a register campaign over the named
-// megapixel workload (internal/prog, 1 MiB of globals): snapshots restore
-// copy-on-write, and the convergence tier hashes only each interval's
-// write set — this is the configuration the page-granular design exists
-// for. BenchmarkCampaignLargeGlobalsDisableConverge is its
-// early-termination ablation.
+// megapixel workload (internal/prog, 1 MiB of globals, the largest of
+// any workload): every resume copies the whole globals, and the
+// convergence tier hashes only each interval's write set.
+// BenchmarkCampaignLargeGlobalsDisableConverge is its early-termination
+// ablation.
 func BenchmarkCampaignLargeGlobals(b *testing.B) {
 	benchCampaignLargeGlobals(b, 0)
 }
@@ -577,12 +577,12 @@ func buildCaptureProg(words, loops, stride int) (*ir.Program, error) {
 	return mb.Build()
 }
 
-// BenchmarkSnapshotCapture measures golden-run checkpoint capture under
-// the page-granular copy-on-write representation. The three corners pin
-// the scaling claim: capture cost tracks the pages dirtied per interval,
-// not the size of the global segment — "256KiB/local" runs at
-// "8KiB/local" speed, far below "256KiB/spread", despite both 256KiB
-// variants executing identical instruction streams.
+// BenchmarkSnapshotCapture measures golden-run checkpoint capture as
+// page-granular deltas. The three corners pin the scaling claim:
+// capture cost tracks the pages dirtied per interval, not the size of
+// the global segment — "256KiB/local" runs at "8KiB/local" speed, far
+// below "256KiB/spread", despite both 256KiB variants executing
+// identical instruction streams.
 func BenchmarkSnapshotCapture(b *testing.B) {
 	const loops = 20000
 	cases := []struct {

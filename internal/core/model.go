@@ -20,9 +20,8 @@
 // in snapshot_diff_test.go enforce this. For uniformly
 // drawn candidates the skipped prefix averages half the golden run, the
 // overhead checkpoint-based fault injectors exist to eliminate. Snapshots
-// are copy-on-write at page granularity (see internal/vm), so targets
-// checkpoint densely: capture cost tracks the pages dirtied per interval
-// and experiments copy only the pages they write.
+// record page-granular deltas (see internal/vm), so targets checkpoint
+// densely: capture cost tracks the pages dirtied per interval.
 package core
 
 import (

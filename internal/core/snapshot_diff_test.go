@@ -127,10 +127,9 @@ func TestPinnedCampaignSnapshotDifferential(t *testing.T) {
 	}
 }
 
-// buildWideGlobalProg returns a synthetic workload whose global segment
-// (64 KiB) far exceeds the VM's eager-restore bound, forcing campaigns
-// through the lazy copy-on-write resume path: experiments mount snapshot
-// pages in place and copy only the pages they write.
+// buildWideGlobalProg returns a synthetic workload with a 64 KiB global
+// segment whose stores hit pages all over it, so snapshot deltas, base
+// chains and resume work at a scale well past the suite programs'.
 func buildWideGlobalProg(t *testing.T) *ir.Program {
 	t.Helper()
 	const words = 1 << 13
@@ -154,10 +153,9 @@ func buildWideGlobalProg(t *testing.T) *ir.Program {
 }
 
 // TestCampaignSnapshotDifferentialLargeGlobals extends the differential
-// invariant to the page-granular copy-on-write representation at scale: a
-// 64 KiB-global workload, prepared at two checkpoint densities, must
-// produce experiment records bit-identical to full replay for both
-// techniques.
+// invariant to page-granular snapshots at scale: a 64 KiB-global
+// workload, prepared at three checkpoint settings, must produce
+// experiment records bit-identical to full replay for both techniques.
 func TestCampaignSnapshotDifferentialLargeGlobals(t *testing.T) {
 	p := buildWideGlobalProg(t)
 	replay, err := core.NewTargetOpts("wide-globals", p, core.TargetOptions{Disable: vm.TierSnapshots})
@@ -196,7 +194,7 @@ func TestCampaignSnapshotDifferentialLargeGlobals(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(fast.Experiments, slow.Experiments) {
-					t.Errorf("interval=%d %s %s: experiments diverge between CoW-snapshot and full-replay campaigns",
+					t.Errorf("interval=%d %s %s: experiments diverge between snapshot and full-replay campaigns",
 						topts.SnapshotInterval, tech, cfg)
 				}
 			}

@@ -55,9 +55,9 @@ type Target struct {
 }
 
 // DefaultSnapshotInterval is the golden-run checkpoint spacing in dynamic
-// instructions. Snapshot capture is copy-on-write at page granularity —
-// cost and memory scale with the pages dirtied per interval, not with
-// run length or segment size — so targets can afford checkpoints every
+// instructions. Snapshot capture records page-granular deltas — cost
+// and memory scale with the pages dirtied per interval, not with run
+// length or segment size — so targets can afford checkpoints every
 // few dozen instructions, shrinking the prefix tail each fast-forwarded
 // experiment still replays.
 const DefaultSnapshotInterval = 64

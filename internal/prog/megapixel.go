@@ -11,10 +11,10 @@ import (
 // the "image" from a cheap PRNG recurrence, pass 2 applies an in-place
 // neighbour-mixing filter (a 1-D blur stand-in), and a sparse checksum
 // pass emits the output. Stores sweep the whole segment, so golden-run
-// capture, copy-on-write resume and convergence hashing all operate at
-// real image scale — the configuration the page-granular snapshot design
-// exists for. BenchmarkCampaignLargeGlobals and the study grid target it
-// by name ("megapixel").
+// capture, snapshot resume and convergence hashing all operate at real
+// image scale: every resumed experiment copies the full megabyte of
+// globals. BenchmarkCampaignLargeGlobals and the study grid target it by
+// name ("megapixel").
 const (
 	// MegapixelWords is the image size in 64-bit words (1 MiB).
 	MegapixelWords = 1 << 17

@@ -22,10 +22,9 @@
 //     interpreter's at every exit, including partial-block trap exits;
 //   - every load and store first takes the VM's inlined flat accessor
 //     for its width (machine.flatLoad8..64, flatStore8..64), which serves
-//     an aligned access inside flat globals with no tracking work due,
+//     an aligned access inside the globals with no tracking work due,
 //     and falls back to machine.load/store for every other access, so
-//     traps, CoW page installation, dirty tracking and convergence
-//     hashing behave identically;
+//     traps, dirty tracking and convergence hashing behave identically;
 //   - calls and returns are not compiled: the kernel flushes state and
 //     reports kernOut, and the VM executes the frame operation through
 //     the observer tier.
@@ -652,9 +651,7 @@ func (g *gen) genInstr(pc int, in *ir.Instr, trapAcct string) {
 		g.p("m.sp += %d", size)
 		g.p("if m.sp > m.stackHW {")
 		g.p("m.stackHW = m.sp")
-		g.p("if m.stack.res == nil {")
 		g.p("m.stack.growFlat(m.sp)")
-		g.p("}")
 		g.p("}")
 	case ir.OpOut:
 		g.p("if !m.outAppend(%s, %d) {", g.masked(in.A, w), w.Bytes())

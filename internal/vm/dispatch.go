@@ -401,11 +401,9 @@ func hAlloca(m *machine, fr *frame, in *ir.Instr) stat {
 	m.sp += int(size)
 	if m.sp > m.stackHW {
 		m.stackHW = m.sp
-		if m.stack.res == nil {
-			// Unbacked stacks keep flat covering the live range so loads
-			// and stores can index it directly.
-			m.stack.growFlat(m.sp)
-		}
+		// flat keeps covering the live range, so loads and stores can
+		// index it directly.
+		m.stack.growFlat(m.sp)
 	}
 	return statNext
 }

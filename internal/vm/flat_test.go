@@ -34,11 +34,9 @@ func flatStore(m *machine, addr uint64, size int, v uint64) bool {
 	return m.flatStore64(addr, v)
 }
 
-// cloneMem deep-copies a segment's mutable state; backing pages are
-// immutable and stay shared.
+// cloneMem deep-copies a segment's mutable state.
 func cloneMem(s mem) mem {
 	s.flat = slices.Clone(s.flat)
-	s.res = slices.Clone(s.res)
 	s.dirty = slices.Clone(s.dirty)
 	s.convKnown = slices.Clone(s.convKnown)
 	s.convH = slices.Clone(s.convH)
@@ -66,15 +64,14 @@ func pattern(n int, seed byte) []byte {
 }
 
 // TestFlatAccessorsMatchLoadStore holds each flat accessor plus its
-// fallback to machine.load and machine.store, over both segments in the
-// flat and copy-on-write regimes, every size, the addresses around each
-// segment's ends and the stack's sp after a frame pop, aligned and
-// misaligned, with the alignment trap on and off, and with dirty and
-// convergence tracking off, on a clean page and on a dirty page. The
-// value, trap and whole segment state must match, and the fast path
-// must serve exactly the aligned in-range accesses to flat globals that
-// need no tracking work, so the comparison is not vacuous; stack
-// accesses are left to the fallback.
+// fallback to machine.load and machine.store, over both segments, every
+// size, the addresses around each segment's ends and the stack's sp
+// after a frame pop, aligned and misaligned, with the alignment trap on
+// and off, and with dirty and convergence tracking off, on a clean page
+// and on a dirty page. The value, trap and whole segment state must
+// match, and the fast path must serve exactly the aligned in-range
+// accesses to the globals that need no tracking work, so the comparison
+// is not vacuous; stack accesses are left to the fallback.
 func TestFlatAccessorsMatchLoadStore(t *testing.T) {
 	const (
 		sp      = 512
@@ -83,82 +80,76 @@ func TestFlatAccessorsMatchLoadStore(t *testing.T) {
 	)
 	fired := 0
 	for _, gn := range []int{1000, 1003} {
-		for _, cow := range []bool{false, true} {
-			for _, tracking := range []string{"off", "clean", "dirty"} {
-				gimg, simg := pattern(gn, 3), pattern(stackHW, 5)
-				base := &machine{sp: sp, stackHW: stackHW}
-				if cow {
-					base.globals = cowMem(gn, pageTable(gimg))
-					base.stack = cowMem(ir.StackSize, pageTable(simg))
-					base.globals.install(1)
-					base.stack.install(0)
-				} else {
-					base.globals = flatMem(gn, gimg)
-					base.stack = mem{n: ir.StackSize, flat: simg}
+		for _, tracking := range []string{"off", "clean", "dirty"} {
+			gimg, simg := pattern(gn, 3), pattern(stackHW, 5)
+			base := &machine{
+				globals: flatMem(gn, gimg),
+				stack:   flatMem(ir.StackSize, simg),
+				sp:      sp,
+				stackHW: stackHW,
+			}
+			if tracking != "off" {
+				base.globals.track()
+				base.stack.track()
+				base.globals.trackConv(saltGlobals)
+				base.stack.trackConv(saltStack)
+			}
+			for _, size := range []int{1, 2, 4, 8} {
+				segs := []struct {
+					base     uint64
+					lim      int
+					interior []int
+				}{
+					{ir.GlobalBase, gn, []int{0, 1, 3, 8, 256 - size, 256, 257, 520}},
+					{ir.StackBase, sp, []int{0, 1, 3, 8, 256 - size, 256, 257, 264, sp + size, stackHW - size}},
 				}
-				if tracking != "off" {
-					base.globals.track()
-					base.stack.track()
-					base.globals.trackConv(saltGlobals)
-					base.stack.trackConv(saltStack)
-				}
-				for _, size := range []int{1, 2, 4, 8} {
-					segs := []struct {
-						base     uint64
-						lim      int
-						interior []int
-					}{
-						{ir.GlobalBase, gn, []int{0, 1, 3, 8, 256 - size, 256, 257, 520}},
-						{ir.StackBase, sp, []int{0, 1, 3, 8, 256 - size, 256, 257, 264, sp + size, stackHW - size}},
-					}
-					for _, sg := range segs {
-						offs := append([]int{sg.lim - size, sg.lim - size + 1, sg.lim, -size, -1}, sg.interior...)
-						for _, off := range offs {
-							addr := sg.base + uint64(int64(off))
-							inRange := off >= 0 && off+size <= sg.lim
-							aligned := addr%uint64(size) == 0
-							for _, noAlign := range []bool{false, true} {
-								for _, store := range []bool{false, true} {
-									m := cloneSpace(base)
-									m.noAlign = noAlign
-									if tracking == "dirty" && inRange {
-										// Store the byte already there, so only the
-										// page's tracking state changes.
-										s, o, _ := m.resolve(addr, 1)
-										s.store(o, 1, s.load(o, 1))
-									}
-									ref := cloneSpace(m)
-									name := fmt.Sprintf("globals=%d cow=%v tracking=%s size=%d seg=%#x off=%d noAlign=%v store=%v",
-										gn, cow, tracking, size, sg.base, off, noAlign, store)
+				for _, sg := range segs {
+					offs := append([]int{sg.lim - size, sg.lim - size + 1, sg.lim, -size, -1}, sg.interior...)
+					for _, off := range offs {
+						addr := sg.base + uint64(int64(off))
+						inRange := off >= 0 && off+size <= sg.lim
+						aligned := addr%uint64(size) == 0
+						for _, noAlign := range []bool{false, true} {
+							for _, store := range []bool{false, true} {
+								m := cloneSpace(base)
+								m.noAlign = noAlign
+								if tracking == "dirty" && inRange {
+									// Store the byte already there, so only the
+									// page's tracking state changes.
+									s, o, _ := m.resolve(addr, 1)
+									s.store(o, 1, s.load(o, 1))
+								}
+								ref := cloneSpace(m)
+								name := fmt.Sprintf("globals=%d tracking=%s size=%d seg=%#x off=%d noAlign=%v store=%v",
+									gn, tracking, size, sg.base, off, noAlign, store)
 
-									var got, want uint64
-									var gotTrap, wantTrap TrapKind
-									var ok bool
-									if store {
-										if ok = flatStore(m, addr, size, stored); !ok {
-											gotTrap = m.store(addr, size, stored)
-										}
-										wantTrap = ref.store(addr, size, stored)
-									} else {
-										if got, ok = flatLoad(m, addr, size); !ok {
-											got, gotTrap = m.load(addr, size)
-										}
-										want, wantTrap = ref.load(addr, size)
+								var got, want uint64
+								var gotTrap, wantTrap TrapKind
+								var ok bool
+								if store {
+									if ok = flatStore(m, addr, size, stored); !ok {
+										gotTrap = m.store(addr, size, stored)
 									}
-									if got != want || gotTrap != wantTrap {
-										t.Fatalf("%s: accessor gave %#x/%v, machine gave %#x/%v", name, got, gotTrap, want, wantTrap)
+									wantTrap = ref.store(addr, size, stored)
+								} else {
+									if got, ok = flatLoad(m, addr, size); !ok {
+										got, gotTrap = m.load(addr, size)
 									}
-									if !reflect.DeepEqual(m.globals, ref.globals) || !reflect.DeepEqual(m.stack, ref.stack) {
-										t.Fatalf("%s: segment state differs from machine.load/store's", name)
-									}
-									fast := sg.base == ir.GlobalBase && inRange && aligned && !cow &&
-										(!store || tracking != "clean")
-									if ok != fast {
-										t.Fatalf("%s: fast path served=%v, want %v", name, ok, fast)
-									}
-									if ok {
-										fired++
-									}
+									want, wantTrap = ref.load(addr, size)
+								}
+								if got != want || gotTrap != wantTrap {
+									t.Fatalf("%s: accessor gave %#x/%v, machine gave %#x/%v", name, got, gotTrap, want, wantTrap)
+								}
+								if !reflect.DeepEqual(m.globals, ref.globals) || !reflect.DeepEqual(m.stack, ref.stack) {
+									t.Fatalf("%s: segment state differs from machine.load/store's", name)
+								}
+								fast := sg.base == ir.GlobalBase && inRange && aligned &&
+									(!store || tracking != "clean")
+								if ok != fast {
+									t.Fatalf("%s: fast path served=%v, want %v", name, ok, fast)
+								}
+								if ok {
+									fired++
 								}
 							}
 						}

@@ -6,7 +6,7 @@ package vm
 // internal/proggen runs under `go generate` and emits one kern_*_gen.go
 // file per workload into this package: for every function of the program,
 // a straight-line Go translation of its basic blocks operating on the
-// same frame/register-arena/CoW-memory state the interpreter uses. The
+// same frame/register-arena/flat-memory state the interpreter uses. The
 // files register themselves here, keyed by program name and guarded by
 // the IR's semantic fingerprint (ir.Program.Fingerprint, as cached by
 // Validate), so a kernel generated from stale IR is silently ignored and
@@ -27,14 +27,13 @@ package vm
 // the compiled-tier differential tests hold them to it, and Out
 // instructions share its output framing (outAppend). Each load and store
 // first takes the inlined flat accessor for its width (flatLoad8..64,
-// flatStore8..64 in vm.go), which serves an aligned access to flat
+// flatStore8..64 in vm.go), which serves an aligned access to the
 // globals with no tracking work due, and falls back to machine.load or
-// machine.store, which keep the one definition of traps, page installs,
-// dirty bits and convergence hashing. Calls and returns
-// are left to the interpreter (kernOut): frame manipulation is rare,
-// cold, and shared with the observer tier, whose injection checks cannot
-// fire there because the call or return lies before the injection
-// horizon.
+// machine.store, which keep the one definition of traps, dirty bits and
+// convergence hashing. Calls and returns are left to the interpreter
+// (kernOut): frame manipulation is rare, cold, and shared with the
+// observer tier, whose injection checks cannot fire there because the
+// call or return lies before the injection horizon.
 
 import "multiflip/internal/ir"
 

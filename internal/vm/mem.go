@@ -2,9 +2,10 @@ package vm
 
 import "encoding/binary"
 
-// Page granularity of the copy-on-write machinery. 256 bytes keeps the
-// page tables small for the suite's kilobyte-scale segments while still
-// making a dirtied page cheap to copy at snapshot time.
+// Page granularity of dirty tracking, snapshot deltas and convergence
+// hashing. 256 bytes keeps the page tables small for the suite's
+// kilobyte-scale segments while still making a dirtied page cheap to
+// copy at snapshot time.
 const (
 	pageShift = 8
 	pageSize  = 1 << pageShift
@@ -18,8 +19,6 @@ func numPages(n int) int { return (n + pageSize - 1) >> pageShift }
 
 // bitmap is a fixed-capacity bitset over page indices.
 type bitmap []uint64
-
-func newBitmap(pages int) bitmap { return make(bitmap, (pages+63)/64) }
 
 // ensureBits returns a cleared bitmap covering pages, reusing b's storage
 // when it is large enough. Machines are pooled across runs, so tracking
@@ -37,20 +36,12 @@ func ensureBits(b bitmap, pages int) bitmap {
 func (b bitmap) get(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
 func (b bitmap) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
 
-// mem is one byte segment of the machine (globals or stack) with
-// page-granular copy-on-write against an immutable backing.
-//
-// Two regimes exist:
-//
-//   - back == nil (and res == nil): flat is authoritative. Fresh runs use
-//     this for both segments, and restore uses it for segments small
-//     enough that an eager copy beats per-access bookkeeping.
-//   - back != nil: the segment was restored from a snapshot's page table.
-//     A page is served from flat iff its res bit is set; otherwise from
-//     back (a nil backing page reads as zeroes). Loads read the backing
-//     in place; the first store to a page installs it — copies it into
-//     flat and sets its res bit — so resume cost scales with the pages a
-//     run actually writes, not with segment size.
+// mem is one byte segment of the machine (globals or stack), held flat:
+// flat is its content. The globals' flat covers the whole segment. The
+// stack's covers at least [0, stackHW), the bytes ever mapped, and grows
+// with the high-water mark; bytes beyond it are zero. Fresh runs copy
+// the program image, and restore flattens the snapshot's page tables, so
+// the machine never writes through to shared snapshot pages.
 //
 // dirty, when non-nil, records the pages stored to since the last
 // snapshot capture (or convergence check); only checkpointing and
@@ -62,9 +53,7 @@ func (b bitmap) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
 // each fold re-hashes only the pages dirtied since the previous fold.
 type mem struct {
 	n     int    // segment length in bytes
-	flat  []byte // private storage; grows toward n as pages are written
-	back  [][]byte
-	res   bitmap
+	flat  []byte // private storage; the stack's grows toward n
 	dirty bitmap
 
 	convSalt  uint64
@@ -100,15 +89,8 @@ func mergeBufs(a, b memBufs) memBufs {
 	return a
 }
 
-// flatMem returns a segment fully materialized in flat.
+// flatMem returns an n-byte segment whose content is flat.
 func flatMem(n int, flat []byte) mem { return mem{n: n, flat: flat} }
-
-// cowMem returns a segment lazily backed by a snapshot page table. Pages
-// beyond the table (possible for the stack, whose table only covers the
-// captured high-water mark) read as zeroes.
-func cowMem(n int, back [][]byte) mem {
-	return mem{n: n, back: back, res: newBitmap(numPages(n))}
-}
 
 // track enables dirty-page tracking (checkpointing and convergence-
 // tracking runs), reusing s.dirty's storage when possible.
@@ -133,9 +115,9 @@ func (s *mem) trackConv(salt uint64) {
 // content on different pages (or segments) hashes differently.
 func (s *mem) pageSeed(p int) uint64 { return s.convSalt ^ uint64(p)*hashPhi }
 
-// pageBytes returns page p's materialized content. Bytes beyond flat are
-// zero by the segment invariants (stack above the high-water mark, eager
-// growth zero-fill), which hashPage's implicit padding supplies.
+// pageBytes returns page p's content. Bytes beyond flat are zero by the
+// segment invariants (stack above the high-water mark, growFlat's
+// zero-fill), which hashPage's implicit padding supplies.
 func (s *mem) pageBytes(p int) []byte {
 	lo := p << pageShift
 	hi := lo + pageSize
@@ -197,15 +179,6 @@ func (s *mem) foldDelta(d pageDelta) uint64 {
 	return delta
 }
 
-// backPage returns the backing page p, or nil (all zeroes) when the
-// table does not cover it.
-func (s *mem) backPage(p int) []byte {
-	if p < len(s.back) {
-		return s.back[p]
-	}
-	return nil
-}
-
 // growFlat extends flat to at least end bytes (clamped to the segment
 // length), preserving contents and zero-filling the extension. Spare
 // capacity — machines are pooled across runs — is reused but must be
@@ -235,29 +208,9 @@ func (s *mem) growFlat(end int) {
 	s.flat = nf
 }
 
-// install copies backing page p into flat and marks it resident.
-func (s *mem) install(p int) {
-	lo := p << pageShift
-	hi := lo + pageSize
-	if hi > s.n {
-		hi = s.n
-	}
-	s.growFlat(hi)
-	if b := s.backPage(p); b != nil {
-		copy(s.flat[lo:hi], b)
-	}
-	s.res.set(p)
-}
-
 // load reads size bytes little-endian at off. The caller has bounds- and
 // alignment-checked [off, off+size).
 func (s *mem) load(off, size int) uint64 {
-	if s.res != nil {
-		p := pageOf(off)
-		if !s.res.get(p) || pageOf(off+size-1) != p {
-			return s.loadSlow(off, size)
-		}
-	}
 	b := s.flat[off:]
 	switch size {
 	case 8:
@@ -271,44 +224,11 @@ func (s *mem) load(off, size int) uint64 {
 	}
 }
 
-// loadSlow reads bytewise through the page table: the access touches a
-// non-resident page, or spans two pages in mixed residency states.
-func (s *mem) loadSlow(off, size int) uint64 {
-	var v uint64
-	for i := size - 1; i >= 0; i-- {
-		v = v<<8 | uint64(s.byteAt(off+i))
-	}
-	return v
-}
-
-// byteAt reads one byte through the residency map.
-func (s *mem) byteAt(off int) byte {
-	p := pageOf(off)
-	if s.res.get(p) {
-		return s.flat[off]
-	}
-	if b := s.backPage(p); b != nil {
-		if i := off & (pageSize - 1); i < len(b) {
-			return b[i]
-		}
-	}
-	return 0
-}
-
-// store writes size bytes little-endian at off, installing and dirtying
-// the pages it touches. The caller has bounds- and alignment-checked the
-// range; without backing, flat already covers it.
+// store writes size bytes little-endian at off, dirtying the pages it
+// touches. The caller has bounds- and alignment-checked the range.
 func (s *mem) store(off, size int, v uint64) {
 	p0 := pageOf(off)
 	p1 := pageOf(off + size - 1)
-	if s.res != nil {
-		if !s.res.get(p0) {
-			s.install(p0)
-		}
-		if p1 != p0 && !s.res.get(p1) {
-			s.install(p1)
-		}
-	}
 	if s.dirty != nil {
 		// Repeat stores to an already-dirty page skip all tracking work;
 		// on the 0->1 transition, the first store since convergence
@@ -388,7 +308,7 @@ func (s *mem) captureDelta(upTo int) pageDelta {
 
 // pageTable slices an immutable flat image into a page table without
 // copying. Used to seed capture sharing for fresh runs (the program's
-// global image) and to publish eager restores.
+// global image).
 func pageTable(img []byte) [][]byte {
 	pages := make([][]byte, numPages(len(img)))
 	for p := range pages {

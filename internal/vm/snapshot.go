@@ -18,9 +18,9 @@ import (
 // write set, not with segment size. The full page tables a resume needs
 // are materialized lazily — once per snapshot, memoized, walking the base
 // chain — and every clean page in them is shared with the predecessor
-// (ultimately with the immutable program image). Resume in turn installs
-// shared pages lazily: the resumed machine reads them in place and copies
-// a page into private storage only when it first writes it.
+// (ultimately with the immutable program image). Resume copies those
+// tables into the machine's flat segments, so the shared pages are only
+// ever read.
 //
 // Snapshots are the mechanism behind golden-run fast-forwarding: the
 // campaign runner records them during the fault-free profile run and starts
@@ -123,16 +123,6 @@ const DefaultMaxSnapshots = 128
 // noSnap disables checkpointing in the interpreter loop.
 const noSnap = ^uint64(0)
 
-// eagerRestoreBytes is the segment size up to which restore materializes
-// a flat private copy instead of installing pages lazily: for small
-// segments one memcpy is cheaper than per-access residency checks, while
-// large segments profit from paying only for the pages they write. 16 KiB
-// keeps recursion-heavy workloads (whose stack high-water mark passes
-// 4 KiB, e.g. qsort) on the eager path — their experiments touch most of
-// the live stack anyway, and the residency test on every array access
-// costs more than the one-shot copy.
-const eagerRestoreBytes = 16384
-
 // takeSnapshot records the current machine state. Called at the top of the
 // interpreter loop, so m.dyn instructions have fully executed and every
 // counter is at an instruction boundary.
@@ -210,14 +200,14 @@ var (
 	errTraceProg       = errors.New("vm: golden trace belongs to a different program")
 )
 
-// restore initializes the machine from a snapshot. Small segments are
-// copied eagerly; large ones are mounted copy-on-write, with the snapshot's
-// shared pages installed lazily on first write. Either way the snapshot
-// stays reusable: the machine never writes through to snapshot pages. It
-// returns an error when the snapshot cannot reproduce a straight run under
-// the machine's options: wrong program, a plan whose first candidate the
-// snapshot has already passed, or a memory flip due before the snapshot
-// point.
+// restore initializes the machine from a snapshot, flattening its page
+// tables into the machine's pooled segment buffers: the whole globals,
+// and the stack up to its high-water mark (every mapped access is below
+// sp <= stackHW, and later high-water growth extends it). The snapshot
+// stays reusable, since its pages are only read. It returns an error
+// when the snapshot cannot reproduce a straight run under the machine's
+// options: wrong program, a plan whose first candidate the snapshot has
+// already passed, or a memory flip due before the snapshot point.
 func (m *machine) restore(s *Snapshot) error {
 	if s.prog != m.prog {
 		return errResumeProg
@@ -232,27 +222,10 @@ func (m *machine) restore(s *Snapshot) error {
 	m.readSlots = s.ReadSlots
 	m.writes = s.Writes
 	globalTbl, stackTbl := s.tables()
-	gbuf := m.globals.flat[:0]
-	if s.globalLen <= eagerRestoreBytes {
-		m.globals = flatMem(s.globalLen, flattenInto(gbuf, globalTbl, s.globalLen))
-	} else {
-		m.globals = cowMem(s.globalLen, globalTbl)
-		m.globals.flat = gbuf
-	}
+	m.globals = flatMem(s.globalLen, flattenInto(m.globals.flat[:0], globalTbl, s.globalLen))
 	m.sp = s.sp
 	m.stackHW = s.stackHW
-	sbuf := m.stack.flat[:0]
-	m.stack = mem{n: ir.StackSize, flat: sbuf}
-	if s.stackHW > 0 {
-		if s.stackHW <= eagerRestoreBytes {
-			// flat covers [0, stackHW); every mapped access is below sp <=
-			// stackHW, and later high-water growth extends it.
-			m.stack = flatMem(ir.StackSize, flattenInto(sbuf, stackTbl, s.stackHW))
-		} else {
-			m.stack = cowMem(ir.StackSize, stackTbl)
-			m.stack.flat = sbuf
-		}
-	}
+	m.stack = flatMem(ir.StackSize, flattenInto(m.stack.flat[:0], stackTbl, s.stackHW))
 	m.out = s.out[:len(s.out):len(s.out)]
 	if m.countRoles {
 		// Continue the role tallies from the snapshot so a checkpointing

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -40,7 +41,7 @@ func samePage(a, b []byte) bool {
 	return &a[0] == &b[0]
 }
 
-// TestSnapshotPageSharingChain pins the copy-on-write capture contract:
+// TestSnapshotPageSharingChain pins the page-sharing capture contract:
 // each snapshot's delta holds exactly the pages dirtied in its interval
 // (at most the one data page here, since all writes stay in one word),
 // and the materialized tables share every clean page with the
@@ -121,15 +122,14 @@ func TestSnapshotCaptureCostScalesWithDirt(t *testing.T) {
 	}
 }
 
-// TestSnapshotResumeLazyGlobals drives the lazy (copy-on-write) restore
-// path: the globals exceed the eager-restore bound, so the resumed run
-// mounts the snapshot pages in place. The result must match the straight
-// run and the snapshot must survive unmodified for a second resume.
-func TestSnapshotResumeLazyGlobals(t *testing.T) {
-	p := buildStrideProg(1<<13, 4000, 37) // 64 KiB > eagerRestoreBytes
-	if (1<<13)*8 <= eagerRestoreBytes {
-		t.Fatal("test program no longer exceeds the eager-restore bound")
-	}
+// TestSnapshotResumeLargeGlobals resumes a run with 64 KiB of globals,
+// written all over. The result must match the straight run, the
+// snapshot must survive unmodified for a second resume, and the restored
+// globals must be flat: the kernels' accessors serve an aligned access
+// to them, as they do for a fresh run.
+func TestSnapshotResumeLargeGlobals(t *testing.T) {
+	const words = 1 << 13
+	p := buildStrideProg(words, 4000, 37)
 	straight, err := Run(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -149,20 +149,38 @@ func TestSnapshotResumeLazyGlobals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, fmt.Sprintf("lazy resume trial %d", trial), res, straight)
+		sameResult(t, fmt.Sprintf("resume trial %d", trial), res, straight)
 		for i, pg := range snapTbl {
 			if !bytes.Equal(before[i], pg) {
 				t.Fatalf("trial %d corrupted snapshot page %d", trial, i)
 			}
 		}
 	}
+
+	m := &machine{prog: p}
+	if err := m.restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	last := uint64(ir.GlobalBase + 8*(words-1))
+	want := binary.LittleEndian.Uint64(snapTbl[len(snapTbl)-1][pageSize-8:])
+	if v, ok := m.flatLoad64(last); !ok || v != want {
+		t.Fatalf("flatLoad64 on restored globals = %#x, %v; want %#x, true", v, ok, want)
+	}
+	if !m.flatStore64(last, ^want) {
+		t.Fatal("flatStore64 on restored globals was not served")
+	}
+	if v, _ := m.load(last, 8); v != ^want {
+		t.Fatalf("load after flatStore64 = %#x, want %#x", v, ^want)
+	}
+	if !bytes.Equal(before[len(before)-1], snapTbl[len(snapTbl)-1]) {
+		t.Fatal("a store to the restored globals reached the snapshot page")
+	}
 }
 
-// TestSnapshotResumeLazyStack exercises the lazy stack path: a stack
-// frame larger than the eager-restore bound, written sparsely, restored
-// copy-on-write, with stale bytes beyond the live pointer preserved.
-func TestSnapshotResumeLazyStack(t *testing.T) {
-	const bufWords = 1 << 11 // 16 KiB alloca > eagerRestoreBytes
+// TestSnapshotResumeLargeStack resumes a run whose 16 KiB stack frame is
+// written sparsely, with stale bytes beyond the live pointer preserved.
+func TestSnapshotResumeLargeStack(t *testing.T) {
+	const bufWords = 1 << 11 // a 16 KiB alloca
 	mb := ir.NewModule("big-stack")
 	f := mb.Func("main", 0)
 	buf := f.Alloca(8 * bufWords)

@@ -8,8 +8,8 @@ package vm
 //
 // The golden (checkpointing) run records a GoldenTrace: at every snapshot
 // boundary, a fingerprint of the full machine state — memory via
-// incrementally maintained per-page hashes (piggybacking on the
-// copy-on-write dirty bitmap, so hashing scales with the interval's write
+// incrementally maintained per-page hashes (piggybacking on snapshot
+// capture's dirty bitmap, so hashing scales with the interval's write
 // set, not with segment size), the register arena and call frames, and
 // the output prefix. An injected run carrying the trace maintains the
 // same incremental fingerprint and, once its injections are complete,

@@ -23,11 +23,11 @@
 // internal/core uses this to fast-forward each campaign experiment past
 // the prefix its golden run already computed.
 //
-// Snapshots are copy-on-write at page granularity: the machine keeps a
-// dirty-page bitmap updated by stores, capture copies only the pages
-// dirtied since the previous checkpoint (sharing every clean page with
-// its predecessor), and resume installs shared pages lazily — a page is
-// copied only when the resumed run first writes it. See mem.go.
+// Snapshots are page-granular deltas: the machine keeps a dirty-page
+// bitmap updated by stores, and capture copies only the pages dirtied
+// since the previous checkpoint, sharing every clean page with its
+// predecessor. Resume copies a snapshot's pages into the machine's flat
+// segments. See mem.go and snapshot.go.
 package vm
 
 import (
@@ -142,7 +142,7 @@ type Options struct {
 	Plan *Plan
 	// MemFlips, when non-empty, flips bits in global-memory words at given
 	// dynamic instants (the ECC-escape scenario of the paper's future
-	// work). Entries must be sorted by AtDyn.
+	// work). Entries must be sorted by AtDyn; Run rejects them otherwise.
 	MemFlips []MemFlip
 	// Checkpoint, when > 0, records a Snapshot of the machine state every
 	// Checkpoint dynamic instructions into Result.Snapshots. Campaigns use
@@ -463,6 +463,12 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		m.maxDyn = DefaultMaxDyn
 	}
 	if len(m.memFlips) > 0 {
+		for i := 1; i < len(m.memFlips); i++ {
+			if m.memFlips[i].AtDyn < m.memFlips[i-1].AtDyn {
+				return nil, fmt.Errorf("vm: MemFlips[%d].AtDyn %d precedes MemFlips[%d].AtDyn %d: entries must be sorted by AtDyn",
+					i, m.memFlips[i].AtDyn, i-1, m.memFlips[i-1].AtDyn)
+			}
+		}
 		m.nextMemFlip = m.memFlips[0].AtDyn
 	}
 	if m.plan != nil {
@@ -1036,12 +1042,11 @@ func (m *machine) resolve(addr uint64, size int) (*mem, int, TrapKind) {
 // The flat accessors are the inlinable fast paths of machine.load and
 // machine.store for one access size each; the generated kernels call
 // them at every load and store. Each serves an aligned access wholly
-// inside flat globals (mem.res == nil), and a store only when no
-// tracking work is due: no dirty map, or its page already dirty, so
-// there is no first touch to hash. They report false for every other
-// access, which the caller then hands to machine.load or machine.store,
-// the one definition of traps, page installs, dirty bits and
-// convergence hashing.
+// inside the globals, and a store only when no tracking work is due: no
+// dirty map, or its page already dirty, so there is no first touch to
+// hash. They report false for every other access, which the caller then
+// hands to machine.load or machine.store, the one definition of traps,
+// dirty bits and convergence hashing.
 //
 // The stack is left to the fallback: no workload with a generated
 // kernel allocates stack, so sp stays 0 and the stack is never mapped
@@ -1054,7 +1059,7 @@ func (m *machine) resolve(addr uint64, size int) (*mem, int, TrapKind) {
 
 func (m *machine) flatLoad8(addr uint64) (uint64, bool) {
 	g, off := &m.globals, addr-ir.GlobalBase
-	if off >= uint64(g.n) || g.res != nil {
+	if off >= uint64(g.n) {
 		return 0, false
 	}
 	return uint64(g.flat[off]), true
@@ -1062,7 +1067,7 @@ func (m *machine) flatLoad8(addr uint64) (uint64, bool) {
 
 func (m *machine) flatLoad16(addr uint64) (uint64, bool) {
 	g, off := &m.globals, addr-ir.GlobalBase
-	if off >= uint64(g.n)&^1 || addr&1 != 0 || g.res != nil {
+	if off >= uint64(g.n)&^1 || addr&1 != 0 {
 		return 0, false
 	}
 	return uint64(binary.LittleEndian.Uint16(g.flat[off:])), true
@@ -1070,7 +1075,7 @@ func (m *machine) flatLoad16(addr uint64) (uint64, bool) {
 
 func (m *machine) flatLoad32(addr uint64) (uint64, bool) {
 	g, off := &m.globals, addr-ir.GlobalBase
-	if off >= uint64(g.n)&^3 || addr&3 != 0 || g.res != nil {
+	if off >= uint64(g.n)&^3 || addr&3 != 0 {
 		return 0, false
 	}
 	return uint64(binary.LittleEndian.Uint32(g.flat[off:])), true
@@ -1078,7 +1083,7 @@ func (m *machine) flatLoad32(addr uint64) (uint64, bool) {
 
 func (m *machine) flatLoad64(addr uint64) (uint64, bool) {
 	g, off := &m.globals, addr-ir.GlobalBase
-	if off >= uint64(g.n)&^7 || addr&7 != 0 || g.res != nil {
+	if off >= uint64(g.n)&^7 || addr&7 != 0 {
 		return 0, false
 	}
 	return binary.LittleEndian.Uint64(g.flat[off:]), true
@@ -1086,7 +1091,7 @@ func (m *machine) flatLoad64(addr uint64) (uint64, bool) {
 
 func (m *machine) flatStore8(addr uint64, v uint8) bool {
 	g, off := &m.globals, addr-ir.GlobalBase
-	if off >= uint64(g.n) || g.res != nil || g.tracks(off) {
+	if off >= uint64(g.n) || g.tracks(off) {
 		return false
 	}
 	g.flat[off] = v
@@ -1095,7 +1100,7 @@ func (m *machine) flatStore8(addr uint64, v uint8) bool {
 
 func (m *machine) flatStore16(addr uint64, v uint16) bool {
 	g, off := &m.globals, addr-ir.GlobalBase
-	if off >= uint64(g.n)&^1 || addr&1 != 0 || g.res != nil || g.tracks(off) {
+	if off >= uint64(g.n)&^1 || addr&1 != 0 || g.tracks(off) {
 		return false
 	}
 	binary.LittleEndian.PutUint16(g.flat[off:], v)
@@ -1104,7 +1109,7 @@ func (m *machine) flatStore16(addr uint64, v uint16) bool {
 
 func (m *machine) flatStore32(addr uint64, v uint32) bool {
 	g, off := &m.globals, addr-ir.GlobalBase
-	if off >= uint64(g.n)&^3 || addr&3 != 0 || g.res != nil || g.tracks(off) {
+	if off >= uint64(g.n)&^3 || addr&3 != 0 || g.tracks(off) {
 		return false
 	}
 	binary.LittleEndian.PutUint32(g.flat[off:], v)
@@ -1113,7 +1118,7 @@ func (m *machine) flatStore32(addr uint64, v uint32) bool {
 
 func (m *machine) flatStore64(addr uint64, v uint64) bool {
 	g, off := &m.globals, addr-ir.GlobalBase
-	if off >= uint64(g.n)&^7 || addr&7 != 0 || g.res != nil || g.tracks(off) {
+	if off >= uint64(g.n)&^7 || addr&7 != 0 || g.tracks(off) {
 		return false
 	}
 	binary.LittleEndian.PutUint64(g.flat[off:], v)
@@ -1125,7 +1130,9 @@ func (m *machine) applyMemFlip(di uint64) {
 	for m.memIdx < len(m.memFlips) && di >= m.memFlips[m.memIdx].AtDyn {
 		mf := m.memFlips[m.memIdx]
 		m.memIdx++
-		if mf.Word+8 > uint64(m.globals.n) {
+		// Subtract rather than add, as resolve does: Word+8 wraps for a
+		// word in the top 8 bytes of the address space.
+		if n := uint64(m.globals.n); mf.Word >= n || n-mf.Word < 8 {
 			continue // outside the global image: nothing to corrupt
 		}
 		v := m.globals.load(int(mf.Word), 8)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"multiflip/internal/ir"
@@ -439,5 +441,61 @@ func TestGlobalsNotSharedAcrossRuns(t *testing.T) {
 	b, _ := Run(p, Options{})
 	if !bytes.Equal(a.Output, b.Output) {
 		t.Fatal("global mutation leaked across runs")
+	}
+}
+
+// memFlipProg runs a loop long enough for memory flips at small AtDyns
+// to land, then emits both of its two global words.
+func memFlipProg() *ir.Program {
+	mb := ir.NewModule("memflip")
+	f := mb.Func("main", 0)
+	g := mb.GlobalU64s([]uint64{1, 2})
+	acc := f.Let(ir.C(0))
+	f.For(ir.C(0), ir.C(100), func(i ir.Reg) {
+		f.Mov(acc, f.BinW(ir.W64, ir.OpAdd, acc, i))
+	})
+	f.Out64(f.Load64(ir.C(g), 0))
+	f.Out64(f.Load64(ir.C(g), 8))
+	f.Out64(acc)
+	f.RetVoid()
+	return mb.MustBuild()
+}
+
+// TestMemFlipOutsideGlobalsSkipped: a flip whose word does not fit in
+// the globals, including one in the top 8 bytes of the address space
+// where Word+8 wraps, corrupts nothing; the last whole word is flipped.
+func TestMemFlipOutsideGlobalsSkipped(t *testing.T) {
+	p := memFlipProg()
+	n := uint64(len(p.Globals))
+	for _, word := range []uint64{1<<64 - 8, 1<<64 - 1, n - 7, n, n - 8} {
+		res, err := Run(p, Options{MemFlips: []MemFlip{{AtDyn: 1, Word: word, Mask: 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if word == n-8 {
+			want = 1
+		}
+		if res.Stop != StopReturned || res.Injected != want {
+			t.Errorf("word %#x: stop=%s injected=%d, want returned/%d", word, res.Stop, res.Injected, want)
+		}
+	}
+}
+
+// TestMemFlipsMustBeSorted: Run rejects memory flips out of AtDyn order,
+// which would otherwise all land at the first one's instant, and runs
+// flips that share an AtDyn.
+func TestMemFlipsMustBeSorted(t *testing.T) {
+	p := memFlipProg()
+	_, err := Run(p, Options{MemFlips: []MemFlip{{AtDyn: 100, Word: 0, Mask: 1}, {AtDyn: 50, Word: 8, Mask: 1}}})
+	if err == nil || !strings.Contains(err.Error(), "MemFlips[1]") || !strings.Contains(err.Error(), "MemFlips[0]") {
+		t.Fatalf("unsorted flips: err = %v, want one naming MemFlips[1] and MemFlips[0]", err)
+	}
+	res, err := Run(p, Options{MemFlips: []MemFlip{{AtDyn: 100, Word: 0, Mask: 1}, {AtDyn: 100, Word: 8, Mask: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Injected != 2 || !slices.Equal(res.InjectionDyns, []uint64{100, 100}) {
+		t.Errorf("equal AtDyns: injected=%d at %v, want 2 at [100 100]", res.Injected, res.InjectionDyns)
 	}
 }
