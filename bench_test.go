@@ -265,9 +265,12 @@ func benchVMGoldenRun(b *testing.B, opts vm.Options) {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
-			var dyn uint64
+			var (
+				r   vm.Runner
+				dyn uint64
+			)
 			for i := 0; i < b.N; i++ {
-				res, err := vm.Run(p, opts)
+				res, err := r.Run(p, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -315,6 +318,7 @@ func benchCampaignSnapshot(b *testing.B, disable vm.Tiers) {
 		b.Fatal(err)
 	}
 	const perIter = 200
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (&core.Engine{
@@ -366,6 +370,7 @@ func BenchmarkCampaignLiveness(b *testing.B) {
 				}
 				b.Run(fmt.Sprintf("%s/%s/%s", name, tech, label), func(b *testing.B) {
 					const perIter = 200
+					b.ReportAllocs()
 					pruned := 0
 					for i := 0; i < b.N; i++ {
 						res, err := (&core.Engine{
@@ -425,6 +430,7 @@ func BenchmarkCampaignJournal(b *testing.B) {
 	}
 	for _, name := range []string{"mem", "file"} {
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := (&core.Engine{
 					Target: target,
@@ -460,6 +466,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	const perIter = 200
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (&core.Engine{
@@ -507,6 +514,7 @@ func benchCampaignLargeGlobals(b *testing.B, disable vm.Tiers) {
 		b.Fatal(err)
 	}
 	const perIter = 24
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (&core.Engine{
@@ -541,6 +549,7 @@ func BenchmarkCampaignStuckAt(b *testing.B) {
 		b.Fatal(err)
 	}
 	const perIter = 200
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (&core.Engine{
@@ -600,9 +609,10 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(c.name, func(b *testing.B) {
+			var r vm.Runner
 			snaps := 0
 			for i := 0; i < b.N; i++ {
-				res, err := vm.Run(p, vm.Options{Checkpoint: 512, MaxSnapshots: 1 << 20})
+				res, err := r.Run(p, vm.Options{Checkpoint: 512, MaxSnapshots: 1 << 20})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -644,6 +654,7 @@ func BenchmarkCampaignSupervised(b *testing.B) {
 		{"quarantine", core.Quarantine},
 	} {
 		b.Run(tt.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := (&core.Engine{
 					Target: target,

@@ -9,6 +9,7 @@
 //	fi -prog CRC32 -n 10000 -journal ./j -resume  # continue after a crash
 //	fi -journal ./j -status                       # inspect a journal dir
 //	fi -prog CRC32 -n 10000 -disable snapshots    # ablate a speed tier
+//	fi -prog CRC32 -n 10000 -cpuprofile cpu.prof  # profile the campaign
 //
 // The default model ("flip") is the paper's transient bit-flip model: the
 // win flag is the (max-MBF, win-size) cluster's window in Table I
@@ -27,6 +28,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,6 +38,7 @@ import (
 	"time"
 
 	"multiflip/internal/core"
+	"multiflip/internal/profiling"
 	"multiflip/internal/prog"
 	"multiflip/internal/report"
 	"multiflip/internal/stats"
@@ -59,6 +62,8 @@ type options struct {
 	journal    string
 	resume     bool
 	status     bool
+	cpuProfile string
+	memProfile string
 
 	// classifier is the parsed classSpec, onfail the parsed onfailSpec,
 	// technique the parsed tech.
@@ -84,6 +89,8 @@ func main() {
 	flag.StringVar(&o.journal, "journal", "", "journal directory: run the campaign as a durable sharded job (checkpointed, resumable, multi-process)")
 	flag.BoolVar(&o.resume, "resume", false, "resume the journaled campaign from its last checkpoint (requires -journal)")
 	flag.BoolVar(&o.status, "status", false, "list the campaigns in the -journal directory instead of running one")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the campaign, target preparation included, to `file`")
+	flag.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of the run to `file`")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "fi:", err)
@@ -145,6 +152,16 @@ func run(o options) error {
 			return err
 		}
 	}
+	stop, err := profiling.Start(o.cpuProfile, o.memProfile)
+	if err != nil {
+		return err
+	}
+	return errors.Join(runCampaign(win, o), stop())
+}
+
+// runCampaign prepares the target and runs the campaign the flags
+// describe.
+func runCampaign(win core.WinSize, o options) error {
 	target, err := o.target()
 	if err != nil {
 		return err

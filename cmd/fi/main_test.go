@@ -101,3 +101,25 @@ func TestStatusRendersRetiredRung(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileFlags runs a 50-experiment campaign with -cpuprofile and
+// -memprofile and checks that both profiles are written.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	o := base()
+	o.n = 50
+	o.cpuProfile = filepath.Join(dir, "cpu.prof")
+	o.memProfile = filepath.Join(dir, "mem.prof")
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{o.cpuProfile, o.memProfile} {
+		st, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() == 0 {
+			t.Errorf("%s is empty", f)
+		}
+	}
+}

@@ -9,12 +9,14 @@
 //	study -n 10000                      # paper scale (hours of CPU time)
 //	study -progs CRC32,basicmath -n 200 # subset
 //	study -quick                        # reduced grid for a fast smoke run
+//	study -quick -cpuprofile cpu.prof   # profile the run
 //
 // Output goes to stdout; use -o to write a file (EXPERIMENTS.md is
 // generated this way).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,6 +25,7 @@ import (
 
 	"multiflip/internal/core"
 	"multiflip/internal/memfault"
+	"multiflip/internal/profiling"
 	"multiflip/internal/study"
 	"multiflip/internal/vm"
 )
@@ -47,6 +50,8 @@ func main() {
 		csvDir      = flag.String("csv", "", "also write each table as CSV into this directory")
 		composition = flag.Bool("composition", false, "only run single-bit campaigns and print the candidate-composition tables")
 		verbose     = flag.Bool("v", false, "log campaign progress to stderr")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
+		memProfile  = flag.String("memprofile", "", "write an allocation profile of the run to `file`")
 	)
 	var disable vm.Tiers
 	flag.Var(&disable, "disable", "comma-separated speed `tiers` to turn off: snapshots, compile, converge, liveness (results are identical)")
@@ -58,6 +63,7 @@ func main() {
 		workers: *workers, disable: disable,
 		classifier: *classifier, onfail: *onfail, journal: *journal, resume: *resume,
 		out: *out, csvDir: *csvDir, verbose: *verbose,
+		cpuProfile: *cpuProfile, memProfile: *memProfile,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "study:", err)
 		os.Exit(1)
@@ -85,13 +91,24 @@ type params struct {
 	out         string
 	csvDir      string
 	verbose     bool
+	cpuProfile  string
+	memProfile  string
 }
 
-// run resolves the output writer and delegates to runTo. Writing to a
+// run starts the requested profiles around runOut.
+func run(p params) error {
+	stop, err := profiling.Start(p.cpuProfile, p.memProfile)
+	if err != nil {
+		return err
+	}
+	return errors.Join(runOut(p), stop())
+}
+
+// runOut resolves the output writer and delegates to runTo. Writing to a
 // file checks the Close error explicitly: EXPERIMENTS.md is produced via
 // -o, and a full disk surfacing only in Close must not yield a silently
 // truncated report with exit code 0.
-func run(p params) error {
+func runOut(p params) error {
 	if p.out == "" {
 		return runTo(os.Stdout, p)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"multiflip/internal/ir"
 	"multiflip/internal/vm"
@@ -106,8 +107,13 @@ type CampaignResult struct {
 // campaign is an Engine with this model.
 type RegisterModel struct {
 	// Spec supplies the technique, the error cluster and the optional
-	// pins.
+	// pins. It must not change once the model has planned.
 	Spec *CampaignSpec
+
+	// window is the cluster's follow-up distance sampler, built on the
+	// first multi-register plan and shared by every later one.
+	windowOnce sync.Once
+	window     func(*xrand.Rand) uint64
 }
 
 // Prefix implements FaultModel.
@@ -181,7 +187,8 @@ func (m *RegisterModel) Plan(t *Target, idx uint64, rng *xrand.Rand) Injection {
 	case s.Config.Win.IsZero():
 		plan.SameReg = true
 	default:
-		plan.NextWindow = s.Config.Win.Sampler()
+		m.windowOnce.Do(func() { m.window = s.Config.Win.Sampler() })
+		plan.NextWindow = m.window
 	}
 	return Injection{Cand: cand, Plan: plan, Resume: t.SnapshotBefore(s.Technique, cand)}
 }

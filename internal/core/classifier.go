@@ -38,7 +38,9 @@ import (
 type Classifier interface {
 	// Name renders the classifier's identity and parameters.
 	Name() string
-	// Classify maps a run result to its outcome.
+	// Classify maps a run result to its outcome. res, and the slices it
+	// holds (Output, InjectionDyns), are valid only during the call: the
+	// engine reuses them for the worker's next experiment.
 	Classify(golden []byte, res *vm.Result) Outcome
 }
 

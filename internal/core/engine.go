@@ -25,26 +25,28 @@ import (
 	"multiflip/internal/xrand"
 )
 
-// maxClaimBatch bounds the auto-tuned claim batch: past a few hundred
-// indices per claim the counter is already cold and bigger batches only
-// worsen tail imbalance.
+// maxClaimBatch bounds the claim batch: past a few hundred indices per
+// claim the counter is already cold and bigger batches only worsen tail
+// imbalance.
 const maxClaimBatch = 256
 
-// claimSpread is the number of claim rounds the auto-tuned batch aims to
-// give each worker: enough re-claims to rebalance around slow
-// experiments, few enough to keep the counter cold.
+// claimSpread is the number of claim rounds the batch aims to give each
+// worker over the indices that remain: enough re-claims to rebalance
+// around slow experiments, few enough to keep the counter cold.
 const claimSpread = 4
 
 // autoClaimBatch returns the number of experiment indices a worker
-// claims per atomic operation. At tens of thousands of experiments per
-// second a single shared counter bumped once per experiment is
-// measurable contention; claiming chunks amortizes it. The batch scales
-// to the run: N/(workers·claimSpread), clamped to [1, maxClaimBatch].
-// Small runs degrade to batch 1 so every worker still gets a share of
-// the claim space; huge runs stop at maxClaimBatch. Batches only affect
-// scheduling — experiment i always draws its random stream from (Seed,
-// i) — so results are bit-identical for any batch; the invariance test
-// varies the worker count, and with it the batch.
+// claims in one atomic operation when n indices remain unclaimed. At
+// tens of thousands of experiments per second a single shared counter
+// bumped once per experiment is measurable contention; claiming chunks
+// amortizes it. The batch is n/(workers·claimSpread), clamped to [1,
+// maxClaimBatch]: a run's first claims stop at maxClaimBatch, and the
+// batch shrinks as the run drains, down to one index per claim over its
+// last workers·claimSpread indices, so the run's tail is split finely
+// between the workers instead of waiting on one large final batch.
+// Batches only affect scheduling — experiment i always draws its random
+// stream from (Seed, i) — so results are bit-identical for any batch;
+// the invariance test varies the worker count, and with it the batches.
 func autoClaimBatch(n, workers int) int {
 	b := n / (workers * claimSpread)
 	if b < 1 {
@@ -54,6 +56,22 @@ func autoClaimBatch(n, workers int) int {
 		return maxClaimBatch
 	}
 	return b
+}
+
+// claimNext claims the next batch [lo, hi) of a run's n experiment
+// indices from the shared counter next, sized by autoClaimBatch over the
+// indices still unclaimed. ok is false once every index is claimed.
+func claimNext(next *atomic.Int64, n, workers int) (lo, hi int, ok bool) {
+	for {
+		cur := next.Load()
+		if cur >= int64(n) {
+			return 0, 0, false
+		}
+		b := int64(autoClaimBatch(n-int(cur), workers))
+		if next.CompareAndSwap(cur, cur+b) {
+			return int(cur), int(cur + b), true
+		}
+	}
 }
 
 // ErrInterrupted reports a campaign stopped by Engine.Interrupt before
@@ -83,12 +101,17 @@ type FaultModel interface {
 	// private random stream. Any randomness beyond the returned fragment
 	// (e.g. bit positions sampled at activation time) continues on the
 	// same rng inside the VM, so a model's sampling stays deterministic
-	// per (seed, idx) regardless of scheduling.
+	// per (seed, idx) regardless of scheduling. rng belongs to the
+	// worker: it stays valid until the experiment ends, and the engine
+	// reseeds it for the next one.
 	Plan(t *Target, idx uint64, rng *xrand.Rand) Injection
 	// Record finalizes the experiment record from the raw run result.
 	// The engine has already set Cand (from the Injection), Outcome and
 	// Trap — including for memo-resolved runs, whose outcome is reused
 	// from an equivalent experiment while activation stays their own.
+	// exp and res, and the slices res holds (Output, InjectionDyns), are
+	// valid only during the call: the engine reuses them for the
+	// worker's next experiment.
 	Record(exp *Experiment, res *vm.Result)
 }
 
@@ -306,7 +329,6 @@ func (e *Engine) Run() (*EngineResult, error) {
 	if workers > n {
 		workers = n
 	}
-	batch := autoClaimBatch(n, workers)
 
 	// Convergence-gated early termination plus the fault-equivalence
 	// memo: the VM compares the post-injection state against the
@@ -336,16 +358,14 @@ func (e *Engine) Run() (*EngineResult, error) {
 		wg.Add(1)
 		go func(sh *engineShard) {
 			defer wg.Done()
+			w := getWorker(memo)
+			defer putWorker(w)
 			for {
 				// Batched claiming: one atomic op hands this worker a chunk
 				// of indices instead of a single experiment.
-				lo := int(next.Add(int64(batch))) - batch
-				if lo >= n {
+				lo, hi, ok := claimNext(&next, n, workers)
+				if !ok {
 					return
-				}
-				hi := lo + batch
-				if hi > n {
-					hi = n
 				}
 				for i := lo; i < hi; i++ {
 					// The failed check gates every experiment: once any
@@ -355,7 +375,7 @@ func (e *Engine) Run() (*EngineResult, error) {
 					if failed.Load() || e.interrupted.Load() {
 						return
 					}
-					exp, st, quar, err := e.runSupervised(uint64(i), memo, ladder)
+					exp, st, quar, err := e.runSupervised(uint64(i), w, ladder)
 					if err != nil {
 						// Every worker's failure is collected: a grid-wide
 						// abort with several concurrent causes surfaces all
@@ -481,6 +501,8 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := getWorker(memo)
+			defer putWorker(w)
 			for {
 				if failed.Load() || e.interrupted.Load() {
 					return
@@ -525,7 +547,7 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 						_ = j.Renew(workerID, shard, ttl)
 						leaseAt = time.Now()
 					}
-					exp, st, quar, err := e.runSupervised(uint64(i), memo, ladder)
+					exp, st, quar, err := e.runSupervised(uint64(i), w, ladder)
 					if err != nil {
 						fail(err)
 						return
@@ -590,20 +612,75 @@ func (e *Engine) classifier() Classifier {
 	return e.Classifier
 }
 
-// runOne performs experiment idx at one supervision tier. Callers go
-// through runSupervised (supervise.go), which panic-isolates each
-// attempt and degrades the tier on failure.
-func (e *Engine) runOne(idx uint64, memo memoTable, disable vm.Tiers) (Experiment, expStats, error) {
+// worker is one engine goroutine's reusable execution context. An
+// executed experiment runs on the worker's vm.Runner, draws from the
+// worker's generator (reseeded in place to the experiment's (Seed, idx)
+// stream), and is planned, memo-checked and recorded through fields
+// the worker keeps, so it allocates nothing of its own beyond its plan.
+// Workers are pooled across engine runs: a study's short campaigns
+// reuse machines and tracking buffers.
+type worker struct {
+	runner vm.Runner
+	rng    xrand.Rand
+	inj    Injection
+	exp    Experiment
+	// memo is the run's fault-equivalence memo. memoCheck is check,
+	// bound once; a hit leaves its outcome in hit and sets hitOK.
+	memo      memoTable
+	memoCheck func(vm.StateKey) bool
+	hit       memoVal
+	hitOK     bool
+}
+
+var workerPool = sync.Pool{New: func() any {
+	w := new(worker)
+	w.memoCheck = w.check
+	return w
+}}
+
+// getWorker takes a pooled worker for one engine goroutine of a run
+// with the given memo.
+func getWorker(memo memoTable) *worker {
+	w := workerPool.Get().(*worker)
+	w.memo = memo
+	return w
+}
+
+// putWorker parks w when its goroutine exits. It drops every reference
+// to the run's target, memo and results, so a pooled worker pins
+// nothing of a finished campaign.
+func putWorker(w *worker) {
+	w.runner.Reset()
+	w.inj = Injection{}
+	w.memo = nil
+	workerPool.Put(w)
+}
+
+// check is the VM's MemoCheck: it looks the post-injection state key up
+// in the run's memo and keeps a hit's outcome for runOne.
+func (w *worker) check(k vm.StateKey) bool {
+	v, ok := w.memo.load(k)
+	if ok {
+		w.hit, w.hitOK = v, true
+	}
+	return ok
+}
+
+// runOne performs experiment idx at one supervision tier on worker w.
+// Callers go through runSupervised (supervise.go), which panic-isolates
+// each attempt and degrades the tier on failure.
+func (e *Engine) runOne(idx uint64, w *worker, disable vm.Tiers) (Experiment, expStats, error) {
 	t := e.Target
-	rng := xrand.ForExperiment(e.Seed, idx)
-	inj := e.Model.Plan(t, idx, rng)
+	w.rng.SeedExperiment(e.Seed, idx)
+	w.inj = e.Model.Plan(t, idx, &w.rng)
+	inj := &w.inj
 
 	// Static pruning tier: a model that can prove this plan's outcome
 	// from the liveness oracle records it without running the VM. The
 	// prediction is exact — same Experiment fields an executed run would
 	// produce — so only the StaticPruned counter distinguishes the paths.
 	if sp, ok := e.Model.(StaticPredictor); ok {
-		if exp, ok := sp.PredictStatic(t, &inj); ok {
+		if exp, ok := sp.PredictStatic(t, inj); ok {
 			return exp, expStats{staticPruned: true}, nil
 		}
 	}
@@ -612,22 +689,12 @@ func (e *Engine) runOne(idx uint64, memo memoTable, disable vm.Tiers) (Experimen
 	if hangFactor == 0 {
 		hangFactor = DefaultHangFactor
 	}
-	var (
-		hit   memoVal
-		hitOK bool
-	)
+	w.hitOK = false
 	var memoCheck func(vm.StateKey) bool
 	if t.Trace != nil {
-		memoCheck = func(k vm.StateKey) bool {
-			if v, ok := memo.load(k); ok {
-				hit = v
-				hitOK = true
-				return true
-			}
-			return false
-		}
+		memoCheck = w.memoCheck
 	}
-	res, err := vm.Run(t.Prog, vm.Options{
+	res, err := w.runner.Run(t.Prog, vm.Options{
 		MaxDyn:      hangFactor*t.GoldenDyn + 1000,
 		MaxOutput:   4*len(t.Golden) + 4096,
 		NoAlignTrap: e.NoAlignTrap,
@@ -641,13 +708,14 @@ func (e *Engine) runOne(idx uint64, memo memoTable, disable vm.Tiers) (Experimen
 	if err != nil {
 		return Experiment{}, expStats{}, fmt.Errorf("%s: %s experiment %d: %w", e.Model.Prefix(), t.Name, idx, err)
 	}
-	exp := Experiment{Cand: inj.Cand}
+	w.exp = Experiment{Cand: inj.Cand}
+	exp := &w.exp
 	var st expStats
-	if res.Stop == vm.StopMemo && hitOK {
+	if res.Stop == vm.StopMemo && w.hitOK {
 		// The first injection and activation count are this experiment's
 		// own (fixed before the key was computed); only the continuation's
 		// outcome is reused.
-		exp.Outcome, exp.Trap = hit.outcome, hit.trap
+		exp.Outcome, exp.Trap = w.hit.outcome, w.hit.trap
 		st.memoHit = true
 	} else {
 		if res.Stop == vm.StopTrap {
@@ -656,9 +724,9 @@ func (e *Engine) runOne(idx uint64, memo memoTable, disable vm.Tiers) (Experimen
 		exp.Outcome = e.classifier().Classify(t.Golden, res)
 		st.converged = res.Converged
 		if res.PostKeyed {
-			memo.store(res.PostKey, memoVal{outcome: exp.Outcome, trap: exp.Trap})
+			w.memo.store(res.PostKey, memoVal{outcome: exp.Outcome, trap: exp.Trap})
 		}
 	}
-	e.Model.Record(&exp, res)
-	return exp, st, nil
+	e.Model.Record(exp, res)
+	return *exp, st, nil
 }

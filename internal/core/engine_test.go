@@ -10,13 +10,17 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"multiflip/internal/core"
 	"multiflip/internal/memfault"
+	"multiflip/internal/prog"
 	"multiflip/internal/vm"
 )
 
@@ -292,5 +296,144 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, err := mismatched.Run(); err == nil {
 		t.Error("engine accepted N != len(Pins) on a pinned register model")
+	}
+}
+
+// TestClaimNextCoversEachIndexOnce runs concurrent claimers over runs of
+// several sizes and worker counts. Every index must be claimed exactly
+// once, in batches of autoClaimBatch over the indices still unclaimed:
+// the first batch is autoClaimBatch over the whole run, none passes
+// maxClaimBatch, and the last workers·claimSpread indices go one per
+// claim.
+func TestClaimNextCoversEachIndexOnce(t *testing.T) {
+	for _, n := range []int{1, 7, 40, 1000, 1001} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			var (
+				next    atomic.Int64
+				wg      sync.WaitGroup
+				mu      sync.Mutex
+				batches [][2]int
+			)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						lo, hi, ok := core.ClaimNext(&next, n, workers)
+						if !ok {
+							return
+						}
+						mu.Lock()
+						batches = append(batches, [2]int{lo, hi})
+						mu.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			label := fmt.Sprintf("n=%d workers=%d", n, workers)
+			hits := make([]int, n)
+			for _, b := range batches {
+				lo, size := b[0], b[1]-b[0]
+				if size < 1 || size > core.MaxClaimBatch {
+					t.Fatalf("%s: batch [%d, %d) outside [1, %d]", label, lo, b[1], core.MaxClaimBatch)
+				}
+				if want := core.AutoClaimBatch(n-lo, workers); size != want {
+					t.Fatalf("%s: batch at %d holds %d indices, want %d", label, lo, size, want)
+				}
+				if lo > n-core.ClaimSpread*workers && size != 1 {
+					t.Fatalf("%s: final batch at %d holds %d indices, want 1", label, lo, size)
+				}
+				for i := lo; i < b[1]; i++ {
+					hits[i]++
+				}
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("%s: index %d claimed %d times", label, i, h)
+				}
+			}
+			slices.SortFunc(batches, func(a, b [2]int) int { return a[0] - b[0] })
+			if got, want := batches[0][1], core.AutoClaimBatch(n, workers); got != want {
+				t.Fatalf("%s: first batch holds %d indices, want %d", label, got, want)
+			}
+			if last := batches[len(batches)-1]; last[1]-last[0] != 1 {
+				t.Fatalf("%s: last batch holds %d indices, want 1", label, last[1]-last[0])
+			}
+		}
+	}
+}
+
+// TestEngineAllocsPerExperiment bounds what an executed experiment
+// allocates: its *vm.Plan and the memo's entries, not a machine, a
+// result, an output buffer or a random stream.
+func TestEngineAllocsPerExperiment(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const n, bound = 1000, 4
+	for _, name := range []string{"CRC32", "qsort", "dijkstra", "susan_smoothing"} {
+		tg := target(t, name)
+		for _, cfg := range []core.Config{core.SingleBit(), {MaxMBF: 30, Win: core.WinRange(101, 1000)}} {
+			run := func() {
+				e := &core.Engine{
+					Target: tg,
+					Model:  &core.RegisterModel{Spec: &core.CampaignSpec{Technique: core.InjectOnRead, Config: cfg}},
+					N:      n,
+					Seed:   3,
+				}
+				if _, err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			per := testing.AllocsPerRun(3, run) / n
+			t.Logf("%s %s: %.2f allocations per experiment", name, cfg, per)
+			if per > bound {
+				t.Errorf("%s %s: %.2f allocations per experiment, want at most %d", name, cfg, per, bound)
+			}
+		}
+	}
+}
+
+// TestEngineDoesNotPinTargets checks that the workers an engine parks
+// for later runs keep nothing of a finished campaign: its program, its
+// code (which a machine's call frames point into) and its golden output
+// (which a converged result reports) are collected once the caller
+// drops the target.
+func TestEngineDoesNotPinTargets(t *testing.T) {
+	var collected sync.WaitGroup
+	func() {
+		b, err := prog.ByName("CRC32")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg, err := core.NewTarget(b.Name, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &core.Engine{
+			Target: tg,
+			Model:  &core.RegisterModel{Spec: &core.CampaignSpec{Technique: core.InjectOnRead, Config: core.SingleBit()}},
+			N:      200,
+			Seed:   1,
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		collected.Add(3)
+		runtime.AddCleanup(p, (*sync.WaitGroup).Done, &collected)
+		runtime.AddCleanup(&p.Funcs[p.Main].Code[0], (*sync.WaitGroup).Done, &collected)
+		runtime.AddCleanup(&tg.Golden[0], (*sync.WaitGroup).Done, &collected)
+	}()
+	runtime.GC()
+	done := make(chan struct{})
+	go func() { collected.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a finished campaign's program, code or golden output is still reachable after a collection")
 	}
 }

@@ -17,6 +17,12 @@ var AutoClaimBatch = autoClaimBatch
 // MaxClaimBatch exposes the auto-tuner's upper clamp.
 const MaxClaimBatch = maxClaimBatch
 
+// ClaimSpread exposes the claim rounds per worker the batch aims for.
+const ClaimSpread = claimSpread
+
+// ClaimNext exposes the engine's claim of the next batch of indices.
+var ClaimNext = claimNext
+
 // FaultInjections exposes the process-wide injected-fault counter, so
 // fault-plan tests can assert non-vacuity (their schedule actually
 // fired).

@@ -145,7 +145,9 @@ func (b *oracleBuilder) finish() *liveOracle {
 // right after planning (a target prepared without vm.TierLiveness has no
 // oracle, so every prediction declines). The returned Experiment must
 // be field-for-field identical to what executing the plan would record —
-// the prediction replaces the run, it must not change its story.
+// the prediction replaces the run, it must not change its story. inj
+// is valid only during the call, and so is the generator its plan
+// draws from: the engine reuses both for the worker's next experiment.
 type StaticPredictor interface {
 	PredictStatic(t *Target, inj *Injection) (Experiment, bool)
 }

@@ -151,7 +151,7 @@ func sortQuarantined(recs []QuarantineRecord) {
 // the next (more degraded) rung. On exhaustion the engine's
 // FailurePolicy decides between a joined error (FailFast) and a poisoned
 // experiment plus QuarantineRecord (Quarantine).
-func (e *Engine) runSupervised(idx uint64, memo memoTable, ladder []vm.Tiers) (Experiment, expStats, *QuarantineRecord, error) {
+func (e *Engine) runSupervised(idx uint64, w *worker, ladder []vm.Tiers) (Experiment, expStats, *QuarantineRecord, error) {
 	var (
 		tiers    []string
 		errs     []error
@@ -159,7 +159,7 @@ func (e *Engine) runSupervised(idx uint64, memo memoTable, ladder []vm.Tiers) (E
 		panicDig string
 	)
 	for i, rung := range ladder {
-		exp, st, err := e.attempt(idx, memo, rung, i == 0)
+		exp, st, err := e.attempt(idx, w, rung, i == 0)
 		if err == nil {
 			return exp, st, nil, nil
 		}
@@ -215,7 +215,7 @@ func dedupeErrors(errs []error) []error {
 // hook (test seam, chaos injection) fires on the first tier only, inside
 // the recover scope, so an injected panic is indistinguishable from a
 // real one and each experiment observes exactly one hook call.
-func (e *Engine) attempt(idx uint64, memo memoTable, rung vm.Tiers, first bool) (exp Experiment, st expStats, err error) {
+func (e *Engine) attempt(idx uint64, w *worker, rung vm.Tiers, first bool) (exp Experiment, st expStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			stack := debug.Stack()
@@ -232,7 +232,7 @@ func (e *Engine) attempt(idx uint64, memo memoTable, rung vm.Tiers, first bool) 
 			h(int(idx))
 		}
 	}
-	return e.runOne(idx, memo, rung)
+	return e.runOne(idx, w, rung)
 }
 
 // chaosPanicHook installs a panicking experiment hook when

@@ -226,7 +226,10 @@ func (m *machine) restore(s *Snapshot) error {
 	m.sp = s.sp
 	m.stackHW = s.stackHW
 	m.stack = flatMem(ir.StackSize, flattenInto(m.stack.flat[:0], stackTbl, s.stackHW))
-	m.out = s.out[:len(s.out):len(s.out)]
+	// The prefix is copied into the run's own buffer: appending to the
+	// snapshot's view would reallocate on the first byte, and adopting
+	// it would let a later run write into the snapshot.
+	m.out = append(m.out[:0], s.out...)
 	if m.countRoles {
 		// Continue the role tallies from the snapshot so a checkpointing
 		// profile run and its resumed halves agree. Runs that do not count

@@ -337,13 +337,14 @@ const convStrideCap = 64
 // and counters follow without executing it. Counters are adjusted by the
 // golden suffix rather than overwritten — an injected run may reach the
 // convergence point over a different path with different candidate
-// counts, and the suffix delta is exact either way.
+// counts, and the suffix delta is exact either way. Run reports the
+// trace's final output for a converged run; the machine's own buffer is
+// left as it is.
 func (m *machine) convergeFinish(e *traceEntry) {
 	t := m.trace
 	m.readSlots += t.finalReadSlots - e.readSlots
 	m.writes += t.finalWrites - e.writes
 	m.dyn = t.finalDyn
-	m.out = t.finalOut
 	m.stop = t.finalStop
 	m.converged = true
 }

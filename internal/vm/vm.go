@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"multiflip/internal/ir"
 )
@@ -203,7 +202,10 @@ type MemFlip struct {
 	Mask uint64
 }
 
-// Result reports everything observable about a run.
+// Result reports everything observable about a run. A Result from Run
+// is the caller's to keep. One from Runner.Run belongs to the Runner:
+// it and its Output and InjectionDyns are valid only until the Runner's
+// next Run or Reset (see Runner).
 type Result struct {
 	Stop   StopReason
 	Trap   TrapKind
@@ -372,7 +374,7 @@ type machine struct {
 	postKey    StateKey
 	postKeyed  bool
 	// gSpare/sSpare hold the segments' recyclable tracking buffers
-	// between pooled runs.
+	// between runs.
 	gSpare, sSpare memBufs
 
 	trap TrapKind
@@ -381,39 +383,66 @@ type machine struct {
 
 var errNoMain = errors.New("vm: program main must take no arguments")
 
-// machinePool recycles machines (and their register arena, frame slice
-// and segment buffers) across runs: a campaign executes hundreds of
-// thousands of short resumed runs, and per-run allocation would dominate.
-var machinePool = sync.Pool{New: func() any { return new(machine) }}
-
-// putMachine resets m, keeping only its reusable buffers, and returns it
-// to the pool. Everything that escaped into the Result (output, snapshots,
-// injection dyns) is left untouched; everything else is dropped so pooled
-// machines do not retain programs or snapshot pages.
-func putMachine(m *machine) {
-	arena := m.regArena
-	frames := m.frames[:cap(m.frames)]
-	clear(frames)
-	gbuf := m.globals.flat[:0]
-	sbuf := m.stack.flat[:0]
-	// Tracking buffers (dirty/convergence bitmaps, page-hash arrays) are
-	// kept as spares: runs that did not track leave them in the spare
-	// slots, runs that did carry them in the segments.
-	gSpare := mergeBufs(m.globals.takeBufs(), m.gSpare)
-	sSpare := mergeBufs(m.stack.takeBufs(), m.sSpare)
-	*m = machine{}
-	m.regArena = arena
-	m.frames = frames[:0]
-	m.globals.flat = gbuf
-	m.stack.flat = sbuf
-	m.gSpare = gSpare
-	m.sSpare = sSpare
-	machinePool.Put(m)
+// Runner executes runs on one reusable machine. Its register arena, call
+// frames, flat segments, tracking buffers, output buffer and injection
+// record carry over from run to run, so a campaign's hundreds of
+// thousands of short resumed runs stop allocating once the Runner is
+// warm. A Runner is not safe for concurrent use: the campaign engine
+// gives each worker its own. The zero value is ready to use.
+//
+// The Result that Run returns, and the slices it holds (Output,
+// InjectionDyns), belong to the Runner and stay valid only until its
+// next Run or Reset, which overwrite them. A caller that keeps a result
+// past that copies what it needs. The snapshots and golden trace of a
+// checkpointing run are the caller's to keep: such a run never writes
+// into the Runner's buffers, so they outlive later runs.
+type Runner struct {
+	m   machine
+	res Result
+	// out and injDyns are the buffers every non-checkpointing run
+	// appends its output and injection instants to. A run's output is
+	// adopted back only when the Runner owns it: a checkpointing run's
+	// output backs its snapshots and trace, and a converged run reports
+	// the golden trace's final output, which belongs to the trace.
+	out     []byte
+	injDyns []uint64
 }
 
-// Run executes p under opts and returns the observable result. Structural
-// errors (invalid program shape) return an error; traps, hangs and output
-// overflows are reported in Result.
+// Reset drops the last run's Result and every reference the Runner
+// still holds to a program, keeping only its buffers: a Runner parked
+// for reuse then pins no finished target.
+func (r *Runner) Reset() {
+	clear(r.m.frames[:cap(r.m.frames)])
+	r.res = Result{}
+}
+
+// reset clears m after a run, keeping only its reusable buffers: the
+// register arena, the frame slice, the segments' storage and their
+// tracking buffers. It runs deferred, so a run that trapped, hung, hit
+// the output limit or panicked leaves no state the next run can see,
+// and the machine keeps no reference to the run's plan, snapshots or
+// trace. The frames past the live stack are not cleared: every frame is
+// written whole before it is read, and Runner.Reset clears them when
+// the Runner is parked.
+func (m *machine) reset() {
+	*m = machine{
+		regArena: m.regArena,
+		frames:   m.frames[:0],
+		globals:  mem{flat: m.globals.flat[:0]},
+		stack:    mem{flat: m.stack.flat[:0]},
+		// Tracking buffers (dirty/convergence bitmaps, page-hash arrays)
+		// are kept as spares: runs that did not track leave them in the
+		// spare slots, runs that did carry them in the segments.
+		gSpare: mergeBufs(m.globals.takeBufs(), m.gSpare),
+		sSpare: mergeBufs(m.stack.takeBufs(), m.sSpare),
+	}
+}
+
+// Run executes p under opts on a fresh Runner and returns the
+// observable result, which stays valid for as long as the caller keeps
+// it. Structural errors (invalid program shape) return an error; traps,
+// hangs and output overflows are reported in Result. Callers that run
+// many experiments reuse a Runner instead.
 //
 // p must have passed ir.Program.Validate — true of every program built
 // with the ir builder's Build/MustBuild — because the interpreter trusts
@@ -421,6 +450,20 @@ func putMachine(m *machine) {
 // hand-assembled, unvalidated Program mis-counts injection candidates
 // silently.
 func Run(p *ir.Program, opts Options) (*Result, error) {
+	var r Runner
+	res, err := r.Run(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	// A copy, so the Result does not keep the machine reachable.
+	out := *res
+	return &out, nil
+}
+
+// Run executes p under opts on the Runner's machine. It behaves exactly
+// like the package-level Run, except that the returned Result belongs
+// to the Runner (see Runner).
+func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 	envDisabled, err := envTiers()
 	if err != nil {
 		return nil, err
@@ -429,8 +472,8 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 	if mainFn.NumArgs != 0 {
 		return nil, errNoMain
 	}
-	m := machinePool.Get().(*machine)
-	defer putMachine(m)
+	m := &r.m
+	defer m.reset()
 	m.prog = p
 	m.maxOut = opts.MaxOutput
 	m.maxDepth = opts.MaxDepth
@@ -446,6 +489,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 	}
 	m.plan = opts.Plan
 	m.memFlips = opts.MemFlips
+	m.injDyns = r.injDyns[:0]
 	m.nextMemFlip = ^uint64(0)
 	m.firstBit = -1
 	m.firstPre = -1
@@ -481,7 +525,11 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 	m.checkpoint = opts.Checkpoint
 	m.nextSnap = noSnap
 	m.nextConv = noConv
-	if m.checkpoint > 0 {
+	if m.checkpoint == 0 {
+		// A checkpointing run grows an output buffer of its own: its
+		// snapshots and trace keep views of it.
+		m.out = r.out[:0]
+	} else {
 		// Snapshots deliberately omit injection state (plan progress, memory
 		// flip cursor); checkpointing is a golden-run facility and corrupted
 		// state must not masquerade as a resumable prefix.
@@ -572,18 +620,28 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 	}
 	if m.trace != nil {
 		m.memoCheck = opts.MemoCheck
-		// Pre-size the output buffer to the golden length: runs that reach
-		// the output phase otherwise pay repeated growth copies (the
-		// clamped snapshot prefix forces a copy on first append anyway).
-		if want := len(m.trace.finalOut) + 64; cap(m.out)-len(m.out) < want {
-			m.out = append(make([]byte, 0, len(m.out)+want), m.out...)
+		// Size the output buffer for the golden output: runs that reach
+		// the output phase otherwise pay repeated growth copies. A warm
+		// Runner's buffer is already large enough.
+		if want := len(m.trace.finalOut) + 64; cap(m.out) < want {
+			m.out = append(make([]byte, 0, want), m.out...)
 		}
 	}
 	m.run()
-	res := &Result{
+	out := m.out
+	if m.converged {
+		// The golden continuation's output belongs to the trace; the
+		// Runner keeps its own buffer.
+		out = m.trace.finalOut
+	}
+	if m.checkpoint == 0 {
+		r.out = m.out
+	}
+	r.injDyns = m.injDyns
+	r.res = Result{
 		Stop:          m.stop,
 		Trap:          m.trap,
-		Output:        m.out,
+		Output:        out,
 		Dyn:           m.dyn,
 		ReadSlots:     m.readSlots,
 		Writes:        m.writes,
@@ -606,9 +664,9 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		m.rec.finalWrites = m.writes
 		m.rec.finalOut = m.out[:len(m.out):len(m.out)]
 		m.rec.finalStop = m.stop
-		res.Trace = m.rec
+		r.res.Trace = m.rec
 	}
-	return res, nil
+	return &r.res, nil
 }
 
 // Profile runs p fault-free and returns the result; callers use it to

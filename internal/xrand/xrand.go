@@ -41,10 +41,19 @@ func New(seed uint64) *Rand {
 // decorrelated, so campaigns are reproducible independently of how
 // experiments are scheduled across workers.
 func ForExperiment(seed, idx uint64) *Rand {
+	var r Rand
+	r.SeedExperiment(seed, idx)
+	return &r
+}
+
+// SeedExperiment resets r in place to the stream ForExperiment(seed, idx)
+// returns, so a campaign worker reuses one generator for all of its
+// experiments.
+func (r *Rand) SeedExperiment(seed, idx uint64) {
 	st := seed ^ 0x6a09e667f3bcc909
 	_ = SplitMix64(&st)
 	st ^= idx * 0x9e3779b97f4a7c15
-	return New(SplitMix64(&st))
+	r.Reseed(SplitMix64(&st))
 }
 
 // Reseed resets the generator state from seed.

@@ -162,3 +162,20 @@ func TestReseedResets(t *testing.T) {
 		}
 	}
 }
+
+// TestSeedExperimentMatchesForExperiment checks that reseeding a used
+// generator in place yields exactly the stream ForExperiment returns, so
+// a worker's reused generator draws what a fresh one would.
+func TestSeedExperimentMatchesForExperiment(t *testing.T) {
+	r := New(99)
+	for _, c := range []struct{ seed, idx uint64 }{{1, 0}, {1, 1}, {7, 123456}, {0, 1 << 40}} {
+		r.Uint64()
+		r.SeedExperiment(c.seed, c.idx)
+		want := ForExperiment(c.seed, c.idx)
+		for i := 0; i < 8; i++ {
+			if got, w := r.Uint64(), want.Uint64(); got != w {
+				t.Fatalf("seed=%d idx=%d: draw %d = %#x, want %#x", c.seed, c.idx, i, got, w)
+			}
+		}
+	}
+}
