@@ -7,7 +7,6 @@ package multiflip_test
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"testing"
 
 	"multiflip/internal/core"
@@ -296,7 +295,7 @@ func BenchmarkCampaignDisableSnapshots(b *testing.B) {
 	benchCampaignSnapshot(b, vm.TierSnapshots)
 }
 
-// BenchmarkCampaignDisableConverge is the convergence/memo ablation:
+// BenchmarkCampaignDisableConverge is the convergence ablation:
 // snapshot fast-forwarding stays on, but every experiment runs its
 // post-injection tail to completion. The delta against
 // BenchmarkCampaignSnapshot isolates the early-termination win.
@@ -399,9 +398,9 @@ func BenchmarkCampaignLiveness(b *testing.B) {
 // overhead on the BenchmarkCampaignSnapshot workload: the same campaign
 // run through a journal instead of the in-memory fast path. "mem" prices
 // the sharded claim/checkpoint protocol alone (in-memory journal);
-// "file" adds the checksummed append-only file journal and the shared
-// memo file. The resume differential tests guarantee all three paths are
-// bit-identical; the deltas here are pure wall-clock.
+// "file" adds the checksummed append-only file journal. The resume
+// differential tests guarantee all three paths are bit-identical; the
+// deltas here are pure wall-clock.
 func BenchmarkCampaignJournal(b *testing.B) {
 	bench, err := prog.ByName("qsort")
 	if err != nil {
@@ -420,12 +419,8 @@ func BenchmarkCampaignJournal(b *testing.B) {
 		"mem": func(int) *core.Service {
 			return &core.Service{Journal: core.NewMemJournal()}
 		},
-		// Each iteration journals into its own subdirectory: the memo
-		// fingerprint is seed-independent by design, so a shared directory
-		// would let later iterations ride earlier iterations' memo files
-		// and understate the file-backed cost.
-		"file": func(i int) *core.Service {
-			return &core.Service{Dir: filepath.Join(b.TempDir(), fmt.Sprint(i))}
+		"file": func(int) *core.Service {
+			return &core.Service{Dir: b.TempDir()}
 		},
 	}
 	for _, name := range []string{"mem", "file"} {
@@ -494,7 +489,7 @@ func BenchmarkCampaignLargeGlobals(b *testing.B) {
 	benchCampaignLargeGlobals(b, 0)
 }
 
-// BenchmarkCampaignLargeGlobalsDisableConverge is the convergence/memo
+// BenchmarkCampaignLargeGlobalsDisableConverge is the convergence
 // ablation for BenchmarkCampaignLargeGlobals.
 func BenchmarkCampaignLargeGlobalsDisableConverge(b *testing.B) {
 	benchCampaignLargeGlobals(b, vm.TierConverge)

@@ -336,7 +336,7 @@ func renderCampaign(title string, res *core.EngineResult) error {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("error resilience: %.3f", res.Resilience()),
 		fmt.Sprintf("mean activated errors per experiment: %.2f", float64(res.ActivatedTotal)/float64(res.N())),
-		fmt.Sprintf("early exits: %d converged with the golden run, %d fault-equivalence memo hits", res.Converged, res.MemoHits))
+		fmt.Sprintf("early exits: %d converged with the golden run", res.Converged))
 	// Only campaigns where the tier fired mention it: flag-identical output
 	// to builds predating the static-pruning tier otherwise.
 	if res.StaticPruned > 0 {

@@ -12,10 +12,9 @@ package core
 // output) is shared, because no tolerance makes a segfault benign.
 //
 // Classifier identity folds into the campaign fingerprint
-// (Engine.memoFingerprint): a memoized continuation outcome and a
-// journaled shard checkpoint are both classifier-dependent facts, so
-// campaigns classified differently must never share memo entries or
-// journal files.
+// (Engine.fingerprint): a journaled shard checkpoint is a
+// classifier-dependent fact, so campaigns classified differently must
+// never share journal files.
 
 import (
 	"bytes"
@@ -77,8 +76,8 @@ func preClassify(res *vm.Result) (Outcome, bool) {
 type ExactClassifier struct{}
 
 // Name implements Classifier. "exact" is the default identity and is
-// deliberately NOT folded into campaign fingerprints, so journals and
-// memos written before the classifier seam existed resume unchanged.
+// deliberately NOT folded into campaign fingerprints, so journals
+// written before the classifier seam existed resume unchanged.
 func (ExactClassifier) Name() string { return "exact" }
 
 // Classify implements Classifier.

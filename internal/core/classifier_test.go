@@ -136,16 +136,16 @@ func TestZeroToleranceMatchesExact(t *testing.T) {
 			if want.Tally != got.Tally {
 				t.Errorf("%s eps-0: tallies differ: %+v vs %+v", m.name, want.Tally, got.Tally)
 			}
-			tiercontract.SameResult(t, m.name+" eps-0", want, got, false)
+			tiercontract.SameResult(t, m.name+" eps-0", want, got, true)
 		})
 	}
 }
 
 // TestClassifierFingerprint pins the content-address contract: the
 // default classifier (nil or explicit exact) must keep the fingerprints
-// campaigns had before the classifier seam existed — old journals and
-// memos resume unchanged — while any non-default classifier must move
-// to its own addresses so differently-classified results never mix.
+// campaigns had before the classifier seam existed — old journals
+// resume unchanged — while any non-default classifier must move to its
+// own addresses so differently-classified results never mix.
 func TestClassifierFingerprint(t *testing.T) {
 	tg := target(t, "CRC32")
 	eng := func(c core.Classifier) *core.Engine {
@@ -158,19 +158,12 @@ func TestClassifierFingerprint(t *testing.T) {
 		}
 	}
 	defFP := core.EngineFingerprint(eng(nil))
-	defMemo := core.EngineMemoFingerprint(eng(nil))
 	if fp := core.EngineFingerprint(eng(core.ExactClassifier{})); fp != defFP {
 		t.Errorf("explicit exact classifier changed the campaign fingerprint: %x vs %x", fp, defFP)
-	}
-	if fp := core.EngineMemoFingerprint(eng(core.ExactClassifier{})); fp != defMemo {
-		t.Errorf("explicit exact classifier changed the memo fingerprint: %x vs %x", fp, defMemo)
 	}
 	tolFP := core.EngineFingerprint(eng(core.ToleranceClassifier{Abs: 1}))
 	if tolFP == defFP {
 		t.Error("tolerance classifier shares the default campaign fingerprint")
-	}
-	if core.EngineMemoFingerprint(eng(core.ToleranceClassifier{Abs: 1})) == defMemo {
-		t.Error("tolerance classifier shares the default memo fingerprint")
 	}
 	if core.EngineFingerprint(eng(core.ToleranceClassifier{Abs: 2})) == tolFP {
 		t.Error("differently-parameterized tolerance classifiers share a fingerprint")

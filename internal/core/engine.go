@@ -5,13 +5,13 @@ package core
 // times per campaign. This file owns everything fault-class-independent
 // about that loop: the worker pool, batched experiment claiming,
 // per-worker sharded aggregation, failure collection, golden-run
-// fast-forwarding plumbing, convergence-trace wiring, and the
-// per-campaign fault-equivalence memo. A FaultModel contributes only the
-// fault class itself: what one experiment injects and how its record is
-// finalized. Register bit-flip campaigns (RegisterModel, campaign.go),
-// memory-word faults (memfault.Model) and stuck-at register faults
-// (StuckAtModel, stuckat.go) are all thin models over the one engine,
-// and every caller runs a campaign by building an Engine with its model.
+// fast-forwarding plumbing and convergence-trace wiring. A FaultModel
+// contributes only the fault class itself: what one experiment injects
+// and how its record is finalized. Register bit-flip campaigns
+// (RegisterModel, campaign.go), memory-word faults (memfault.Model) and
+// stuck-at register faults (StuckAtModel, stuckat.go) are all thin
+// models over the one engine, and every caller runs a campaign by
+// building an Engine with its model.
 
 import (
 	"errors"
@@ -82,8 +82,8 @@ var ErrInterrupted = errors.New("core: campaign interrupted")
 
 // FaultModel plugs one fault class into the Engine. Implementations
 // describe a single experiment's injection; the engine owns workers,
-// claiming, execution, classification (Engine.Classifier), aggregation,
-// convergence and memoization. A model must be safe for concurrent use:
+// claiming, execution, classification (Engine.Classifier), aggregation
+// and convergence. A model must be safe for concurrent use:
 // Plan is called from every worker.
 type FaultModel interface {
 	// Prefix labels engine errors ("core", "memfault", "stuckat").
@@ -107,11 +107,9 @@ type FaultModel interface {
 	Plan(t *Target, idx uint64, rng *xrand.Rand) Injection
 	// Record finalizes the experiment record from the raw run result.
 	// The engine has already set Cand (from the Injection), Outcome and
-	// Trap — including for memo-resolved runs, whose outcome is reused
-	// from an equivalent experiment while activation stays their own.
-	// exp and res, and the slices res holds (Output, InjectionDyns), are
-	// valid only during the call: the engine reuses them for the
-	// worker's next experiment.
+	// Trap. exp and res, and the slices res holds (Output,
+	// InjectionDyns), are valid only during the call: the engine reuses
+	// them for the worker's next experiment.
 	Record(exp *Experiment, res *vm.Result)
 }
 
@@ -162,8 +160,7 @@ type Engine struct {
 	// Classifier judges golden-vs-actual output when classifying
 	// outcomes (nil = ExactClassifier, the paper's byte comparison). A
 	// non-default classifier folds into the campaign fingerprint, so
-	// its journals and memo entries never mix with differently
-	// classified ones.
+	// its journals never mix with differently classified ones.
 	Classifier Classifier
 	// FailurePolicy decides what happens to an experiment that fails or
 	// panics at every supervision tier (supervise.go): FailFast (default)
@@ -214,17 +211,12 @@ type EngineResult struct {
 	ActivatedTotal int
 	// Converged counts experiments the VM terminated early because their
 	// injected state reconverged with the golden run. Each experiment
-	// converges on its own, so the count is deterministic up to memo
-	// interception: an experiment that diverges, is memoized, and later
-	// reconverges counts here, while a fault-equivalent twin counts
-	// under MemoHits instead — unless scheduling let it run before the
-	// memo store, in which case it converges on its own too.
+	// converges on its own, so the count is deterministic per (target,
+	// model, seed) for any worker count, journaled or resumed.
 	Converged int
-	// MemoHits counts experiments resolved from the fault-equivalence
-	// memo: their post-injection state matched an already-executed
-	// experiment's, so the recorded outcome was reused. The count depends
-	// on worker scheduling (which equivalent experiment runs first);
-	// outcomes never do.
+	// MemoHits is always zero.
+	//
+	// Deprecated: campaigns keep no fault-equivalence memo.
 	MemoHits int
 	// StaticPruned counts experiments classified Benign by the static
 	// liveness tier without executing: every bit of their sampled flip
@@ -241,43 +233,12 @@ type EngineResult struct {
 	Quarantined []QuarantineRecord
 }
 
-// memoVal is the fault-equivalence memo's payload: the outcome of the
-// continuation from a post-injection state. Activation counts and first
-// locations stay per-experiment — they are fixed before the memo key is
-// computed.
-type memoVal struct {
-	outcome Outcome
-	trap    vm.TrapKind
-}
-
 // expStats reports how an experiment terminated, for the engine's
 // early-exit accounting.
 type expStats struct {
 	converged    bool
-	memoHit      bool
 	staticPruned bool
 }
-
-// memoTable abstracts the fault-equivalence memo store so the engine
-// runs against either a per-run private map (mapMemo) or the
-// cross-campaign SharedMemo.
-type memoTable interface {
-	load(k vm.StateKey) (memoVal, bool)
-	store(k vm.StateKey, v memoVal)
-}
-
-// mapMemo is the per-run memo: a plain sync.Map scoped to one campaign.
-type mapMemo struct{ m sync.Map }
-
-func (mm *mapMemo) load(k vm.StateKey) (memoVal, bool) {
-	v, ok := mm.m.Load(k)
-	if !ok {
-		return memoVal{}, false
-	}
-	return v.(memoVal), true
-}
-
-func (mm *mapMemo) store(k vm.StateKey, v memoVal) { mm.m.Store(k, v) }
 
 // engineShard is one worker's private aggregate. Workers never touch a
 // shared tally or histogram mid-run; shards merge once after the pool
@@ -315,6 +276,9 @@ func (e *Engine) Run() (*EngineResult, error) {
 	if err := e.Model.Validate(e.Target, e.N); err != nil {
 		return nil, err
 	}
+	if _, err := chaosPanic(); err != nil {
+		return nil, err
+	}
 	if e.interrupted.Load() {
 		return nil, ErrInterrupted
 	}
@@ -328,17 +292,6 @@ func (e *Engine) Run() (*EngineResult, error) {
 	}
 	if workers > n {
 		workers = n
-	}
-
-	// Convergence-gated early termination plus the fault-equivalence
-	// memo: the VM compares the post-injection state against the
-	// target's golden trace (terminating with the golden outcome on
-	// reconvergence) and hands back its state key at the first divergent
-	// boundary, so experiments that collapse to an already-seen injected
-	// state reuse the recorded outcome instead of re-executing.
-	var memo memoTable = &mapMemo{}
-	if e.Service != nil && e.Service.Memo != nil {
-		memo = e.Service.Memo
 	}
 
 	var exps []Experiment
@@ -358,7 +311,7 @@ func (e *Engine) Run() (*EngineResult, error) {
 		wg.Add(1)
 		go func(sh *engineShard) {
 			defer wg.Done()
-			w := getWorker(memo)
+			w := getWorker()
 			defer putWorker(w)
 			for {
 				// Batched claiming: one atomic op hands this worker a chunk
@@ -390,7 +343,7 @@ func (e *Engine) Run() (*EngineResult, error) {
 					if quar != nil {
 						sh.Quarantined = append(sh.Quarantined, *quar)
 					}
-					sh.Add(&exp, st.converged, st.memoHit, st.staticPruned)
+					sh.Add(&exp, st.converged, st.staticPruned)
 					if exps != nil {
 						exps[i] = exp
 					}
@@ -448,21 +401,6 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 		defer j.Close()
 	}
 
-	var memo memoTable = &mapMemo{}
-	var flushMemo *SharedMemo
-	if e.Target.Trace != nil {
-		shared, flush, err := svc.memoFor(e)
-		if err != nil {
-			return nil, err
-		}
-		if shared != nil {
-			memo = shared
-			if flush {
-				flushMemo = shared
-			}
-		}
-	}
-
 	meta := CampaignMeta{
 		Fingerprint: e.fingerprint(),
 		Model:       e.Model.Describe(),
@@ -501,7 +439,7 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := getWorker(memo)
+			w := getWorker()
 			defer putWorker(w)
 			for {
 				if failed.Load() || e.interrupted.Load() {
@@ -555,7 +493,7 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 					if quar != nil {
 						sr.Quarantined = append(sr.Quarantined, *quar)
 					}
-					sr.Add(&exp, st.converged, st.memoHit, st.staticPruned)
+					sr.Add(&exp, st.converged, st.staticPruned)
 					if e.Record {
 						sr.Experiments = append(sr.Experiments, exp)
 					}
@@ -568,11 +506,6 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 		}()
 	}
 	wg.Wait()
-	if flushMemo != nil {
-		if err := flushMemo.Flush(); err != nil && len(errs) == 0 {
-			errs = append(errs, err)
-		}
-	}
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
@@ -615,55 +548,29 @@ func (e *Engine) classifier() Classifier {
 // worker is one engine goroutine's reusable execution context. An
 // executed experiment runs on the worker's vm.Runner, draws from the
 // worker's generator (reseeded in place to the experiment's (Seed, idx)
-// stream), and is planned, memo-checked and recorded through fields
-// the worker keeps, so it allocates nothing of its own beyond its plan.
-// Workers are pooled across engine runs: a study's short campaigns
-// reuse machines and tracking buffers.
+// stream), and is planned and recorded through fields the worker keeps,
+// so it allocates nothing of its own beyond its plan. Workers are
+// pooled across engine runs: a study's short campaigns reuse machines
+// and tracking buffers.
 type worker struct {
 	runner vm.Runner
 	rng    xrand.Rand
 	inj    Injection
 	exp    Experiment
-	// memo is the run's fault-equivalence memo. memoCheck is check,
-	// bound once; a hit leaves its outcome in hit and sets hitOK.
-	memo      memoTable
-	memoCheck func(vm.StateKey) bool
-	hit       memoVal
-	hitOK     bool
 }
 
-var workerPool = sync.Pool{New: func() any {
-	w := new(worker)
-	w.memoCheck = w.check
-	return w
-}}
+var workerPool = sync.Pool{New: func() any { return new(worker) }}
 
-// getWorker takes a pooled worker for one engine goroutine of a run
-// with the given memo.
-func getWorker(memo memoTable) *worker {
-	w := workerPool.Get().(*worker)
-	w.memo = memo
-	return w
-}
+// getWorker takes a pooled worker for one engine goroutine of a run.
+func getWorker() *worker { return workerPool.Get().(*worker) }
 
 // putWorker parks w when its goroutine exits. It drops every reference
-// to the run's target, memo and results, so a pooled worker pins
-// nothing of a finished campaign.
+// to the run's target and results, so a pooled worker pins nothing of a
+// finished campaign.
 func putWorker(w *worker) {
 	w.runner.Reset()
 	w.inj = Injection{}
-	w.memo = nil
 	workerPool.Put(w)
-}
-
-// check is the VM's MemoCheck: it looks the post-injection state key up
-// in the run's memo and keeps a hit's outcome for runOne.
-func (w *worker) check(k vm.StateKey) bool {
-	v, ok := w.memo.load(k)
-	if ok {
-		w.hit, w.hitOK = v, true
-	}
-	return ok
 }
 
 // runOne performs experiment idx at one supervision tier on worker w.
@@ -689,11 +596,6 @@ func (e *Engine) runOne(idx uint64, w *worker, disable vm.Tiers) (Experiment, ex
 	if hangFactor == 0 {
 		hangFactor = DefaultHangFactor
 	}
-	w.hitOK = false
-	var memoCheck func(vm.StateKey) bool
-	if t.Trace != nil {
-		memoCheck = w.memoCheck
-	}
 	res, err := w.runner.Run(t.Prog, vm.Options{
 		MaxDyn:      hangFactor*t.GoldenDyn + 1000,
 		MaxOutput:   4*len(t.Golden) + 4096,
@@ -703,30 +605,16 @@ func (e *Engine) runOne(idx uint64, w *worker, disable vm.Tiers) (Experiment, ex
 		Resume:      inj.Resume,
 		Disable:     disable,
 		Trace:       t.Trace,
-		MemoCheck:   memoCheck,
 	})
 	if err != nil {
 		return Experiment{}, expStats{}, fmt.Errorf("%s: %s experiment %d: %w", e.Model.Prefix(), t.Name, idx, err)
 	}
 	w.exp = Experiment{Cand: inj.Cand}
 	exp := &w.exp
-	var st expStats
-	if res.Stop == vm.StopMemo && w.hitOK {
-		// The first injection and activation count are this experiment's
-		// own (fixed before the key was computed); only the continuation's
-		// outcome is reused.
-		exp.Outcome, exp.Trap = w.hit.outcome, w.hit.trap
-		st.memoHit = true
-	} else {
-		if res.Stop == vm.StopTrap {
-			exp.Trap = res.Trap
-		}
-		exp.Outcome = e.classifier().Classify(t.Golden, res)
-		st.converged = res.Converged
-		if res.PostKeyed {
-			w.memo.store(res.PostKey, memoVal{outcome: exp.Outcome, trap: exp.Trap})
-		}
+	if res.Stop == vm.StopTrap {
+		exp.Trap = res.Trap
 	}
+	exp.Outcome = e.classifier().Classify(t.Golden, res)
 	e.Model.Record(exp, res)
-	return *exp, st, nil
+	return *exp, expStats{converged: res.Converged}, nil
 }

@@ -4,7 +4,7 @@ package core_test
 // three fault models (register flips, memory-word faults, stuck-at
 // registers). They replace the per-package copies that used to live in
 // internal/core and internal/memfault: concurrent-failure propagation
-// and memo/scheduling determinism are engine properties, not model
+// and scheduling determinism are engine properties, not model
 // properties.
 
 import (
@@ -21,6 +21,7 @@ import (
 	"multiflip/internal/core"
 	"multiflip/internal/memfault"
 	"multiflip/internal/prog"
+	"multiflip/internal/tiercontract"
 	"multiflip/internal/vm"
 )
 
@@ -133,59 +134,42 @@ func TestEngineInterruptBeforeRun(t *testing.T) {
 	}
 }
 
-// TestEngineMemoDeterminism checks, for every fault model, that results
-// are independent of scheduling and of the early-exit tier: sequential
-// reruns reproduce the early-exit counts exactly, parallel runs
-// reproduce every experiment record and aggregate (only MemoHits and
-// Converged may move — whether a fault-equivalent twin is intercepted
-// by the memo or reconverges on its own depends on scheduling), and a
-// run on a converge-disabled target reproduces the records with both
-// tiers off.
-func TestEngineMemoDeterminism(t *testing.T) {
+// TestEngineConvergedDeterminism checks, for every fault model, that
+// results are independent of scheduling and of the early-exit tier:
+// runs at 1, 2 and 8 workers, and journaled runs at 2 and 8, reproduce
+// every experiment record and aggregate, Converged included, and a run
+// on a converge-disabled target reproduces the records without
+// converging any experiment.
+func TestEngineConvergedDeterminism(t *testing.T) {
 	tg := target(t, "CRC32")
 	noConv := targetWith(t, "CRC32", vm.TierConverge)
 	for _, m := range engineModels() {
 		t.Run(m.name, func(t *testing.T) {
-			run := func(tg *core.Target, workers int) *core.EngineResult {
+			run := func(tg *core.Target, workers int, svc *core.Service) *core.EngineResult {
 				eng := m.engine(tg)
 				eng.N = 80
 				eng.Seed = 21
 				eng.Workers = workers
 				eng.Record = true
+				eng.Service = svc
 				res, err := eng.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			seq := run(tg, 1)
-			again := run(tg, 1)
-			if seq.MemoHits != again.MemoHits || seq.Converged != again.Converged {
-				t.Errorf("sequential reruns diverge: memo %d vs %d, converged %d vs %d",
-					seq.MemoHits, again.MemoHits, seq.Converged, again.Converged)
+			seq := run(tg, 1, nil)
+			for _, workers := range []int{2, 8} {
+				label := fmt.Sprintf("%d workers", workers)
+				tiercontract.SameResult(t, label, seq, run(tg, workers, nil), true)
+				svc := &core.Service{Dir: t.TempDir(), ShardSize: 8}
+				tiercontract.SameResult(t, "journaled, "+label, seq, run(tg, workers, svc), true)
 			}
-			par := run(tg, 8)
-			off := run(noConv, 8)
-			if off.MemoHits != 0 || off.Converged != 0 {
-				t.Errorf("converge-disabled run reported early exits: memo %d, converged %d",
-					off.MemoHits, off.Converged)
+			off := run(noConv, 8, nil)
+			if off.Converged != 0 {
+				t.Errorf("converge-disabled run converged %d experiments", off.Converged)
 			}
-			for _, other := range []*core.EngineResult{again, par, off} {
-				if len(other.Experiments) != len(seq.Experiments) {
-					t.Fatalf("experiment counts differ: %d vs %d", len(other.Experiments), len(seq.Experiments))
-				}
-				for i := range seq.Experiments {
-					if seq.Experiments[i] != other.Experiments[i] {
-						t.Fatalf("experiment %d differs across runs: %+v vs %+v",
-							i, seq.Experiments[i], other.Experiments[i])
-					}
-				}
-				if seq.Counts != other.Counts || seq.TrapCounts != other.TrapCounts ||
-					seq.CrashActivated != other.CrashActivated ||
-					seq.ActivatedTotal != other.ActivatedTotal {
-					t.Errorf("aggregates diverge across runs")
-				}
-			}
+			tiercontract.SameResult(t, "converge disabled", seq, off, false)
 		})
 	}
 }
@@ -364,13 +348,14 @@ func TestClaimNextCoversEachIndexOnce(t *testing.T) {
 }
 
 // TestEngineAllocsPerExperiment bounds what an executed experiment
-// allocates: its *vm.Plan and the memo's entries, not a machine, a
-// result, an output buffer or a random stream.
+// allocates: its *vm.Plan, not a machine, a result, an output buffer or
+// a random stream. The campaign's own set-up (workers, shards, result)
+// is shared by its 1000 experiments.
 func TestEngineAllocsPerExperiment(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	const n, bound = 1000, 4
+	const n, bound = 1000, 1.5
 	for _, name := range []string{"CRC32", "qsort", "dijkstra", "susan_smoothing"} {
 		tg := target(t, name)
 		for _, cfg := range []core.Config{core.SingleBit(), {MaxMBF: 30, Win: core.WinRange(101, 1000)}} {
@@ -388,7 +373,7 @@ func TestEngineAllocsPerExperiment(t *testing.T) {
 			per := testing.AllocsPerRun(3, run) / n
 			t.Logf("%s %s: %.2f allocations per experiment", name, cfg, per)
 			if per > bound {
-				t.Errorf("%s %s: %.2f allocations per experiment, want at most %d", name, cfg, per, bound)
+				t.Errorf("%s %s: %.2f allocations per experiment, want at most %.1f", name, cfg, per, bound)
 			}
 		}
 	}

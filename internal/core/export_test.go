@@ -1,6 +1,9 @@
 package core
 
-import "multiflip/internal/vm"
+import (
+	"sync"
+	"testing"
+)
 
 // SetExperimentHook installs the worker-claim test seam and returns a
 // restore function. The error-propagation tests use it to hold workers at
@@ -32,29 +35,11 @@ func FaultInjections() int64 { return faultsInjected.Load() }
 // classifier-identity tests.
 func EngineFingerprint(e *Engine) uint64 { return e.fingerprint() }
 
-// EngineMemoFingerprint exposes the memo content address to the
-// classifier-identity tests.
-func EngineMemoFingerprint(e *Engine) uint64 { return e.memoFingerprint() }
-
-// MemoStore stores one shared-memo entry the way a campaign does: the
-// entry is queued for the next Flush.
-func MemoStore(m *SharedMemo, k vm.StateKey, outcome Outcome, trap vm.TrapKind) {
-	m.store(k, memoVal{outcome: outcome, trap: trap})
+// RereadEnv makes the next use read MULTIFLIP_CHAOS_PANIC and
+// MULTIFLIP_JOURNAL_FAULTS again, for a test that sets them with
+// t.Setenv; the process's own readings come back when the test ends.
+func RereadEnv(t *testing.T) {
+	chaos, faults := chaosPanic, envFaultPlan
+	chaosPanic, envFaultPlan = sync.OnceValues(chaosPanicEnv), sync.OnceValues(faultPlanEnv)
+	t.Cleanup(func() { chaosPanic, envFaultPlan = chaos, faults })
 }
-
-// MemoLookup returns a shared memo's entry for a state.
-func MemoLookup(m *SharedMemo, k vm.StateKey) (Outcome, vm.TrapKind, bool) {
-	v, ok := m.load(k)
-	return v.outcome, v.trap, ok
-}
-
-// MemoLen counts a shared memo's entries.
-func MemoLen(m *SharedMemo) int {
-	n := 0
-	m.m.Range(func(any, any) bool { n++; return true })
-	return n
-}
-
-// MemoAbsorb reads the records appended to a shared memo's file since
-// its last read, as a Service does before each campaign.
-func MemoAbsorb(m *SharedMemo) error { return m.absorb() }

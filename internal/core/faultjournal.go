@@ -55,22 +55,28 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 	return &FaultPlan{Seed: seed, Permille: pm}, nil
 }
 
-// envFaultPlan is the process-wide fault plan from
+// faultPlanEnv parses the process-wide fault plan from
 // MULTIFLIP_JOURNAL_FAULTS, applied to every FileJournal opened without
 // an explicit FileJournalOptions.Fault. The chaos CI job sets it to
-// stress a whole journaled study through unmodified front-ends; a
-// malformed value is ignored rather than crashing every journal open.
-var envFaultPlan = func() *FaultPlan {
+// stress a whole journaled study through unmodified front-ends. Unset
+// is no plan; a malformed value is an error, which fails every journal
+// open.
+func faultPlanEnv() (*FaultPlan, error) {
 	v := os.Getenv("MULTIFLIP_JOURNAL_FAULTS")
 	if v == "" {
-		return nil
+		return nil, nil
 	}
 	p, err := ParseFaultPlan(v)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("core: MULTIFLIP_JOURNAL_FAULTS=%q: want seed:permille with permille in [1,1000]", v)
 	}
-	return p
-}()
+	return p, nil
+}
+
+// envFaultPlan reads MULTIFLIP_JOURNAL_FAULTS on first use rather than
+// in a package initializer, so that `go test`, which logs only the
+// environment reads made while tests run, keys its result cache on it.
+var envFaultPlan = sync.OnceValues(faultPlanEnv)
 
 // faultsInjected counts injected faults process-wide, so tests can
 // assert their fault schedule actually fired (a vacuously green

@@ -10,7 +10,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -193,7 +195,7 @@ func TestJournalDrainsUnderFaultPlan(t *testing.T) {
 		}
 		sr := ShardResult{Shard: shard}
 		for k := 0; k < meta.ShardSize; k++ {
-			sr.Add(&Experiment{Outcome: OutcomeBenign, Bit: -1}, false, false, false)
+			sr.Add(&Experiment{Outcome: OutcomeBenign, Bit: -1}, false, false)
 		}
 		if err := j.Checkpoint(sr); err != nil {
 			t.Fatalf("checkpoint %d: %v", shard, err)
@@ -222,5 +224,48 @@ func TestJournalDrainsUnderFaultPlan(t *testing.T) {
 	}
 	if status.Tally.N() != meta.N {
 		t.Fatalf("reopened tally covers %d experiments, want %d", status.Tally.N(), meta.N)
+	}
+}
+
+// TestJournalFaultsEnv checks MULTIFLIP_JOURNAL_FAULTS. A malformed value
+// fails every journal open, and InspectDir (the scan behind fi -status),
+// with an error naming the variable, instead of running unfaulted; the
+// journal file is not created. A valid one faults the journals opened
+// without a plan of their own.
+func TestJournalFaultsEnv(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "campaign-1.mfj")
+	t.Setenv("MULTIFLIP_JOURNAL_FAULTS", "banana")
+	RereadEnv(t)
+	if _, err := OpenFileJournal(path); err == nil || !strings.Contains(err.Error(), "MULTIFLIP_JOURNAL_FAULTS") {
+		t.Errorf("OpenFileJournal returned %v, want an error naming the variable", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("a malformed plan left a journal file behind (stat: %v)", err)
+	}
+	if _, err := InspectDir(dir); err == nil || !strings.Contains(err.Error(), "MULTIFLIP_JOURNAL_FAULTS") {
+		t.Errorf("InspectDir returned %v, want an error naming the variable", err)
+	}
+
+	t.Setenv("MULTIFLIP_JOURNAL_FAULTS", "7:250")
+	RereadEnv(t)
+	shrinkBackoff(t)
+	before := faultsInjected.Load()
+	j, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	meta := CampaignMeta{Fingerprint: 1, Model: "t", N: 32, ShardSize: 4, Seed: 9}
+	if err := j.Bind(meta); err != nil {
+		t.Fatal(err)
+	}
+	for shard := 0; shard < meta.NumShards(); shard++ {
+		if err := j.Checkpoint(ShardResult{Shard: shard}); err != nil {
+			t.Fatalf("checkpoint %d: %v", shard, err)
+		}
+	}
+	if faultsInjected.Load() == before {
+		t.Error("the environment's fault plan injected nothing")
 	}
 }

@@ -121,9 +121,9 @@ type ShardResult struct {
 	// Activated sums activated errors over the shard's experiments.
 	Activated int `json:"act"`
 	// Converged counts convergence-terminated experiments in the shard.
+	// Journals written while campaigns kept a fault-equivalence memo
+	// also carry a "memo" count; it is ignored on load.
 	Converged int `json:"conv"`
-	// MemoHits counts memo-resolved experiments in the shard.
-	MemoHits int `json:"memo"`
 	// StaticPruned counts experiments the static liveness tier classified
 	// without executing. Omitted when zero, so journals written before
 	// the liveness tier existed are unchanged on disk and load with zero
@@ -140,10 +140,10 @@ type ShardResult struct {
 	Quarantined []QuarantineRecord `json:"quar,omitempty"`
 }
 
-// Add folds one experiment into the shard aggregate. converged, memoHit
-// and staticPruned report how the experiment terminated early (or was
+// Add folds one experiment into the shard aggregate. converged and
+// staticPruned report how the experiment terminated early (or was
 // classified without running), if it was.
-func (s *ShardResult) Add(exp *Experiment, converged, memoHit, staticPruned bool) {
+func (s *ShardResult) Add(exp *Experiment, converged, staticPruned bool) {
 	s.Tally.AddDim(exp.Outcome, exp.Bit, exp.Dir)
 	s.Activated += exp.Activated
 	if exp.Outcome == OutcomeException {
@@ -160,9 +160,6 @@ func (s *ShardResult) Add(exp *Experiment, converged, memoHit, staticPruned bool
 	}
 	if converged {
 		s.Converged++
-	}
-	if memoHit {
-		s.MemoHits++
 	}
 	if staticPruned {
 		s.StaticPruned++
@@ -184,42 +181,10 @@ func (r *EngineResult) Fold(s *ShardResult, lo int) {
 	}
 	r.ActivatedTotal += s.Activated
 	r.Converged += s.Converged
-	r.MemoHits += s.MemoHits
 	r.StaticPruned += s.StaticPruned
 	r.Quarantined = append(r.Quarantined, s.Quarantined...)
 	if r.Experiments != nil && len(s.Experiments) > 0 && lo >= 0 && lo+len(s.Experiments) <= len(r.Experiments) {
 		copy(r.Experiments[lo:], s.Experiments)
-	}
-}
-
-// Merge folds another partial result into r. Both sides must aggregate
-// disjoint experiment subsets of the same campaign. Experiments merge
-// positionally: both slices are full-length with zero-valued holes for
-// experiments the partial result does not cover (Outcome 0 is unset —
-// real outcomes start at OutcomeBenign = 1). Merging is associative and
-// commutative; the shard-merge property test pins it.
-func (r *EngineResult) Merge(o *EngineResult) {
-	r.Tally.Merge(&o.Tally)
-	for a, c := range o.CrashActivated {
-		r.CrashActivated[a] += c
-	}
-	for k, c := range o.TrapCounts {
-		r.TrapCounts[k] += c
-	}
-	r.ActivatedTotal += o.ActivatedTotal
-	r.Converged += o.Converged
-	r.MemoHits += o.MemoHits
-	r.StaticPruned += o.StaticPruned
-	// Re-sorting after the append keeps Merge commutative for the
-	// quarantine records too (both sides cover disjoint indices).
-	r.Quarantined = append(r.Quarantined, o.Quarantined...)
-	sortQuarantined(r.Quarantined)
-	if r.Experiments != nil && len(o.Experiments) == len(r.Experiments) {
-		for i := range o.Experiments {
-			if o.Experiments[i].Outcome != 0 {
-				r.Experiments[i] = o.Experiments[i]
-			}
-		}
 	}
 }
 
@@ -251,9 +216,9 @@ type CampaignStatus struct {
 	ExperimentsTotal, ExperimentsDone int
 	// Tally is the running outcome tally over checkpointed shards.
 	Tally Tally
-	// Converged, MemoHits and StaticPruned sum the early-exit and
-	// static-pruning counters over checkpointed shards.
-	Converged, MemoHits, StaticPruned int
+	// Converged and StaticPruned sum the early-exit and static-pruning
+	// counters over checkpointed shards.
+	Converged, StaticPruned int
 	// Quarantined counts experiments poisoned under the Quarantine
 	// failure policy across checkpointed shards.
 	Quarantined int
@@ -495,7 +460,6 @@ func (st *journalState) status() CampaignStatus {
 			s.ExperimentsDone += hi - lo
 			s.Tally.Merge(&sh.res.Tally)
 			s.Converged += sh.res.Converged
-			s.MemoHits += sh.res.MemoHits
 			s.StaticPruned += sh.res.StaticPruned
 			s.Quarantined += len(sh.res.Quarantined)
 		case st.leaseLive(sh, now):

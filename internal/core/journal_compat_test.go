@@ -16,18 +16,17 @@ import (
 	"testing"
 
 	"multiflip/internal/core"
+	"multiflip/internal/tiercontract"
 	"multiflip/internal/vm"
 )
 
-// TestFingerprintStable pins the campaign and memo content addresses of
-// the three fault models on CRC32: with every tier on, with convergence
-// off, and with each other tier off. The values were computed when each
+// TestFingerprintStable pins the campaign content addresses of the
+// three fault models on CRC32: with every tier on, with convergence off,
+// and with each other tier off. The values were computed when each
 // campaign spec and the engine still carried their own tier switches;
-// journals and memos written then must resume into the same files, so
-// only the converge bit the caller asks for may move the campaign
-// address, and no tier may move the memo address.
+// journals written then must resume into the same files, so only the
+// converge bit the caller asks for may move the campaign address.
 func TestFingerprintStable(t *testing.T) {
-	const memo = 0xc161e05593916e85
 	want := map[string][2]uint64{ // model -> {all tiers on, converge off}
 		"register": {0x144ae26c244f9b1a, 0x287bc83ac12568c8},
 		"memfault": {0xbe686447a5ad7719, 0x6109f4c61f6d55c9},
@@ -44,9 +43,6 @@ func TestFingerprintStable(t *testing.T) {
 			}
 			if got := core.EngineFingerprint(eng); got != fp {
 				t.Errorf("%s, disable %q: campaign fingerprint %#016x, want %#016x", m.name, disable, got, fp)
-			}
-			if got := core.EngineMemoFingerprint(eng); got != memo {
-				t.Errorf("%s, disable %q: memo fingerprint %#016x, want %#016x", m.name, disable, got, uint64(memo))
 			}
 		}
 	}
@@ -153,7 +149,7 @@ func TestDimsJournalRoundTrip(t *testing.T) {
 		{Bit: -1, Dir: core.DirUnknown, Outcome: core.OutcomeSDC, Activated: 2},
 	}
 	for i := range exps {
-		sr.Add(&exps[i], false, false, i == 0)
+		sr.Add(&exps[i], false, i == 0)
 	}
 	if err := j.Checkpoint(sr); err != nil {
 		t.Fatal(err)
@@ -243,4 +239,75 @@ func TestRetiredRungJournalLoads(t *testing.T) {
 			t.Errorf("record %d = %+v, want the four-rung ladder it was written with", i, rec)
 		}
 	}
+}
+
+// TestMemoJournalLoads pins that journal directories written while
+// campaigns kept a fault-equivalence memo stay usable. The fixture is
+// such a campaign: four CRC32 inject-on-write experiments pinned to one
+// SDC location, run on one worker in two shards, so three of them were
+// resolved from the memo and the shards' done records carry "memo"
+// counts of 1 and 2. Its directory also held the program's memo file.
+// The campaign must list in InspectDir, and a resumed campaign must
+// fold its checkpoints without re-running anything and match a fresh
+// in-memory run.
+func TestMemoJournalLoads(t *testing.T) {
+	journal, err := os.ReadFile(filepath.Join("testdata", "memo-campaign.mfj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(journal), `"memo":1`) || !strings.Contains(string(journal), `"memo":2`) {
+		t.Fatal("fixture carries no nonzero memo counts")
+	}
+	const memoFile = "memo-c161e05593916e85.mfj"
+	memo, err := os.ReadFile(filepath.Join("testdata", memoFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := core.Pin{Cand: 13308, Bit: 0}
+	eng := func() *core.Engine {
+		return &core.Engine{
+			Target: target(t, "CRC32"),
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnWrite,
+				Config:    core.SingleBit(),
+				Pins:      []core.Pin{pin, pin, pin, pin},
+			}},
+			N: 4, Seed: 3, Record: true,
+		}
+	}
+	dir := t.TempDir()
+	name := fmt.Sprintf("campaign-%016x.mfj", core.EngineFingerprint(eng()))
+	if err := os.WriteFile(filepath.Join(dir, name), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, memoFile), memo, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	infos, err := core.InspectDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 || filepath.Base(infos[0].Path) != name {
+		t.Fatalf("InspectDir listed %+v, want the one campaign %s", infos, name)
+	}
+	if st := infos[0].Status; st.Done != 2 || st.Pending != 0 || st.Tally.Count(core.OutcomeSDC) != 4 {
+		t.Fatalf("status = %+v, want 2 done shards and 4 SDCs", st)
+	}
+
+	want, err := eng().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := eng()
+	resumed.Service = &core.Service{Dir: dir, Resume: true, ShardSize: 2}
+	restore := core.SetExperimentHook(func(idx int) {
+		t.Errorf("experiment %d re-ran; the journal's checkpoints should fold", idx)
+	})
+	defer restore()
+	got, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiercontract.SameResult(t, "memo-era journal resumed", want, got, true)
 }

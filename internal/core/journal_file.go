@@ -59,8 +59,7 @@ type journalIO interface {
 }
 
 // appendLine appends one framed record to dst: the payload's CRC-32 as
-// 8 lowercase hex digits, a space, the payload, '\n'. The journal and
-// the shared memo use the same framing.
+// 8 lowercase hex digits, a space, the payload, '\n'.
 func appendLine(dst, payload []byte) []byte {
 	var sum [4]byte
 	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
@@ -91,7 +90,6 @@ func decodeLine(line []byte) ([]byte, bool) {
 // logTail reads an append-only record file incrementally: it remembers
 // how far it has read, keeps a trailing partial line pending until its
 // newline lands, and reuses one read buffer for the file's lifetime.
-// The journal and the shared memo both load through it.
 type logTail struct {
 	off     int64
 	pending []byte
@@ -185,7 +183,7 @@ type FileJournalOptions struct {
 
 // OpenFileJournal opens (creating if needed) a journal file and absorbs
 // its records. Opening never fails on corrupt content — bad records are
-// skipped — only on I/O errors.
+// skipped — only on I/O errors and a malformed MULTIFLIP_JOURNAL_FAULTS.
 func OpenFileJournal(path string) (*FileJournal, error) {
 	return OpenFileJournalOpts(path, FileJournalOptions{})
 }
@@ -193,6 +191,14 @@ func OpenFileJournal(path string) (*FileJournal, error) {
 // OpenFileJournalOpts is OpenFileJournal with explicit durability and
 // clock-skew options.
 func OpenFileJournalOpts(path string, opts FileJournalOptions) (*FileJournal, error) {
+	envFault, err := envFaultPlan()
+	if err != nil {
+		return nil, err
+	}
+	fault := opts.Fault
+	if fault == nil {
+		fault = envFault
+	}
 	_, statErr := os.Stat(path)
 	created := os.IsNotExist(statErr)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
@@ -209,10 +215,6 @@ func OpenFileJournalOpts(path string, opts FileJournalOptions) (*FileJournal, er
 		}
 	}
 	var fio journalIO = f
-	fault := opts.Fault
-	if fault == nil {
-		fault = envFaultPlan
-	}
 	if fault != nil {
 		fio = NewFaultFile(f, fault)
 	}
@@ -491,9 +493,14 @@ type JournalInfo struct {
 // journals whose meta record is missing or torn are skipped (there is
 // nothing to report yet), as are entries that cannot be opened at all (a
 // permission problem, or a stray directory matching the name pattern). A
-// nonexistent or empty directory — or one holding only memo-*.mfj files —
-// reports no campaigns and no error.
+// nonexistent or empty directory — or one holding only the memo-*.mfj
+// files older versions wrote — reports no campaigns and no error. A
+// malformed MULTIFLIP_JOURNAL_FAULTS, which fails every journal open,
+// fails the scan.
 func InspectDir(dir string) ([]JournalInfo, error) {
+	if _, err := envFaultPlan(); err != nil {
+		return nil, err
+	}
 	paths, err := filepath.Glob(filepath.Join(dir, "campaign-*.mfj"))
 	if err != nil {
 		return nil, err

@@ -1,8 +1,8 @@
 package core_test
 
 // Campaign-service tests: the shard-merge algebra, the lease-steal
-// protocol, resume from a file journal, and the mid-flight status
-// snapshot. The crash/restart differential harness lives in
+// protocol, resume from a file journal, the mid-flight status snapshot
+// and concurrent Services on one directory. The crash/restart differential harness lives in
 // crash_restart_test.go.
 
 import (
@@ -47,16 +47,27 @@ func registerEngine(tg *core.Target) *core.Engine {
 }
 
 // TestShardMergeProperty checks the algebra resume correctness rests on:
-// folding any contiguous partition of a campaign's experiments, in any
-// order and any grouping, reproduces the direct result exactly. The
-// partitions are random per trial; the baseline runs without
-// convergence so the per-experiment Add (which cannot know the
-// early-exit split) matches the counters too.
+// folding the shards of any contiguous partition of a campaign's
+// experiments reproduces the direct result exactly, and folding them in
+// any order reproduces the in-order fold. The partitions are random per
+// trial; the baseline runs without convergence so the per-experiment Add
+// (which cannot know the early-exit split) matches the counters too.
 func TestShardMergeProperty(t *testing.T) {
 	tg := targetWith(t, "CRC32", vm.TierConverge)
 	const n = 120
 	want := baselineRun(t, tg, n)
 
+	type shard struct {
+		sr core.ShardResult
+		lo int
+	}
+	fold := func(shards []shard) *core.EngineResult {
+		res := &core.EngineResult{Experiments: make([]core.Experiment, n)}
+		for _, sh := range shards {
+			res.Fold(&sh.sr, sh.lo)
+		}
+		return res
+	}
 	rng := xrand.New(99)
 	for trial := 0; trial < 25; trial++ {
 		// A random contiguous partition: each boundary is kept with
@@ -69,40 +80,27 @@ func TestShardMergeProperty(t *testing.T) {
 		}
 		bounds = append(bounds, n)
 		// Rebuild each shard from the per-experiment records.
-		type shard struct {
-			sr core.ShardResult
-			lo int
-		}
 		var shards []shard
 		lo := 0
 		for i, hi := range bounds {
 			sr := core.ShardResult{Shard: i}
 			for j := lo; j < hi; j++ {
 				exp := want.Experiments[j]
-				sr.Add(&exp, false, false, false)
+				sr.Add(&exp, false, false)
 				sr.Experiments = append(sr.Experiments, exp)
 			}
 			shards = append(shards, shard{sr, lo})
 			lo = hi
 		}
+		inOrder := fold(shards)
+		tiercontract.SameResult(t, "in-order fold", want, inOrder, true)
 		// Shuffle: folding order must not matter.
-		for i := len(shards) - 1; i > 0; i-- {
-			j := int(rng.Uint64n(uint64(i + 1)))
-			shards[i], shards[j] = shards[j], shards[i]
-		}
-		// Random grouping: split the shards across two partial results,
-		// then merge the partials (in both orders — commutativity).
 		for pass := 0; pass < 2; pass++ {
-			parts := [2]*core.EngineResult{
-				{Experiments: make([]core.Experiment, n)},
-				{Experiments: make([]core.Experiment, n)},
+			for i := len(shards) - 1; i > 0; i-- {
+				j := int(rng.Uint64n(uint64(i + 1)))
+				shards[i], shards[j] = shards[j], shards[i]
 			}
-			for _, sh := range shards {
-				parts[rng.Intn(2)].Fold(&sh.sr, sh.lo)
-			}
-			a, b := parts[pass%2], parts[(pass+1)%2]
-			a.Merge(b)
-			tiercontract.SameResult(t, "merged partition", want, a, true)
+			tiercontract.SameResult(t, "shuffled fold", inOrder, fold(shards), true)
 		}
 	}
 }
@@ -161,9 +159,8 @@ func TestJournalLeaseSteal(t *testing.T) {
 		if res.Tally.N() != n {
 			t.Errorf("drainer %d tallied %d experiments, want %d", i, res.Tally.N(), n)
 		}
-		// Early-exit counters are scheduling-dependent; everything else
-		// must match the uninterrupted run bit for bit.
-		tiercontract.SameResult(t, "stolen-lease drain", want, res, false)
+		// Everything must match the uninterrupted run bit for bit.
+		tiercontract.SameResult(t, "stolen-lease drain", want, res, true)
 	}
 
 	st, err := j.Status()
@@ -208,13 +205,13 @@ func TestFileJournalResume(t *testing.T) {
 	if ran != n {
 		t.Errorf("first run executed %d experiments, want %d", ran, n)
 	}
-	tiercontract.SameResult(t, "journaled run", want, first, false)
+	tiercontract.SameResult(t, "journaled run", want, first, true)
 
 	resumed, ran := run(true)
 	if ran != 0 {
 		t.Errorf("resume of a complete campaign executed %d experiments, want 0", ran)
 	}
-	tiercontract.SameResult(t, "resumed run", want, resumed, false)
+	tiercontract.SameResult(t, "resumed run", want, resumed, true)
 
 	infos, err := core.InspectDir(dir)
 	if err != nil {
@@ -231,7 +228,7 @@ func TestFileJournalResume(t *testing.T) {
 	if ran != n {
 		t.Errorf("non-resume rerun executed %d experiments, want %d (journal kept?)", ran, n)
 	}
-	tiercontract.SameResult(t, "fresh rerun", want, fresh, false)
+	tiercontract.SameResult(t, "fresh rerun", want, fresh, true)
 }
 
 // TestJournalBindMismatch checks the journal refuses to resume a
@@ -403,7 +400,7 @@ func TestLeaseHeartbeatOutlivesTTL(t *testing.T) {
 	if got := steals.Load(); got != 0 {
 		t.Fatalf("thief stole a heartbeat-protected lease %d times", got)
 	}
-	tiercontract.SameResult(t, "heartbeat-protected shard", baseline, res, false)
+	tiercontract.SameResult(t, "heartbeat-protected shard", baseline, res, true)
 
 	// Non-vacuity: the journal must hold the initial claim plus at least
 	// one renewal — the shard's ~1s runtime crosses the ~TTL/3 renewal
@@ -419,5 +416,69 @@ func TestLeaseHeartbeatOutlivesTTL(t *testing.T) {
 	leases := strings.Count(string(raw), `"t":"lease"`)
 	if leases < 2 {
 		t.Fatalf("journal holds %d lease records; want the claim plus at least one heartbeat renewal", leases)
+	}
+}
+
+// TestServicesDrainConcurrently has two resuming Services drain the same
+// three campaigns on one directory at once, each Service running its
+// three concurrently: the in-process stand-in for two `study -resume`
+// processes sharing a directory. Every result, Converged included, must
+// match the in-memory run.
+func TestServicesDrainConcurrently(t *testing.T) {
+	tg := target(t, "CRC32")
+	const n = 48
+	engines := []func() *core.Engine{
+		func() *core.Engine { return registerEngine(tg) },
+		func() *core.Engine {
+			return &core.Engine{Target: tg, Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnWrite, Config: core.SingleBit(),
+			}}}
+		},
+		func() *core.Engine {
+			return &core.Engine{Target: tg, Model: &core.StuckAtModel{Spec: &core.StuckAtSpec{
+				Window: core.Win(core.DefaultStuckWindow),
+			}}}
+		},
+	}
+	engine := func(i int, svc *core.Service) *core.Engine {
+		e := engines[i]()
+		e.N = n
+		e.Seed = uint64(20 + i)
+		e.Record = true
+		e.Workers = 2
+		e.Service = svc
+		return e
+	}
+	want := make([]*core.EngineResult, len(engines))
+	for i := range engines {
+		res, err := engine(i, nil).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+
+	dir := t.TempDir()
+	var wg sync.WaitGroup
+	got := [2][3]*core.EngineResult{}
+	errs := [2][3]error{}
+	for d, worker := range []string{"drainer-a", "drainer-b"} {
+		svc := &core.Service{Dir: dir, Resume: true, WorkerID: worker, ShardSize: 4}
+		for i := range engines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[d][i], errs[d][i] = engine(i, svc).Run()
+			}()
+		}
+	}
+	wg.Wait()
+	for d := range got {
+		for i, res := range got[d] {
+			if errs[d][i] != nil {
+				t.Fatalf("drainer %d campaign %d: %v", d, i, errs[d][i])
+			}
+			tiercontract.SameResult(t, fmt.Sprintf("drainer %d campaign %d", d, i), want[i], res, true)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
-// The record line codec shared by the campaign journal and the shared
-// memo, and the incremental reader both load through.
+// The campaign journal's record line codec, and the incremental reader
+// it loads through.
 
 import (
 	"bytes"
@@ -65,7 +65,7 @@ func TestDecodeLineStrictHeader(t *testing.T) {
 }
 
 // TestAppendLineFrame checks the frame is byte-identical to the
-// format every existing journal and memo file was written in: the
+// format every existing journal file was written in: the
 // checksum zero-padded to 8 lowercase hex digits.
 func TestAppendLineFrame(t *testing.T) {
 	p28, _ := payloadWithCRCBelow(t, 1<<28)

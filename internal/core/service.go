@@ -14,30 +14,15 @@ package core
 // -resume finds its own journal, and a changed parameter lands in a
 // fresh file instead of corrupting an old campaign.
 //
-// The directory also carries memo-<fingerprint>.mfj: the cross-campaign
-// fault-equivalence memo. Its fingerprint deliberately excludes the
-// fault model and campaign parameters — a memo entry maps a
-// post-injection VM state to the outcome of running the program to
-// completion from that state, which depends only on the program's
-// behaviour and the execution budgets. Campaigns with different
-// techniques, fault models or seeds over the same target share one memo
-// file, which is what makes the memo a shared cache rather than a
-// per-run optimization.
-//
-// A Service keeps every memo it opens for its lifetime. The first
-// campaign over a target reads the memo file whole; each later campaign
-// first absorbs only the records appended since, by this process or a
-// peer, and every campaign flushes its new entries when it ends. Share
-// one Service across a program's campaigns, also while several of them
-// run at once (the study keeps one per program), and do not copy a
-// Service after first use.
+// A Service is plain configuration: any number of campaigns, running
+// one after another or at once, may share one or copy it. Directories
+// written when campaigns still kept a fault-equivalence memo also hold
+// memo-<fingerprint>.mfj files; nothing reads them any more.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"multiflip/internal/vm"
@@ -46,10 +31,10 @@ import (
 
 // Service configures journaled campaign execution. A zero/nil Service —
 // or one with neither Journal nor Dir — leaves the engine on its
-// in-memory fast path. A Service must not be copied after first use.
+// in-memory fast path.
 type Service struct {
-	// Dir is the journal directory: campaign journals and shared memo
-	// files are content-addressed inside it.
+	// Dir is the journal directory: campaign journals are
+	// content-addressed inside it.
 	Dir string
 	// Resume keeps an existing campaign journal and folds its checkpoints
 	// instead of re-running them. Without Resume, an existing journal for
@@ -59,8 +44,9 @@ type Service struct {
 	// engine binds this journal directly (in-process drainers share a
 	// MemJournal this way). The caller owns its lifecycle.
 	Journal Journal
-	// Memo, when non-nil, overrides the Dir-derived memo file.
-	// The caller owns its lifecycle.
+	// Memo is ignored.
+	//
+	// Deprecated: campaigns keep no fault-equivalence memo.
 	Memo *SharedMemo
 	// WorkerID identifies this process in shard leases (empty =
 	// "hostname:pid").
@@ -87,11 +73,6 @@ type Service struct {
 	// plan, if any. Injected faults never change campaign results, only
 	// exercise the retry and recovery paths.
 	Fault *FaultPlan
-
-	// memos keeps every shared memo opened under Dir, by path, for the
-	// Service's lifetime.
-	memoMu sync.Mutex
-	memos  map[string]*SharedMemo
 }
 
 // active reports whether the service routes campaigns through a journal.
@@ -120,40 +101,6 @@ func (s *Service) journalFor(e *Engine) (Journal, bool, error) {
 		return nil, false, err
 	}
 	return j, true, nil
-}
-
-// memoFor returns the shared memo for an engine: the injected Memo if
-// set, else the content-addressed file under Dir. A memo the Service
-// opened stays open across campaigns; each later campaign first absorbs
-// only the records appended since the last one, by this process or a
-// peer. The second return reports whether the engine flushes the memo
-// when the campaign ends (the caller owns an injected Memo). A nil
-// table means the caller should fall back to a private in-memory memo.
-func (s *Service) memoFor(e *Engine) (*SharedMemo, bool, error) {
-	if s.Memo != nil {
-		return s.Memo, false, nil
-	}
-	if s.Dir == "" {
-		return nil, false, nil
-	}
-	path := filepath.Join(s.Dir, fmt.Sprintf("memo-%016x.mfj", e.memoFingerprint()))
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	if m, ok := s.memos[path]; ok {
-		if err := m.absorb(); err != nil {
-			return nil, false, err
-		}
-		return m, true, nil
-	}
-	m, err := OpenSharedMemo(path)
-	if err != nil {
-		return nil, false, err
-	}
-	if s.memos == nil {
-		s.memos = make(map[string]*SharedMemo)
-	}
-	s.memos[path] = m
-	return m, true, nil
 }
 
 // defaultWorkerID identifies this process in shard leases.
@@ -187,18 +134,18 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// memoFingerprint digests everything a memo entry's validity depends on:
-// the target's observable behaviour (name, golden output, dynamic
-// profile, candidate-space sizes) plus the execution budgets, the
-// exception surface and the outcome classifier (a memoized continuation
-// outcome is a classification). Fault model, technique, N and seed are
-// deliberately absent — a memoized continuation outcome holds for any
-// campaign that reaches the same post-injection state.
+// fingerprint is the campaign's content address: the target's
+// observable behaviour (name, golden output, dynamic profile,
+// candidate-space sizes), the execution budgets, the exception surface,
+// the outcome classifier, the fault model's self-description and every
+// engine knob that shapes the recorded result. Two engines agree on it
+// exactly when their campaigns are interchangeable
+// experiment-for-experiment.
 //
-// The default classifier contributes nothing, so memo files and
-// campaign journals written before the classifier seam existed keep
-// their content addresses and resume unchanged.
-func (e *Engine) memoFingerprint() uint64 {
+// The default classifier contributes nothing, so campaign journals
+// written before the classifier seam existed keep their content
+// addresses and resume unchanged.
+func (e *Engine) fingerprint() uint64 {
 	t := e.Target
 	hangFactor := e.HangFactor
 	if hangFactor == 0 {
@@ -215,15 +162,6 @@ func (e *Engine) memoFingerprint() uint64 {
 	if name := e.classifier().Name(); name != "exact" {
 		h = mixBytes(h, []byte(name))
 	}
-	return h
-}
-
-// fingerprint is the campaign's content address: the memo fingerprint
-// plus the fault model's self-description and every engine knob that
-// shapes the recorded result. Two engines agree on it exactly when their
-// campaigns are interchangeable experiment-for-experiment.
-func (e *Engine) fingerprint() uint64 {
-	h := e.memoFingerprint()
 	h = mixBytes(h, []byte(e.Model.Describe()))
 	h = mix(h, uint64(e.N))
 	h = mix(h, e.Seed)
@@ -242,120 +180,3 @@ func (e *Engine) fingerprint() uint64 {
 	}
 	return h
 }
-
-// memoRec is the shared memo's on-disk record: one fault-equivalence
-// fact, StateKey -> continuation outcome.
-type memoRec struct {
-	K vm.StateKey `json:"k"`
-	V Outcome     `json:"v"`
-	P vm.TrapKind `json:"p,omitempty"`
-}
-
-// SharedMemo is the cross-campaign fault-equivalence memo: a
-// process-wide map mirrored to an append-only checksummed record file
-// (same line codec as the journal). Campaigns sharing a memo skip the
-// continuation of any post-injection state another campaign — or a
-// previous process — already executed. Correctness never depends on the
-// file's contents: entries are deterministic facts, a lost entry only
-// costs a re-execution, and a torn line is skipped by the loader.
-// FuzzMemoLoader pins this.
-type SharedMemo struct {
-	mu    sync.Mutex
-	path  string
-	m     sync.Map
-	fresh []byte
-	// tail is how far absorb has read the file.
-	tail logTail
-}
-
-// OpenSharedMemo opens (creating on first Flush if needed) a shared memo
-// file, loading every intact record. A missing file is an empty memo.
-func OpenSharedMemo(path string) (*SharedMemo, error) {
-	m := &SharedMemo{path: path}
-	if err := m.absorb(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// absorb loads the intact records appended to the memo file since the
-// last absorb, by this process's flushes or by a peer's. A missing file
-// holds no records yet.
-func (m *SharedMemo) absorb() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, err := os.Open(m.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("core: open memo: %w", err)
-	}
-	defer f.Close()
-	if err := m.tail.read(f, m.applyPayload); err != nil {
-		return fmt.Errorf("core: read memo: %w", err)
-	}
-	return nil
-}
-
-// applyPayload loads one memo record, skipping anything malformed. The
-// first record for a state wins; later ones (re-reads of our own
-// flushes, or a peer's duplicate) hold the same deterministic outcome.
-func (m *SharedMemo) applyPayload(payload []byte) {
-	var rec memoRec
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return
-	}
-	m.m.LoadOrStore(rec.K, memoVal{outcome: rec.V, trap: rec.P})
-}
-
-// load implements memoTable.
-func (m *SharedMemo) load(k vm.StateKey) (memoVal, bool) {
-	v, ok := m.m.Load(k)
-	if !ok {
-		return memoVal{}, false
-	}
-	return v.(memoVal), true
-}
-
-// store implements memoTable: new entries are queued for the next Flush.
-func (m *SharedMemo) store(k vm.StateKey, v memoVal) {
-	if _, loaded := m.m.LoadOrStore(k, v); loaded {
-		return
-	}
-	payload, err := json.Marshal(memoRec{K: k, V: v.outcome, P: v.trap})
-	if err != nil {
-		return
-	}
-	m.mu.Lock()
-	m.fresh = appendLine(m.fresh, payload)
-	m.mu.Unlock()
-}
-
-// Flush appends the entries stored since the last flush to the memo file
-// with a single O_APPEND write, so concurrent processes interleave whole
-// records.
-func (m *SharedMemo) Flush() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.fresh) == 0 {
-		return nil
-	}
-	f, err := os.OpenFile(m.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("core: flush memo: %w", err)
-	}
-	_, werr := f.Write(m.fresh)
-	cerr := f.Close()
-	if werr != nil {
-		return fmt.Errorf("core: flush memo: %w", werr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("core: flush memo: %w", cerr)
-	}
-	m.fresh = nil
-	return nil
-}
-
-// Close flushes pending entries.
-func (m *SharedMemo) Close() error { return m.Flush() }

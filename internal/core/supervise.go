@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"multiflip/internal/vm"
@@ -88,7 +89,7 @@ func rungName(disable vm.Tiers) string {
 // ladder returns the engine's degradation ladder, each rung the set of
 // tiers an attempt runs without: the target's set first, then
 // progressively less machinery — compiled kernels off, then
-// convergence/memo off (pure interpretation). Rungs the target already
+// convergence off (pure interpretation). Rungs the target already
 // disables collapse away, so a campaign on a compile-disabled target has
 // a two-rung ladder and a fully degraded one tries each experiment once.
 func (e *Engine) ladder() []vm.Tiers {
@@ -212,9 +213,10 @@ func dedupeErrors(errs []error) []error {
 // attempt runs one tier's try of experiment idx with panic isolation. A
 // recovered panic becomes a *panicError; the worker's goroutine — and
 // with it every other in-flight experiment — survives. The experiment
-// hook (test seam, chaos injection) fires on the first tier only, inside
-// the recover scope, so an injected panic is indistinguishable from a
-// real one and each experiment observes exactly one hook call.
+// hook (test seam) and the MULTIFLIP_CHAOS_PANIC injection fire on the
+// first tier only, inside the recover scope, so an injected panic is
+// indistinguishable from a real one and each experiment observes exactly
+// one hook call.
 func (e *Engine) attempt(idx uint64, w *worker, rung vm.Tiers, first bool) (exp Experiment, st expStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -231,30 +233,35 @@ func (e *Engine) attempt(idx uint64, w *worker, rung vm.Tiers, first bool) (exp 
 		if h := experimentHook; h != nil {
 			h(int(idx))
 		}
+		if k, _ := chaosPanic(); k > 0 && chaosCalls.Add(1)%k == 0 {
+			panic(fmt.Sprintf("chaos: injected panic at experiment %d", idx))
+		}
 	}
 	return e.runOne(idx, w, rung)
 }
 
-// chaosPanicHook installs a panicking experiment hook when
-// MULTIFLIP_CHAOS_PANIC=k is set: every k-th hook call panics. The
-// panics are transient — the hook fires on the first ladder tier only,
-// so the retry succeeds on the next rung and results stay bit-identical
-// — which is exactly what the CI chaos ablation exercises.
-func chaosPanicHook() {
+// chaosPanicEnv parses MULTIFLIP_CHAOS_PANIC=k: with it set, every k-th
+// first-tier attempt in the process panics. The panics are transient —
+// they fire on the first ladder tier only, so the retry succeeds on the
+// next rung and results stay bit-identical — which is exactly what the
+// CI chaos ablation exercises. Unset is 0; anything but a positive
+// integer is an error, which fails every Engine.Run.
+func chaosPanicEnv() (int64, error) {
 	v := os.Getenv("MULTIFLIP_CHAOS_PANIC")
 	if v == "" {
-		return
+		return 0, nil
 	}
 	k, err := strconv.ParseInt(v, 10, 64)
 	if err != nil || k <= 0 {
-		return
+		return 0, fmt.Errorf("core: MULTIFLIP_CHAOS_PANIC=%q: want a positive integer", v)
 	}
-	var calls atomic.Int64
-	experimentHook = func(idx int) {
-		if calls.Add(1)%k == 0 {
-			panic(fmt.Sprintf("chaos: injected panic at experiment %d", idx))
-		}
-	}
+	return k, nil
 }
 
-func init() { chaosPanicHook() }
+// chaosPanic reads MULTIFLIP_CHAOS_PANIC on first use rather than in a
+// package initializer, so that `go test`, which logs only the
+// environment reads made while tests run, keys its result cache on it.
+var chaosPanic = sync.OnceValues(chaosPanicEnv)
+
+// chaosCalls counts the first-tier attempts MULTIFLIP_CHAOS_PANIC sees.
+var chaosCalls atomic.Int64

@@ -119,7 +119,7 @@ func TestTransientPanicDegrades(t *testing.T) {
 	if len(res.Quarantined) != 0 {
 		t.Fatalf("transient panics quarantined %d experiments", len(res.Quarantined))
 	}
-	tiercontract.SameResult(t, "transient-panic degradation", baseline, res, false)
+	tiercontract.SameResult(t, "transient-panic degradation", baseline, res, true)
 }
 
 // TestQuarantinePersistentFailure drives every fault model over a target
@@ -322,5 +322,50 @@ func TestQuarantinePolicyChangesFingerprint(t *testing.T) {
 	var unset core.FailurePolicy
 	if fp(unset) != fp(core.FailFast) {
 		t.Fatal("zero-value policy does not fingerprint as FailFast")
+	}
+}
+
+// TestChaosPanicEnv checks MULTIFLIP_CHAOS_PANIC. A malformed value
+// fails Engine.Run with an error naming the variable before any
+// experiment runs, instead of running the campaign with no panic
+// injected. A valid one injects panics on the first ladder tier: the
+// next rung absorbs them, so results match an undisturbed run, and a
+// target whose ladder has one rung fails on them.
+func TestChaosPanicEnv(t *testing.T) {
+	eng := func(tg *core.Target) *core.Engine {
+		e := registerEngine(tg)
+		e.N, e.Seed, e.Record = 40, 5, true
+		return e
+	}
+	tg := target(t, "CRC32")
+	baseline, err := eng(tg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"banana", "0", "-2"} {
+		t.Setenv("MULTIFLIP_CHAOS_PANIC", bad)
+		core.RereadEnv(t)
+		var ran atomic.Int64
+		restore := core.SetExperimentHook(func(int) { ran.Add(1) })
+		_, err := eng(tg).Run()
+		restore()
+		if err == nil || !strings.Contains(err.Error(), "MULTIFLIP_CHAOS_PANIC") {
+			t.Errorf("MULTIFLIP_CHAOS_PANIC=%s: Run returned %v, want an error naming the variable", bad, err)
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("MULTIFLIP_CHAOS_PANIC=%s: %d experiments ran", bad, n)
+		}
+	}
+
+	t.Setenv("MULTIFLIP_CHAOS_PANIC", "3")
+	core.RereadEnv(t)
+	res, err := eng(tg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiercontract.SameResult(t, "injected chaos panics", baseline, res, true)
+	if _, err := eng(targetWith(t, "CRC32", vm.TierCompile|vm.TierConverge)).Run(); err == nil ||
+		!strings.Contains(err.Error(), "chaos: injected panic") {
+		t.Errorf("one-rung ladder under MULTIFLIP_CHAOS_PANIC=3 returned %v, want the injected panic", err)
 	}
 }

@@ -38,8 +38,7 @@ type Target struct {
 	Snapshots []*vm.Snapshot
 	// Trace is the golden run's state-hash trace: experiments carry it so
 	// the VM can terminate them early once their injected state
-	// reconverges with the golden run, and so campaigns can memoize
-	// outcomes by post-injection state. Nil when TierConverge is disabled.
+	// reconverges with the golden run. Nil when TierConverge is disabled.
 	Trace *vm.GoldenTrace
 	// Disable is the set of speed tiers every campaign on this target
 	// runs without (TargetOptions.Disable). MULTIFLIP_DISABLE adds to it

@@ -5,10 +5,9 @@
 // overwrites it or discards the register file — or possibly live.
 //
 // The analysis is the static half of the campaign engine's pruning
-// ladder (BEC-style, see PAPERS.md): convergence gating and the
-// fault-equivalence memo prune faults that die *dynamically*, while this
-// pass classifies flips into statically dead bits as Benign with zero
-// execution. Precision below register granularity comes from vacated-bit
+// ladder (BEC-style, see PAPERS.md): convergence gating prunes faults
+// that die *dynamically*, while this pass classifies flips into
+// statically dead bits as Benign with zero execution. Precision below register granularity comes from vacated-bit
 // transfer functions: an `and` with an immediate mask kills the masked
 // bits of its operand, a narrowing store observes only the stored bits, a
 // shift vacates the bits it discards, and carries in add/sub/mul

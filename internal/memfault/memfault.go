@@ -12,9 +12,9 @@
 // corrupted word may never be read again, so low activation — a high
 // Benign share — is part of the phenomenon being measured.
 //
-// The campaign itself — workers, batched claiming, sharded aggregation,
-// convergence and the fault-equivalence memo — is the shared experiment
-// engine in internal/core; this package contributes only the Model.
+// The campaign itself — workers, batched claiming, sharded aggregation
+// and convergence — is the shared experiment engine in internal/core;
+// this package contributes only the Model.
 package memfault
 
 import (

@@ -10,7 +10,7 @@ import (
 )
 
 // TestEarlyExitTable checks the early-termination report: one row per
-// program, six data columns, and — on the tiny grid — a non-zero
+// program, four data columns, and — on the tiny grid — a non-zero
 // convergence tally somewhere (the single-bit campaigns are dense in
 // overwritten-before-read faults).
 func TestEarlyExitTable(t *testing.T) {
@@ -20,8 +20,8 @@ func TestEarlyExitTable(t *testing.T) {
 		t.Fatalf("early-exit table has %d rows, want %d", len(tb.Rows), len(s.Programs))
 	}
 	for _, row := range tb.Rows {
-		if len(row) != 7 {
-			t.Fatalf("early-exit row has %d cells, want 7: %v", len(row), row)
+		if len(row) != 5 {
+			t.Fatalf("early-exit row has %d cells, want 5: %v", len(row), row)
 		}
 	}
 	total := 0
@@ -103,7 +103,7 @@ func TestStudyDisableConvergeDifferential(t *testing.T) {
 	for _, name := range off.Programs {
 		d := off.Data[name]
 		for _, tech := range core.Techniques() {
-			if d.Single[tech].Converged != 0 || d.Single[tech].MemoHits != 0 {
+			if d.Single[tech].Converged != 0 {
 				t.Errorf("%s %s: converge-disabled study reported early exits", name, tech)
 			}
 		}

@@ -264,45 +264,40 @@ func (s *Study) BestConfig(name string, tech core.Technique) (analysis.ConfigSDC
 	return analysis.HighestSDC(multi)
 }
 
-// EarlyExit reports the convergence/memo early-termination dividend
+// EarlyExit reports the convergence early-termination dividend
 // alongside Table I's grid: per program and technique, how many of the
 // grid's experiments the runner terminated at a golden-convergence
-// boundary and how many it resolved from the fault-equivalence memo,
-// without executing their post-injection tails.
+// boundary, without executing their post-injection tails.
 func (s *Study) EarlyExit() *report.Table {
 	t := &report.Table{
-		Title: "Early termination: golden-convergence and fault-equivalence memo rates over the Table I grid",
+		Title: "Early termination: golden-convergence rates over the Table I grid",
 		Columns: []string{"program",
-			"read exps", "read conv%", "read memo%",
-			"write exps", "write conv%", "write memo%"},
+			"read exps", "read conv%",
+			"write exps", "write conv%"},
 	}
 	for _, name := range s.Programs {
 		d := s.Data[name]
 		row := []string{name}
 		for _, tech := range core.Techniques() {
-			n, conv, memo := 0, 0, 0
+			n, conv := 0, 0
 			add := func(r *core.CampaignResult) {
 				if r == nil {
 					return
 				}
 				n += r.N()
 				conv += r.Converged
-				memo += r.MemoHits
 			}
 			add(d.Single[tech])
 			for _, r := range d.Multi[tech] {
 				add(r)
 			}
 			row = append(row, strconv.Itoa(n),
-				stats.FormatPct(stats.Percent(conv, n)),
-				stats.FormatPct(stats.Percent(memo, n)))
+				stats.FormatPct(stats.Percent(conv, n)))
 		}
 		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes,
-		"conv% = experiments whose injected state reconverged bit-identically with the golden run and terminated with its outcome.",
-		"memo% = experiments whose post-injection state matched an earlier experiment's, reusing its recorded outcome.",
-		"The conv/memo split (never the outcomes) can shift with worker scheduling: a fault-equivalent twin either hits the memo or reconverges on its own.")
+		"conv% = experiments whose injected state reconverged bit-identically with the golden run and terminated with its outcome.")
 	return t
 }
 

@@ -125,8 +125,7 @@ func TestRunJobsFirstErrorInListOrder(t *testing.T) {
 }
 
 // TestRunJobsReleasesJobs checks that a job, and whatever it captured,
-// can be freed once it has run while later jobs still run: this is what
-// frees a program's Service with its last campaign.
+// can be freed once it has run while later jobs still run.
 func TestRunJobsReleasesJobs(t *testing.T) {
 	freed := make(chan struct{})
 	jobs := []job{

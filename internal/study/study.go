@@ -73,9 +73,8 @@ type Options struct {
 	// job under this directory: campaigns checkpoint per shard, a killed
 	// study resumes from its last checkpoints (with Resume), and
 	// concurrent study processes sharing the directory drain the same
-	// campaigns cooperatively. Campaign journals and the cross-campaign
-	// fault-equivalence memo are content-addressed, so no coordination
-	// beyond the shared directory is needed.
+	// campaigns cooperatively. Campaign journals are content-addressed,
+	// so no coordination beyond the shared directory is needed.
 	JournalDir string
 	// Resume folds checkpoints already present in JournalDir instead of
 	// discarding them. Without it, every campaign starts fresh.
@@ -84,25 +83,12 @@ type Options struct {
 	Log io.Writer
 }
 
-// service returns a new campaign Service for the study's options, or nil
-// when no journal directory is configured (campaigns then run on the
-// engine's in-memory fast path). A program's campaigns share one
-// Service, also while several of them run at once, and it keeps the
-// program's memo open between them. A new one per program, dropped with
-// the program's last campaign, bounds the resident memos to the programs
-// in flight.
-func (o Options) service() *core.Service {
-	if o.JournalDir == "" {
-		return nil
-	}
-	return &core.Service{Dir: o.JournalDir, Resume: o.Resume}
-}
-
 // engine returns one of the study's campaigns: n experiments of model m
 // on target t under the study's hang budget, classifier and failure
-// policy, journaled through svc unless it is nil.
-func (o Options) engine(t *core.Target, m core.FaultModel, n int, seed uint64, svc *core.Service) *core.Engine {
-	return &core.Engine{
+// policy, journaled under JournalDir when it is set (otherwise on the
+// engine's in-memory fast path).
+func (o Options) engine(t *core.Target, m core.FaultModel, n int, seed uint64) *core.Engine {
+	e := &core.Engine{
 		Target:        t,
 		Model:         m,
 		N:             n,
@@ -110,8 +96,11 @@ func (o Options) engine(t *core.Target, m core.FaultModel, n int, seed uint64, s
 		HangFactor:    o.HangFactor,
 		Classifier:    o.Classifier,
 		FailurePolicy: o.OnFailure,
-		Service:       svc,
 	}
+	if o.JournalDir != "" {
+		e.Service = &core.Service{Dir: o.JournalDir, Resume: o.Resume}
+	}
+	return e
 }
 
 func (o Options) withDefaults() Options {
@@ -251,16 +240,15 @@ func Run(opts Options) (*Study, error) {
 // single-bit campaign and the multi-bit grid, then the stuck-at
 // campaign. Each campaign stores its result in d under mu, a multi-bit
 // one in its grid slot, so d does not depend on which campaign ends
-// first. The campaigns share one Service (see Options.service).
+// first.
 func programJobs(opts Options, name string, d *ProgData, mu *sync.Mutex) []job {
-	svc := opts.service()
 	grid := len(opts.MaxMBFs) * len(opts.WinSizes)
 	var jobs []job
 	flip := func(log string, tech core.Technique, cfg core.Config, record bool, store func(*core.CampaignResult)) {
 		jobs = append(jobs, job{log: log, run: func(workers int, start func(*core.Engine)) error {
 			spec := core.CampaignSpec{Technique: tech, Config: cfg}
 			seed := campaignSeed(opts.Seed, name, tech, cfg)
-			e := opts.engine(d.Target, &core.RegisterModel{Spec: &spec}, opts.N, seed, svc)
+			e := opts.engine(d.Target, &core.RegisterModel{Spec: &spec}, opts.N, seed)
 			e.Workers, e.Record = workers, record
 			start(e)
 			res, err := e.Run()
@@ -292,7 +280,7 @@ func programJobs(opts Options, name string, d *ProgData, mu *sync.Mutex) []job {
 	log := fmt.Sprintf("%s stuck-at: window %s (n=%d)", name, opts.StuckAtWindow, opts.N)
 	return append(jobs, job{log: log, run: func(workers int, start func(*core.Engine)) error {
 		m := &core.StuckAtModel{Spec: &core.StuckAtSpec{Window: opts.StuckAtWindow}}
-		e := opts.engine(d.Target, m, opts.N, stuckSeed(opts.Seed, name, opts.StuckAtWindow), svc)
+		e := opts.engine(d.Target, m, opts.N, stuckSeed(opts.Seed, name, opts.StuckAtWindow))
 		e.Workers = workers
 		start(e)
 		res, err := e.Run()
@@ -323,12 +311,11 @@ type job struct {
 // jobs in flight as evenly as it can, so at most workers experiments
 // run at once; with one worker the jobs run one after another. Each
 // job's log line goes to log as it starts, so the log keeps list order.
-// A job is dropped once it has run, so what it captured (a program's
-// Service and the memos it keeps) is freed with the program's last
-// campaign. After a failure no further job starts, and the campaigns
-// still running are interrupted; the error returned is that of the
-// first failed job in list order, not counting the interrupts runJobs
-// caused.
+// A job is dropped once it has run, so what it captured does not stay
+// reachable while later jobs run. After a failure no further job
+// starts, and the campaigns still running are interrupted; the error
+// returned is that of the first failed job in list order, not counting
+// the interrupts runJobs caused.
 func runJobs(workers int, log io.Writer, jobs []job) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -51,8 +51,6 @@ func (s *Study) runTransitions() (map[string]map[core.Technique]*TransitionResul
 	for _, name := range s.Programs {
 		d := s.Data[name]
 		out[name] = make(map[core.Technique]*TransitionResult, 2)
-		// One Service per program, as in programJobs; see Options.service.
-		svc := s.Opts.service()
 		for _, tech := range core.Techniques() {
 			single := d.Single[tech]
 			if len(single.Experiments) == 0 {
@@ -70,7 +68,7 @@ func (s *Study) runTransitions() (map[string]map[core.Technique]*TransitionResul
 				}
 				m := &core.RegisterModel{Spec: &core.CampaignSpec{Technique: tech, Config: best.Config, Pins: pins}}
 				seed := campaignSeed(s.Opts.Seed, name+"/tran", tech, best.Config)
-				e := s.Opts.engine(d.Target, m, len(pins), seed, svc)
+				e := s.Opts.engine(d.Target, m, len(pins), seed)
 				e.Workers, e.Record = workers, true
 				start(e)
 				pinned, err := e.Run()

@@ -81,12 +81,11 @@ func cells() []cell {
 // row is one tier of the contract, compared by disabling it.
 type row struct {
 	tier vm.Tiers
-	// early marks a tier that leaves the early-exit counters alone, so
-	// SameResult compares Converged and MemoHits too. Both campaigns of
-	// such a row run with Workers = 1, which makes the counters
-	// deterministic; the other rows run the tierless campaign with every
-	// core.
-	early bool
+	// converged marks a tier that leaves convergence alone, so
+	// SameResult compares Converged too. The converge and liveness rows
+	// decide whether an experiment converges or executes at all, so
+	// they do not.
+	converged bool
 	// engaged is the row's non-vacuity check on one workload: it returns
 	// why the tier is not on in the default target, or "".
 	engaged func(p *ir.Program, def, off *core.Target) string
@@ -99,7 +98,8 @@ type row struct {
 
 var rows = []row{
 	{
-		tier: vm.TierSnapshots,
+		tier:      vm.TierSnapshots,
+		converged: true,
 		engaged: func(_ *ir.Program, def, off *core.Target) string {
 			if len(def.Snapshots) == 0 || len(off.Snapshots) != 0 {
 				return fmt.Sprintf("snapshots kept: %d by default, %d without the tier", len(def.Snapshots), len(off.Snapshots))
@@ -108,8 +108,8 @@ var rows = []row{
 		},
 	},
 	{
-		tier:  vm.TierCompile,
-		early: true,
+		tier:      vm.TierCompile,
+		converged: true,
 		engaged: func(p *ir.Program, _, _ *core.Target) string {
 			if !vm.Compiled(p) {
 				return "no compiled kernel engages (re-run go generate ./...)"
@@ -125,7 +125,7 @@ var rows = []row{
 			}
 			return ""
 		},
-		fired:   func(r *core.EngineResult) int { return r.Converged + r.MemoHits },
+		fired:   func(r *core.EngineResult) int { return r.Converged },
 		firesIn: []string{Register, StuckAt, MemFault},
 	},
 	{
@@ -140,9 +140,10 @@ var rows = []row{
 // Check holds the row of tier to the cells of family on every workload.
 // Per workload it prepares the default target and one without tier,
 // requires the two to profile alike and the tier to be engaged on the
-// default one, runs each cell on both and compares the pair with
-// SameResult. Where the row counts what its tier did, the count must be
-// zero without the tier and, summed over the default target's campaigns,
+// default one, runs each cell on both (on one worker by default, on
+// every core without the tier) and compares the pair with SameResult.
+// Where the row counts what its tier did, the count must be zero
+// without the tier and, summed over the default target's campaigns,
 // nonzero exactly when the tier applies to family.
 func Check(t *testing.T, tier vm.Tiers, family string) {
 	t.Helper()
@@ -159,10 +160,6 @@ func Check(t *testing.T, tier vm.Tiers, family string) {
 	}
 	if len(cs) == 0 {
 		t.Fatalf("no contract cell of family %q", family)
-	}
-	workers := 0
-	if r.early {
-		workers = 1
 	}
 	const seed = 12345
 	var mu sync.Mutex
@@ -209,8 +206,8 @@ func Check(t *testing.T, tier vm.Tiers, family string) {
 			for _, c := range cs {
 				want := run(bench.Name+" "+c.name, def, c, 1)
 				label := fmt.Sprintf("%s %s without %s", bench.Name, c.name, tier)
-				got := run(label, off, c, workers)
-				SameResult(t, label, want, got, r.early)
+				got := run(label, off, c, 0)
+				SameResult(t, label, want, got, r.converged)
 				if r.fired == nil {
 					continue
 				}
@@ -247,10 +244,10 @@ func sameProfile(t *testing.T, label string, want, got *core.Target) {
 // SameResult fails the test unless two engine results agree on every
 // deterministic field: the per-experiment records, the flat and
 // dimensional tallies, the crash, trap and activation histograms, the
-// quarantine records and, with wantEarly (for campaigns whose early-exit
-// split is deterministic and untouched by the difference under test),
-// the early-exit counters.
-func SameResult(t *testing.T, label string, want, got *core.EngineResult, wantEarly bool) {
+// quarantine records and, with wantConverged (for campaigns whose
+// convergence is untouched by the difference under test), the
+// Converged counter.
+func SameResult(t *testing.T, label string, want, got *core.EngineResult, wantConverged bool) {
 	t.Helper()
 	if want.Counts != got.Counts {
 		t.Errorf("%s: tallies differ: %v vs %v", label, want.Counts, got.Counts)
@@ -267,9 +264,8 @@ func SameResult(t *testing.T, label string, want, got *core.EngineResult, wantEa
 	if want.ActivatedTotal != got.ActivatedTotal {
 		t.Errorf("%s: activated totals differ: %d vs %d", label, want.ActivatedTotal, got.ActivatedTotal)
 	}
-	if wantEarly && (want.Converged != got.Converged || want.MemoHits != got.MemoHits) {
-		t.Errorf("%s: early-exit counters differ: conv %d vs %d, memo %d vs %d",
-			label, want.Converged, got.Converged, want.MemoHits, got.MemoHits)
+	if wantConverged && want.Converged != got.Converged {
+		t.Errorf("%s: converged counts differ: %d vs %d", label, want.Converged, got.Converged)
 	}
 	if len(want.Experiments) != len(got.Experiments) {
 		t.Fatalf("%s: experiment counts differ: %d vs %d", label, len(want.Experiments), len(got.Experiments))

@@ -28,7 +28,7 @@ const (
 	// event horizons instead of the interpreter (sprint).
 	TierCompile
 	// TierConverge terminates runs whose state reconverges with the
-	// golden trace, and lets campaigns memoize post-injection states.
+	// golden trace.
 	TierConverge
 	// TierLiveness classifies provably dead-bit flips without executing.
 	TierLiveness

@@ -19,12 +19,6 @@ package vm
 // terminates immediately with the golden outcome, output and counters
 // (Result.Converged marks the provenance).
 //
-// The same fingerprint doubles as a fault-equivalence key: at the first
-// boundary after injection completes, the run's StateKey identifies its
-// post-injection state. Campaign runners memoize outcomes by StateKey, so
-// experiments that collapse to an already-seen injected state reuse the
-// recorded outcome instead of re-executing (Options.MemoCheck, StopMemo).
-//
 // Memory fingerprints are defined relative to the program image: the
 // contribution of a page is H(current) XOR H(image), folded into one
 // running value with XOR, so untouched pages contribute nothing and
@@ -67,19 +61,6 @@ type traceEntry struct {
 	regsH     uint64 // register arena + call frames + sp
 	outH      uint64 // rolling FNV-1a over the output prefix
 	outLen    uint64
-}
-
-// StateKey fingerprints a run's machine state at the first event-horizon
-// boundary after its injections completed. Equal keys mean (up to hash
-// collision) bit-identical states at the same dynamic instant, hence
-// identical continuations: campaign runners use it to memoize outcomes
-// across fault-equivalent experiments.
-type StateKey struct {
-	Dyn    uint64
-	Mem    uint64
-	Regs   uint64
-	Out    uint64
-	OutLen uint64
 }
 
 // entryAt returns the trace entry recorded exactly at dyn, or nil.
@@ -240,8 +221,8 @@ func (m *machine) recordTraceEntry(gd, sd pageDelta) {
 // complete: the first check lands on the first golden boundary at or
 // after the current instant. The schedule depends only on the injection
 // completion point, so it is identical across worker counts, snapshot
-// fast-forwarding and dispatch variants — a requirement for StateKey
-// memo canonicity.
+// fast-forwarding and dispatch variants, and so is whether the run
+// converges.
 func (m *machine) scheduleConv() {
 	m.convSched = true
 	m.convStride = 1
@@ -255,10 +236,9 @@ func (m *machine) scheduleConv() {
 }
 
 // checkConverge runs one convergence check at the boundary the event
-// horizon stopped on. It returns true when the run is over: either the
-// state reconverged with the golden run (m.converged, golden outcome
-// installed) or the caller's memo already knows this post-injection state
-// (StopMemo). On divergence the next check backs off exponentially in
+// horizon stopped on. It returns true when the state reconverged with
+// the golden run and the run is over (m.converged, golden outcome
+// installed). On divergence the next check backs off exponentially in
 // boundaries, so runs that never reconverge pay O(log n) checks.
 func (m *machine) checkConverge() bool {
 	es := m.trace.entries
@@ -277,35 +257,16 @@ func (m *machine) checkConverge() bool {
 
 	// At the boundary: bring the incremental fingerprint up to date and
 	// compare against the golden entry. The register hash is the
-	// expensive part (it walks the live arena), so once the memo key has
-	// been taken it is computed only when the memory and output
-	// fingerprints already match — runs diverging in memory (the typical
-	// SDC) pay only the fold.
+	// expensive part (it walks the live arena), so it is computed only
+	// when the memory and output fingerprints already match — runs
+	// diverging in memory (the typical SDC) pay only the fold.
 	m.memH ^= m.globals.foldDirty()
 	m.memH ^= m.stack.foldDirty()
 	m.absorbOut()
-	memEq := m.memH == e.memH && uint64(len(m.out)) == e.outLen && m.outH == e.outH
-	if memEq || !m.memoDone {
-		regsH := m.regsHash()
-		if memEq && regsH == e.regsH {
-			m.convergeFinish(e)
-			return true
-		}
-		if !m.memoDone {
-			// First post-injection boundary and the state diverges from
-			// golden: this is the canonical fault-equivalence key for the
-			// experiment.
-			m.memoDone = true
-			m.postKey = StateKey{
-				Dyn: m.dyn, Mem: m.memH, Regs: regsH,
-				Out: m.outH, OutLen: uint64(len(m.out)),
-			}
-			m.postKeyed = true
-			if m.memoCheck != nil && m.memoCheck(m.postKey) {
-				m.stop = StopMemo
-				return true
-			}
-		}
+	if m.memH == e.memH && uint64(len(m.out)) == e.outLen && m.outH == e.outH &&
+		m.regsHash() == e.regsH {
+		m.convergeFinish(e)
+		return true
 	}
 
 	// Back off exponentially, capped: uncapped doubling would effectively

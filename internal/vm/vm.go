@@ -80,7 +80,6 @@ const (
 	StopTrap                              // hardware exception raised
 	StopHang                              // dynamic-instruction budget exhausted
 	StopOutputLimit                       // output exceeded its limit (runaway output loop)
-	StopMemo                              // Options.MemoCheck recognized the post-injection state
 )
 
 var stopNames = map[StopReason]string{
@@ -88,7 +87,6 @@ var stopNames = map[StopReason]string{
 	StopTrap:        "trap",
 	StopHang:        "hang",
 	StopOutputLimit: "output-limit",
-	StopMemo:        "memo-hit",
 }
 
 // String implements fmt.Stringer.
@@ -162,7 +160,7 @@ type Options struct {
 	// Disable turns speed tiers off for this run: with TierCompile in the
 	// set the VM interprets (sprint) between event horizons instead of
 	// running the workload's generated native kernel (kern.go), and with
-	// TierConverge it ignores Trace and MemoCheck.
+	// TierConverge it ignores Trace.
 	// The other members are ignored here. MULTIFLIP_DISABLE adds to the
 	// set process-wide. Results are bit-identical either way (the
 	// differential tests enforce it).
@@ -180,13 +178,6 @@ type Options struct {
 	// incompatible budgets or exception options silently disable the
 	// checks. Ignored for checkpointing or role-counting runs.
 	Trace *GoldenTrace
-	// MemoCheck, when non-nil (and Trace is active), is called once with
-	// the run's StateKey at the first event-horizon boundary after its
-	// injections completed and its state diverges from golden. Returning
-	// true stops the run immediately with StopMemo: the caller already
-	// knows the outcome of this post-injection state. Campaign runners
-	// use it for fault-equivalence memoization.
-	MemoCheck func(StateKey) bool
 }
 
 // MemFlip describes one memory-word corruption: just before the dynamic
@@ -255,11 +246,6 @@ type Result struct {
 	// Stop/Output/Dyn and the candidate counters report the golden
 	// continuation without it having been executed.
 	Converged bool
-	// PostKeyed reports that PostKey holds the run's fault-equivalence
-	// fingerprint: the state key at the first event-horizon boundary
-	// after the injections completed with state diverging from golden.
-	PostKeyed bool
-	PostKey   StateKey
 
 	// steps counts the instructions run's observer branch stepped (see
 	// machine.steps); the tests use it to check that an armed plan runs
@@ -361,7 +347,6 @@ type machine struct {
 	// fields (memH, outH, outHashed) are shared.
 	trace      *GoldenTrace
 	rec        *GoldenTrace
-	memoCheck  func(StateKey) bool
 	memH       uint64
 	outH       uint64
 	outHashed  int
@@ -369,10 +354,7 @@ type machine struct {
 	convIdx    int
 	convStride int
 	convSched  bool
-	memoDone   bool
 	converged  bool
-	postKey    StateKey
-	postKeyed  bool
 	// gSpare/sSpare hold the segments' recyclable tracking buffers
 	// between runs.
 	gSpare, sSpare memBufs
@@ -619,7 +601,6 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 		m.outHashed = len(m.out)
 	}
 	if m.trace != nil {
-		m.memoCheck = opts.MemoCheck
 		// Size the output buffer for the golden output: runs that reach
 		// the output phase otherwise pay repeated growth copies. A warm
 		// Runner's buffer is already large enough.
@@ -654,8 +635,6 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 		WriteRoles:    m.writeRoles,
 		Snapshots:     m.snaps,
 		Converged:     m.converged,
-		PostKeyed:     m.postKeyed,
-		PostKey:       m.postKey,
 		steps:         m.steps,
 	}
 	if m.rec != nil {
@@ -788,8 +767,8 @@ func val(regs []uint64, o ir.Operand) uint64 {
 //
 // Convergence checks arm only once the plan has ended (endPlan clears the
 // armed flags), at the first stop after its last flip, which is stepped;
-// so the first check, and the StateKey it takes, do not depend on which
-// tiers ran the injected prefix.
+// so the first check does not depend on which tiers ran the injected
+// prefix.
 func (m *machine) run() {
 	fr := &m.frames[len(m.frames)-1]
 	for {
