@@ -335,65 +335,6 @@ func benchCampaignSnapshot(b *testing.B, disable vm.Tiers) {
 	b.ReportMetric(float64(perIter)*float64(b.N)/b.Elapsed().Seconds(), "experiments/s")
 }
 
-// BenchmarkCampaignLiveness measures the static liveness pruning tier on
-// the Table I single-bit campaigns: for qsort (the paper's Table I
-// exemplar) and CRC32 (a dead-bit-heavy kernel), both techniques, the
-// same campaign runs with the tier on and with it ablated (a target
-// prepared without vm.TierLiveness). The liveness soundness differential
-// guarantees both variants record bit-identical experiments; the delta
-// here is pure wall-clock bought by classifying dead-bit flips without
-// executing them.
-func BenchmarkCampaignLiveness(b *testing.B) {
-	for _, name := range []string{"qsort", "CRC32"} {
-		bench, err := prog.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, err := bench.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		live, err := core.NewTarget(bench.Name, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ablated, err := core.NewTargetOpts(bench.Name, p, core.TargetOptions{Disable: vm.TierLiveness})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, tech := range core.Techniques() {
-			for _, ablate := range []bool{false, true} {
-				label, target := "live", live
-				if ablate {
-					label, target = "noliveness", ablated
-				}
-				b.Run(fmt.Sprintf("%s/%s/%s", name, tech, label), func(b *testing.B) {
-					const perIter = 200
-					b.ReportAllocs()
-					pruned := 0
-					for i := 0; i < b.N; i++ {
-						res, err := (&core.Engine{
-							Target: target,
-							Model: &core.RegisterModel{Spec: &core.CampaignSpec{
-								Technique: tech,
-								Config:    core.SingleBit(),
-							}},
-							N:    perIter,
-							Seed: uint64(i),
-						}).Run()
-						if err != nil {
-							b.Fatal(err)
-						}
-						pruned += res.StaticPruned
-					}
-					b.ReportMetric(float64(perIter)*float64(b.N)/b.Elapsed().Seconds(), "experiments/s")
-					b.ReportMetric(100*float64(pruned)/float64(perIter*b.N), "pruned%")
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkCampaignJournal measures the campaign service's durability
 // overhead on the BenchmarkCampaignSnapshot workload: the same campaign
 // run through a journal instead of the in-memory fast path. "mem" prices

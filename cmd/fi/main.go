@@ -83,7 +83,7 @@ func main() {
 	flag.Uint64Var(&o.seed, "seed", 1, "campaign seed (campaigns are exactly reproducible)")
 	flag.Uint64Var(&o.hang, "hang", core.DefaultHangFactor, "hang budget as a multiple of the fault-free dynamic instruction count")
 	flag.IntVar(&o.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	flag.Var(&o.disable, "disable", "comma-separated speed `tiers` to turn off: snapshots, compile, converge, liveness (results are identical)")
+	flag.Var(&o.disable, "disable", "comma-separated speed `tiers` to turn off: snapshots, compile, converge (results are identical)")
 	flag.StringVar(&o.classSpec, "classifier", "", `outcome classifier: "exact" (default) or "tol:abs=E,rel=E[,word=4|8][,float]" (tolerant output comparison)`)
 	flag.StringVar(&o.onfailSpec, "onfail", "", `failure policy for experiments failing every supervision tier: "fast" (abort, default) or "quarantine" (poison and keep draining)`)
 	flag.StringVar(&o.journal, "journal", "", "journal directory: run the campaign as a durable sharded job (checkpointed, resumable, multi-process)")
@@ -231,7 +231,8 @@ func runStuckAt(target *core.Target, win core.WinSize, o options) error {
 }
 
 // runStatus writes to w a list of every campaign journal in the directory
-// with its shard progress and the running tally over checkpointed shards.
+// with its shard progress and the running tally over checkpointed shards,
+// and a note naming each journal file it could not list and why.
 func runStatus(w io.Writer, dir string) error {
 	infos, err := core.InspectDir(dir)
 	if err != nil {
@@ -244,27 +245,24 @@ func runStatus(w io.Writer, dir string) error {
 	t := &report.Table{
 		Title: fmt.Sprintf("Campaign journals in %s", dir),
 		Columns: []string{"campaign", "n", "seed", "shards done/leased/pending",
-			"experiments", "pruned", "SDC so far", "0->1", "1->0"},
+			"experiments", "SDC so far", "0->1", "1->0"},
 	}
 	var extra []string
 	for _, in := range infos {
+		if in.Err != nil {
+			extra = append(extra, fmt.Sprintf("not listed: %v", in.Err))
+			continue
+		}
 		st := in.Status
 		sdc := "-"
 		if st.Tally.N() > 0 {
 			sdc = stats.FormatPct(st.Tally.SDCPct()) + "%"
-		}
-		// Journals written before the static-pruning tier carry no counter
-		// and land on the same "-" as campaigns where the tier never fired.
-		pruned := "-"
-		if st.StaticPruned > 0 {
-			pruned = strconv.Itoa(st.StaticPruned)
 		}
 		t.AddRow(in.Meta.Model,
 			strconv.Itoa(in.Meta.N),
 			strconv.FormatUint(in.Meta.Seed, 10),
 			fmt.Sprintf("%d/%d/%d of %d", st.Done, st.Leased, st.Pending, st.Shards),
 			fmt.Sprintf("%d/%d", st.ExperimentsDone, st.ExperimentsTotal),
-			pruned,
 			sdc,
 			dirCell(&st.Tally, core.Dir0to1),
 			dirCell(&st.Tally, core.Dir1to0))
@@ -281,8 +279,7 @@ func runStatus(w io.Writer, dir string) error {
 	}
 	t.Notes = append(t.Notes,
 		"The tally covers checkpointed shards only; shard merging is exact, so percentages are true partial results.",
-		"0->1 / 1->0 split checkpointed experiments by flip direction (count and SDC%); journals written before the dimensional tally show \"-\".",
-		"pruned counts experiments classified Benign by the static liveness tier without executing; \"-\" means none (or a journal written before the tier).")
+		"0->1 / 1->0 split checkpointed experiments by flip direction (count and SDC%); journals written before the dimensional tally show \"-\".")
 	t.Notes = append(t.Notes, extra...)
 	return t.Render(w)
 }
@@ -337,12 +334,6 @@ func renderCampaign(title string, res *core.EngineResult) error {
 		fmt.Sprintf("error resilience: %.3f", res.Resilience()),
 		fmt.Sprintf("mean activated errors per experiment: %.2f", float64(res.ActivatedTotal)/float64(res.N())),
 		fmt.Sprintf("early exits: %d converged with the golden run", res.Converged))
-	// Only campaigns where the tier fired mention it: flag-identical output
-	// to builds predating the static-pruning tier otherwise.
-	if res.StaticPruned > 0 {
-		t.Notes = append(t.Notes,
-			fmt.Sprintf("static pruning: %d experiment(s) proved Benign by the liveness oracle without executing", res.StaticPruned))
-	}
 	for _, q := range res.Quarantined {
 		failure := ""
 		if n := len(q.Errs); n > 0 {

@@ -71,8 +71,8 @@ func TestDisableFlag(t *testing.T) {
 	if tg.Trace == nil && !vm.EnvDisabled().Has(vm.TierConverge) {
 		t.Error("-disable snapshots lost the golden trace")
 	}
-	for _, bad := range []string{"snapshot", "fuse"} {
-		if err := o.disable.Set(bad); err == nil || !strings.Contains(err.Error(), "snapshots, compile, converge, liveness") {
+	for _, bad := range []string{"snapshot", "fuse", "liveness"} {
+		if err := o.disable.Set(bad); err == nil || !strings.HasSuffix(err.Error(), "(valid: snapshots, compile, converge)") {
 			t.Errorf("-disable %s: want an error naming the valid tiers, got %v", bad, err)
 		}
 	}
@@ -99,6 +99,45 @@ func TestStatusRendersRetiredRung(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("-status output misses %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestStatusReportsEveryJournal renders -status over a directory holding
+// a journal written while campaigns pruned statically dead flips (the
+// fixture of internal/core's TestStaticPrunedJournalLoads), a garbage
+// campaign file and a zero-length one: the campaign is listed, and each
+// other file is named with its reason. A missing directory is an error.
+func TestStatusReportsEveryJournal(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "core", "testdata", "spruned-campaign.mfj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"campaign-3d7ca68d82d8877b.mfj": data,
+		"campaign-0000000000000bad.mfj": []byte("garbage\n"),
+		"campaign-0000000000000new.mfj": nil,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out strings.Builder
+	if err := runStatus(&out, dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"register tech=inject-on-write mbf=1 win=0", "2/0/0 of 2", "40/40",
+		"not listed: core: journal " + filepath.Join(dir, "campaign-0000000000000bad.mfj") + " holds no campaign meta record",
+		"not listed: core: journal " + filepath.Join(dir, "campaign-0000000000000new.mfj") + ": no records yet",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-status output misses %q:\n%s", want, out.String())
+		}
+	}
+	missing := filepath.Join(dir, "no-such-dir")
+	if err := runStatus(&out, missing); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Errorf("-status on a missing directory: got %v, want an error naming it", err)
 	}
 }
 

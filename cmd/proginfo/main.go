@@ -7,8 +7,7 @@
 // Usage:
 //
 //	proginfo [-v]
-//	proginfo -disasm sha    # print a program's IR listing
-//	proginfo -liveness sha  # per-function dead-bit density
+//	proginfo -disasm sha  # print a program's IR listing
 package main
 
 import (
@@ -19,24 +18,15 @@ import (
 
 	"multiflip/internal/core"
 	"multiflip/internal/ir"
-	"multiflip/internal/liveness"
 	"multiflip/internal/prog"
 )
 
 func main() {
 	verbose := flag.Bool("v", false, "also print per-program static instruction counts and disassembly sizes")
 	disasm := flag.String("disasm", "", "print the IR disassembly of the named program and exit")
-	live := flag.String("liveness", "", "print the named program's per-function dead-bit density and exit")
 	flag.Parse()
 	if *disasm != "" {
 		if err := runDisasm(*disasm); err != nil {
-			fmt.Fprintln(os.Stderr, "proginfo:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *live != "" {
-		if err := runLiveness(*live); err != nil {
 			fmt.Fprintln(os.Stderr, "proginfo:", err)
 			os.Exit(1)
 		}
@@ -46,32 +36,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "proginfo:", err)
 		os.Exit(1)
 	}
-}
-
-// runLiveness prints the static dead-bit density the liveness tier sees:
-// per function, how many of the injection-candidate bits (read slots and
-// destination writes over static instructions) are provably dead, i.e.
-// flips the campaign engine classifies Benign without executing.
-func runLiveness(name string) error {
-	b, err := prog.ByName(name)
-	if err != nil {
-		return err
-	}
-	p, err := b.Build()
-	if err != nil {
-		return err
-	}
-	an := liveness.Analyze(p)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "function\tread bits\tdead\twrite bits\tdead\tdensity")
-	for _, st := range an.Stats(p) {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.1f%%\n",
-			st.Name, st.ReadBits, st.DeadRead, st.WriteBits, st.DeadWrite, 100*st.Density())
-	}
-	st := an.ProgStat(p)
-	fmt.Fprintf(tw, "total\t%d\t%d\t%d\t%d\t%.1f%%\n",
-		st.ReadBits, st.DeadRead, st.WriteBits, st.DeadWrite, 100*st.Density())
-	return tw.Flush()
 }
 
 func runDisasm(name string) error {

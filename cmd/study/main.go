@@ -37,7 +37,7 @@ func main() {
 		progs       = flag.String("progs", "", "comma-separated program subset (empty = all 15)")
 		quick       = flag.Bool("quick", false, "reduced grid: max-MBF {2,3,10,30}, win {0,1,4,RND(11-100),1000}")
 		transitions = flag.Bool("transitions", true, "run the transition study (Table IV)")
-		ablations   = flag.Bool("ablations", true, "run the hang-budget, alignment and liveness-prediction ablations; they ignore -workers, -classifier, -onfail, -journal and -disable (GOMAXPROCS workers, exact classifier, fail-fast, in memory, every tier on)")
+		ablations   = flag.Bool("ablations", true, "run the hang-budget and alignment ablations; they ignore -workers, -classifier, -onfail, -journal and -disable (GOMAXPROCS workers, exact classifier, fail-fast, in memory, every tier on)")
 		memfaults   = flag.Bool("memfault", true, "run the memory-word multi-bit fault extension (paper future work); it ignores -workers, -classifier, -onfail and -journal (GOMAXPROCS workers, exact classifier, fail-fast, in memory)")
 		stuckat     = flag.Bool("stuckat", true, "run the stuck-at register-fault extension (one campaign per program)")
 		stuckwin    = flag.String("stuckwin", "", `stuck-at extension hold window in Table I notation ("100", "11-100"; empty = default)`)
@@ -54,7 +54,7 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write an allocation profile of the run to `file`")
 	)
 	var disable vm.Tiers
-	flag.Var(&disable, "disable", "comma-separated speed `tiers` to turn off: snapshots, compile, converge, liveness (results are identical)")
+	flag.Var(&disable, "disable", "comma-separated speed `tiers` to turn off: snapshots, compile, converge (results are identical)")
 	flag.Parse()
 	if err := run(params{
 		n: *n, seed: *seed, progs: *progs, quick: *quick,
@@ -235,16 +235,6 @@ func runTo(w io.Writer, p params) error {
 			if err := abl.Render(w); err != nil {
 				return err
 			}
-		}
-		// The static-pruning confrontation reuses the ablation sample: how
-		// many experiments the liveness tier classifies without executing,
-		// and that every one of them agrees with actual execution.
-		live, err := study.LivenessPredictionTable([]string{"qsort", "CRC32"}, ablN, seed)
-		if err != nil {
-			return err
-		}
-		if err := live.Render(w); err != nil {
-			return err
 		}
 	}
 	if p.memfaults {

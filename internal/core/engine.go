@@ -218,11 +218,10 @@ type EngineResult struct {
 	//
 	// Deprecated: campaigns keep no fault-equivalence memo.
 	MemoHits int
-	// StaticPruned counts experiments classified Benign by the static
-	// liveness tier without executing: every bit of their sampled flip
-	// mask was provably dead at the injection point. Deterministic per
-	// (target, model, seed) — pruning happens before scheduling can
-	// intervene — and zero when TierLiveness is disabled.
+	// StaticPruned is always zero.
+	//
+	// Deprecated: campaigns prune nothing statically; every experiment
+	// executes.
 	StaticPruned int
 	// Experiments holds per-experiment records when Record is set.
 	Experiments []Experiment
@@ -231,13 +230,6 @@ type EngineResult struct {
 	// outcomes are tallied under OutcomeInternal; an empty slice is the
 	// healthy case.
 	Quarantined []QuarantineRecord
-}
-
-// expStats reports how an experiment terminated, for the engine's
-// early-exit accounting.
-type expStats struct {
-	converged    bool
-	staticPruned bool
 }
 
 // engineShard is one worker's private aggregate. Workers never touch a
@@ -328,7 +320,7 @@ func (e *Engine) Run() (*EngineResult, error) {
 					if failed.Load() || e.interrupted.Load() {
 						return
 					}
-					exp, st, quar, err := e.runSupervised(uint64(i), w, ladder)
+					exp, converged, quar, err := e.runSupervised(uint64(i), w, ladder)
 					if err != nil {
 						// Every worker's failure is collected: a grid-wide
 						// abort with several concurrent causes surfaces all
@@ -343,7 +335,7 @@ func (e *Engine) Run() (*EngineResult, error) {
 					if quar != nil {
 						sh.Quarantined = append(sh.Quarantined, *quar)
 					}
-					sh.Add(&exp, st.converged, st.staticPruned)
+					sh.Add(&exp, converged)
 					if exps != nil {
 						exps[i] = exp
 					}
@@ -485,7 +477,7 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 						_ = j.Renew(workerID, shard, ttl)
 						leaseAt = time.Now()
 					}
-					exp, st, quar, err := e.runSupervised(uint64(i), w, ladder)
+					exp, converged, quar, err := e.runSupervised(uint64(i), w, ladder)
 					if err != nil {
 						fail(err)
 						return
@@ -493,7 +485,7 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 					if quar != nil {
 						sr.Quarantined = append(sr.Quarantined, *quar)
 					}
-					sr.Add(&exp, st.converged, st.staticPruned)
+					sr.Add(&exp, converged)
 					if e.Record {
 						sr.Experiments = append(sr.Experiments, exp)
 					}
@@ -573,23 +565,21 @@ func putWorker(w *worker) {
 	workerPool.Put(w)
 }
 
-// runOne performs experiment idx at one supervision tier on worker w.
-// Callers go through runSupervised (supervise.go), which panic-isolates
-// each attempt and degrades the tier on failure.
-func (e *Engine) runOne(idx uint64, w *worker, disable vm.Tiers) (Experiment, expStats, error) {
+// runOne performs experiment idx at one supervision tier on worker w and
+// reports whether the VM ended it early by convergence with the golden
+// run. Callers go through runSupervised (supervise.go), which
+// panic-isolates each attempt and degrades the tier on failure.
+func (e *Engine) runOne(idx uint64, w *worker, disable vm.Tiers) (Experiment, bool, error) {
 	t := e.Target
 	w.rng.SeedExperiment(e.Seed, idx)
 	w.inj = e.Model.Plan(t, idx, &w.rng)
 	inj := &w.inj
 
-	// Static pruning tier: a model that can prove this plan's outcome
-	// from the liveness oracle records it without running the VM. The
-	// prediction is exact — same Experiment fields an executed run would
-	// produce — so only the StaticPruned counter distinguishes the paths.
+	// The deprecated StaticPredictor seam is still called, once per
+	// experiment, for callers that wrap and time it; its answer is
+	// ignored.
 	if sp, ok := e.Model.(StaticPredictor); ok {
-		if exp, ok := sp.PredictStatic(t, inj); ok {
-			return exp, expStats{staticPruned: true}, nil
-		}
+		sp.PredictStatic(t, inj)
 	}
 
 	hangFactor := e.HangFactor
@@ -607,7 +597,7 @@ func (e *Engine) runOne(idx uint64, w *worker, disable vm.Tiers) (Experiment, ex
 		Trace:       t.Trace,
 	})
 	if err != nil {
-		return Experiment{}, expStats{}, fmt.Errorf("%s: %s experiment %d: %w", e.Model.Prefix(), t.Name, idx, err)
+		return Experiment{}, false, fmt.Errorf("%s: %s experiment %d: %w", e.Model.Prefix(), t.Name, idx, err)
 	}
 	w.exp = Experiment{Cand: inj.Cand}
 	exp := &w.exp
@@ -616,5 +606,5 @@ func (e *Engine) runOne(idx uint64, w *worker, disable vm.Tiers) (Experiment, ex
 	}
 	exp.Outcome = e.classifier().Classify(t.Golden, res)
 	e.Model.Record(exp, res)
-	return *exp, expStats{converged: res.Converged}, nil
+	return *exp, res.Converged, nil
 }

@@ -195,7 +195,7 @@ func TestJournalDrainsUnderFaultPlan(t *testing.T) {
 		}
 		sr := ShardResult{Shard: shard}
 		for k := 0; k < meta.ShardSize; k++ {
-			sr.Add(&Experiment{Outcome: OutcomeBenign, Bit: -1}, false, false)
+			sr.Add(&Experiment{Outcome: OutcomeBenign, Bit: -1}, false)
 		}
 		if err := j.Checkpoint(sr); err != nil {
 			t.Fatalf("checkpoint %d: %v", shard, err)

@@ -3,13 +3,15 @@ package core_test
 // Satellite coverage for the durability surface: the fsync opt-in mode
 // must run and resume campaigns bit-identically to the default mode (it
 // only changes when data hits the platter, not what is written), and
-// InspectDir — the engine behind `fi -status` — must treat missing,
-// empty, memo-only and torn journal directories as "no campaigns", never
-// as errors or panics.
+// InspectDir — the engine behind `fi -status` — must fail on a missing
+// directory, list nothing in empty and memo-only ones, and name every
+// campaign file it cannot list, never panic or skip it silently.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"multiflip/internal/core"
@@ -71,12 +73,9 @@ func TestSyncModeCampaign(t *testing.T) {
 
 func TestInspectDirEdgeCases(t *testing.T) {
 	t.Run("nonexistent", func(t *testing.T) {
-		infos, err := core.InspectDir(filepath.Join(t.TempDir(), "never-created"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(infos) != 0 {
-			t.Fatalf("nonexistent dir reports %d campaigns", len(infos))
+		dir := filepath.Join(t.TempDir(), "never-created")
+		if infos, err := core.InspectDir(dir); err == nil || !strings.Contains(err.Error(), dir) {
+			t.Fatalf("nonexistent dir: got %d campaigns and error %v, want an error naming it", len(infos), err)
 		}
 	})
 	t.Run("empty", func(t *testing.T) {
@@ -102,20 +101,62 @@ func TestInspectDirEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("torn", func(t *testing.T) {
-		// A campaign file that is pure garbage — e.g. a crash before the
-		// meta line was durable, then further corruption — must be skipped,
-		// not inspected into a panic or an error.
+		// Campaign files that are garbage — e.g. a crash before the meta
+		// line was durable, then further corruption — a zero-length one
+		// another process has just created, and a stray directory under
+		// the name pattern are each listed with the reason, not inspected
+		// into a panic, and the scan goes on to the good journal.
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "campaign-0000000000000bad.mfj"),
-			[]byte("not a journal\x00\xff{"), 0o644); err != nil {
+		for name, data := range map[string]string{
+			"campaign-0000000000000bad.mfj": "not a journal\x00\xff{",
+			"campaign-000000000000bad2.mfj": "garbage\n",
+			"campaign-0000000000000new.mfj": "",
+		} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.Mkdir(filepath.Join(dir, "campaign-00000000000000d1.mfj"), 0o755); err != nil {
 			t.Fatal(err)
 		}
+		eng := registerEngine(target(t, "CRC32"))
+		eng.N, eng.Seed = 8, 3
+		eng.Service = &core.Service{Dir: dir, ShardSize: 4}
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		good := fmt.Sprintf("campaign-%016x.mfj", core.EngineFingerprint(eng))
+
 		infos, err := core.InspectDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(infos) != 0 {
-			t.Fatalf("torn-journal dir reports %d campaigns", len(infos))
+		want := map[string]string{
+			"campaign-00000000000000d1.mfj": "is a directory",
+			"campaign-0000000000000bad.mfj": "holds no campaign meta record",
+			"campaign-000000000000bad2.mfj": "holds no campaign meta record",
+			"campaign-0000000000000new.mfj": "no records yet",
+			good:                            "",
+		}
+		if len(infos) != len(want) {
+			t.Fatalf("InspectDir listed %d entries, want %d: %+v", len(infos), len(want), infos)
+		}
+		for i, in := range infos {
+			name := filepath.Base(in.Path)
+			if i > 0 && filepath.Base(infos[i-1].Path) >= name {
+				t.Errorf("entries not sorted by path: %s after %s", name, filepath.Base(infos[i-1].Path))
+			}
+			reason, ok := want[name]
+			switch {
+			case !ok:
+				t.Errorf("unexpected entry %s", name)
+			case reason == "":
+				if in.Err != nil || in.Status.ExperimentsDone != 8 {
+					t.Errorf("%s: err %v, %d experiments done; want the finished campaign", name, in.Err, in.Status.ExperimentsDone)
+				}
+			case in.Err == nil || !strings.Contains(in.Err.Error(), reason) || !strings.Contains(in.Err.Error(), in.Path):
+				t.Errorf("%s: err %v, want one naming the file and %q", name, in.Err, reason)
+			}
 		}
 	})
 }

@@ -122,13 +122,9 @@ type ShardResult struct {
 	Activated int `json:"act"`
 	// Converged counts convergence-terminated experiments in the shard.
 	// Journals written while campaigns kept a fault-equivalence memo
-	// also carry a "memo" count; it is ignored on load.
+	// also carry a "memo" count, and those written while they pruned
+	// statically dead flips a "spruned" count; both are ignored on load.
 	Converged int `json:"conv"`
-	// StaticPruned counts experiments the static liveness tier classified
-	// without executing. Omitted when zero, so journals written before
-	// the liveness tier existed are unchanged on disk and load with zero
-	// pruned.
-	StaticPruned int `json:"spruned,omitempty"`
 	// Experiments holds the shard's per-experiment records, in index
 	// order, when the campaign records them (nil otherwise).
 	Experiments []Experiment `json:"exps,omitempty"`
@@ -140,10 +136,9 @@ type ShardResult struct {
 	Quarantined []QuarantineRecord `json:"quar,omitempty"`
 }
 
-// Add folds one experiment into the shard aggregate. converged and
-// staticPruned report how the experiment terminated early (or was
-// classified without running), if it was.
-func (s *ShardResult) Add(exp *Experiment, converged, staticPruned bool) {
+// Add folds one experiment into the shard aggregate. converged reports
+// whether the experiment ended early by convergence with the golden run.
+func (s *ShardResult) Add(exp *Experiment, converged bool) {
 	s.Tally.AddDim(exp.Outcome, exp.Bit, exp.Dir)
 	s.Activated += exp.Activated
 	if exp.Outcome == OutcomeException {
@@ -160,9 +155,6 @@ func (s *ShardResult) Add(exp *Experiment, converged, staticPruned bool) {
 	}
 	if converged {
 		s.Converged++
-	}
-	if staticPruned {
-		s.StaticPruned++
 	}
 }
 
@@ -181,7 +173,6 @@ func (r *EngineResult) Fold(s *ShardResult, lo int) {
 	}
 	r.ActivatedTotal += s.Activated
 	r.Converged += s.Converged
-	r.StaticPruned += s.StaticPruned
 	r.Quarantined = append(r.Quarantined, s.Quarantined...)
 	if r.Experiments != nil && len(s.Experiments) > 0 && lo >= 0 && lo+len(s.Experiments) <= len(r.Experiments) {
 		copy(r.Experiments[lo:], s.Experiments)
@@ -216,9 +207,8 @@ type CampaignStatus struct {
 	ExperimentsTotal, ExperimentsDone int
 	// Tally is the running outcome tally over checkpointed shards.
 	Tally Tally
-	// Converged and StaticPruned sum the early-exit and static-pruning
-	// counters over checkpointed shards.
-	Converged, StaticPruned int
+	// Converged sums the early-exit counter over checkpointed shards.
+	Converged int
 	// Quarantined counts experiments poisoned under the Quarantine
 	// failure policy across checkpointed shards.
 	Quarantined int
@@ -460,7 +450,6 @@ func (st *journalState) status() CampaignStatus {
 			s.ExperimentsDone += hi - lo
 			s.Tally.Merge(&sh.res.Tally)
 			s.Converged += sh.res.Converged
-			s.StaticPruned += sh.res.StaticPruned
 			s.Quarantined += len(sh.res.Quarantined)
 		case st.leaseLive(sh, now):
 			s.Leased++

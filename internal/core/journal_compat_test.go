@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -32,7 +34,7 @@ func TestFingerprintStable(t *testing.T) {
 		"memfault": {0xbe686447a5ad7719, 0x6109f4c61f6d55c9},
 		"stuckat":  {0x4636fa024a4b6ad5, 0x2f87e432b57c4d1a},
 	}
-	for _, disable := range []vm.Tiers{0, vm.TierConverge, vm.TierSnapshots, vm.TierCompile, vm.TierLiveness} {
+	for _, disable := range []vm.Tiers{0, vm.TierConverge, vm.TierSnapshots, vm.TierCompile} {
 		tg := targetWith(t, "CRC32", disable)
 		for _, m := range engineModels() {
 			eng := m.engine(tg)
@@ -58,9 +60,6 @@ func copyFixture(t *testing.T) string {
 	}
 	if strings.Contains(string(data), "dims") {
 		t.Fatal("fixture is not old-format: it mentions dims")
-	}
-	if strings.Contains(string(data), "spruned") {
-		t.Fatal("fixture is not old-format: it mentions spruned")
 	}
 	p := filepath.Join(t.TempDir(), "oldformat-campaign.mfj")
 	if err := os.WriteFile(p, data, 0o644); err != nil {
@@ -121,11 +120,6 @@ func TestOldFormatJournalLoads(t *testing.T) {
 	if er.ActivatedTotal != 10 || er.Converged != 1 {
 		t.Fatalf("folded counters: act=%d conv=%d", er.ActivatedTotal, er.Converged)
 	}
-	// Pre-liveness journals predate the StaticPruned counter: it must
-	// load as zero, never error.
-	if st.StaticPruned != 0 || er.StaticPruned != 0 {
-		t.Fatalf("old-format journal invented StaticPruned: status=%d folded=%d", st.StaticPruned, er.StaticPruned)
-	}
 }
 
 // TestDimsJournalRoundTrip is the forward half of the compatibility
@@ -149,7 +143,7 @@ func TestDimsJournalRoundTrip(t *testing.T) {
 		{Bit: -1, Dir: core.DirUnknown, Outcome: core.OutcomeSDC, Activated: 2},
 	}
 	for i := range exps {
-		sr.Add(&exps[i], false, i == 0)
+		sr.Add(&exps[i], i == 0)
 	}
 	if err := j.Checkpoint(sr); err != nil {
 		t.Fatal(err)
@@ -173,8 +167,8 @@ func TestDimsJournalRoundTrip(t *testing.T) {
 	if got := results[0].Tally; got != sr.Tally {
 		t.Fatalf("tally did not round-trip:\n got %+v\nwant %+v", got, sr.Tally)
 	}
-	if results[0].StaticPruned != 1 {
-		t.Fatalf("StaticPruned did not round-trip: got %d, want 1", results[0].StaticPruned)
+	if results[0].Converged != 1 {
+		t.Fatalf("Converged did not round-trip: got %d, want 1", results[0].Converged)
 	}
 	d := &results[0].Tally.Dims
 	if d.Count(core.OutcomeBenign, 3, core.Dir0to1) != 1 ||
@@ -310,4 +304,81 @@ func TestMemoJournalLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiercontract.SameResult(t, "memo-era journal resumed", want, got, true)
+}
+
+// TestStaticPrunedJournalLoads pins that journals written while
+// campaigns pruned statically dead flips stay usable. The fixture is a
+// CRC32 single-bit inject-on-write campaign of 40 recorded experiments,
+// run on one worker in two shards; its done records carry "spruned"
+// counts of 1 and 3 for the experiments the liveness tier classified
+// Benign without executing. The campaign must list in InspectDir, and a
+// resumed campaign must fold its checkpoints without re-running
+// anything and match a fresh run.
+func TestStaticPrunedJournalLoads(t *testing.T) {
+	journal, err := os.ReadFile(filepath.Join("testdata", "spruned-campaign.mfj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spruned := 0
+	for _, m := range regexp.MustCompile(`"spruned":(\d+)`).FindAllSubmatch(journal, -1) {
+		n, _ := strconv.Atoi(string(m[1]))
+		spruned += n
+	}
+	if spruned == 0 {
+		t.Fatal("fixture carries no nonzero spruned counts")
+	}
+	eng := func() *core.Engine {
+		return &core.Engine{
+			Target: target(t, "CRC32"),
+			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+				Technique: core.InjectOnWrite,
+				Config:    core.SingleBit(),
+			}},
+			N: 40, Seed: 11, Record: true,
+		}
+	}
+	dir := t.TempDir()
+	name := fmt.Sprintf("campaign-%016x.mfj", core.EngineFingerprint(eng()))
+	if err := os.WriteFile(filepath.Join(dir, name), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	infos, err := core.InspectDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 || filepath.Base(infos[0].Path) != name || infos[0].Err != nil {
+		t.Fatalf("InspectDir listed %+v, want the one campaign %s", infos, name)
+	}
+	if st := infos[0].Status; st.Done != 2 || st.Pending != 0 || st.ExperimentsDone != 40 {
+		t.Fatalf("status = %+v, want 2 done shards and 40 experiments", st)
+	}
+
+	want, err := eng().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := eng()
+	resumed.Service = &core.Service{Dir: dir, Resume: true, ShardSize: 20}
+	restore := core.SetExperimentHook(func(idx int) {
+		t.Errorf("experiment %d re-ran; the journal's checkpoints should fold", idx)
+	})
+	defer restore()
+	got, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiercontract.SameResult(t, "static-pruning-era journal resumed", want, got, false)
+	// The pruned experiments never ran, so none of them could converge;
+	// run today, some do. The journal's count may therefore fall short
+	// of a fresh run's, by at most the experiments it pruned. (The
+	// journal was written with convergence on; MULTIFLIP_DISABLE is not
+	// part of the campaign address, so under converge it still folds.)
+	if vm.EnvDisabled().Has(vm.TierConverge) {
+		return
+	}
+	if short := want.Converged - got.Converged; short < 0 || short > spruned {
+		t.Fatalf("resumed Converged = %d, fresh run %d: want at most %d (the pruned experiments) fewer",
+			got.Converged, want.Converged, spruned)
+	}
 }

@@ -40,7 +40,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -468,7 +467,7 @@ func (j *FileJournal) Status() (CampaignStatus, error) {
 		return CampaignStatus{}, err
 	}
 	if !j.st.bound {
-		return CampaignStatus{}, fmt.Errorf("core: journal %s holds no campaign", j.path)
+		return CampaignStatus{}, fmt.Errorf("core: journal %s holds no campaign meta record", j.path)
 	}
 	return j.st.status(), nil
 }
@@ -486,39 +485,58 @@ type JournalInfo struct {
 	Path   string
 	Meta   CampaignMeta
 	Status CampaignStatus
+	// Err, when set, is why the file could not be listed; Meta and
+	// Status are then zero.
+	Err error
 }
 
-// InspectDir scans a journal directory and reports every campaign in it,
-// sorted by path. It degrades per entry rather than failing the scan:
-// journals whose meta record is missing or torn are skipped (there is
-// nothing to report yet), as are entries that cannot be opened at all (a
-// permission problem, or a stray directory matching the name pattern). A
-// nonexistent or empty directory — or one holding only the memo-*.mfj
-// files older versions wrote — reports no campaigns and no error. A
-// malformed MULTIFLIP_JOURNAL_FAULTS, which fails every journal open,
-// fails the scan.
+// InspectDir scans a journal directory and reports every campaign-*.mfj
+// file in it, sorted by path. It degrades per entry rather than failing
+// the scan: a file that cannot be opened, or whose meta record is
+// missing or torn, is reported with its Err set, and so is a zero-length
+// one ("no records yet": another process may have just created it).
+// Files of other names, such as the memo-*.mfj files older versions
+// wrote, are ignored. A directory that does not exist or cannot be read
+// fails the scan, and so does a malformed MULTIFLIP_JOURNAL_FAULTS,
+// which fails every journal open.
 func InspectDir(dir string) ([]JournalInfo, error) {
 	if _, err := envFaultPlan(); err != nil {
 		return nil, err
 	}
-	paths, err := filepath.Glob(filepath.Join(dir, "campaign-*.mfj"))
+	entries, err := os.ReadDir(dir) // sorted by name
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: inspect journals: %w", err)
 	}
-	sort.Strings(paths)
 	var out []JournalInfo
-	for _, p := range paths {
-		j, err := OpenFileJournal(p)
-		if err != nil {
-			continue
+	for _, e := range entries {
+		if ok, _ := filepath.Match("campaign-*.mfj", e.Name()); ok {
+			out = append(out, inspectJournal(filepath.Join(dir, e.Name())))
 		}
-		st, serr := j.Status()
-		meta := j.Meta()
-		j.Close()
-		if serr != nil {
-			continue
-		}
-		out = append(out, JournalInfo{Path: p, Meta: meta, Status: st})
 	}
 	return out, nil
+}
+
+// inspectJournal reads one campaign journal for InspectDir.
+func inspectJournal(path string) JournalInfo {
+	info := JournalInfo{Path: path}
+	if fi, err := os.Stat(path); err != nil {
+		info.Err = err
+		return info
+	} else if fi.Size() == 0 {
+		info.Err = fmt.Errorf("core: journal %s: no records yet", path)
+		return info
+	}
+	j, err := OpenFileJournal(path)
+	if err != nil {
+		info.Err = err
+		return info
+	}
+	defer j.Close()
+	st, err := j.Status()
+	if err != nil {
+		info.Err = err
+		return info
+	}
+	info.Meta, info.Status = j.Meta(), st
+	return info
 }

@@ -38,7 +38,7 @@ func syntheticShard(meta core.CampaignMeta, shard int) core.ShardResult {
 		if exp.Outcome == core.OutcomeException {
 			exp.Trap = vm.TrapKind(1 + i%(core.NumTrapKinds-1))
 		}
-		sr.Add(&exp, i%5 == 0, i%11 == 0)
+		sr.Add(&exp, i%5 == 0)
 		sr.Experiments = append(sr.Experiments, exp)
 	}
 	return sr

@@ -86,7 +86,7 @@ func TestShardMergeProperty(t *testing.T) {
 			sr := core.ShardResult{Shard: i}
 			for j := lo; j < hi; j++ {
 				exp := want.Experiments[j]
-				sr.Add(&exp, false, false)
+				sr.Add(&exp, false)
 				sr.Experiments = append(sr.Experiments, exp)
 			}
 			shards = append(shards, shard{sr, lo})

@@ -151,8 +151,9 @@ func sortQuarantined(recs []QuarantineRecord) {
 // each tier's attempt is panic-isolated, and a failed attempt retries on
 // the next (more degraded) rung. On exhaustion the engine's
 // FailurePolicy decides between a joined error (FailFast) and a poisoned
-// experiment plus QuarantineRecord (Quarantine).
-func (e *Engine) runSupervised(idx uint64, w *worker, ladder []vm.Tiers) (Experiment, expStats, *QuarantineRecord, error) {
+// experiment plus QuarantineRecord (Quarantine). The bool reports, as
+// runOne's does, whether the experiment converged.
+func (e *Engine) runSupervised(idx uint64, w *worker, ladder []vm.Tiers) (Experiment, bool, *QuarantineRecord, error) {
 	var (
 		tiers    []string
 		errs     []error
@@ -160,9 +161,9 @@ func (e *Engine) runSupervised(idx uint64, w *worker, ladder []vm.Tiers) (Experi
 		panicDig string
 	)
 	for i, rung := range ladder {
-		exp, st, err := e.attempt(idx, w, rung, i == 0)
+		exp, converged, err := e.attempt(idx, w, rung, i == 0)
 		if err == nil {
-			return exp, st, nil, nil
+			return exp, converged, nil, nil
 		}
 		tiers = append(tiers, rungName(rung))
 		errs = append(errs, err)
@@ -187,9 +188,9 @@ func (e *Engine) runSupervised(idx uint64, w *worker, ladder []vm.Tiers) (Experi
 		// the quarantine outcome. Deterministic, hence identical across
 		// resume, lease steals and worker counts.
 		exp := Experiment{Bit: -1, Outcome: OutcomeInternal}
-		return exp, expStats{}, rec, nil
+		return exp, false, rec, nil
 	}
-	return Experiment{}, expStats{}, nil, fmt.Errorf(
+	return Experiment{}, false, nil, fmt.Errorf(
 		"%s: %s experiment %d failed at every supervision tier (%s): %w",
 		e.Model.Prefix(), e.Target.Name, idx, strings.Join(tiers, " -> "),
 		errors.Join(dedupeErrors(errs)...))
@@ -217,7 +218,7 @@ func dedupeErrors(errs []error) []error {
 // first tier only, inside the recover scope, so an injected panic is
 // indistinguishable from a real one and each experiment observes exactly
 // one hook call.
-func (e *Engine) attempt(idx uint64, w *worker, rung vm.Tiers, first bool) (exp Experiment, st expStats, err error) {
+func (e *Engine) attempt(idx uint64, w *worker, rung vm.Tiers, first bool) (exp Experiment, converged bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			stack := debug.Stack()

@@ -45,12 +45,6 @@ type Target struct {
 	// at run time but is not recorded here, so it never reaches a
 	// campaign fingerprint.
 	Disable vm.Tiers
-
-	// oracle maps candidate indices whose injection point has statically
-	// dead bits to the pruning metadata PredictStatic needs. Nil when
-	// TierLiveness is disabled, or when the program has no dead
-	// candidates.
-	oracle *liveOracle
 }
 
 // DefaultSnapshotInterval is the golden-run checkpoint spacing in dynamic
@@ -77,11 +71,10 @@ type TargetOptions struct {
 	// Disable turns speed tiers off for every campaign on the target
 	// (zero = all on). Preparation applies the target-level ones itself:
 	// with TierSnapshots in the set the target keeps no snapshots (the
-	// checkpoint pass still runs and records the golden trace), with
-	// TierConverge it records no trace, and with TierLiveness it builds
-	// no liveness oracle. The profile is bit-identical for any set, and
-	// so are the recorded outcomes of every campaign (the differential
-	// suites enforce both).
+	// checkpoint pass still runs and records the golden trace), and
+	// with TierConverge it records no trace. The profile is
+	// bit-identical for any set, and so are the recorded outcomes of
+	// every campaign (the differential suites enforce both).
 	Disable vm.Tiers
 }
 
@@ -107,16 +100,6 @@ func NewTargetOpts(name string, p *ir.Program, opts TargetOptions) (*Target, err
 	if vopts.MaxSnapshots == 0 {
 		vopts.MaxSnapshots = DefaultTargetMaxSnapshots
 	}
-	var ob *oracleBuilder
-	if !disable.Has(vm.TierLiveness) {
-		// Piggyback oracle construction on the profiling run: the VM
-		// reports every injection candidate in order, and the builder
-		// keeps the ones whose target bits the static analysis proves
-		// dead. Profiling already runs on the observer tier, so the
-		// hook does not perturb the profile.
-		ob = newOracleBuilder(p)
-		vopts.OnCand = ob.onCand
-	}
 	prof, err := vm.ProfileWith(p, vopts)
 	if err != nil {
 		return nil, fmt.Errorf("core: prepare %s: %w", name, err)
@@ -138,9 +121,6 @@ func NewTargetOpts(name string, p *ir.Program, opts TargetOptions) (*Target, err
 	}
 	if !disable.Has(vm.TierSnapshots) {
 		t.Snapshots = prof.Snapshots
-	}
-	if ob != nil {
-		t.oracle = ob.finish()
 	}
 	return t, nil
 }

@@ -2,8 +2,7 @@ package memfault_test
 
 // The memory-fault campaigns of the tier contract
 // (internal/tiercontract): each test holds one speed tier to memory
-// faults on every workload. internal/core holds the liveness row, which
-// memory faults never engage.
+// faults on every workload.
 
 import (
 	"testing"

@@ -8,7 +8,6 @@ import (
 	"multiflip/internal/prog"
 	"multiflip/internal/report"
 	"multiflip/internal/stats"
-	"multiflip/internal/vm"
 )
 
 // The paper fixes two environment properties we had to choose in the
@@ -22,7 +21,7 @@ import (
 // HangFactorAblation runs single-bit campaigns on one program under
 // several hang budgets and reports the outcome mix per factor.
 func HangFactorAblation(name string, tech core.Technique, n int, seed uint64, factors []uint64) (*report.Table, error) {
-	target, err := buildTarget(name, 0)
+	target, err := buildTarget(name)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +54,7 @@ func HangFactorAblation(name string, tech core.Technique, n int, seed uint64, fa
 // AlignmentAblation compares single-bit campaigns with and without the
 // misaligned-access trap on one program.
 func AlignmentAblation(name string, tech core.Technique, n int, seed uint64) (*report.Table, error) {
-	target, err := buildTarget(name, 0)
+	target, err := buildTarget(name)
 	if err != nil {
 		return nil, err
 	}
@@ -93,9 +92,8 @@ func singleBit(tech core.Technique) *core.RegisterModel {
 	return &core.RegisterModel{Spec: &core.CampaignSpec{Technique: tech, Config: core.SingleBit()}}
 }
 
-// buildTarget builds and profiles a benchmark by name, without the
-// disabled tiers.
-func buildTarget(name string, disable vm.Tiers) (*core.Target, error) {
+// buildTarget builds and profiles a benchmark by name.
+func buildTarget(name string) (*core.Target, error) {
 	b, err := prog.ByName(name)
 	if err != nil {
 		return nil, err
@@ -104,5 +102,5 @@ func buildTarget(name string, disable vm.Tiers) (*core.Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewTargetOpts(name, p, core.TargetOptions{Disable: disable})
+	return core.NewTarget(name, p)
 }

@@ -20,10 +20,10 @@ import (
 
 // Options configures a study run: the campaign grid Run executes and
 // the transition reruns of RunTransitions. HangFactorAblation,
-// AlignmentAblation, LivenessPredictionTable and memfault.SweepTable
-// take no Options: whatever these say, they run with GOMAXPROCS
-// workers, the exact classifier, core.FailFast and no journal, and the
-// ablations on targets with every tier on.
+// AlignmentAblation and memfault.SweepTable take no Options: whatever
+// these say, they run with GOMAXPROCS workers, the exact classifier,
+// core.FailFast and no journal, and the ablations on targets with every
+// tier on.
 type Options struct {
 	// N is the number of experiments per campaign. The paper uses 10,000;
 	// smaller values trade confidence-interval width for wall-clock time.

@@ -1,12 +1,10 @@
 package vm
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"multiflip/internal/ir"
-	"multiflip/internal/liveness"
 	"multiflip/internal/xrand"
 )
 
@@ -360,95 +358,6 @@ func FuzzVM(f *testing.F) {
 			t.Fatal("converge-disabled run reported convergence")
 		}
 		sameResult(t, "plan converge-disabled vs full", pk, ps)
-
-		// Liveness-vs-execution: the bit-level static analysis claims some
-		// (candidate, bit) flips are unobservable. Enumerate the dead
-		// candidates of this random program, force one to execute with a
-		// pinned single-bit plan, and demand the run is bit-identical to
-		// the fault-free one — a diverging result is an unsound transfer
-		// function, the exact bug class the static pruning tier must never
-		// ship.
-		an := liveness.Analyze(p)
-		type deadCand struct {
-			onWrite bool
-			cand    uint64
-			dead    uint64
-			wbits   int
-		}
-		var deads []deadCand
-		enumOpts := base
-		enumOpts.OnCand = func(onWrite bool, cand uint64, fn, pcx, slot int, val uint64) {
-			if len(deads) >= 512 {
-				return
-			}
-			var dead uint64
-			wbits := 64
-			switch {
-			case slot >= 0:
-				dead = an.DeadReadBits(fn, pcx, slot)
-				wbits = ir.SlotWidth(&p.Funcs[fn].Code[pcx], slot).Bits()
-			case slot == -1:
-				dead = an.DeadWriteBits(fn, pcx)
-				wbits = ir.DestWidth(&p.Funcs[fn].Code[pcx]).Bits()
-			default:
-				dead = an.DeadWriteBits(fn, pcx-1)
-			}
-			if dead == 0 {
-				return
-			}
-			deads = append(deads, deadCand{onWrite: onWrite, cand: cand, dead: dead, wbits: wbits})
-		}
-		// The observable core — everything a dead flip could corrupt if the
-		// analysis were wrong. Role counters and injection metadata are
-		// excluded: the enumeration run counts roles the straight run does
-		// not, and the injected run legitimately reports its one flip.
-		sameCore := func(label string, got, want *Result) {
-			t.Helper()
-			if got.Stop != want.Stop || got.Trap != want.Trap {
-				t.Fatalf("%s: stop %s/%s, want %s/%s", label, got.Stop, got.Trap, want.Stop, want.Trap)
-			}
-			if !bytes.Equal(got.Output, want.Output) {
-				t.Fatalf("%s: output differs (%d bytes vs %d)", label, len(got.Output), len(want.Output))
-			}
-			if got.Dyn != want.Dyn || got.ReadSlots != want.ReadSlots || got.Writes != want.Writes {
-				t.Fatalf("%s: counters (dyn=%d rs=%d w=%d), want (dyn=%d rs=%d w=%d)", label,
-					got.Dyn, got.ReadSlots, got.Writes, want.Dyn, want.ReadSlots, want.Writes)
-			}
-		}
-		enum, err := Run(p, enumOpts)
-		if err != nil {
-			t.Fatalf("candidate enumeration run: %v", err)
-		}
-		sameCore("candidate enumeration run", enum, straight)
-		if len(deads) > 0 {
-			dc := deads[z.n(len(deads))]
-			bit := -1
-			for b := 0; b < dc.wbits; b++ {
-				if dc.dead>>uint(b)&1 != 0 {
-					bit = b
-					break
-				}
-			}
-			if bit >= 0 {
-				deadOpts := base
-				deadOpts.Plan = &Plan{
-					OnWrite:   dc.onWrite,
-					FirstCand: dc.cand,
-					MaxFlips:  1,
-					SameReg:   true,
-					PinnedBit: bit,
-					Rng:       xrand.ForExperiment(uint64(len(data)), 99),
-				}
-				dr, err := Run(p, deadOpts)
-				if err != nil {
-					t.Fatalf("dead-bit injection run: %v", err)
-				}
-				if dr.Injected != 1 {
-					t.Fatalf("dead-bit plan injected %d flips, want 1", dr.Injected)
-				}
-				sameCore(fmt.Sprintf("dead-bit flip cand=%d bit=%d onWrite=%v", dc.cand, bit, dc.onWrite), dr, straight)
-			}
-		}
 
 		// Compiled fast tier: fuzz-generated programs never have kernels
 		// (the registry gate is keyed by name), so draw a real suite

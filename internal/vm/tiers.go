@@ -13,9 +13,9 @@ import (
 // row per member) proves each bit-identical to running without it, so
 // disabling tiers changes how fast campaigns run, never what they
 // record. The VM implements
-// TierCompile and TierConverge; TierSnapshots and TierLiveness belong to
-// target preparation in internal/core. Nothing persists a Tiers value,
-// so the bit positions carry no compatibility weight.
+// TierCompile and TierConverge; TierSnapshots belongs to target
+// preparation in internal/core. Nothing persists a Tiers value, so the
+// bit positions carry no compatibility weight.
 type Tiers uint8
 
 // The speed tiers, in the order the -disable flags and MULTIFLIP_DISABLE
@@ -30,11 +30,9 @@ const (
 	// TierConverge terminates runs whose state reconverges with the
 	// golden trace.
 	TierConverge
-	// TierLiveness classifies provably dead-bit flips without executing.
-	TierLiveness
 )
 
-var tierNames = []string{"snapshots", "compile", "converge", "liveness"}
+var tierNames = []string{"snapshots", "compile", "converge"}
 
 // Has reports whether every tier of x is in t.
 func (t Tiers) Has(x Tiers) bool { return t&x == x }

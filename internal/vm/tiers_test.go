@@ -13,8 +13,8 @@ func TestParseTiers(t *testing.T) {
 		{"", 0},
 		{"snapshots", TierSnapshots},
 		{" compile , converge ,", TierCompile | TierConverge},
-		{"liveness,snapshots,liveness", TierLiveness | TierSnapshots},
-		{"snapshots,compile,converge,liveness", TierSnapshots | TierCompile | TierConverge | TierLiveness},
+		{"converge,snapshots,converge", TierConverge | TierSnapshots},
+		{"snapshots,compile,converge", TierSnapshots | TierCompile | TierConverge},
 	} {
 		got, err := parseTiers(c.in)
 		if err != nil || got != c.want {
@@ -24,10 +24,10 @@ func TestParseTiers(t *testing.T) {
 			t.Errorf("%q does not round-trip through String: %q, %v", got, back, err)
 		}
 	}
-	// "fuse" names the retired superinstruction tier: it is as unknown as
-	// a typo.
-	for _, bad := range []string{"fuse", "snapshot", "compile,fuse", "nocompile", "all"} {
-		if _, err := parseTiers(bad); err == nil || !strings.Contains(err.Error(), "valid: snapshots, compile, converge, liveness") {
+	// "fuse" and "liveness" name retired tiers (superinstruction fusion,
+	// static liveness pruning): they are as unknown as a typo.
+	for _, bad := range []string{"fuse", "liveness", "snapshot", "compile,fuse", "converge,liveness", "nocompile", "all"} {
+		if _, err := parseTiers(bad); err == nil || !strings.HasSuffix(err.Error(), "(valid: snapshots, compile, converge)") {
 			t.Errorf("parseTiers(%q): want an error naming the valid tiers, got %v", bad, err)
 		}
 	}

@@ -118,18 +118,6 @@ type Options struct {
 	// accesses inside a segment then succeed, as on hardware that supports
 	// unaligned loads. Used by the alignment ablation study.
 	NoAlignTrap bool
-	// OnCand, when non-nil, is called once per injection candidate in
-	// candidate order as the run encounters them: onWrite selects the
-	// write-candidate space, cand is the candidate index within it, (fn,
-	// pc) locate the instruction, and val is the register's fault-free
-	// value at the injection point (pre-instruction for reads,
-	// post-write for writes). slot is the read-slot index for reads, -1
-	// for plain destination writes, and -2 for call-result writes (which
-	// the VM performs at the matching return; pc is then the caller's
-	// resume pc, with the call instruction at pc-1). Setting OnCand
-	// forces the per-instruction observer tier, like CountRoles;
-	// profiling only.
-	OnCand func(onWrite bool, cand uint64, fn, pc, slot int, val uint64)
 	// CountRoles additionally classifies every candidate slot by
 	// ir.SlotRole during the run (address/data/control/float), filling
 	// Result.ReadRoles and Result.WriteRoles. Profiling only: it slows the
@@ -298,7 +286,6 @@ type machine struct {
 
 	noAlign    bool
 	countRoles bool
-	onCand     func(onWrite bool, cand uint64, fn, pc, slot int, val uint64)
 	readRoles  [ir.NumSlotRoles]uint64
 	writeRoles [ir.NumSlotRoles]uint64
 
@@ -462,13 +449,6 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 	m.maxDyn = opts.MaxDyn
 	m.noAlign = opts.NoAlignTrap
 	m.countRoles = opts.CountRoles
-	m.onCand = opts.OnCand
-	if m.onCand != nil {
-		// Candidate enumeration needs every instruction stepped through
-		// the observer tier (and keeps convergence and the fast tier off),
-		// exactly like role counting.
-		m.countRoles = true
-	}
 	m.plan = opts.Plan
 	m.memFlips = opts.MemFlips
 	m.injDyns = r.injDyns[:0]
@@ -903,11 +883,6 @@ func (m *machine) step(fr *frame) *frame {
 	if m.injRead {
 		m.maybeInjectRead(di, in, fr.regs, nr)
 	}
-	if m.onCand != nil {
-		for s := 0; s < nr; s++ {
-			m.onCand(false, m.readSlots+uint64(s), int(fr.fn), fr.pc, s, fr.regs[in.ReadSlot(s)])
-		}
-	}
 	m.readSlots += uint64(nr)
 	if m.countRoles {
 		for s := 0; s < nr; s++ {
@@ -930,9 +905,6 @@ func (m *machine) step(fr *frame) *frame {
 			if m.injWrite {
 				m.maybeInjectWrite(di, ir.DestWidth(in), fr.regs, in.Dst, ir.DestRole(in))
 			}
-			if m.onCand != nil {
-				m.onCand(true, m.writes-1, int(fr.fn), fr.pc, -1, fr.regs[in.Dst])
-			}
 		}
 		fr.pc++
 	case statJump:
@@ -945,9 +917,6 @@ func (m *machine) step(fr *frame) *frame {
 		m.writes++
 		if m.injWrite {
 			m.maybeInjectWrite(di, ir.W64, fr.regs, m.retDst, ir.RoleOther)
-		}
-		if m.onCand != nil {
-			m.onCand(true, m.writes-1, int(fr.fn), fr.pc, -2, fr.regs[m.retDst])
 		}
 	default: // statHalt
 		return nil
