@@ -422,8 +422,9 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 
 // BenchmarkCampaignLargeGlobals runs a register campaign over the named
 // megapixel workload (internal/prog, 1 MiB of globals, the largest of
-// any workload): every resume copies the whole globals, and the
-// convergence tier hashes only each interval's write set.
+// any workload): every resume copies the whole globals, and each
+// convergence check compares only the pages the experiment or the
+// golden run stored to since the resume point.
 // BenchmarkCampaignLargeGlobalsDisableConverge is its early-termination
 // ablation.
 func BenchmarkCampaignLargeGlobals(b *testing.B) {

@@ -62,8 +62,8 @@ func TestDisableFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tg.Disable != vm.TierSnapshots {
-		t.Errorf("target disables %q, want snapshots", tg.Disable)
+	if want := vm.TierSnapshots | vm.EnvDisabled(); tg.Disable != want {
+		t.Errorf("target disables %q, want %q", tg.Disable, want)
 	}
 	if len(tg.Snapshots) != 0 {
 		t.Errorf("-disable snapshots kept %d snapshots", len(tg.Snapshots))

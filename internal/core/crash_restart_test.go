@@ -81,7 +81,7 @@ func TestCrashRestartDifferential(t *testing.T) {
 					// Crash rounds: kill the campaign after a random number of
 					// experiment starts, and stress the journal itself with a
 					// deterministic I/O fault schedule — the retry layer must
-					// absorb the injected ENOSPC/EIO/short-write/fsync failures
+					// survive the injected ENOSPC/EIO/short-write/fsync failures
 					// without corrupting the campaign. Late rounds run unharmed
 					// (and unfaulted) so the loop terminates even if early
 					// kills make no shard progress.

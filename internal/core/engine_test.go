@@ -63,6 +63,11 @@ func brokenTarget(t *testing.T) *core.Target {
 	broken := *target(t, "CRC32")
 	other := target(t, "qsort")
 	broken.Snapshots, broken.Trace = other.Snapshots, other.Trace
+	// An empty tier set, whatever MULTIFLIP_DISABLE holds: the
+	// supervision ladder then walks every rung, and the campaign address
+	// is the one the pinned journals of the tests that use it were
+	// written under.
+	broken.Disable = 0
 	return &broken
 }
 

@@ -9,7 +9,7 @@ package core
 // job drive a journaled campaign through the wrapper and require the
 // final results bit-identical to a clean run: the retry/backoff layer
 // (journal_file.go appendLocked), the re-issue-after-failed-fsync rule
-// and the torn-line-tolerant loader must absorb every injected fault.
+// and the torn-line-tolerant loader must survive every injected fault.
 //
 // Determinism matters here as much as in the campaigns themselves: the
 // schedule is a pure function of (plan seed, write sequence number), so

@@ -170,7 +170,7 @@ func TestAppendExhaustionNamesCampaign(t *testing.T) {
 
 // TestJournalDrainsUnderFaultPlan drives a full claim/checkpoint drain
 // through OpenFileJournalOpts with an aggressive fault plan: every
-// injected ENOSPC, EIO, short write and failed fsync must be absorbed by
+// injected ENOSPC, EIO, short write and failed fsync must be handled by
 // the retry layer, and a clean reopen must see every shard checkpointed
 // exactly once.
 func TestJournalDrainsUnderFaultPlan(t *testing.T) {

@@ -50,7 +50,7 @@ const DefaultShardSize = 64
 const DefaultLeaseTTL = 30 * time.Second
 
 // DefaultLeaseGrace is the slack added to lease expiries stamped by
-// other processes before a lease is considered expired, absorbing
+// other processes before a lease is considered expired, covering
 // wall-clock skew between drainers. Larger values delay legitimate
 // steals from crashed peers by the same margin; smaller values risk
 // premature steals (duplicate work) when clocks disagree.
@@ -274,7 +274,7 @@ type journalState struct {
 	bound  bool
 	shards []shardState
 	now    func() time.Time
-	// grace is the slack granted to lease expiries absorbed from other
+	// grace is the slack granted to lease expiries read from other
 	// processes (wall-clock timestamps with no monotonic reading): 0
 	// selects DefaultLeaseGrace, negative disables the margin. Leases
 	// applied locally carry Go's monotonic clock and get no grace.
@@ -312,8 +312,8 @@ func (st *journalState) init(meta CampaignMeta) error {
 }
 
 // applyLease records worker's lease on shard until exp. local marks an
-// expiry stamped by this process's clock (monotonic, exact); an absorbed
-// record that echoes the lease this process already holds — same worker,
+// expiry stamped by this process's clock (monotonic, exact); a record read
+// back that echoes the lease this process already holds — same worker,
 // same millisecond — is dropped so re-reading our own journal writes
 // never downgrades a monotonic expiry to a wall-clock one.
 func (st *journalState) applyLease(shard int, worker string, exp time.Time, local bool) {

@@ -27,7 +27,9 @@ import (
 // and with each other tier off. The values were computed when each
 // campaign spec and the engine still carried their own tier switches;
 // journals written then must resume into the same files, so only the
-// converge bit the caller asks for may move the campaign address.
+// converge bit may move the campaign address. MULTIFLIP_DISABLE's
+// tiers are part of every target's set, so under converge every target
+// takes the converge-off address.
 func TestFingerprintStable(t *testing.T) {
 	want := map[string][2]uint64{ // model -> {all tiers on, converge off}
 		"register": {0x144ae26c244f9b1a, 0x287bc83ac12568c8},
@@ -40,13 +42,46 @@ func TestFingerprintStable(t *testing.T) {
 			eng := m.engine(tg)
 			eng.N, eng.Seed = 100, 7
 			fp := want[m.name][0]
-			if disable == vm.TierConverge {
+			if disable == vm.TierConverge || vm.EnvDisabled().Has(vm.TierConverge) {
 				fp = want[m.name][1]
 			}
 			if got := core.EngineFingerprint(eng); got != fp {
 				t.Errorf("%s, disable %q: campaign fingerprint %#016x, want %#016x", m.name, disable, got, fp)
 			}
 		}
+	}
+}
+
+// TestFingerprintRecordsEnvConverge checks that MULTIFLIP_DISABLE
+// reaches the campaign fingerprint: the default target's campaigns share
+// the converge-disabled target's address exactly when the process runs
+// with convergence off, so a journal written with it on never resumes
+// into a run with it off, or the other way round.
+func TestFingerprintRecordsEnvConverge(t *testing.T) {
+	def := target(t, "CRC32")
+	off := targetWith(t, "CRC32", vm.TierConverge)
+	if def.Disable != vm.EnvDisabled() {
+		t.Errorf("default target disables %q, want MULTIFLIP_DISABLE's %q", def.Disable, vm.EnvDisabled())
+	}
+	envOff := vm.EnvDisabled().Has(vm.TierConverge)
+	for _, m := range engineModels() {
+		a, b := m.engine(def), m.engine(off)
+		a.N, a.Seed = 100, 7
+		b.N, b.Seed = 100, 7
+		if same := core.EngineFingerprint(a) == core.EngineFingerprint(b); same != envOff {
+			t.Errorf("%s: default and converge-disabled fingerprints equal=%v, want %v (MULTIFLIP_DISABLE=%q)",
+				m.name, same, envOff, vm.EnvDisabled())
+		}
+	}
+}
+
+// skipUnderEnvConverge skips a test that binds a pinned journal written
+// with convergence on: under MULTIFLIP_DISABLE=converge the campaign has
+// the converge-off address, which that journal does not hold.
+func skipUnderEnvConverge(t *testing.T) {
+	t.Helper()
+	if vm.EnvDisabled().Has(vm.TierConverge) {
+		t.Skip("MULTIFLIP_DISABLE includes converge: the campaign's address differs from the pinned journal's, written with convergence on")
 	}
 }
 
@@ -245,6 +280,7 @@ func TestRetiredRungJournalLoads(t *testing.T) {
 // fold its checkpoints without re-running anything and match a fresh
 // in-memory run.
 func TestMemoJournalLoads(t *testing.T) {
+	skipUnderEnvConverge(t)
 	journal, err := os.ReadFile(filepath.Join("testdata", "memo-campaign.mfj"))
 	if err != nil {
 		t.Fatal(err)
@@ -315,6 +351,7 @@ func TestMemoJournalLoads(t *testing.T) {
 // resumed campaign must fold its checkpoints without re-running
 // anything and match a fresh run.
 func TestStaticPrunedJournalLoads(t *testing.T) {
+	skipUnderEnvConverge(t)
 	journal, err := os.ReadFile(filepath.Join("testdata", "spruned-campaign.mfj"))
 	if err != nil {
 		t.Fatal(err)
@@ -371,12 +408,7 @@ func TestStaticPrunedJournalLoads(t *testing.T) {
 	tiercontract.SameResult(t, "static-pruning-era journal resumed", want, got, false)
 	// The pruned experiments never ran, so none of them could converge;
 	// run today, some do. The journal's count may therefore fall short
-	// of a fresh run's, by at most the experiments it pruned. (The
-	// journal was written with convergence on; MULTIFLIP_DISABLE is not
-	// part of the campaign address, so under converge it still folds.)
-	if vm.EnvDisabled().Has(vm.TierConverge) {
-		return
-	}
+	// of a fresh run's, by at most the experiments it pruned.
 	if short := want.Converged - got.Converged; short < 0 || short > spruned {
 		t.Fatalf("resumed Converged = %d, fresh run %d: want at most %d (the pruned experiments) fewer",
 			got.Converged, want.Converged, spruned)

@@ -26,7 +26,7 @@ package core
 // journalState validation. The worst case of any corruption is a shard
 // that re-runs — results are unaffected. FuzzJournalLoader pins this.
 //
-// Every mutating call first absorbs records appended by other processes
+// Every mutating call first reads in records appended by other processes
 // since the last read, so a FileJournal is also a live view of a
 // campaign being drained by a fleet.
 
@@ -151,7 +151,7 @@ type FileJournal struct {
 	mu   sync.Mutex
 	f    journalIO
 	path string
-	// tail is how far absorb has read the file.
+	// tail is how far catchUpLocked has read the file.
 	tail logTail
 	sync bool
 	// rng drives the append-retry backoff jitter (nil degrades to a fixed
@@ -180,8 +180,8 @@ type FileJournalOptions struct {
 	Fault *FaultPlan
 }
 
-// OpenFileJournal opens (creating if needed) a journal file and absorbs
-// its records. Opening never fails on corrupt content — bad records are
+// OpenFileJournal opens (creating if needed) a journal file and reads
+// in its records. Opening never fails on corrupt content — bad records are
 // skipped — only on I/O errors and a malformed MULTIFLIP_JOURNAL_FAULTS.
 func OpenFileJournal(path string) (*FileJournal, error) {
 	return OpenFileJournalOpts(path, FileJournalOptions{})
@@ -220,7 +220,7 @@ func OpenFileJournalOpts(path string, opts FileJournalOptions) (*FileJournal, er
 	j := &FileJournal{f: fio, path: path, sync: opts.Sync,
 		rng: xrand.New(uint64(time.Now().UnixNano())),
 		st:  journalState{now: time.Now, grace: opts.LeaseGrace}}
-	if err := j.absorbLocked(); err != nil {
+	if err := j.catchUpLocked(); err != nil {
 		fio.Close()
 		return nil, err
 	}
@@ -248,17 +248,17 @@ func syncDir(dir string) error {
 func (j *FileJournal) Path() string { return j.path }
 
 // Meta returns the bound campaign identity (zero until Bind or until the
-// file's meta record is absorbed).
+// file's meta record is read in).
 func (j *FileJournal) Meta() CampaignMeta {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.st.meta
 }
 
-// absorbLocked reads records appended since the last absorb and applies
+// catchUpLocked reads the records appended since its last call and applies
 // them. Torn or corrupt lines are skipped; a trailing partial line stays
 // pending. Callers hold j.mu.
-func (j *FileJournal) absorbLocked() error {
+func (j *FileJournal) catchUpLocked() error {
 	if err := j.tail.read(j.f, j.applyPayload); err != nil {
 		return j.wrapErr("read journal", err)
 	}
@@ -364,12 +364,12 @@ func (j *FileJournal) wrapErr(op string, err error) error {
 	return fmt.Errorf("core: journal %s: %s: %w", j.path, op, err)
 }
 
-// Bind implements Journal: absorb the file, then install or validate the
+// Bind implements Journal: catch up on the file, then install or validate the
 // campaign identity, writing the meta record if the file had none.
 func (j *FileJournal) Bind(meta CampaignMeta) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.absorbLocked(); err != nil {
+	if err := j.catchUpLocked(); err != nil {
 		return err
 	}
 	hadMeta := j.st.bound
@@ -383,11 +383,11 @@ func (j *FileJournal) Bind(meta CampaignMeta) error {
 }
 
 // Claim implements Journal. The lease record is persisted before the
-// claim is returned, so a peer absorbing the log sees the shard as taken.
+// claim is returned, so a peer reading the log sees the shard as taken.
 func (j *FileJournal) Claim(worker string, ttl time.Duration) (int, ClaimState, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.absorbLocked(); err != nil {
+	if err := j.catchUpLocked(); err != nil {
 		return 0, ClaimWait, err
 	}
 	shard, state := j.st.findClaim()
@@ -413,7 +413,7 @@ func (j *FileJournal) Claim(worker string, ttl time.Duration) (int, ClaimState, 
 func (j *FileJournal) Renew(worker string, shard int, ttl time.Duration) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.absorbLocked(); err != nil {
+	if err := j.catchUpLocked(); err != nil {
 		return err
 	}
 	if !j.st.renewable(shard, worker) {
@@ -433,7 +433,7 @@ func (j *FileJournal) Renew(worker string, shard int, ttl time.Duration) error {
 func (j *FileJournal) Checkpoint(res ShardResult) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.absorbLocked(); err != nil {
+	if err := j.catchUpLocked(); err != nil {
 		return err
 	}
 	if !j.st.bound || res.Shard < 0 || res.Shard >= len(j.st.shards) {
@@ -453,7 +453,7 @@ func (j *FileJournal) Checkpoint(res ShardResult) error {
 func (j *FileJournal) Results() ([]*ShardResult, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.absorbLocked(); err != nil {
+	if err := j.catchUpLocked(); err != nil {
 		return nil, err
 	}
 	return j.st.results(), nil
@@ -463,7 +463,7 @@ func (j *FileJournal) Results() ([]*ShardResult, error) {
 func (j *FileJournal) Status() (CampaignStatus, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.absorbLocked(); err != nil {
+	if err := j.catchUpLocked(); err != nil {
 		return CampaignStatus{}, err
 	}
 	if !j.st.bound {

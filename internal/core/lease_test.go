@@ -6,7 +6,7 @@ package core
 //
 //   - stamped by this process: a time.Time carrying Go's monotonic clock,
 //     immune to wall-clock steps, compared exactly;
-//   - absorbed from a journal record: a wall-clock UnixMilli written by
+//   - read from a journal record: a wall-clock UnixMilli written by
 //     some other process, compared with a configurable skew grace.
 //
 // These tests pin the boundary conditions of both, plus the own-echo
@@ -45,7 +45,7 @@ func TestLeaseLocalExpiresExactly(t *testing.T) {
 		t.Fatal("local lease live at its exact expiry")
 	}
 	if st.leaseLive(sh, exp.Add(DefaultLeaseGrace/2)) {
-		t.Fatal("local lease granted the absorbed-lease grace")
+		t.Fatal("local lease granted the peer-lease grace")
 	}
 }
 
@@ -66,10 +66,10 @@ func TestLeaseAbsorbedGetsGrace(t *testing.T) {
 			st.applyLease(1, "w2", exp, false)
 			sh := &st.shards[1]
 			if !st.leaseLive(sh, exp.Add(tt.want-time.Millisecond)) {
-				t.Fatal("absorbed lease dead inside its grace margin")
+				t.Fatal("peer lease dead inside its grace margin")
 			}
 			if st.leaseLive(sh, exp.Add(tt.want)) {
-				t.Fatal("absorbed lease live past its grace margin")
+				t.Fatal("peer lease live past its grace margin")
 			}
 		})
 	}
@@ -149,7 +149,7 @@ func TestRenewableGuards(t *testing.T) {
 		t.Fatal("checkpointed shard renewable")
 	}
 
-	// Stolen lease: a peer's absorbed record replaced ours mid-shard;
+	// Stolen lease: a peer's record, read back, replaced ours mid-shard;
 	// our next heartbeat must drop.
 	st4 := leaseState(t, 0)
 	st4.applyLease(0, "w1", now.Add(time.Hour), true)

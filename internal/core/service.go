@@ -167,8 +167,9 @@ func (e *Engine) fingerprint() uint64 {
 	h = mix(h, e.Seed)
 	h = mix(h, b2u(e.Record))
 	// Of the target's tier set only converge folds in, so journals keep
-	// their content addresses whatever else is disabled;
-	// MULTIFLIP_DISABLE is not recorded on the target and stays out.
+	// their content addresses whatever else is disabled. The set includes
+	// MULTIFLIP_DISABLE's tiers, so a campaign run with convergence off,
+	// by either switch, never folds a journal written with it on.
 	h = mix(h, b2u(e.Target.Disable.Has(vm.TierConverge)))
 	// The failure policy folds in only when non-default: FailFast
 	// campaigns — every journal written before the policy existed — keep

@@ -36,14 +36,16 @@ type Target struct {
 	// the campaign runner resumes experiments from them to skip the
 	// fault-free prefix. Empty when TierSnapshots is disabled.
 	Snapshots []*vm.Snapshot
-	// Trace is the golden run's state-hash trace: experiments carry it so
-	// the VM can terminate them early once their injected state
-	// reconverges with the golden run. Nil when TierConverge is disabled.
+	// Trace is the golden run's record, its snapshots and final state:
+	// experiments carry it so the VM can terminate them early once their
+	// injected state reconverges with the golden run. Nil when
+	// TierConverge is disabled.
 	Trace *vm.GoldenTrace
 	// Disable is the set of speed tiers every campaign on this target
-	// runs without (TargetOptions.Disable). MULTIFLIP_DISABLE adds to it
-	// at run time but is not recorded here, so it never reaches a
-	// campaign fingerprint.
+	// runs without: TargetOptions.Disable plus the tiers MULTIFLIP_DISABLE
+	// named when the target was prepared. Its converge member is part of
+	// the campaign fingerprint, so a journal written with convergence on
+	// never resumes into a campaign that runs with it off.
 	Disable vm.Tiers
 }
 
@@ -71,8 +73,8 @@ type TargetOptions struct {
 	// Disable turns speed tiers off for every campaign on the target
 	// (zero = all on). Preparation applies the target-level ones itself:
 	// with TierSnapshots in the set the target keeps no snapshots (the
-	// checkpoint pass still runs and records the golden trace), and
-	// with TierConverge it records no trace. The profile is
+	// checkpoint pass still runs, and its golden trace keeps them), and
+	// with TierConverge it keeps no trace. The profile is
 	// bit-identical for any set, and so are the recorded outcomes of
 	// every campaign (the differential suites enforce both).
 	Disable vm.Tiers
@@ -88,11 +90,9 @@ func NewTarget(name string, p *ir.Program) (*Target, error) {
 func NewTargetOpts(name string, p *ir.Program, opts TargetOptions) (*Target, error) {
 	disable := opts.Disable | vm.EnvDisabled()
 	vopts := vm.Options{
-		Disable:      opts.Disable,
+		Disable:      disable,
 		Checkpoint:   opts.SnapshotInterval,
 		MaxSnapshots: opts.MaxSnapshots,
-		// The golden trace piggybacks on the checkpoint pass.
-		RecordTrace: !disable.Has(vm.TierConverge),
 	}
 	if vopts.Checkpoint == 0 {
 		vopts.Checkpoint = DefaultSnapshotInterval
@@ -116,11 +116,13 @@ func NewTargetOpts(name string, p *ir.Program, opts TargetOptions) (*Target, err
 		WriteCands: prof.Writes,
 		ReadRoles:  prof.ReadRoles,
 		WriteRoles: prof.WriteRoles,
-		Trace:      prof.Trace,
-		Disable:    opts.Disable,
+		Disable:    disable,
 	}
 	if !disable.Has(vm.TierSnapshots) {
 		t.Snapshots = prof.Snapshots
+	}
+	if !disable.Has(vm.TierConverge) {
+		t.Trace = prof.Trace
 	}
 	return t, nil
 }

@@ -50,9 +50,9 @@ func BlockLeaders(f *Func) []int {
 }
 
 // fingerprint mixing: FNV-1a over a canonical byte serialization, with
-// per-word diffusion (the same shift-xor construction the VM's convergence
-// hashes use) so structurally close programs do not collide in the low
-// bits.
+// a shift-xor diffusion round per word (a difference in a word's high
+// half also reaches its low half) so structurally close programs do not
+// collide in the low bits.
 const (
 	fpOffset = 14695981039346656037
 	fpPrime  = 1099511628211

@@ -11,9 +11,9 @@ import (
 // the "image" from a cheap PRNG recurrence, pass 2 applies an in-place
 // neighbour-mixing filter (a 1-D blur stand-in), and a sparse checksum
 // pass emits the output. Stores sweep the whole segment, so golden-run
-// capture, snapshot resume and convergence hashing all operate at real
+// capture, snapshot resume and convergence checks all operate at real
 // image scale: every resumed experiment copies the full megabyte of
-// globals. BenchmarkCampaignLargeGlobals and the study grid target it by
+// globals, and every convergence check walks its page table. BenchmarkCampaignLargeGlobals and the study grid target it by
 // name ("megapixel").
 const (
 	// MegapixelWords is the image size in 64-bit words (1 MiB).

@@ -24,7 +24,7 @@
 //     for its width (machine.flatLoad8..64, flatStore8..64), which serves
 //     an aligned access inside the globals with no tracking work due,
 //     and falls back to machine.load/store for every other access, so
-//     traps, dirty tracking and convergence hashing behave identically;
+//     traps and dirty tracking behave identically;
 //   - calls and returns are not compiled: the kernel flushes state and
 //     reports kernOut, and the VM executes the frame operation through
 //     the observer tier.

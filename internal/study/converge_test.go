@@ -128,8 +128,8 @@ func TestDisableReachesTargets(t *testing.T) {
 			t.Fatal(err)
 		}
 		tg := s.Data["CRC32"].Target
-		if tg.Disable != disable {
-			t.Errorf("-disable %s: study target disables %q", disable, tg.Disable)
+		if want := disable | vm.EnvDisabled(); tg.Disable != want {
+			t.Errorf("-disable %s: study target disables %q, want %q", disable, tg.Disable, want)
 		}
 		if disable == vm.TierSnapshots {
 			if len(tg.Snapshots) != 0 {

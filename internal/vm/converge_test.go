@@ -1,7 +1,10 @@
 package vm
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"multiflip/internal/ir"
@@ -9,21 +12,172 @@ import (
 	"multiflip/internal/xrand"
 )
 
-// goldenWithTrace profiles p with checkpointing and trace recording at
-// the campaign defaults.
+// goldenWithTrace profiles p with checkpointing at the campaign
+// defaults; the run's golden trace is its kept snapshots.
 func goldenWithTrace(t *testing.T, p *ir.Program) *Result {
 	t.Helper()
-	golden, err := Run(p, Options{Checkpoint: 64, MaxSnapshots: 512, RecordTrace: true})
+	golden, err := Run(p, Options{Checkpoint: 64, MaxSnapshots: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if golden.Trace == nil {
-		t.Fatal("checkpointing run with RecordTrace produced no trace")
+		t.Fatal("checkpointing run from instruction 0 produced no trace")
 	}
-	if golden.Trace.Entries() == 0 {
-		t.Fatal("golden trace has no entries")
+	if len(golden.Snapshots) == 0 {
+		t.Fatal("golden run kept no snapshots to converge against")
 	}
 	return golden
+}
+
+// snapshotDiff names the first part of the machine state in which two
+// snapshots differ, or returns "" when they hold the same state.
+func snapshotDiff(a, b *Snapshot) string {
+	switch {
+	case a.Dyn != b.Dyn || a.ReadSlots != b.ReadSlots || a.Writes != b.Writes:
+		return "counters"
+	case a.sp != b.sp || a.stackHW != b.stackHW:
+		return "sp"
+	case !reflect.DeepEqual(a.frames, b.frames):
+		return "frames"
+	case !slices.Equal(a.regSlab, b.regSlab):
+		return "registers"
+	case !bytes.Equal(a.out, b.out):
+		return "output"
+	}
+	ag, as := a.tables()
+	bg, bs := b.tables()
+	for _, seg := range []struct {
+		name string
+		a, b [][]byte
+	}{{"globals", ag, bg}, {"stack", as, bs}} {
+		for p := range max(len(seg.a), len(seg.b)) {
+			if !equalPadded(pageAt(seg.a, p), pageAt(seg.b, p)) {
+				return fmt.Sprintf("%s page %d", seg.name, p)
+			}
+		}
+	}
+	return ""
+}
+
+// TestConvergeComparator holds the exact comparator to every part of the
+// machine state. A run resumed from golden snapshot r and replayed
+// fault-free to a later golden snapshot s holds s's state, so it must
+// converge. Each case then changes one part and must not converge; where
+// a case names a twin, that identical state must still converge. The
+// program calls a function that allocas, stores and returns, which
+// leaves stale bytes above sp, stores to one globals page and writes a
+// byte of output every iteration, so between r and s the run dirties
+// that globals page and the stack and appends output.
+func TestConvergeComparator(t *testing.T) {
+	mb := ir.NewModule("conv-compare")
+	g := mb.GlobalU64s(make([]uint64, 128)) // 4 pages; the loop stores to the first
+	h := mb.Func("scratch", 1)
+	buf := h.Alloca(32)
+	h.Store64(buf, h.Arg(0), 0)
+	h.Store64(buf, h.BinW(ir.W64, ir.OpXor, h.Arg(0), ir.C(0x5a5a)), 8)
+	h.Ret(h.Load64(buf, 8))
+	f := mb.Func("main", 0)
+	acc := f.Let(ir.C(0))
+	f.For(ir.C(0), ir.C(300), func(i ir.Reg) {
+		v := f.Call("scratch", i)
+		f.Store64(f.Idx(ir.C(g), f.BinW(ir.W64, ir.OpAnd, i, ir.C(31)), 8), v, 0)
+		f.Mov(acc, f.BinW(ir.W64, ir.OpAdd, acc, v))
+		f.Out8(acc)
+	})
+	f.RetVoid()
+	p := mb.MustBuild()
+	golden := goldenWithTrace(t, p)
+
+	// s is a snapshot in main, after a return, at least two snapshot
+	// intervals past r.
+	const rIdx = 2
+	r := golden.Snapshots[rIdx]
+	var s *Snapshot
+	for _, c := range golden.Snapshots[rIdx+2:] {
+		if c.sp < c.stackHW {
+			s = c
+			break
+		}
+	}
+	if s == nil {
+		t.Fatal("no golden snapshot with stack bytes above sp")
+	}
+	replay := func() *machine {
+		m := &machine{prog: p, maxDyn: DefaultMaxDyn, maxOut: DefaultMaxOutput, maxDepth: DefaultMaxDepth}
+		if err := m.restore(r); err != nil {
+			t.Fatal(err)
+		}
+		m.globals.track(nil)
+		m.stack.track(nil)
+		m.startGlobals, m.startStack = r.tables()
+		m.outStart = len(m.out)
+		if m.sprint(&m.frames[len(m.frames)-1], s.Dyn) == nil || m.dyn != s.Dyn {
+			t.Fatalf("replay from dyn %d stopped at %d, before snapshot dyn %d", r.Dyn, m.dyn, s.Dyn)
+		}
+		return m
+	}
+
+	// The parts the cases change must be live: output appended since r,
+	// stale stack bytes above sp, globals page 0 stored to by both runs
+	// and page 2 by neither.
+	m := replay()
+	rg, _ := r.tables()
+	sg, _ := s.tables()
+	switch {
+	case len(m.out) <= m.outStart:
+		t.Fatal("the replay appended no output")
+	case m.sp >= m.stackHW:
+		t.Fatal("the replay left no stack bytes above sp")
+	case !m.globals.dirty.get(0) || samePage(sg[0], rg[0]):
+		t.Fatal("globals page 0 was not stored to between r and s")
+	case m.globals.dirty.get(2) || !samePage(sg[2], rg[2]):
+		t.Fatal("globals page 2 was stored to between r and s")
+	}
+	if !m.sameState(s) {
+		t.Fatal("the fault-free replay does not converge with the golden snapshot at its instant")
+	}
+
+	const p2 = 2 * pageSize
+	for _, c := range []struct {
+		name         string
+		twin, change func(m *machine)
+	}{
+		{name: "frame pc", change: func(m *machine) { m.frames[0].pc++ }},
+		{name: "live register", change: func(m *machine) { m.regArena[m.regTop-1] ^= 1 }},
+		{name: "output byte after the start", change: func(m *machine) { m.out[len(m.out)-1] ^= 1 }},
+		{
+			name: "globals page the run stored to",
+			twin: func(m *machine) { m.globals.store(p2+8, 8, m.globals.load(p2+8, 8)) },
+			change: func(m *machine) {
+				m.globals.store(p2+8, 8, m.globals.load(p2+8, 8)^1<<40)
+			},
+		},
+		{
+			// As if the run had never stored to page 0: the golden run
+			// did after r, so s's page is not the one the run started
+			// from.
+			name: "globals page only the golden run stored to",
+			twin: func(m *machine) { m.globals.dirty[0] &^= 1 },
+			change: func(m *machine) {
+				m.globals.dirty[0] &^= 1
+				m.globals.flat[3] ^= 0x10
+			},
+		},
+		{name: "stack byte above sp", change: func(m *machine) { m.stack.flat[m.sp] ^= 1 }},
+	} {
+		if c.twin != nil {
+			m := replay()
+			c.twin(m)
+			if !m.sameState(s) {
+				t.Errorf("%s: the identical state does not converge", c.name)
+			}
+		}
+		m := replay()
+		c.change(m)
+		if m.sameState(s) {
+			t.Errorf("%s: a state that differs there converges", c.name)
+		}
+	}
 }
 
 // TestConvergeDifferentialWorkloads proves the tentpole invariant at the
@@ -272,9 +426,12 @@ func TestConvergeTraceValidation(t *testing.T) {
 	}
 }
 
-// TestConvergeResumeOffTraceGrid checks that resuming from a snapshot
-// whose dynamic instant is not on the trace's boundary grid disables
-// convergence silently rather than fingerprinting from a wrong baseline.
+// TestConvergeResumeOffTraceGrid checks that convergence places no
+// requirement on where a run resumes: a run resumed from a snapshot of
+// another checkpointing run, at an instant off the golden run's grid
+// (interval 37 against 64), matches its cold twin bit for bit and
+// converges exactly when the cold run does, for a set of plans at least
+// one of which converges.
 func TestConvergeResumeOffTraceGrid(t *testing.T) {
 	bench, err := prog.ByName("CRC32")
 	if err != nil {
@@ -285,8 +442,6 @@ func TestConvergeResumeOffTraceGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := goldenWithTrace(t, p)
-	// A second checkpointing run on a different grid yields snapshots at
-	// instants the trace has no entries for.
 	offGrid, err := Run(p, Options{Checkpoint: 37, MaxSnapshots: 512})
 	if err != nil {
 		t.Fatal(err)
@@ -295,20 +450,35 @@ func TestConvergeResumeOffTraceGrid(t *testing.T) {
 		t.Fatal("no off-grid snapshots")
 	}
 	snap := offGrid.Snapshots[len(offGrid.Snapshots)/2]
-	mkPlan := func() *Plan {
-		return &Plan{FirstCand: snap.Candidates(false) + 100, MaxFlips: 1, SameReg: true,
-			PinnedBit: -1, Rng: xrand.ForExperiment(3, 4)}
+	for _, g := range golden.Snapshots {
+		if g.Dyn == snap.Dyn {
+			t.Fatalf("snapshot at dyn %d is on the golden grid", snap.Dyn)
+		}
 	}
-	want, err := Run(p, Options{Plan: mkPlan()})
-	if err != nil {
-		t.Fatal(err)
+	converged := 0
+	for seed := uint64(0); seed < 40; seed++ {
+		mkPlan := func() *Plan {
+			return &Plan{FirstCand: snap.Candidates(false) + 100 + seed, MaxFlips: 1, SameReg: true,
+				PinnedBit: -1, Rng: xrand.ForExperiment(3, seed)}
+		}
+		want, err := Run(p, Options{Plan: mkPlan(), Trace: golden.Trace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(p, Options{Plan: mkPlan(), Resume: snap, Trace: golden.Trace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("off-grid resume, seed %d", seed)
+		sameResult(t, label, got, want)
+		if got.Converged != want.Converged {
+			t.Fatalf("%s: converged=%v, the cold run converged=%v", label, got.Converged, want.Converged)
+		}
+		if got.Converged {
+			converged++
+		}
 	}
-	got, err := Run(p, Options{Plan: mkPlan(), Resume: snap, Trace: golden.Trace})
-	if err != nil {
-		t.Fatal(err)
+	if converged == 0 && !EnvDisabled().Has(TierConverge) {
+		t.Error("no plan converged, so the off-grid resume was never held to a converging run")
 	}
-	if got.Converged {
-		t.Error("off-grid resume reported convergence")
-	}
-	sameResult(t, "off-grid resume", got, want)
 }

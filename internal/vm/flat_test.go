@@ -38,8 +38,6 @@ func flatStore(m *machine, addr uint64, size int, v uint64) bool {
 func cloneMem(s mem) mem {
 	s.flat = slices.Clone(s.flat)
 	s.dirty = slices.Clone(s.dirty)
-	s.convKnown = slices.Clone(s.convKnown)
-	s.convH = slices.Clone(s.convH)
 	return s
 }
 
@@ -67,8 +65,8 @@ func pattern(n int, seed byte) []byte {
 // fallback to machine.load and machine.store, over both segments, every
 // size, the addresses around each segment's ends and the stack's sp
 // after a frame pop, aligned and misaligned, with the alignment trap on
-// and off, and with dirty and convergence tracking off, on a clean page
-// and on a dirty page. The value, trap and whole segment state must
+// and off, and with dirty tracking off, on a clean page and on a dirty
+// page. The value, trap and whole segment state must
 // match, and the fast path must serve exactly the aligned in-range
 // accesses to the globals that need no tracking work, so the comparison
 // is not vacuous; stack accesses are left to the fallback.
@@ -89,10 +87,8 @@ func TestFlatAccessorsMatchLoadStore(t *testing.T) {
 				stackHW: stackHW,
 			}
 			if tracking != "off" {
-				base.globals.track()
-				base.stack.track()
-				base.globals.trackConv(saltGlobals)
-				base.stack.trackConv(saltStack)
+				base.globals.track(nil)
+				base.stack.track(nil)
 			}
 			for _, size := range []int{1, 2, 4, 8} {
 				segs := []struct {

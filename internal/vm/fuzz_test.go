@@ -300,20 +300,17 @@ func FuzzVM(f *testing.F) {
 		}
 		sameResult(t, "memflip resumed vs cold", mr, ms)
 
-		// Convergence-gated early termination must be invisible: a golden
-		// hash trace recorded alongside the checkpoints never perturbs the
-		// recording run, and every faulted run carrying it — converged or
-		// not, cold or resumed — matches its traceless twin bit for bit.
-		trOpts := ckOpts
-		trOpts.RecordTrace = true
-		trun, err := Run(p, trOpts)
-		if err != nil {
-			t.Fatalf("trace-recording run: %v", err)
-		}
-		sameResult(t, "trace-recording run", trun, straight)
-		trace := trun.Trace
+		// Convergence-gated early termination must be invisible: every
+		// faulted run carrying the checkpointing run's golden trace —
+		// converged or not, cold or resumed — matches its traceless twin
+		// bit for bit. A run resumed from the golden run's own snapshot
+		// starts from page tables that share slices with the golden
+		// snapshots', so its checks take the comparator's shared-page
+		// shortcut; one resumed from another run's snapshot, off the
+		// golden grid, shares none.
+		trace := ckpt.Trace
 		if trace == nil {
-			t.Fatal("checkpointing run with RecordTrace recorded no trace")
+			t.Fatal("checkpointing run from instruction 0 recorded no trace")
 		}
 
 		*z = zz
@@ -336,6 +333,30 @@ func FuzzVM(f *testing.F) {
 			t.Fatalf("plan converge resumed: %v", err)
 		}
 		sameResult(t, "plan converge resumed vs full", pcr, ps)
+
+		offOpts := ckOpts
+		offOpts.Checkpoint++
+		off, err := Run(p, offOpts)
+		if err != nil {
+			t.Fatalf("off-grid checkpointing run: %v", err)
+		}
+		if i := len(off.Snapshots) - 1; i >= 0 {
+			*z = zz
+			planConvOff := base
+			planConvOff.Plan = mkPlan()
+			planConvOff.Trace = trace
+			for i > 0 && off.Snapshots[i].Candidates(onWrite) > planConvOff.Plan.FirstCand {
+				i--
+			}
+			if off.Snapshots[i].Candidates(onWrite) <= planConvOff.Plan.FirstCand {
+				planConvOff.Resume = off.Snapshots[i]
+				pco, err := Run(p, planConvOff)
+				if err != nil {
+					t.Fatalf("plan converge resumed off the grid: %v", err)
+				}
+				sameResult(t, "plan converge resumed off the grid vs full", pco, ps)
+			}
+		}
 
 		memConv := memStraight
 		memConv.Trace = trace

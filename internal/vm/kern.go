@@ -29,8 +29,8 @@ package vm
 // first takes the inlined flat accessor for its width (flatLoad8..64,
 // flatStore8..64 in vm.go), which serves an aligned access to the
 // globals with no tracking work due, and falls back to machine.load or
-// machine.store, which keep the one definition of traps, dirty bits and
-// convergence hashing. Calls and returns are left to the interpreter
+// machine.store, which keep the one definition of traps and dirty bits.
+// Calls and returns are left to the interpreter
 // (kernOut): frame manipulation is rare, cold, and shared with the
 // observer tier, whose injection checks cannot fire there because the
 // call or return lies before the injection horizon.

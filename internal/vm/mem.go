@@ -1,9 +1,12 @@
 package vm
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // Page granularity of dirty tracking, snapshot deltas and convergence
-// hashing. 256 bytes keeps the page tables small for the suite's
+// comparison. 256 bytes keeps the page tables small for the suite's
 // kilobyte-scale segments while still making a dirtied page cheap to
 // copy at snapshot time.
 const (
@@ -43,81 +46,25 @@ func (b bitmap) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
 // the program image, and restore flattens the snapshot's page tables, so
 // the machine never writes through to shared snapshot pages.
 //
-// dirty, when non-nil, records the pages stored to since the last
-// snapshot capture (or convergence check); only checkpointing and
-// convergence-tracking runs pay for it.
-//
-// convH/convKnown, when non-nil, maintain the per-page hashes behind the
-// convergence fingerprint (see trace.go): the first store to a page since
-// tracking began hashes its pre-store content (the golden baseline), and
-// each fold re-hashes only the pages dirtied since the previous fold.
+// dirty, when non-nil, records the pages stored to: since the last
+// snapshot capture in a checkpointing run, and since the run's start in
+// a run that checks convergence. Other runs do not pay for it.
 type mem struct {
 	n     int    // segment length in bytes
 	flat  []byte // private storage; the stack's grows toward n
 	dirty bitmap
-
-	convSalt  uint64
-	convKnown bitmap
-	convH     []uint64
-}
-
-// memBufs carries a segment's recyclable tracking buffers between pooled
-// runs.
-type memBufs struct {
-	dirty, convKnown bitmap
-	convH            []uint64
-}
-
-// takeBufs detaches the tracking buffers for recycling.
-func (s *mem) takeBufs() memBufs {
-	b := memBufs{s.dirty, s.convKnown, s.convH}
-	s.dirty, s.convKnown, s.convH = nil, nil, nil
-	return b
-}
-
-// mergeBufs keeps the non-nil buffers of a, falling back to b's.
-func mergeBufs(a, b memBufs) memBufs {
-	if a.dirty == nil {
-		a.dirty = b.dirty
-	}
-	if a.convKnown == nil {
-		a.convKnown = b.convKnown
-	}
-	if a.convH == nil {
-		a.convH = b.convH
-	}
-	return a
 }
 
 // flatMem returns an n-byte segment whose content is flat.
 func flatMem(n int, flat []byte) mem { return mem{n: n, flat: flat} }
 
 // track enables dirty-page tracking (checkpointing and convergence-
-// tracking runs), reusing s.dirty's storage when possible.
-func (s *mem) track() { s.dirty = ensureBits(s.dirty, numPages(s.n)) }
-
-// trackConv enables convergence-hash tracking under salt, reusing the
-// attached buffers when large enough. convH entries are only read for
-// pages whose convKnown bit is set, so the array itself needs no
-// clearing.
-func (s *mem) trackConv(salt uint64) {
-	pages := numPages(s.n)
-	s.convSalt = salt
-	s.convKnown = ensureBits(s.convKnown, pages)
-	if cap(s.convH) < pages {
-		s.convH = make([]uint64, pages)
-	} else {
-		s.convH = s.convH[:pages]
-	}
-}
-
-// pageSeed returns the position-dependent hash seed of page p, so equal
-// content on different pages (or segments) hashes differently.
-func (s *mem) pageSeed(p int) uint64 { return s.convSalt ^ uint64(p)*hashPhi }
+// checking runs), reusing buf's storage when it is large enough.
+func (s *mem) track(buf bitmap) { s.dirty = ensureBits(buf, numPages(s.n)) }
 
 // pageBytes returns page p's content. Bytes beyond flat are zero by the
 // segment invariants (stack above the high-water mark, growFlat's
-// zero-fill), which hashPage's implicit padding supplies.
+// zero-fill).
 func (s *mem) pageBytes(p int) []byte {
 	lo := p << pageShift
 	hi := lo + pageSize
@@ -133,50 +80,51 @@ func (s *mem) pageBytes(p int) []byte {
 	return s.flat[lo:hi]
 }
 
-// firstTouch hashes page p's pre-store content: the caller is about to
-// perform the first store to p since convergence tracking began, so the
-// current content is still the baseline the fingerprint is relative to.
-func (s *mem) firstTouch(p int) {
-	s.convKnown.set(p)
-	s.convH[p] = hashPage(s.pageSeed(p), s.pageBytes(p))
-}
-
-// foldDirty re-hashes every page dirtied since the previous fold, clears
-// the dirty map, and returns the XOR delta to the segment's convergence
-// fingerprint. Cost scales with the interval's write set.
-func (s *mem) foldDirty() uint64 {
-	var delta uint64
-	for w := range s.dirty {
-		bitsLeft := s.dirty[w]
-		for bitsLeft != 0 {
-			p := w<<6 + trailingZeros(bitsLeft)
-			bitsLeft &= bitsLeft - 1
-			nh := hashPage(s.pageSeed(p), s.pageBytes(p))
-			if old := s.convH[p]; nh != old {
-				delta ^= old ^ nh
-				s.convH[p] = nh
-			}
+// sameAs reports whether the segment holds exactly the content of page
+// table tbl, given that it started as page table start and has since
+// been stored to only on its dirty pages. A page it never dirtied still
+// holds start's bytes, so where tbl shares start's slice for that page
+// the two are equal without a look; every other page is compared.
+func (s *mem) sameAs(tbl, start [][]byte) bool {
+	np := max(len(tbl), len(start), numPages(len(s.flat)))
+	for p := range np {
+		want := pageAt(tbl, p)
+		if !s.dirty.get(p) && samePage(want, pageAt(start, p)) {
+			continue
 		}
-		s.dirty[w] = 0
-	}
-	return delta
-}
-
-// foldDelta is foldDirty for the golden recording run, which shares its
-// dirty bitmap with snapshot capture: it re-hashes the pages from the
-// delta captureDelta just produced (their contents already copied and
-// clamped exactly as a resumed run would see them).
-func (s *mem) foldDelta(d pageDelta) uint64 {
-	var delta uint64
-	for k, i := range d.idx {
-		p := int(i)
-		nh := hashPage(s.pageSeed(p), d.pages[k])
-		if old := s.convH[p]; nh != old {
-			delta ^= old ^ nh
-			s.convH[p] = nh
+		if !equalPadded(s.pageBytes(p), want) {
+			return false
 		}
 	}
-	return delta
+	return true
+}
+
+// pageAt returns page p of a page table; past the table's end the page
+// is all zero (nil).
+func pageAt(tbl [][]byte, p int) []byte {
+	if p < len(tbl) {
+		return tbl[p]
+	}
+	return nil
+}
+
+// samePage reports whether two page-table entries are the same bytes in
+// memory: one slice of one array, or both empty.
+func samePage(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// zeroPage supplies the zero padding equalPadded compares short pages
+// against.
+var zeroPage [pageSize]byte
+
+// equalPadded reports whether two pages hold the same content, each read
+// as zero past its end.
+func equalPadded(a, b []byte) bool {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	return bytes.Equal(a[:len(b)], b) && bytes.Equal(a[len(b):], zeroPage[:len(a)-len(b)])
 }
 
 // growFlat extends flat to at least end bytes (clamped to the segment
@@ -227,25 +175,9 @@ func (s *mem) load(off, size int) uint64 {
 // store writes size bytes little-endian at off, dirtying the pages it
 // touches. The caller has bounds- and alignment-checked the range.
 func (s *mem) store(off, size int, v uint64) {
-	p0 := pageOf(off)
-	p1 := pageOf(off + size - 1)
 	if s.dirty != nil {
-		// Repeat stores to an already-dirty page skip all tracking work;
-		// on the 0->1 transition, the first store since convergence
-		// tracking began additionally hashes the page's pre-store content
-		// (the baseline the fingerprint deltas are computed against).
-		if !s.dirty.get(p0) {
-			if s.convH != nil && !s.convKnown.get(p0) {
-				s.firstTouch(p0)
-			}
-			s.dirty.set(p0)
-		}
-		if p1 != p0 && !s.dirty.get(p1) {
-			if s.convH != nil && !s.convKnown.get(p1) {
-				s.firstTouch(p1)
-			}
-			s.dirty.set(p1)
-		}
+		s.dirty.set(pageOf(off))
+		s.dirty.set(pageOf(off + size - 1))
 	}
 	b := s.flat[off:]
 	switch size {
@@ -262,9 +194,8 @@ func (s *mem) store(off, size int, v uint64) {
 
 // tracks reports whether a store at off is due tracking work: the
 // segment tracks dirty pages and off's page is still clean, so the
-// store must set its dirty bit (and, under convergence tracking, hash
-// its first touch). The flat store accessors inline it, and testing
-// the bit on the uint64 offset directly costs them less of the
+// store must set its dirty bit. The flat store accessors inline it, and
+// testing the bit on the uint64 offset directly costs them less of the
 // inliner's budget than bitmap.get.
 func (s *mem) tracks(off uint64) bool {
 	return s.dirty != nil && s.dirty[off>>(pageShift+6)]&(1<<(off>>pageShift&63)) == 0

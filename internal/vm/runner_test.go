@@ -71,8 +71,8 @@ func campaignRun(golden *Result, plan *Plan, rng *xrand.Rand, onWrite bool, mbf 
 
 // sameRunnerResult fails unless got equals want in every Result field.
 // Output and InjectionDyns compare by content (a reused buffer is empty
-// where a fresh run's is nil); snapshots by instant, counters and output
-// prefix; traces by their entries and final outcome.
+// where a fresh run's is nil); snapshots by the machine state they hold;
+// traces by their snapshots and final outcome.
 func sameRunnerResult(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if !bytes.Equal(got.Output, want.Output) {
@@ -86,8 +86,8 @@ func sameRunnerResult(t *testing.T, label string, got, want *Result) {
 	}
 	for i, s := range got.Snapshots {
 		w := want.Snapshots[i]
-		if s.Dyn != w.Dyn || s.ReadSlots != w.ReadSlots || s.Writes != w.Writes || !bytes.Equal(s.out, w.out) {
-			t.Fatalf("%s: snapshot %d differs", label, i)
+		if diff := snapshotDiff(s, w); diff != "" {
+			t.Fatalf("%s: snapshot %d differs in its %s", label, i, diff)
 		}
 	}
 	if (got.Trace == nil) != (want.Trace == nil) {
@@ -95,8 +95,9 @@ func sameRunnerResult(t *testing.T, label string, got, want *Result) {
 	}
 	if got.Trace != nil {
 		g, w := got.Trace, want.Trace
-		if !reflect.DeepEqual(g.entries, w.entries) || !bytes.Equal(g.finalOut, w.finalOut) ||
-			g.finalDyn != w.finalDyn || g.finalStop != w.finalStop || g.maxFrames != w.maxFrames {
+		if !slices.Equal(g.snaps, got.Snapshots) || !bytes.Equal(g.finalOut, w.finalOut) ||
+			g.finalDyn != w.finalDyn || g.finalReadSlots != w.finalReadSlots || g.finalWrites != w.finalWrites ||
+			g.finalStop != w.finalStop || g.maxFrames != w.maxFrames {
 			t.Fatalf("%s: golden trace differs", label)
 		}
 	}
@@ -181,7 +182,7 @@ func TestRunnerMatchesFreshRuns(t *testing.T) {
 			}
 			steps = append(steps,
 				step{"checkpointing profile", func() Options {
-					return Options{Checkpoint: 64, MaxSnapshots: 512, RecordTrace: true, CountRoles: true}
+					return Options{Checkpoint: 64, MaxSnapshots: 512, CountRoles: true}
 				}, StopReturned},
 				step{name: "after profile", opts: plain(3, 6)})
 
@@ -256,7 +257,7 @@ func overlaps(buf, view []byte) bool {
 func TestRunnerKeepsSharedOutputs(t *testing.T) {
 	for _, p := range tableIIPrograms() {
 		var r Runner
-		res, err := r.Run(p, Options{Checkpoint: 64, MaxSnapshots: 512, RecordTrace: true})
+		res, err := r.Run(p, Options{Checkpoint: 64, MaxSnapshots: 512})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,12 +15,14 @@ import (
 // Memory is captured as page-granular deltas: each snapshot records only
 // the pages dirtied since its base (the previous snapshot of the same run,
 // or the run's resume point), so capture cost scales with the interval's
-// write set, not with segment size. The full page tables a resume needs
-// are materialized lazily — once per snapshot, memoized, walking the base
-// chain — and every clean page in them is shared with the predecessor
-// (ultimately with the immutable program image). Resume copies those
-// tables into the machine's flat segments, so the shared pages are only
-// ever read.
+// write set, not with segment size. The full page tables a resume or a
+// convergence check needs are materialized lazily — once per snapshot,
+// memoized, walking the base chain — and every clean page in them is
+// shared with the predecessor (ultimately with the immutable program
+// image). Resume copies those tables into the machine's flat segments,
+// so the shared pages are only ever read, and a convergence check (see
+// trace.go) takes a page shared with the table its run started from as
+// unchanged.
 //
 // Snapshots are the mechanism behind golden-run fast-forwarding: the
 // campaign runner records them during the fault-free profile run and starts
@@ -91,7 +93,8 @@ func patchPages(base [][]byte, d pageDelta, np int) [][]byte {
 // tables returns the snapshot's materialized page tables, building them
 // on first use by patching the base chain's tables with this snapshot's
 // deltas. Memoized: the cost is paid once per snapshot no matter how many
-// runs resume from it, and never for snapshots no run resumes from.
+// runs resume from it or converge against it, and never for snapshots
+// no run reaches.
 func (s *Snapshot) tables() (globalTbl, stackTbl [][]byte) {
 	s.tblOnce.Do(func() {
 		gt := s.imgPages
@@ -133,12 +136,6 @@ func (m *machine) takeSnapshot() {
 	var sd pageDelta
 	if m.stackHW > 0 {
 		sd = m.stack.captureDelta(m.stackHW)
-	}
-	if m.rec != nil {
-		// Golden trace recording piggybacks on the capture pass: the
-		// deltas hold exactly the pages dirtied this interval, so the
-		// state fingerprint updates from them without re-scanning.
-		m.recordTraceEntry(gd, sd)
 	}
 	s := &Snapshot{
 		Dyn:         m.dyn,

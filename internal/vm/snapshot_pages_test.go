@@ -32,15 +32,6 @@ func buildStrideProg(words, loops, stride int) *ir.Program {
 	return mb.MustBuild()
 }
 
-// samePage reports whether two snapshot pages share storage (or are both
-// nil zero-pages).
-func samePage(a, b []byte) bool {
-	if len(a) == 0 || len(b) == 0 {
-		return len(a) == 0 && len(b) == 0
-	}
-	return &a[0] == &b[0]
-}
-
 // TestSnapshotPageSharingChain pins the page-sharing capture contract:
 // each snapshot's delta holds exactly the pages dirtied in its interval
 // (at most the one data page here, since all writes stay in one word),

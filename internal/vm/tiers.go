@@ -28,7 +28,7 @@ const (
 	// event horizons instead of the interpreter (sprint).
 	TierCompile
 	// TierConverge terminates runs whose state reconverges with the
-	// golden trace.
+	// golden run's at one of its snapshots.
 	TierConverge
 )
 

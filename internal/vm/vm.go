@@ -28,6 +28,11 @@
 // since the previous checkpoint, sharing every clean page with its
 // predecessor. Resume copies a snapshot's pages into the machine's flat
 // segments. See mem.go and snapshot.go.
+//
+// The same snapshots are the golden states that convergence-gated early
+// termination compares injected runs with (Options.Trace): a run whose
+// state equals one of them byte for byte ends with the golden outcome.
+// See trace.go.
 package vm
 
 import (
@@ -153,15 +158,10 @@ type Options struct {
 	// set process-wide. Results are bit-identical either way (the
 	// differential tests enforce it).
 	Disable Tiers
-	// RecordTrace, together with Checkpoint > 0, records a GoldenTrace in
-	// Result.Trace: a per-boundary state-hash trace of this (fault-free)
-	// run that later injected runs can converge against. Ignored when
-	// resuming (a trace must start at instruction 0).
-	RecordTrace bool
 	// Trace, when non-nil, enables convergence-gated early termination:
-	// once this run's injections are complete, its state fingerprint is
-	// compared against the golden trace at event-horizon boundaries, and
-	// on a match the run terminates immediately with the golden outcome
+	// once this run's injections are complete, its state is compared
+	// with the golden run's snapshots at their instants, and on a match
+	// the run terminates immediately with the golden outcome
 	// (Result.Converged). The trace must come from the same *ir.Program;
 	// incompatible budgets or exception options silently disable the
 	// checks. Ignored for checkpointing or role-counting runs.
@@ -226,8 +226,9 @@ type Result struct {
 	// Snapshots holds the machine-state checkpoints taken during the run;
 	// filled only when Options.Checkpoint > 0.
 	Snapshots []*Snapshot
-	// Trace is the golden state-hash trace recorded by this run; filled
-	// only when Options.RecordTrace is set alongside Checkpoint.
+	// Trace is this run's golden record, for later runs to converge
+	// against (Options.Trace); filled for every checkpointing run that
+	// starts at instruction 0.
 	Trace *GoldenTrace
 	// Converged marks an early-terminated run: the injected state became
 	// bit-identical to the golden state at the same dynamic instant, and
@@ -247,7 +248,7 @@ type Result struct {
 type frame struct {
 	code    []ir.Instr
 	pc      int
-	fn      int32 // function index, part of the convergence fingerprint
+	fn      int32 // function index, part of the convergence comparison
 	regs    []uint64
 	regBase int
 	savedSP int
@@ -328,23 +329,24 @@ type machine struct {
 	holdEnd   uint64
 	holdDepth int
 
-	// Convergence machinery (trace.go). trace/rec are mutually exclusive:
-	// a run either consumes a golden trace (injected runs) or records one
-	// (the golden checkpointing run), so the incremental fingerprint
-	// fields (memH, outH, outHashed) are shared.
-	trace      *GoldenTrace
-	rec        *GoldenTrace
-	memH       uint64
-	outH       uint64
-	outHashed  int
-	nextConv   uint64
-	convIdx    int
-	convStride int
-	convSched  bool
-	converged  bool
-	// gSpare/sSpare hold the segments' recyclable tracking buffers
-	// between runs.
-	gSpare, sSpare memBufs
+	// Convergence machinery (trace.go). A run either consumes a golden
+	// trace (injected runs) or records one (rec: the golden checkpointing
+	// run). A consuming run compares itself with the golden snapshots
+	// relative to the page tables it started from (startGlobals and
+	// startStack: its resume snapshot's, or the program image's and an
+	// empty stack) and to the outStart output bytes it started with.
+	trace        *GoldenTrace
+	rec          *GoldenTrace
+	startGlobals [][]byte
+	startStack   [][]byte
+	outStart     int
+	nextConv     uint64
+	convIdx      int
+	convStride   int
+	convSched    bool
+	converged    bool
+	// gDirty/sDirty keep the segments' dirty bitmaps between runs.
+	gDirty, sDirty bitmap
 
 	trap TrapKind
 	stop StopReason
@@ -394,16 +396,22 @@ func (r *Runner) Reset() {
 // written whole before it is read, and Runner.Reset clears them when
 // the Runner is parked.
 func (m *machine) reset() {
+	// A run that tracked dirty pages carries the bitmaps in its segments;
+	// one that did not left them in the spare slots.
+	gDirty, sDirty := m.globals.dirty, m.stack.dirty
+	if gDirty == nil {
+		gDirty = m.gDirty
+	}
+	if sDirty == nil {
+		sDirty = m.sDirty
+	}
 	*m = machine{
 		regArena: m.regArena,
 		frames:   m.frames[:0],
 		globals:  mem{flat: m.globals.flat[:0]},
 		stack:    mem{flat: m.stack.flat[:0]},
-		// Tracking buffers (dirty/convergence bitmaps, page-hash arrays)
-		// are kept as spares: runs that did not track leave them in the
-		// spare slots, runs that did carry them in the segments.
-		gSpare: mergeBufs(m.globals.takeBufs(), m.gSpare),
-		sSpare: mergeBufs(m.stack.takeBufs(), m.sSpare),
+		gDirty:   gDirty,
+		sDirty:   sDirty,
 	}
 }
 
@@ -509,10 +517,10 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 		}
 	}
 	// Convergence: a run can consume a golden trace (injected runs) or
-	// record one (the golden checkpointing run), never both. Role-counting
-	// runs never reach the fast tier, so convergence is pointless there;
-	// incompatible budgets or exception options disable it silently (the
-	// run is still correct, just never early-terminated).
+	// record one (a checkpointing run from instruction 0), never both.
+	// Role-counting runs never reach the fast tier, so convergence is
+	// pointless there; incompatible budgets or exception options disable
+	// it silently (the run is still correct, just never early-terminated).
 	m.trace = opts.Trace
 	if m.trace != nil {
 		// A trace from a different program is a caller bug and is rejected
@@ -526,7 +534,7 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 			m.trace = nil
 		}
 	}
-	if opts.RecordTrace && m.checkpoint > 0 && opts.Resume == nil {
+	if m.checkpoint > 0 && opts.Resume == nil {
 		m.rec = &GoldenTrace{prog: p, noAlign: m.noAlign}
 	}
 	if opts.Resume != nil {
@@ -538,11 +546,11 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 		m.stack = mem{n: ir.StackSize, flat: m.stack.flat[:0]}
 		m.pushFrame(p.Main, nil, ir.NoReg, false)
 	}
+	if m.checkpoint > 0 || m.trace != nil {
+		m.globals.track(m.gDirty)
+		m.stack.track(m.sDirty)
+	}
 	if m.checkpoint > 0 {
-		m.globals.dirty, m.gSpare.dirty = m.gSpare.dirty, nil
-		m.stack.dirty, m.sSpare.dirty = m.sSpare.dirty, nil
-		m.globals.track()
-		m.stack.track()
 		if opts.Resume == nil {
 			// Clean pages of the first capture share the immutable program
 			// image rather than being copied.
@@ -550,37 +558,12 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 		}
 		m.nextSnap = m.dyn + m.checkpoint
 	}
-	if m.rec != nil || m.trace != nil {
-		if m.checkpoint == 0 {
-			// Trace-consuming runs do not checkpoint; they still need the
-			// dirty bitmap to fold page hashes at convergence checks.
-			m.globals.dirty, m.gSpare.dirty = m.gSpare.dirty, nil
-			m.stack.dirty, m.sSpare.dirty = m.sSpare.dirty, nil
-			m.globals.track()
-			m.stack.track()
-		}
-		m.globals.convKnown, m.globals.convH = m.gSpare.convKnown, m.gSpare.convH
-		m.gSpare.convKnown, m.gSpare.convH = nil, nil
-		m.stack.convKnown, m.stack.convH = m.sSpare.convKnown, m.sSpare.convH
-		m.sSpare.convKnown, m.sSpare.convH = nil, nil
-		m.globals.trackConv(saltGlobals)
-		m.stack.trackConv(saltStack)
-		m.outH = fnvOffset
-		m.nextConv = noConv
-		if m.trace != nil && opts.Resume != nil {
-			// Seed the fingerprint from the golden entry at the resume
-			// point; a snapshot off the trace's boundary grid cannot be
-			// fingerprinted incrementally, so convergence is disabled.
-			if e := m.trace.entryAt(opts.Resume.Dyn); e != nil && e.outLen == uint64(len(m.out)) {
-				m.memH = e.memH
-				m.outH = e.outH
-			} else {
-				m.trace = nil
-			}
-		}
-		m.outHashed = len(m.out)
-	}
 	if m.trace != nil {
+		m.startGlobals = m.trace.imgPages
+		if opts.Resume != nil {
+			m.startGlobals, m.startStack = opts.Resume.tables()
+		}
+		m.outStart = len(m.out)
 		// Size the output buffer for the golden output: runs that reach
 		// the output phase otherwise pay repeated growth copies. A warm
 		// Runner's buffer is already large enough.
@@ -618,6 +601,8 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 		steps:         m.steps,
 	}
 	if m.rec != nil {
+		m.rec.snaps = m.snaps
+		m.rec.imgPages = m.imgPages
 		m.rec.finalDyn = m.dyn
 		m.rec.finalReadSlots = m.readSlots
 		m.rec.finalWrites = m.writes
@@ -775,8 +760,8 @@ func (m *machine) run() {
 			continue
 		}
 		// Convergence checks arm once every injection is done (memory
-		// flips are checked here) and fire at golden-trace boundaries via
-		// the event horizon.
+		// flips are checked here) and fire at golden snapshots' instants
+		// via the event horizon.
 		if m.trace != nil && !armed && m.memIdx == len(m.memFlips) {
 			if !m.convSched {
 				m.scheduleConv()
@@ -1049,10 +1034,9 @@ func (m *machine) resolve(addr uint64, size int) (*mem, int, TrapKind) {
 // machine.store for one access size each; the generated kernels call
 // them at every load and store. Each serves an aligned access wholly
 // inside the globals, and a store only when no tracking work is due: no
-// dirty map, or its page already dirty, so there is no first touch to
-// hash. They report false for every other access, which the caller then
-// hands to machine.load or machine.store, the one definition of traps,
-// dirty bits and convergence hashing.
+// dirty map, or its page already dirty. They report false for every
+// other access, which the caller then hands to machine.load or
+// machine.store, the one definition of traps and dirty bits.
 //
 // The stack is left to the fallback: no workload with a generated
 // kernel allocates stack, so sp stays 0 and the stack is never mapped
