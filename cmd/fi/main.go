@@ -20,11 +20,13 @@
 // -mbf are ignored.
 //
 // With -journal DIR the campaign runs as a durable job: it executes in
-// shards checkpointed to a content-addressed journal under DIR, a killed
-// run continues from its last checkpoint when re-run with -resume, and
-// several fi processes given the same flags and -resume drain one
-// campaign concurrently. -status lists every campaign in DIR with its
-// shard progress and running tally.
+// shards checkpointed to DIR's journal log, DIR/journal.mfj, which every
+// campaign journaled in DIR appends to under its own fingerprint. A
+// killed run continues from its last checkpoint when re-run with
+// -resume; without it the campaign starts over. Several fi processes
+// given the same flags and -resume drain one campaign concurrently.
+// -status lists every campaign in DIR with its shard progress and
+// running tally.
 package main
 
 import (
@@ -86,7 +88,7 @@ func main() {
 	flag.Var(&o.disable, "disable", "comma-separated speed `tiers` to turn off: snapshots, compile, converge (results are identical)")
 	flag.StringVar(&o.classSpec, "classifier", "", `outcome classifier: "exact" (default) or "tol:abs=E,rel=E[,word=4|8][,float]" (tolerant output comparison)`)
 	flag.StringVar(&o.onfailSpec, "onfail", "", `failure policy for experiments failing every supervision tier: "fast" (abort, default) or "quarantine" (poison and keep draining)`)
-	flag.StringVar(&o.journal, "journal", "", "journal directory: run the campaign as a durable sharded job (checkpointed, resumable, multi-process)")
+	flag.StringVar(&o.journal, "journal", "", "journal directory: run the campaign as a durable sharded job (checkpointed, resumable, multi-process), journaled in the directory's one log, journal.mfj")
 	flag.BoolVar(&o.resume, "resume", false, "resume the journaled campaign from its last checkpoint (requires -journal)")
 	flag.BoolVar(&o.status, "status", false, "list the campaigns in the -journal directory instead of running one")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the campaign, target preparation included, to `file`")

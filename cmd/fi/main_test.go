@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -160,5 +162,47 @@ func TestProfileFlags(t *testing.T) {
 		if st.Size() == 0 {
 			t.Errorf("%s is empty", f)
 		}
+	}
+}
+
+// TestStatusListsLogCampaigns renders -status over a directory whose
+// log holds two campaigns run with -journal and the records of a third
+// whose meta record was lost: each of the two is a row of its own, and
+// the third is named in a note.
+func TestStatusListsLogCampaigns(t *testing.T) {
+	dir := t.TempDir()
+	for _, seed := range []uint64{41, 42} {
+		o := base()
+		o.journal, o.seed = dir, seed
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log := filepath.Join(dir, "journal.mfj")
+	body := `0000000000000001 {"t":"done","s":0}`
+	f, err := os.OpenFile(log, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Fprintf(f, "%08x %s\n", crc32.ChecksumIEEE([]byte(body)), body); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := runStatus(&out, dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"10  41 ", "10  42 ", "1/0/0 of 1",
+		"not listed: core: journal " + log + ": campaign 0000000000000001 holds no campaign meta record",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-status output misses %q:\n%s", want, out.String())
+		}
+	}
+	if got := strings.Count(out.String(), "10/10"); got != 2 {
+		t.Errorf("-status lists %d finished campaigns, want 2:\n%s", got, out.String())
 	}
 }

@@ -44,7 +44,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "parallel workers, split between the study's concurrently running campaigns (0 = GOMAXPROCS)")
 		classifier  = flag.String("classifier", "", `outcome classifier for the grid and transition campaigns: "exact" (default) or "tol:abs=E,rel=E[,word=4|8][,float]"`)
 		onfail      = flag.String("onfail", "", `failure policy for experiments failing every supervision tier: "fast" (abort, interrupting the campaigns already running, default) or "quarantine" (poison and keep draining)`)
-		journal     = flag.String("journal", "", "journal directory: run campaigns as durable sharded jobs (checkpointed, resumable, multi-process)")
+		journal     = flag.String("journal", "", "journal directory: run campaigns as durable sharded jobs (checkpointed, resumable, multi-process), all journaled in the directory's one log, journal.mfj")
 		resume      = flag.Bool("resume", false, "resume journaled campaigns from their last checkpoints (requires -journal)")
 		out         = flag.String("o", "", "output file (empty = stdout)")
 		csvDir      = flag.String("csv", "", "also write each table as CSV into this directory")

@@ -5,8 +5,8 @@ package core_test
 // boundaries — Engine.Interrupt through the experimentHook seam is the
 // in-process analogue of SIGKILL: workers stop dead between
 // experiments, in-flight shards are abandoned un-checkpointed — and
-// resumed from its file journal, sometimes with the journal's tail torn
-// off first (a crash mid-write). Whatever the kill/resume history, the
+// resumed from its journal directory's log, sometimes with the log's
+// tail torn off first (a crash mid-write). Whatever the kill/resume history, the
 // finally-completed campaign must be bit-identical to an uninterrupted
 // run, for every fault model.
 
@@ -134,18 +134,15 @@ func TestCrashRestartDifferential(t *testing.T) {
 	}
 }
 
-// tearJournalTail truncates up to a few dozen bytes off the campaign
-// journal, simulating a torn final write.
+// tearJournalTail truncates up to a few dozen bytes off the journal
+// directory's log, simulating a torn final write. A directory without a
+// log fails the test: the round before wrote one.
 func tearJournalTail(t *testing.T, dir string, rng *xrand.Rand) {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "campaign-*.mfj"))
-	if err != nil || len(paths) == 0 {
-		return
-	}
-	path := paths[0]
+	path := filepath.Join(dir, "journal.mfj")
 	fi, err := os.Stat(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("no journal log to tear: %v", err)
 	}
 	cut := int64(rng.Intn(40))
 	if cut > fi.Size() {

@@ -385,7 +385,8 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 		workerID = defaultWorkerID()
 	}
 
-	j, ownJournal, err := svc.journalFor(e)
+	fp := e.fingerprint()
+	j, ownJournal, err := svc.journalFor(fp, workerID)
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +395,7 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 	}
 
 	meta := CampaignMeta{
-		Fingerprint: e.fingerprint(),
+		Fingerprint: fp,
 		Model:       e.Model.Describe(),
 		N:           n,
 		ShardSize:   shardSize,

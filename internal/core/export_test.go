@@ -31,6 +31,14 @@ var ClaimNext = claimNext
 // fired).
 func FaultInjections() int64 { return faultsInjected.Load() }
 
+// OpenCampaignJournal opens campaign fp's journal in dir for the drainer
+// worker, as a Service does: a view of the directory log (or, resuming,
+// of the campaign's own older file), whose Bind starts the campaign over
+// unless resume is set.
+func OpenCampaignJournal(dir, worker string, fp uint64, resume bool, opts FileJournalOptions) (*FileJournal, error) {
+	return openCampaign(dir, worker, fp, resume, opts)
+}
+
 // EngineFingerprint exposes the campaign content address to the
 // classifier-identity tests.
 func EngineFingerprint(e *Engine) uint64 { return e.fingerprint() }

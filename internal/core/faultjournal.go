@@ -8,7 +8,7 @@ package core
 // log on a real filesystem sees. The robustness tests and the chaos CI
 // job drive a journaled campaign through the wrapper and require the
 // final results bit-identical to a clean run: the retry/backoff layer
-// (journal_file.go appendLocked), the re-issue-after-failed-fsync rule
+// (journal_file.go, journalLog.write), the re-issue-after-failed-fsync rule
 // and the torn-line-tolerant loader must survive every injected fault.
 //
 // Determinism matters here as much as in the campaigns themselves: the
@@ -171,6 +171,11 @@ func (ff *FaultFile) Sync() error {
 		return syscall.EIO
 	}
 	return ff.inner.Sync()
+}
+
+// Seek implements journalIO (pass-through).
+func (ff *FaultFile) Seek(offset int64, whence int) (int64, error) {
+	return ff.inner.Seek(offset, whence)
 }
 
 // Close implements journalIO (pass-through).

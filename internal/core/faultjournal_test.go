@@ -1,7 +1,7 @@
 package core
 
-// Fault-injecting journal tests (internal: the seams are appendLocked,
-// the backoff knobs and the journalIO scripting): schedule determinism,
+// Fault-injecting journal tests (internal: the seams are the journal's
+// append, the backoff knobs and the journalIO scripting): schedule determinism,
 // retry-through-faults, the re-issue-after-failed-fsync rule, and the
 // campaign-naming error wrap on retry exhaustion.
 
@@ -69,7 +69,20 @@ func (s *scriptFile) Sync() error {
 	return nil
 }
 
+// Seek reports the end of the data: where every append lands.
+func (s *scriptFile) Seek(int64, int) (int64, error) { return int64(len(s.data)), nil }
+
 func (s *scriptFile) Close() error { return nil }
+
+// scriptJournal returns a sync-mode journal of one campaign over a
+// scripted file.
+func scriptJournal(sf *scriptFile, path string) *FileJournal {
+	l := newLog(path, false)
+	l.f, l.rng = sf, xrand.New(1)
+	c := l.campaign(0)
+	c.st = &journalState{now: time.Now}
+	return &FileJournal{log: l, c: c, sync: true}
+}
 
 func TestParseFaultPlan(t *testing.T) {
 	p, err := ParseFaultPlan("9:60")
@@ -119,8 +132,8 @@ func TestFaultFileDeterministicSchedule(t *testing.T) {
 func TestAppendReissuesAfterFailedFsync(t *testing.T) {
 	shrinkBackoff(t)
 	sf := &scriptFile{failSyncs: 2}
-	j := &FileJournal{f: sf, path: "test.mfj", sync: true, rng: xrand.New(1)}
-	if err := j.appendLocked(&journalRecord{T: "lease", Shard: 0, Worker: "w", Exp: 1}, true); err != nil {
+	j := scriptJournal(sf, "test.mfj")
+	if err := j.append(&journalRecord{T: "lease", Shard: 0, Worker: "w", Exp: 1}, true); err != nil {
 		t.Fatal(err)
 	}
 	if sf.writes != 3 || sf.syncs != 3 {
@@ -132,7 +145,7 @@ func TestAppendReissuesAfterFailedFsync(t *testing.T) {
 	// The duplicates are identical framed records: each line must decode.
 	var tail logTail
 	decoded := 0
-	if err := tail.read(bytes.NewReader(sf.data), func([]byte) { decoded++ }); err != nil {
+	if err := tail.read(bytes.NewReader(sf.data), func(int64, int, []byte) { decoded++ }); err != nil {
 		t.Fatal(err)
 	}
 	if decoded != 3 {
@@ -146,10 +159,10 @@ func TestAppendReissuesAfterFailedFsync(t *testing.T) {
 func TestAppendExhaustionNamesCampaign(t *testing.T) {
 	shrinkBackoff(t)
 	sf := &scriptFile{failWrites: 1 << 30}
-	j := &FileJournal{f: sf, path: "cdir/test.mfj", sync: true, rng: xrand.New(1)}
-	j.st.bound = true
-	j.st.meta.Fingerprint = 0xabcdef0123456789
-	err := j.appendLocked(&journalRecord{T: "done", Shard: 0}, true)
+	j := scriptJournal(sf, "cdir/test.mfj")
+	j.c.st.bound = true
+	j.c.st.meta.Fingerprint = 0xabcdef0123456789
+	err := j.append(&journalRecord{T: "done", Shard: 0}, true)
 	if err == nil {
 		t.Fatal("append on a dead file succeeded")
 	}

@@ -4,11 +4,13 @@ package core_test
 // must run and resume campaigns bit-identically to the default mode (it
 // only changes when data hits the platter, not what is written), and
 // InspectDir — the engine behind `fi -status` — must fail on a missing
-// directory, list nothing in empty and memo-only ones, and name every
-// campaign file it cannot list, never panic or skip it silently.
+// directory, list nothing in empty and memo-only ones (and write nothing
+// there), list each campaign of a directory log, and name every campaign
+// file or log it cannot list, never panic or skip it silently.
 
 import (
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,12 +81,77 @@ func TestInspectDirEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("empty", func(t *testing.T) {
-		infos, err := core.InspectDir(t.TempDir())
+		dir := t.TempDir()
+		infos, err := core.InspectDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(infos) != 0 {
 			t.Fatalf("empty dir reports %d campaigns", len(infos))
+		}
+		// Listing writes nothing: no log appears.
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Fatalf("listing left %d entries in the directory (%v)", len(entries), err)
+		}
+	})
+	t.Run("log", func(t *testing.T) {
+		// Each campaign of the directory log is an entry of its own, in
+		// fingerprint order, and one whose meta record was lost is named
+		// with the reason.
+		dir := t.TempDir()
+		for _, seed := range []uint64{3, 4} {
+			eng := registerEngine(target(t, "CRC32"))
+			eng.N, eng.Seed = 8, seed
+			eng.Service = &core.Service{Dir: dir, ShardSize: 4}
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		log := filepath.Join(dir, "journal.mfj")
+		body := `0000000000000001 {"t":"done","s":0}`
+		f, err := os.OpenFile(log, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fmt.Fprintf(f, "%08x %s\n", crc32.ChecksumIEEE([]byte(body)), body); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		infos, err := core.InspectDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(infos) != 3 {
+			t.Fatalf("InspectDir listed %d entries, want 3: %+v", len(infos), infos)
+		}
+		if in := infos[0]; in.Path != log || in.Err == nil ||
+			!strings.Contains(in.Err.Error(), log) || !strings.Contains(in.Err.Error(), "campaign 0000000000000001 holds no campaign meta record") {
+			t.Errorf("metaless campaign listed as %+v, want an error naming the log and the campaign", in)
+		}
+		for i, in := range infos[1:] {
+			if in.Path != log || in.Err != nil || in.Status.ExperimentsDone != 8 {
+				t.Errorf("campaign %d: %+v, want a finished campaign of the log", i, in)
+			}
+		}
+		if infos[1].Meta.Fingerprint >= infos[2].Meta.Fingerprint {
+			t.Errorf("campaigns not in fingerprint order: %016x, %016x", infos[1].Meta.Fingerprint, infos[2].Meta.Fingerprint)
+		}
+	})
+	t.Run("unreadable log", func(t *testing.T) {
+		dir := t.TempDir()
+		log := filepath.Join(dir, "journal.mfj")
+		if err := os.Mkdir(log, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		infos, err := core.InspectDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(infos) != 1 || infos[0].Path != log || infos[0].Err == nil ||
+			!strings.Contains(infos[0].Err.Error(), log) || !strings.Contains(infos[0].Err.Error(), "is a directory") {
+			t.Fatalf("InspectDir listed %+v, want one entry naming the log and why it cannot be read", infos)
 		}
 	})
 	t.Run("memo-only", func(t *testing.T) {
@@ -105,7 +172,8 @@ func TestInspectDirEdgeCases(t *testing.T) {
 		// line was durable, then further corruption — a zero-length one
 		// another process has just created, and a stray directory under
 		// the name pattern are each listed with the reason, not inspected
-		// into a panic, and the scan goes on to the good journal.
+		// into a panic, and the scan goes on to the directory log's
+		// campaign.
 		dir := t.TempDir()
 		for name, data := range map[string]string{
 			"campaign-0000000000000bad.mfj": "not a journal\x00\xff{",
@@ -125,7 +193,7 @@ func TestInspectDirEdgeCases(t *testing.T) {
 		if _, err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		good := fmt.Sprintf("campaign-%016x.mfj", core.EngineFingerprint(eng))
+		good := "journal.mfj"
 
 		infos, err := core.InspectDir(dir)
 		if err != nil {

@@ -21,8 +21,10 @@ package core
 //
 // Two implementations exist: MemJournal (in-process, used by tests and
 // by multiple drainers sharing one process) and FileJournal
-// (journal_file.go, append-only checksummed records shared by worker
-// processes).
+// (journal_file.go: one campaign's records in an append-only log of
+// checksummed records — a journal directory's log, shared by every
+// campaign journaled there and by worker processes — or in a file of
+// its own).
 
 import (
 	"fmt"

@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"multiflip/internal/core"
 	"multiflip/internal/tiercontract"
@@ -227,9 +228,7 @@ func TestRetiredRungJournalLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := registerEngine(brokenTarget(t))
-	eng.N, eng.Seed, eng.Workers, eng.Record = 4, 5, 1, true
-	eng.FailurePolicy = core.Quarantine
+	eng := nofuseEngine(t)
 	dir := t.TempDir()
 	name := fmt.Sprintf("campaign-%016x.mfj", core.EngineFingerprint(eng))
 	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
@@ -293,18 +292,7 @@ func TestMemoJournalLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin := core.Pin{Cand: 13308, Bit: 0}
-	eng := func() *core.Engine {
-		return &core.Engine{
-			Target: target(t, "CRC32"),
-			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
-				Technique: core.InjectOnWrite,
-				Config:    core.SingleBit(),
-				Pins:      []core.Pin{pin, pin, pin, pin},
-			}},
-			N: 4, Seed: 3, Record: true,
-		}
-	}
+	eng := func() *core.Engine { return memoEngine(t) }
 	dir := t.TempDir()
 	name := fmt.Sprintf("campaign-%016x.mfj", core.EngineFingerprint(eng()))
 	if err := os.WriteFile(filepath.Join(dir, name), journal, 0o644); err != nil {
@@ -364,16 +352,7 @@ func TestStaticPrunedJournalLoads(t *testing.T) {
 	if spruned == 0 {
 		t.Fatal("fixture carries no nonzero spruned counts")
 	}
-	eng := func() *core.Engine {
-		return &core.Engine{
-			Target: target(t, "CRC32"),
-			Model: &core.RegisterModel{Spec: &core.CampaignSpec{
-				Technique: core.InjectOnWrite,
-				Config:    core.SingleBit(),
-			}},
-			N: 40, Seed: 11, Record: true,
-		}
-	}
+	eng := func() *core.Engine { return sprunedEngine(t) }
 	dir := t.TempDir()
 	name := fmt.Sprintf("campaign-%016x.mfj", core.EngineFingerprint(eng()))
 	if err := os.WriteFile(filepath.Join(dir, name), journal, 0o644); err != nil {
@@ -412,5 +391,152 @@ func TestStaticPrunedJournalLoads(t *testing.T) {
 	if short := want.Converged - got.Converged; short < 0 || short > spruned {
 		t.Fatalf("resumed Converged = %d, fresh run %d: want at most %d (the pruned experiments) fewer",
 			got.Converged, want.Converged, spruned)
+	}
+}
+
+// nofuseEngine is the campaign of testdata/nofuse-quarantine.mfj, run
+// in shards of 2.
+func nofuseEngine(t *testing.T) *core.Engine {
+	eng := registerEngine(brokenTarget(t))
+	eng.N, eng.Seed, eng.Workers, eng.Record = 4, 5, 1, true
+	eng.FailurePolicy = core.Quarantine
+	return eng
+}
+
+// memoEngine is the campaign of testdata/memo-campaign.mfj, run in
+// shards of 2.
+func memoEngine(t *testing.T) *core.Engine {
+	pin := core.Pin{Cand: 13308, Bit: 0}
+	return &core.Engine{
+		Target: target(t, "CRC32"),
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnWrite,
+			Config:    core.SingleBit(),
+			Pins:      []core.Pin{pin, pin, pin, pin},
+		}},
+		N: 4, Seed: 3, Record: true,
+	}
+}
+
+// sprunedEngine is the campaign of testdata/spruned-campaign.mfj, run in
+// shards of 20.
+func sprunedEngine(t *testing.T) *core.Engine {
+	return &core.Engine{
+		Target: target(t, "CRC32"),
+		Model: &core.RegisterModel{Spec: &core.CampaignSpec{
+			Technique: core.InjectOnWrite,
+			Config:    core.SingleBit(),
+		}},
+		N: 40, Seed: 11, Record: true,
+	}
+}
+
+// TestLegacyJournalsBesideLog pins that a directory may hold journals
+// of both layouts: the four pinned campaign files, as older versions
+// wrote one per campaign, beside a log holding two campaigns run today.
+// InspectDir lists all six, and each resumes without executing a
+// checkpointed shard — the pinned ones from their own files, which
+// stay.
+func TestLegacyJournalsBesideLog(t *testing.T) {
+	skipUnderEnvConverge(t)
+	dir := t.TempDir()
+	logged := []*core.Engine{registerEngine(target(t, "CRC32")), registerEngine(target(t, "qsort"))}
+	for _, eng := range logged {
+		eng.N, eng.Seed = 12, 4
+		eng.Service = &core.Service{Dir: dir, ShardSize: 4}
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// oldformat-campaign.mfj holds a synthetic campaign: no engine has
+	// its fingerprint, so it resumes through its journal alone.
+	const oldFP = 1234567890123
+	pinned := []struct {
+		fixture   string
+		eng       *core.Engine
+		shardSize int
+	}{
+		{"nofuse-quarantine.mfj", nofuseEngine(t), 2},
+		{"memo-campaign.mfj", memoEngine(t), 2},
+		{"spruned-campaign.mfj", sprunedEngine(t), 20},
+		{"oldformat-campaign.mfj", nil, 5},
+	}
+	files := map[string]bool{}
+	for _, p := range pinned {
+		data, err := os.ReadFile(filepath.Join("testdata", p.fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := uint64(oldFP)
+		if p.eng != nil {
+			fp = core.EngineFingerprint(p.eng)
+		}
+		name := fmt.Sprintf("campaign-%016x.mfj", fp)
+		files[name] = true
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	infos, err := core.InspectDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != len(pinned)+len(logged) {
+		t.Fatalf("InspectDir listed %d campaigns, want %d: %+v", len(infos), len(pinned)+len(logged), infos)
+	}
+	inLog := 0
+	for _, in := range infos {
+		switch name := filepath.Base(in.Path); {
+		case in.Err != nil:
+			t.Errorf("%s: %v", name, in.Err)
+		case in.Status.Done != in.Status.Shards:
+			t.Errorf("%s: %d of %d shards done, want all", name, in.Status.Done, in.Status.Shards)
+		case name == "journal.mfj":
+			inLog++
+		case !files[name]:
+			t.Errorf("unexpected entry %s", name)
+		}
+	}
+	if inLog != len(logged) {
+		t.Errorf("InspectDir listed %d campaigns of the log, want %d", inLog, len(logged))
+	}
+
+	restore := core.SetExperimentHook(func(idx int) {
+		t.Errorf("experiment %d re-ran; the journal's checkpoints should fold", idx)
+	})
+	defer restore()
+	for _, eng := range logged {
+		eng.Service.Resume = true
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range pinned {
+		if p.eng == nil {
+			j, err := core.OpenCampaignJournal(dir, "w", oldFP, true, core.FileJournalOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, state, err := j.Claim("w", time.Minute); err != nil || state != core.ClaimDrained {
+				t.Errorf("%s: claim state %v (%v), want a drained campaign", p.fixture, state, err)
+			}
+			if res, err := j.Results(); err != nil || len(res) != 2 {
+				t.Errorf("%s: %d checkpoints (%v), want 2", p.fixture, len(res), err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		p.eng.Service = &core.Service{Dir: dir, Resume: true, ShardSize: p.shardSize}
+		if _, err := p.eng.Run(); err != nil {
+			t.Fatalf("%s: %v", p.fixture, err)
+		}
+	}
+	for name := range files {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("resuming removed the pinned journal: %v", err)
+		}
 	}
 }

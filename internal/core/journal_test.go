@@ -178,20 +178,21 @@ func TestJournalLeaseSteal(t *testing.T) {
 // TestFileJournalResume checks the file journal end to end: a completed
 // campaign's journal resumes without re-running anything, produces the
 // identical result, shows up in InspectDir — and a non-resume rerun
-// discards it and starts fresh.
+// discards its records and starts fresh, leaving those of the other
+// campaign in the directory's log to resume.
 func TestFileJournalResume(t *testing.T) {
 	tg := target(t, "CRC32")
 	const n = 60
 	want := baselineRun(t, tg, n)
 	dir := t.TempDir()
 
-	run := func(resume bool) (*core.EngineResult, int) {
+	runSeed := func(seed uint64, resume bool) (*core.EngineResult, int) {
 		var ran atomic.Int64
 		restore := core.SetExperimentHook(func(idx int) { ran.Add(1) })
 		defer restore()
 		eng := registerEngine(tg)
 		eng.N = n
-		eng.Seed = 11
+		eng.Seed = seed
 		eng.Record = true
 		eng.Service = &core.Service{Dir: dir, Resume: resume, ShardSize: 8}
 		res, err := eng.Run()
@@ -200,7 +201,9 @@ func TestFileJournalResume(t *testing.T) {
 		}
 		return res, int(ran.Load())
 	}
+	run := func(resume bool) (*core.EngineResult, int) { return runSeed(11, resume) }
 
+	other, _ := runSeed(12, false)
 	first, ran := run(false)
 	if ran != n {
 		t.Errorf("first run executed %d experiments, want %d", ran, n)
@@ -217,11 +220,13 @@ func TestFileJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 1 {
-		t.Fatalf("InspectDir found %d campaigns, want 1", len(infos))
+	if len(infos) != 2 {
+		t.Fatalf("InspectDir found %d campaigns, want 2", len(infos))
 	}
-	if got := infos[0]; got.Meta.N != n || got.Status.Done != got.Status.Shards || got.Status.ExperimentsDone != n {
-		t.Errorf("InspectDir reports %+v / %+v", got.Meta, got.Status)
+	for _, got := range infos {
+		if got.Meta.N != n || got.Status.Done != got.Status.Shards || got.Status.ExperimentsDone != n {
+			t.Errorf("InspectDir reports %+v / %+v", got.Meta, got.Status)
+		}
 	}
 
 	fresh, ran := run(false)
@@ -229,6 +234,11 @@ func TestFileJournalResume(t *testing.T) {
 		t.Errorf("non-resume rerun executed %d experiments, want %d (journal kept?)", ran, n)
 	}
 	tiercontract.SameResult(t, "fresh rerun", want, fresh, true)
+	resumedOther, ran := runSeed(12, true)
+	if ran != 0 {
+		t.Errorf("resume of the other campaign executed %d experiments, want 0", ran)
+	}
+	tiercontract.SameResult(t, "other campaign resumed", other, resumedOther, true)
 }
 
 // TestJournalBindMismatch checks the journal refuses to resume a
@@ -355,20 +365,18 @@ func TestLeaseHeartbeatOutlivesTTL(t *testing.T) {
 	thiefWg.Add(1)
 	go func() {
 		defer thiefWg.Done()
-		// Wait for the campaign journal to exist, then poll for a steal.
-		var path string
-		for i := 0; i < 100 && path == ""; i++ {
-			if paths, _ := filepath.Glob(filepath.Join(dir, "campaign-*.mfj")); len(paths) > 0 {
-				path = paths[0]
-			} else {
-				time.Sleep(20 * time.Millisecond)
+		// Wait for the journal log to exist, then poll for a steal as a
+		// drainer of its own, as another process would.
+		log := filepath.Join(dir, "journal.mfj")
+		for i := 0; i < 100; i++ {
+			if _, err := os.Stat(log); err == nil {
+				break
 			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		if path == "" {
-			return
-		}
-		j, err := core.OpenFileJournalOpts(path, core.FileJournalOptions{LeaseGrace: -1})
+		j, err := core.OpenCampaignJournal(dir, "thief", core.EngineFingerprint(eng), true, core.FileJournalOptions{LeaseGrace: -1})
 		if err != nil {
+			t.Error(err)
 			return
 		}
 		defer j.Close()
@@ -405,11 +413,7 @@ func TestLeaseHeartbeatOutlivesTTL(t *testing.T) {
 	// Non-vacuity: the journal must hold the initial claim plus at least
 	// one renewal — the shard's ~1s runtime crosses the ~TTL/3 renewal
 	// threshold several times.
-	paths, err := filepath.Glob(filepath.Join(dir, "campaign-*.mfj"))
-	if err != nil || len(paths) != 1 {
-		t.Fatalf("want one campaign journal, got %v (%v)", paths, err)
-	}
-	raw, err := os.ReadFile(paths[0])
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.mfj"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,8 +83,8 @@ func TestAppendLineFrame(t *testing.T) {
 // TestLogTailIncremental feeds a record file (larger than the read
 // buffer) to one logTail in random growing prefixes, so reads stop at
 // arbitrary bytes, and checks it applies exactly the records one whole
-// read does: intact lines once each, in order, corrupt lines skipped,
-// the torn final line pending.
+// read does: intact lines once each, in order, at their offsets,
+// corrupt lines skipped, the torn final line pending.
 func TestLogTailIncremental(t *testing.T) {
 	var data []byte
 	var want []string
@@ -109,8 +109,15 @@ func TestLogTailIncremental(t *testing.T) {
 	}
 	data = append(data, appendLine(nil, []byte(`{"torn":true}`))[:9]...)
 
-	collect := func(got *[]string) func([]byte) {
-		return func(p []byte) { *got = append(*got, string(p)) }
+	// collect also checks each record's offset and length locate its
+	// line in the file.
+	collect := func(got *[]string) func(int64, int, []byte) {
+		return func(off int64, n int, p []byte) {
+			if line := data[off : off+int64(n)]; !bytes.Equal(line, appendLine(nil, p)) {
+				t.Fatalf("record %q reported at [%d, %d), which holds %q", p, off, off+int64(n), line)
+			}
+			*got = append(*got, string(p))
+		}
 	}
 	var whole []string
 	var one logTail

@@ -6,23 +6,28 @@ package core
 // through runJournaled — claiming shards, checkpointing them, folding
 // stored results on resume — instead of the in-memory fast path.
 //
-// Files in the journal directory are content-addressed: the campaign
-// journal is campaign-<fingerprint>.mfj where the fingerprint digests
-// the target's observable behaviour, the fault model's parameters and
-// every engine knob that shapes the recorded result. Resume therefore
-// needs no bookkeeping — re-running the same campaign command with
-// -resume finds its own journal, and a changed parameter lands in a
-// fresh file instead of corrupting an old campaign.
+// Every campaign journaled in a directory appends to the directory's
+// one log, journal.mfj, each record tagged with the campaign's
+// fingerprint, which digests the target's observable behaviour, the
+// fault model's parameters and every engine knob that shapes the
+// recorded result. The log is content-addressed by those tags, so
+// resume needs no bookkeeping — re-running the same campaign command
+// with -resume finds its own records, and a changed parameter journals
+// under a fresh fingerprint instead of corrupting an old campaign.
 //
 // A Service is plain configuration: any number of campaigns, running
-// one after another or at once, may share one or copy it. Directories
-// written when campaigns still kept a fault-equivalence memo also hold
-// memo-<fingerprint>.mfj files; nothing reads them any more.
+// one after another or at once, may share one or copy it. The campaigns
+// of one process that share a directory and a worker ID also share one
+// open log (journal_file.go). Directories written by older versions
+// hold one campaign-<fingerprint>.mfj file per campaign: a resumed
+// campaign keeps journaling into its file, and one run without resume
+// deletes it and starts over in the log. They may also hold
+// memo-<fingerprint>.mfj files, from when campaigns kept a
+// fault-equivalence memo; nothing reads them any more.
 
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"multiflip/internal/vm"
@@ -33,12 +38,12 @@ import (
 // or one with neither Journal nor Dir — leaves the engine on its
 // in-memory fast path.
 type Service struct {
-	// Dir is the journal directory: campaign journals are
-	// content-addressed inside it.
+	// Dir is the journal directory: its log holds the records of every
+	// campaign journaled there, content-addressed by fingerprint.
 	Dir string
-	// Resume keeps an existing campaign journal and folds its checkpoints
-	// instead of re-running them. Without Resume, an existing journal for
-	// the same campaign is discarded and the campaign starts fresh.
+	// Resume folds the checkpoints the campaign already has in the
+	// journal instead of re-running them. Without Resume, the campaign
+	// starts fresh: its earlier records stop counting.
 	Resume bool
 	// Journal, when non-nil, overrides Dir for the campaign journal: the
 	// engine binds this journal directly (in-process drainers share a
@@ -60,15 +65,15 @@ type Service struct {
 	// (0 = DefaultLeaseGrace, negative = none). See DefaultLeaseTTL for
 	// the cross-process clock contract.
 	LeaseGrace time.Duration
-	// Sync fsyncs the campaign journal after every checkpoint and meta
-	// append, and fsyncs the directory when a journal file is created,
+	// Sync fsyncs the journal log after every checkpoint and meta
+	// append, and fsyncs the directory when the log is created,
 	// so acknowledged checkpoints survive machine-level crashes (power
 	// loss). Off by default: without it a crash can lose the unsynced
 	// log tail, which deterministic shard re-execution repairs on the
 	// next resume at the cost of duplicate work.
 	Sync bool
 	// Fault, when set, injects a deterministic I/O failure schedule into
-	// the campaign journal (FaultFile) — the robustness-test and chaos-CI
+	// the journal log's file (FaultFile) — the robustness-test and chaos-CI
 	// knob. Nil falls back to the MULTIFLIP_JOURNAL_FAULTS environment
 	// plan, if any. Injected faults never change campaign results, only
 	// exercise the retry and recovery paths.
@@ -80,23 +85,15 @@ func (s *Service) active() bool {
 	return s != nil && (s.Journal != nil || s.Dir != "")
 }
 
-// journalFor opens the campaign journal for an engine: the injected
-// Journal if set, else the content-addressed file under Dir. The second
-// return reports ownership (the engine closes journals it opened).
-func (s *Service) journalFor(e *Engine) (Journal, bool, error) {
+// journalFor opens the campaign journal for an engine whose campaign
+// has fingerprint fp, drained by worker: the injected Journal if set,
+// else the campaign's journal in Dir. The second return reports
+// ownership (the engine closes journals it opened).
+func (s *Service) journalFor(fp uint64, worker string) (Journal, bool, error) {
 	if s.Journal != nil {
 		return s.Journal, false, nil
 	}
-	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
-		return nil, false, fmt.Errorf("core: journal dir: %w", err)
-	}
-	path := filepath.Join(s.Dir, fmt.Sprintf("campaign-%016x.mfj", e.fingerprint()))
-	if !s.Resume {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return nil, false, fmt.Errorf("core: reset journal: %w", err)
-		}
-	}
-	j, err := OpenFileJournalOpts(path, FileJournalOptions{Sync: s.Sync, LeaseGrace: s.LeaseGrace, Fault: s.Fault})
+	j, err := openCampaign(s.Dir, worker, fp, s.Resume, FileJournalOptions{Sync: s.Sync, LeaseGrace: s.LeaseGrace, Fault: s.Fault})
 	if err != nil {
 		return nil, false, err
 	}

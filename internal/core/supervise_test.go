@@ -7,7 +7,6 @@ package core_test
 // journaled resume.
 
 import (
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -292,20 +291,11 @@ func TestQuarantineJournaledResume(t *testing.T) {
 	}
 	tiercontract.SameResult(t, "quarantine journaled resume", first, second, true)
 
-	paths, err := filepath.Glob(filepath.Join(dir, "campaign-*.mfj"))
-	if err != nil || len(paths) != 1 {
-		t.Fatalf("want one campaign journal, got %v (%v)", paths, err)
+	infos, err := core.InspectDir(dir)
+	if err != nil || len(infos) != 1 || infos[0].Err != nil {
+		t.Fatalf("want one journaled campaign, got %+v (%v)", infos, err)
 	}
-	j, err := core.OpenFileJournal(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	status, err := j.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status.Quarantined != n {
+	if status := infos[0].Status; status.Quarantined != n {
 		t.Fatalf("journal status reports %d quarantined, want %d", status.Quarantined, n)
 	}
 }

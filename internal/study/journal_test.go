@@ -2,7 +2,7 @@ package study_test
 
 import (
 	"errors"
-	"path/filepath"
+	"os"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -102,14 +102,55 @@ func TestStudyJournaledMatchesInMemory(t *testing.T) {
 	}
 }
 
-// campaignFiles counts the campaign journals in dir.
-func campaignFiles(t *testing.T, dir string) int {
+// journaledCampaigns counts the campaigns journaled in dir.
+func journaledCampaigns(t *testing.T, dir string) int {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "campaign-*.mfj"))
+	infos, err := core.InspectDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(files)
+	return len(infos)
+}
+
+// TestJournaledStudyKeepsOneLog runs the tiny study and its transitions
+// journaled: every campaign appends to the directory's one log, which
+// is the only file the study leaves there, and the rendered report is
+// byte-identical to the in-memory study's.
+func TestJournaledStudyKeepsOneLog(t *testing.T) {
+	var want strings.Builder
+	if err := tiny(t).RenderAll(&want, true); err != nil {
+		t.Fatal(err)
+	}
+	opts := tinyOpts()
+	opts.JournalDir = t.TempDir()
+	s, err := study.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	if err := s.RenderAll(&got, true); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("journaled report differs from the in-memory one:\n%s\nwant\n%s", got.String(), want.String())
+	}
+	entries, err := os.ReadDir(opts.JournalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "journal.mfj" {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("journal directory holds %d files %v, want the one log journal.mfj", len(entries), names)
+	}
+	// Every campaign is in it: per program, a single-bit and six
+	// multi-bit campaigns per technique and a stuck-at campaign, then a
+	// transition rerun per technique.
+	if n, want := journaledCampaigns(t, opts.JournalDir), 2*(2*(1+2*3)+1+2); n != want {
+		t.Errorf("the log lists %d campaigns, want %d", n, want)
+	}
 }
 
 // TestRunRejectsBadPrograms checks that an unknown or repeated program
@@ -129,7 +170,7 @@ func TestRunRejectsBadPrograms(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.bad) {
 			t.Errorf("Programs %q: error %v, want one naming %s", tc.programs, err, tc.bad)
 		}
-		if n := campaignFiles(t, opts.JournalDir); n != 0 {
+		if n := journaledCampaigns(t, opts.JournalDir); n != 0 {
 			t.Errorf("Programs %q: %d campaign journals written before the error", tc.programs, n)
 		}
 	}
@@ -155,7 +196,7 @@ func TestRunFailsFastThroughPool(t *testing.T) {
 		!strings.Contains(err.Error(), "classifier boom") {
 		t.Fatalf("error %v, want CRC32's first experiment failing with the classifier's panic", err)
 	}
-	if n := campaignFiles(t, opts.JournalDir); n == 0 || n > opts.Workers {
+	if n := journaledCampaigns(t, opts.JournalDir); n == 0 || n > opts.Workers {
 		t.Errorf("%d campaign journals after the failure, want 1 to %d", n, opts.Workers)
 	}
 }

@@ -73,8 +73,9 @@ type Options struct {
 	// job under this directory: campaigns checkpoint per shard, a killed
 	// study resumes from its last checkpoints (with Resume), and
 	// concurrent study processes sharing the directory drain the same
-	// campaigns cooperatively. Campaign journals are content-addressed,
-	// so no coordination beyond the shared directory is needed.
+	// campaigns cooperatively. Every campaign appends to the directory's
+	// one log under its own fingerprint, so no coordination beyond the
+	// shared directory is needed.
 	JournalDir string
 	// Resume folds checkpoints already present in JournalDir instead of
 	// discarding them. Without it, every campaign starts fresh.
