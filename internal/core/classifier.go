@@ -53,9 +53,9 @@ type Classifier interface {
 //
 // The remaining judgement — golden-vs-actual output — is the
 // classifier's. Convergence-terminated runs (res.Converged) pass
-// through unchanged: they report the golden stop reason and output, so
-// they classify as the full run would — Benign under any classifier,
-// since every classifier accepts output byte-identical to golden.
+// through unchanged: they report the stop reason and output the full
+// run would have, the output they printed followed by the golden
+// output's rest, so they classify as the full run would.
 func preClassify(res *vm.Result) (Outcome, bool) {
 	switch res.Stop {
 	case vm.StopTrap:

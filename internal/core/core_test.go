@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -401,11 +402,14 @@ func TestCampaignValidation(t *testing.T) {
 	model := func(tech core.Technique, cfg core.Config) core.FaultModel {
 		return &core.RegisterModel{Spec: &core.CampaignSpec{Technique: tech, Config: cfg}}
 	}
+	tooMany := math.MaxInt32
+	tooMany++ // more experiments than a dimensional tally cell counts
 	bad := []*core.Engine{
 		{Model: model(core.InjectOnRead, core.SingleBit()), N: 1},             // no target
 		{Target: tg, Model: model(0, core.SingleBit()), N: 1},                 // no technique
 		{Target: tg, Model: model(core.InjectOnRead, core.Config{}), N: 1},    // MaxMBF 0
 		{Target: tg, Model: model(core.InjectOnRead, core.SingleBit()), N: 0}, // no N
+		{Target: tg, Model: model(core.InjectOnRead, core.SingleBit()), N: tooMany},
 		{Target: tg, Model: model(core.InjectOnRead, core.Config{MaxMBF: 2, Win: core.WinSize{Lo: 5, Hi: 2}}), N: 1},
 	}
 	for i, e := range bad {

@@ -16,6 +16,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -210,9 +211,13 @@ type EngineResult struct {
 	// ActivatedTotal sums activated errors over all experiments.
 	ActivatedTotal int
 	// Converged counts experiments the VM terminated early because their
-	// injected state reconverged with the golden run. Each experiment
-	// converges on its own, so the count is deterministic per (target,
-	// model, seed) for any worker count, journaled or resumed.
+	// injected state reconverged with the golden run, at a golden grid
+	// snapshot's instant or at a return to main, whatever output they had
+	// printed (vm.Result.Converged). Each experiment converges on its
+	// own, so the count is deterministic per (target, model, seed) for
+	// any worker count, journaled or resumed. A campaign resumed from a
+	// journal whose shards were checkpointed before return convergence
+	// existed adds their counts, taken under the grid rule alone.
 	Converged int
 	// MemoHits is always zero.
 	//
@@ -264,6 +269,10 @@ func (e *Engine) Run() (*EngineResult, error) {
 	}
 	if e.N <= 0 {
 		return nil, fmt.Errorf("core: engine needs N > 0")
+	}
+	if e.N > math.MaxInt32 {
+		// A dimensional tally cell holds at most math.MaxInt32.
+		return nil, fmt.Errorf("core: engine N %d exceeds %d", e.N, math.MaxInt32)
 	}
 	if err := e.Model.Validate(e.Target, e.N); err != nil {
 		return nil, err

@@ -133,7 +133,7 @@ func TestAppendReissuesAfterFailedFsync(t *testing.T) {
 	shrinkBackoff(t)
 	sf := &scriptFile{failSyncs: 2}
 	j := scriptJournal(sf, "test.mfj")
-	if err := j.append(&journalRecord{T: "lease", Shard: 0, Worker: "w", Exp: 1}, true); err != nil {
+	if err := j.append(&journalRecord{T: "lease", Shard: 0, Worker: "w", Exp: 1}, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	if sf.writes != 3 || sf.syncs != 3 {
@@ -162,7 +162,7 @@ func TestAppendExhaustionNamesCampaign(t *testing.T) {
 	j := scriptJournal(sf, "cdir/test.mfj")
 	j.c.st.bound = true
 	j.c.st.meta.Fingerprint = 0xabcdef0123456789
-	err := j.append(&journalRecord{T: "done", Shard: 0}, true)
+	err := j.append(&journalRecord{T: "done", Shard: 0}, nil, true)
 	if err == nil {
 		t.Fatal("append on a dead file succeeded")
 	}

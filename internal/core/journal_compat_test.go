@@ -9,7 +9,9 @@ package core_test
 // never an error.
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -155,6 +157,37 @@ func TestOldFormatJournalLoads(t *testing.T) {
 	}
 	if er.ActivatedTotal != 10 || er.Converged != 1 {
 		t.Fatalf("folded counters: act=%d conv=%d", er.ActivatedTotal, er.Converged)
+	}
+}
+
+// TestDimsLoaderDropsWideCells: a dimensional tally cell is 32-bit, so
+// the loader drops a cell whose count a cell cannot hold, alone or
+// added to an earlier cell at the same coordinates, like any malformed
+// cell, and keeps the others.
+func TestDimsLoaderDropsWideCells(t *testing.T) {
+	b, s := int(core.OutcomeBenign), int(core.OutcomeSDC)
+	in := fmt.Sprintf("[[%d,3,1,5],[%d,4,1,%d],[%d,5,2,%d],[%d,5,2,1],[%d,6,2,-1]]",
+		b, b, int64(math.MaxInt32)+1, s, math.MaxInt32, s, s)
+	var d core.DimTally
+	if err := json.Unmarshal([]byte(in), &d); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		o    core.Outcome
+		bit  int
+		want int
+	}{
+		{core.OutcomeBenign, 3, 5},
+		{core.OutcomeBenign, 4, 0},
+		{core.OutcomeSDC, 5, math.MaxInt32},
+		{core.OutcomeSDC, 6, 0},
+	} {
+		if got := d.BitCount(c.o, c.bit); got != c.want {
+			t.Errorf("outcome %v bit %d: %d experiments, want %d", c.o, c.bit, got, c.want)
+		}
+	}
+	if d.N() != 5+math.MaxInt32 {
+		t.Errorf("loaded tally holds %d experiments, want %d", d.N(), 5+math.MaxInt32)
 	}
 }
 

@@ -143,6 +143,20 @@ type logTail struct {
 	buf     []byte
 }
 
+// tailBufs recycles the tails' read buffers: a study's campaigns close
+// and reopen their directory log over and over, and a buffer per reopen
+// was a large share of what a journaled pass allocates.
+var tailBufs = sync.Pool{New: func() any { return new([64 * 1024]byte) }}
+
+// drop returns the tail's read buffer to tailBufs, keeping its position:
+// a log without an open handle pins no buffer.
+func (t *logTail) drop() {
+	if t.buf != nil {
+		tailBufs.Put((*[64 * 1024]byte)(t.buf))
+		t.buf = nil
+	}
+}
+
 // read hands apply every complete record appended to r since the last
 // read: the offset of its line, the line's length with its newline,
 // and its body. Lines whose frame or checksum does not hold (a torn
@@ -150,7 +164,7 @@ type logTail struct {
 // not retain the body: its bytes are reused.
 func (t *logTail) read(r io.ReaderAt, apply func(off int64, n int, body []byte)) error {
 	if t.buf == nil {
-		t.buf = make([]byte, 64*1024)
+		t.buf = tailBufs.Get().(*[64 * 1024]byte)[:]
 	}
 	for {
 		n, err := r.ReadAt(t.buf, t.off)
@@ -326,6 +340,7 @@ func (l *journalLog) open(fault *FaultPlan) error {
 		return fmt.Errorf("core: open journal: %w", err)
 	}
 	if l.fi != nil && (created || !os.SameFile(l.fi, fi) || fi.Size() < l.tail.off) {
+		l.tail.drop()
 		l.tail = logTail{}
 		l.camps = make(map[uint64]*logCampaign)
 	}
@@ -346,7 +361,8 @@ func (l *journalLog) release() error {
 		return nil
 	}
 	err := l.f.Close()
-	l.f, l.tail.buf, l.scratch = nil, nil, nil
+	l.tail.drop()
+	l.f, l.scratch = nil, nil
 	return err
 }
 
@@ -458,7 +474,7 @@ var (
 	appendBackoffCap  = 250 * time.Millisecond
 )
 
-// append writes rec as one record of campaign c (fingerprint fp) with a
+// append writes rec, framed as line, as one record of campaign c with a
 // single O_APPEND write, retrying transient failures with jittered
 // exponential backoff, then applies it to the campaign's state. durable
 // also fsyncs before the append counts as done. After ANY failure — a
@@ -473,17 +489,7 @@ var (
 // records, is applied in log order as the tail reads up to it — still
 // from memory, never decoded — or after the records read, if it merged
 // into a torn line. Callers hold l.mu and have caught up.
-func (l *journalLog) append(c *logCampaign, fp uint64, rec *journalRecord, durable bool) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("encode journal record: %w", err)
-	}
-	var line []byte
-	if l.tagged {
-		line = appendLine(nil, append(appendTag(nil, fp), payload...))
-	} else {
-		line = appendLine(nil, payload)
-	}
+func (l *journalLog) append(c *logCampaign, rec *journalRecord, line []byte, durable bool) error {
 	if err := l.write(line, durable); err != nil {
 		return err
 	}
@@ -756,10 +762,31 @@ func (j *FileJournal) catchUpLocked() error {
 	return nil
 }
 
-// append appends one of the campaign's records; see journalLog.append.
+// encode frames rec as one of the campaign's record lines. It reads no
+// state the log mutex guards, so Bind and Checkpoint encode their
+// records before they take it.
+func (j *FileJournal) encode(rec *journalRecord) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("encode journal record: %w", err)
+	}
+	if j.log.tagged {
+		return appendLine(nil, append(appendTag(nil, j.fp), payload...)), nil
+	}
+	return appendLine(nil, payload), nil
+}
+
+// append appends one of the campaign's records, framed as line by
+// encode, or encoded here when line is nil; see journalLog.append.
 // durable records are fsynced in sync mode. Callers hold j.log.mu.
-func (j *FileJournal) append(rec *journalRecord, durable bool) error {
-	if err := j.log.append(j.c, j.fp, rec, durable && j.sync); err != nil {
+func (j *FileJournal) append(rec *journalRecord, line []byte, durable bool) error {
+	if line == nil {
+		var err error
+		if line, err = j.encode(rec); err != nil {
+			return j.wrapErr("", err)
+		}
+	}
+	if err := j.log.append(j.c, rec, line, durable && j.sync); err != nil {
 		return j.wrapErr("", err)
 	}
 	return nil
@@ -783,6 +810,12 @@ func (j *FileJournal) wrapErr(op string, err error) error {
 // had none. A journal opened without resume instead writes a start
 // record, and the campaign starts over.
 func (j *FileJournal) Bind(meta CampaignMeta) error {
+	// Only Bind clears fresh, and a campaign binds once.
+	rec := &journalRecord{T: "meta", Meta: &meta}
+	if j.fresh {
+		rec.T = "start"
+	}
+	line, _ := j.encode(rec) // a failure is reported by append
 	j.log.mu.Lock()
 	defer j.log.mu.Unlock()
 	if err := j.catchUpLocked(); err != nil {
@@ -796,7 +829,7 @@ func (j *FileJournal) Bind(meta CampaignMeta) error {
 			return err
 		}
 		j.fresh = false
-		return j.append(&journalRecord{T: "start", Meta: &meta}, true)
+		return j.append(rec, line, true)
 	}
 	st := j.c.st
 	hadMeta := st.bound
@@ -804,7 +837,7 @@ func (j *FileJournal) Bind(meta CampaignMeta) error {
 		return err
 	}
 	if !hadMeta {
-		return j.append(&journalRecord{T: "meta", Meta: &meta}, true)
+		return j.append(rec, line, true)
 	}
 	return nil
 }
@@ -826,7 +859,7 @@ func (j *FileJournal) Claim(worker string, ttl time.Duration) (int, ClaimState, 
 	// leases are advisory, and losing one to a crash only lets a peer
 	// start the shard sooner.
 	exp := st.now().Add(ttl)
-	if err := j.append(&journalRecord{T: "lease", Shard: shard, Worker: worker, Exp: exp.UnixMilli(), expAt: exp}, false); err != nil {
+	if err := j.append(&journalRecord{T: "lease", Shard: shard, Worker: worker, Exp: exp.UnixMilli(), expAt: exp}, nil, false); err != nil {
 		return 0, ClaimWait, err
 	}
 	return shard, ClaimOK, nil
@@ -848,13 +881,15 @@ func (j *FileJournal) Renew(worker string, shard int, ttl time.Duration) error {
 		return nil
 	}
 	exp := st.now().Add(ttl)
-	return j.append(&journalRecord{T: "lease", Shard: shard, Worker: worker, Exp: exp.UnixMilli(), expAt: exp}, false)
+	return j.append(&journalRecord{T: "lease", Shard: shard, Worker: worker, Exp: exp.UnixMilli(), expAt: exp}, nil, false)
 }
 
 // Checkpoint implements Journal. A shard that is already checkpointed —
 // a peer beat us to it after a lease steal — is dropped without a write:
 // shard results are deterministic, so the duplicate is identical.
 func (j *FileJournal) Checkpoint(res ShardResult) error {
+	rec := &journalRecord{T: "done", Shard: res.Shard, Res: &res}
+	line, _ := j.encode(rec) // a failure is reported by append
 	j.log.mu.Lock()
 	defer j.log.mu.Unlock()
 	if err := j.catchUpLocked(); err != nil {
@@ -867,7 +902,7 @@ func (j *FileJournal) Checkpoint(res ShardResult) error {
 	if st.shards[res.Shard].res != nil {
 		return nil
 	}
-	return j.append(&journalRecord{T: "done", Shard: res.Shard, Res: &res}, true)
+	return j.append(rec, line, true)
 }
 
 // Results implements Journal.
@@ -968,6 +1003,7 @@ func inspectFile(path string, tagged bool) []JournalInfo {
 	defer f.Close()
 	l := newLog(path, tagged)
 	l.f = f
+	defer l.tail.drop()
 	if err := l.catchUp(); err != nil {
 		return failed(fmt.Errorf("core: journal %s: %w", path, err))
 	}

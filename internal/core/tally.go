@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"multiflip/internal/stats"
 )
@@ -145,9 +146,12 @@ func (t *Tally) CI95(o Outcome) float64 { return stats.NormalCI95(t.Counts[o], t
 // (outcome × bit position × flip direction). The array is dense in
 // memory but sparse on the wire — MarshalJSON emits only non-zero cells
 // — and the zero value is ready to use, which is what keeps old-format
-// journal records (no "dims" key) loading cleanly.
+// journal records (no "dims" key) loading cleanly. Its cells are 32-bit:
+// a campaign runs at most math.MaxInt32 experiments (Engine.Run rejects
+// more), and every shard result, checkpoint and campaign result carries
+// a copy of the array.
 type DimTally struct {
-	counts [NumOutcomes + 1][NumBitBuckets][NumFlipDirs]int
+	counts [NumOutcomes + 1][NumBitBuckets][NumFlipDirs]int32
 }
 
 // add records one experiment in its (outcome, bit, direction) cell.
@@ -183,7 +187,7 @@ func (d *DimTally) Count(o Outcome, bit int, dir FlipDir) int {
 	if dir >= NumFlipDirs {
 		dir = DirUnknown
 	}
-	return d.counts[o][bitBucket(bit)][dir]
+	return int(d.counts[o][bitBucket(bit)][dir])
 }
 
 // BitCount returns the number of category-o experiments whose first
@@ -191,7 +195,7 @@ func (d *DimTally) Count(o Outcome, bit int, dir FlipDir) int {
 func (d *DimTally) BitCount(o Outcome, bit int) int {
 	n := 0
 	for _, c := range d.counts[o][bitBucket(bit)] {
-		n += c
+		n += int(c)
 	}
 	return n
 }
@@ -204,7 +208,7 @@ func (d *DimTally) DirCount(o Outcome, dir FlipDir) int {
 	}
 	n := 0
 	for b := range d.counts[o] {
-		n += d.counts[o][b][dir]
+		n += int(d.counts[o][b][dir])
 	}
 	return n
 }
@@ -236,7 +240,7 @@ func (d *DimTally) N() int {
 	for o := range d.counts {
 		for b := range d.counts[o] {
 			for _, c := range d.counts[o][b] {
-				n += c
+				n += int(c)
 			}
 		}
 	}
@@ -256,7 +260,7 @@ func (d DimTally) MarshalJSON() ([]byte, error) {
 		for b := range d.counts[o] {
 			for k, c := range d.counts[o][b] {
 				if c != 0 {
-					cells = append(cells, dimCell{o, b, k, c})
+					cells = append(cells, dimCell{o, b, k, int(c)})
 				}
 			}
 		}
@@ -265,9 +269,9 @@ func (d DimTally) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON loads a sparse cell list, dropping out-of-range or
-// negative cells like the journal loader drops malformed records: a
-// foreign or corrupt breakdown must never panic or poison the flat
-// totals the campaign validates against.
+// negative cells, and counts a cell cannot hold, like the journal loader
+// drops malformed records: a foreign or corrupt breakdown must never
+// panic or poison the flat totals the campaign validates against.
 func (d *DimTally) UnmarshalJSON(b []byte) error {
 	var cells []dimCell
 	if err := json.Unmarshal(b, &cells); err != nil {
@@ -277,10 +281,11 @@ func (d *DimTally) UnmarshalJSON(b []byte) error {
 	for _, c := range cells {
 		o, bit, dir, n := c[0], c[1], c[2], c[3]
 		if o < 0 || o > NumOutcomes || bit < 0 || bit >= NumBitBuckets ||
-			dir < 0 || dir >= int(NumFlipDirs) || n < 0 {
+			dir < 0 || dir >= int(NumFlipDirs) || n < 0 ||
+			n > math.MaxInt32-int(d.counts[o][bit][dir]) {
 			continue
 		}
-		d.counts[o][bit][dir] += n
+		d.counts[o][bit][dir] += int32(n)
 	}
 	return nil
 }

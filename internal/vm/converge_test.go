@@ -60,14 +60,16 @@ func snapshotDiff(a, b *Snapshot) string {
 }
 
 // TestConvergeComparator holds the exact comparator to every part of the
-// machine state. A run resumed from golden snapshot r and replayed
-// fault-free to a later golden snapshot s holds s's state, so it must
-// converge. Each case then changes one part and must not converge; where
-// a case names a twin, that identical state must still converge. The
-// program calls a function that allocas, stores and returns, which
-// leaves stale bytes above sp, stores to one globals page and writes a
-// byte of output every iteration, so between r and s the run dirties
-// that globals page and the stack and appends output.
+// machine state the continuation reads. A run resumed from golden
+// snapshot r and replayed fault-free to a later golden snapshot s holds
+// s's state, so it must converge. Each case then changes one part and
+// must not converge; where a case names a twin, that identical state must
+// still converge. The output's bytes are no such part: a run that printed
+// another byte converges and keeps it. The program calls a function that
+// allocas, stores and returns, which leaves stale bytes above sp, stores
+// to one globals page and writes a byte of output every iteration, so
+// between r and s the run dirties that globals page and the stack and
+// appends output.
 func TestConvergeComparator(t *testing.T) {
 	mb := ir.NewModule("conv-compare")
 	g := mb.GlobalU64s(make([]uint64, 128)) // 4 pages; the loop stores to the first
@@ -103,7 +105,8 @@ func TestConvergeComparator(t *testing.T) {
 		t.Fatal("no golden snapshot with stack bytes above sp")
 	}
 	replay := func() *machine {
-		m := &machine{prog: p, maxDyn: DefaultMaxDyn, maxOut: DefaultMaxOutput, maxDepth: DefaultMaxDepth}
+		m := &machine{prog: p, maxDyn: DefaultMaxDyn, maxOut: DefaultMaxOutput, maxDepth: DefaultMaxDepth,
+			trace: golden.Trace}
 		if err := m.restore(r); err != nil {
 			t.Fatal(err)
 		}
@@ -138,13 +141,21 @@ func TestConvergeComparator(t *testing.T) {
 	}
 
 	const p2 = 2 * pageSize
+	suffix := golden.Dyn - s.Dyn
 	for _, c := range []struct {
 		name         string
 		twin, change func(m *machine)
 	}{
 		{name: "frame pc", change: func(m *machine) { m.frames[0].pc++ }},
 		{name: "live register", change: func(m *machine) { m.regArena[m.regTop-1] ^= 1 }},
-		{name: "output byte after the start", change: func(m *machine) { m.out[len(m.out)-1] ^= 1 }},
+		{name: "output length", change: func(m *machine) { m.out = append(m.out, 0) }},
+		{
+			// The golden suffix, run from this instant, must end within
+			// the hang budget.
+			name:   "hang budget",
+			twin:   func(m *machine) { m.maxDyn = m.dyn + suffix },
+			change: func(m *machine) { m.maxDyn = m.dyn + suffix - 1 },
+		},
 		{
 			name: "globals page the run stored to",
 			twin: func(m *machine) { m.globals.store(p2+8, 8, m.globals.load(p2+8, 8)) },
@@ -177,6 +188,20 @@ func TestConvergeComparator(t *testing.T) {
 		if m.sameState(s) {
 			t.Errorf("%s: a state that differs there converges", c.name)
 		}
+	}
+
+	// No instruction reads the output: a run that printed another byte
+	// after its start converges, and its output keeps that byte, followed
+	// by the rest of the golden output.
+	m = replay()
+	m.out[len(m.out)-1] ^= 1
+	want := append(bytes.Clone(m.out), golden.Output[len(m.out):]...)
+	if !m.sameState(s) {
+		t.Fatal("output byte after the start: a state that differs only there does not converge")
+	}
+	m.convergeFinish(s)
+	if !m.ownOut || !bytes.Equal(m.out, want) {
+		t.Errorf("output byte after the start: the converged output is not the run's own followed by the golden rest")
 	}
 }
 
@@ -480,5 +505,259 @@ func TestConvergeResumeOffTraceGrid(t *testing.T) {
 	}
 	if converged == 0 && !EnvDisabled().Has(TierConverge) {
 		t.Error("no plan converged, so the off-grid resume was never held to a converging run")
+	}
+}
+
+// retConvergeProgram returns a program whose main calls a looping
+// function four times and prints each result: spin(n) counts to n and
+// returns 3n, whatever its loop did, so a flip of its loop counter
+// changes how long it runs but not what it returns.
+func retConvergeProgram() *ir.Program {
+	mb := ir.NewModule("ret-converge")
+	h := mb.Func("spin", 1)
+	h.For(ir.C(0), h.Arg(0), func(ir.Reg) {})
+	h.Ret(h.Mul(h.Arg(0), ir.C(3)))
+	f := mb.Func("main", 0)
+	f.For(ir.C(0), ir.C(4), func(k ir.Reg) {
+		f.Out32(f.Call("spin", f.Add(k, ir.C(40))))
+	})
+	f.RetVoid()
+	return mb.MustBuild()
+}
+
+// retCase is one inject-on-read experiment on retConvergeProgram: its
+// options, the result with convergence on and that of its
+// convergence-off twin.
+type retCase struct {
+	opts      func() Options
+	got, twin *Result
+}
+
+// retConvergeCases runs every inject-on-read candidate of golden's
+// program, flipping bit 3, with convergence against trace on and off;
+// resume, when set, picks each run's resume snapshot. Every converged
+// run must equal its twin in everything but Converged.
+func retConvergeCases(t *testing.T, p *ir.Program, golden *Result, trace *GoldenTrace, maxDyn uint64, resume func(cand uint64) *Snapshot) []retCase {
+	t.Helper()
+	var cases []retCase
+	for cand := uint64(0); cand < golden.ReadSlots; cand++ {
+		opts := func() Options {
+			o := Options{
+				MaxDyn: maxDyn,
+				Plan: &Plan{FirstCand: cand, MaxFlips: 1, SameReg: true, PinnedBit: 3,
+					Rng: xrand.ForExperiment(11, cand)},
+				Trace: trace,
+			}
+			if resume != nil {
+				o.Resume = resume(cand)
+			}
+			return o
+		}
+		got, err := Run(p, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := opts()
+		off.Disable = TierConverge
+		twin, err := Run(p, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("cand %d", cand), got, twin)
+		cases = append(cases, retCase{opts, got, twin})
+	}
+	return cases
+}
+
+// noGridGolden profiles p with a checkpoint interval longer than the run:
+// its trace has return snapshots and no grid, so a run converges only at
+// a return to main.
+func noGridGolden(t *testing.T, p *ir.Program) *Result {
+	t.Helper()
+	prof, err := Run(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := Run(p, Options{Checkpoint: prof.Dyn + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(golden.Snapshots) != 0 || len(golden.Trace.rets) != 4 {
+		t.Fatalf("golden run kept %d grid and %d return snapshots, want 0 and 4",
+			len(golden.Snapshots), len(golden.Trace.rets))
+	}
+	return golden
+}
+
+// TestReturnConvergeLongerCallee: a flip of the callee's loop counter
+// that makes it run longer, without changing what it returns, converges
+// at the next return to main, late, although the run never meets the
+// golden state at an equal instant. Its counters and output are its
+// twin's.
+func TestReturnConvergeLongerCallee(t *testing.T) {
+	if EnvDisabled().Has(TierConverge) {
+		t.Skip("MULTIFLIP_DISABLE includes converge")
+	}
+	p := retConvergeProgram()
+	golden := noGridGolden(t, p)
+	longer := 0
+	for _, c := range retConvergeCases(t, p, golden, golden.Trace, 10*golden.Dyn, nil) {
+		if c.twin.Stop != StopReturned || c.twin.Dyn <= golden.Dyn || !bytes.Equal(c.twin.Output, golden.Output) {
+			continue
+		}
+		if !c.got.Converged {
+			t.Errorf("a run %d instructions longer with the golden output did not converge", c.twin.Dyn-golden.Dyn)
+		}
+		longer++
+	}
+	if longer == 0 {
+		t.Fatal("no flip lengthened the callee without changing the output")
+	}
+}
+
+// TestReturnConvergeWrongOutput: a flip of the value main prints converges
+// at the next return to main with the wrong byte in its output, so the
+// exact classifier still reports the SDC its twin shows.
+func TestReturnConvergeWrongOutput(t *testing.T) {
+	if EnvDisabled().Has(TierConverge) {
+		t.Skip("MULTIFLIP_DISABLE includes converge")
+	}
+	p := retConvergeProgram()
+	golden := noGridGolden(t, p)
+	sdc := 0
+	for _, c := range retConvergeCases(t, p, golden, golden.Trace, 10*golden.Dyn, nil) {
+		if c.got.Converged && !bytes.Equal(c.got.Output, golden.Output) {
+			if len(c.got.Output) != len(golden.Output) || c.got.Stop != StopReturned {
+				t.Errorf("converged SDC: stop %s with %d output bytes, want returned with %d",
+					c.got.Stop, len(c.got.Output), len(golden.Output))
+			}
+			sdc++
+		}
+	}
+	if sdc == 0 {
+		t.Fatal("no run that printed a wrong value converged")
+	}
+}
+
+// TestReturnConvergeHangBudget: a run whose golden suffix, shifted to the
+// instant it returns to main at, would end past the hang budget does not
+// converge there, and hangs exactly like its twin; one that ends exactly
+// at the budget returns, like its twin, and converges.
+func TestReturnConvergeHangBudget(t *testing.T) {
+	p := retConvergeProgram()
+	golden := noGridGolden(t, p)
+	var long *retCase
+	for _, c := range retConvergeCases(t, p, golden, golden.Trace, 10*golden.Dyn, nil) {
+		if c.twin.Stop == StopReturned && c.twin.Dyn > golden.Dyn && bytes.Equal(c.twin.Output, golden.Output) {
+			long = &c
+			break
+		}
+	}
+	if long == nil {
+		t.Fatal("no flip lengthened the callee without changing the output")
+	}
+	// Both budgets fit the golden run, so the trace stays compatible.
+	for _, c := range []struct {
+		maxDyn    uint64
+		converged bool
+		stop      StopReason
+	}{
+		{long.twin.Dyn - 1, false, StopHang},
+		{long.twin.Dyn, !EnvDisabled().Has(TierConverge), StopReturned},
+	} {
+		opts := long.opts()
+		opts.MaxDyn = c.maxDyn
+		got, err := Run(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts = long.opts()
+		opts.MaxDyn = c.maxDyn
+		opts.Disable = TierConverge
+		twin, err := Run(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("budget %d for a %d-instruction run", c.maxDyn, long.twin.Dyn)
+		if got.Converged != c.converged || got.Stop != c.stop {
+			t.Errorf("%s: converged=%v stop=%s, want %v and %s", label, got.Converged, got.Stop, c.converged, c.stop)
+		}
+		sameResult(t, label, got, twin)
+	}
+}
+
+// TestReturnConvergeResumed: a run resumed from a grid snapshot counts
+// its returns to main from the snapshot's count, so it converges at the
+// same return as its cold twin, with the same result. The runs checked
+// lengthen the callee, so only a return check can end them early, and
+// some resume past a return to main.
+func TestReturnConvergeResumed(t *testing.T) {
+	if EnvDisabled().Has(TierConverge) {
+		t.Skip("MULTIFLIP_DISABLE includes converge")
+	}
+	p := retConvergeProgram()
+	golden, err := Run(p, Options{Checkpoint: 16, MaxSnapshots: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxDyn := 10 * golden.Dyn
+	resume := func(cand uint64) *Snapshot { return snapshotBefore(golden.Snapshots, false, cand) }
+	cold := retConvergeCases(t, p, golden, golden.Trace, maxDyn, nil)
+	warm := retConvergeCases(t, p, golden, golden.Trace, maxDyn, resume)
+	pastReturn := 0
+	for i, c := range cold {
+		w := warm[i]
+		if c.twin.Stop != StopReturned || c.twin.Dyn <= golden.Dyn || !bytes.Equal(c.twin.Output, golden.Output) {
+			continue
+		}
+		if !c.got.Converged {
+			t.Fatalf("cand %d: the cold run lengthened by %d instructions did not converge", i, c.twin.Dyn-golden.Dyn)
+		}
+		sameResult(t, fmt.Sprintf("cand %d resumed", i), w.got, c.got)
+		if !w.got.Converged {
+			t.Fatalf("cand %d: the resumed run did not converge where its cold twin did", i)
+		}
+		if s := w.opts().Resume; s != nil && s.rets > 0 {
+			pastReturn++
+		}
+	}
+	if pastReturn == 0 {
+		t.Fatal("no converging run resumed past a return to main")
+	}
+}
+
+// TestReturnSnapshotsThinned: the golden run's return snapshots are
+// capped and thinned like the grid. basicmath returns to main 80 times;
+// under a cap of 8 the kept snapshots follow every stride-th return and
+// hold the state an uncapped golden run recorded at that return.
+func TestReturnSnapshotsThinned(t *testing.T) {
+	bench, err := prog.ByName("basicmath")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := bench.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := goldenWithTrace(t, p).Trace
+	capped, err := Run(p, Options{Checkpoint: 64, MaxSnapshots: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	thin := capped.Trace
+	if full.retStride != 1 || len(full.rets) != 80 {
+		t.Fatalf("uncapped golden run kept %d return snapshots at stride %d, want 80 at 1", len(full.rets), full.retStride)
+	}
+	if len(thin.rets) >= 8 || thin.retStride < 2 || len(thin.rets) == 0 {
+		t.Fatalf("capped golden run kept %d return snapshots at stride %d", len(thin.rets), thin.retStride)
+	}
+	for i, s := range thin.rets {
+		k := uint64(i+1) * thin.retStride
+		if s.rets != k || thin.retSnap(k) != s {
+			t.Fatalf("return snapshot %d follows return %d, want %d", i, s.rets, k)
+		}
+		if diff := snapshotDiff(s, full.rets[k-1]); diff != "" {
+			t.Fatalf("return snapshot after return %d differs from the uncapped run's in its %s", k, diff)
+		}
 	}
 }

@@ -33,7 +33,8 @@ package vm
 // Calls and returns are left to the interpreter
 // (kernOut): frame manipulation is rare, cold, and shared with the
 // observer tier, whose injection checks cannot fire there because the
-// call or return lies before the injection horizon.
+// call or return lies before the injection horizon, and which records
+// and checks returns to main (trace.go) as sprint does.
 
 import "multiflip/internal/ir"
 

@@ -293,7 +293,7 @@ func TestRunnerKeepsSharedOutputs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Converged {
+			if res.Converged && bytes.Equal(res.Output, golden.Trace.finalOut) {
 				continue // its Output is the trace's final output
 			}
 			if overlaps(res.Output, golden.Trace.finalOut) {
@@ -312,9 +312,11 @@ func TestRunnerKeepsSharedOutputs(t *testing.T) {
 }
 
 // TestRunnerSparesConvergedOutput checks that the run after a converged
-// one does not write into the converged result's Output, which is the
-// golden trace's final output. The next run is another program's, so
-// its bytes differ from the ones it would overwrite.
+// one that printed the golden output does not write into the converged
+// result's Output, which is the golden trace's final output. (A run that
+// printed something else before converging owns its Output, like an
+// unconverged run.) The next run is another program's, so its bytes
+// differ from the ones it would overwrite.
 func TestRunnerSparesConvergedOutput(t *testing.T) {
 	if EnvDisabled().Has(TierConverge) {
 		t.Skip("MULTIFLIP_DISABLE includes converge")
@@ -323,7 +325,9 @@ func TestRunnerSparesConvergedOutput(t *testing.T) {
 	checked := 0
 	for i, p := range progs {
 		golden := goldenWithTrace(t, p)
-		mk, ok := findRun(t, p, golden, false, 1, func(r *Result) bool { return r.Converged })
+		mk, ok := findRun(t, p, golden, false, 1, func(r *Result) bool {
+			return r.Converged && bytes.Equal(r.Output, golden.Output)
+		})
 		if !ok {
 			continue
 		}

@@ -39,6 +39,11 @@ type Snapshot struct {
 	// the inject-on-write candidate counter at the snapshot point.
 	Writes uint64
 
+	// rets counts the returns to main before the snapshot point: a run
+	// resumed from it counts its own from there, so it compares itself
+	// with the golden run's return snapshots of the same number (trace.go).
+	rets uint64
+
 	prog *ir.Program
 	// frames' register files are subslices of regSlab, mirroring the
 	// machine's arena layout so restore is one copy plus rebasing.
@@ -126,10 +131,11 @@ const DefaultMaxSnapshots = 128
 // noSnap disables checkpointing in the interpreter loop.
 const noSnap = ^uint64(0)
 
-// takeSnapshot records the current machine state. Called at the top of the
-// interpreter loop, so m.dyn instructions have fully executed and every
-// counter is at an instruction boundary.
-func (m *machine) takeSnapshot() {
+// capture records the current machine state as a snapshot whose deltas
+// patch the previous capture. Called at an instruction boundary, with
+// every counter flushed: at the top of the interpreter loop for the grid,
+// right after a return to main for the golden run's return snapshots.
+func (m *machine) capture() *Snapshot {
 	// Only the pages dirtied since the previous capture are copied;
 	// everything else is represented by the base chain.
 	gd := m.globals.captureDelta(m.globals.n)
@@ -141,6 +147,7 @@ func (m *machine) takeSnapshot() {
 		Dyn:         m.dyn,
 		ReadSlots:   m.readSlots,
 		Writes:      m.writes,
+		rets:        m.rets,
 		prog:        m.prog,
 		base:        m.lastSnap,
 		globalDelta: gd,
@@ -168,25 +175,60 @@ func (m *machine) takeSnapshot() {
 		hi := fr.regBase + len(fr.regs)
 		fr.regs = s.regSlab[fr.regBase:hi:hi]
 	}
+	return s
+}
 
-	m.snaps = append(m.snaps, s)
+// takeSnapshot records a grid snapshot. Called at the top of the
+// interpreter loop, so m.dyn instructions have fully executed and every
+// counter is at an instruction boundary.
+func (m *machine) takeSnapshot() {
+	m.snaps = append(m.snaps, m.capture())
 	if len(m.snaps) >= m.maxSnaps {
-		// Thin to every other snapshot and double the interval; long runs
-		// keep bounded memory at proportionally coarser granularity. The
-		// survivors are made self-contained so the dropped snapshots'
-		// memory is actually released.
-		k := 0
-		for i := 1; i < len(m.snaps); i += 2 {
-			m.snaps[k] = m.snaps[i]
-			k++
-		}
-		m.snaps = m.snaps[:k]
-		for _, kept := range m.snaps {
-			kept.selfContain()
-		}
+		m.snaps = thin(m.snaps)
 		m.checkpoint *= 2
+		m.releaseDropped()
 	}
 	m.nextSnap = m.dyn + m.checkpoint
+}
+
+// takeRetSnapshot records the golden run's snapshot at the return to main
+// it has just executed, one every retStride returns, capped and thinned
+// like the grid.
+func (m *machine) takeRetSnapshot() {
+	if m.rets%m.retStride != 0 {
+		return
+	}
+	m.retSnaps = append(m.retSnaps, m.capture())
+	if len(m.retSnaps) >= m.maxSnaps {
+		m.retSnaps = thin(m.retSnaps)
+		m.retStride *= 2
+		m.releaseDropped()
+	}
+}
+
+// thin drops every other snapshot of a full list; its caller doubles the
+// list's spacing, so long runs keep bounded memory at proportionally
+// coarser granularity.
+func thin(ss []*Snapshot) []*Snapshot {
+	k := 0
+	for i := 1; i < len(ss); i += 2 {
+		ss[k] = ss[i]
+		k++
+	}
+	clear(ss[k:])
+	return ss[:k]
+}
+
+// releaseDropped makes every kept snapshot self-contained after a
+// thinning, so the dropped snapshots' memory is actually released: the
+// captures of either list may patch a snapshot the other list dropped.
+func (m *machine) releaseDropped() {
+	for _, s := range m.snaps {
+		s.selfContain()
+	}
+	for _, s := range m.retSnaps {
+		s.selfContain()
+	}
 }
 
 var (
@@ -218,6 +260,7 @@ func (m *machine) restore(s *Snapshot) error {
 	m.dyn = s.Dyn
 	m.readSlots = s.ReadSlots
 	m.writes = s.Writes
+	m.rets = s.rets
 	globalTbl, stackTbl := s.tables()
 	m.globals = flatMem(s.globalLen, flattenInto(m.globals.flat[:0], globalTbl, s.globalLen))
 	m.sp = s.sp

@@ -29,10 +29,11 @@
 // predecessor. Resume copies a snapshot's pages into the machine's flat
 // segments. See mem.go and snapshot.go.
 //
-// The same snapshots are the golden states that convergence-gated early
-// termination compares injected runs with (Options.Trace): a run whose
-// state equals one of them byte for byte ends with the golden outcome.
-// See trace.go.
+// The same snapshots, with the ones the golden run takes right after
+// each return to main, are the golden states that convergence-gated
+// early termination compares injected runs with (Options.Trace): a run
+// whose state equals one of them ends with the golden continuation. See
+// trace.go.
 package vm
 
 import (
@@ -160,8 +161,9 @@ type Options struct {
 	Disable Tiers
 	// Trace, when non-nil, enables convergence-gated early termination:
 	// once this run's injections are complete, its state is compared
-	// with the golden run's snapshots at their instants, and on a match
-	// the run terminates immediately with the golden outcome
+	// with the golden run's grid snapshots at their instants and with its
+	// return snapshots at the same returns to main, and on a match the
+	// run terminates immediately with the golden continuation
 	// (Result.Converged). The trace must come from the same *ir.Program;
 	// incompatible budgets or exception options silently disable the
 	// checks. Ignored for checkpointing or role-counting runs.
@@ -231,9 +233,12 @@ type Result struct {
 	// starts at instruction 0.
 	Trace *GoldenTrace
 	// Converged marks an early-terminated run: the injected state became
-	// bit-identical to the golden state at the same dynamic instant, and
-	// Stop/Output/Dyn and the candidate counters report the golden
-	// continuation without it having been executed.
+	// identical to the golden state at a grid snapshot's instant or at the
+	// same return to main, in everything but the counters and the output's
+	// bytes, and Stop, Dyn and the candidate counters report the golden
+	// continuation without it having been executed. Output is the run's
+	// own followed by the golden output's rest, so a run that printed a
+	// wrong value before converging still classifies as an SDC.
 	Converged bool
 
 	// steps counts the instructions run's observer branch stepped (see
@@ -335,6 +340,10 @@ type machine struct {
 	// relative to the page tables it started from (startGlobals and
 	// startStack: its resume snapshot's, or the program image's and an
 	// empty stack) and to the outStart output bytes it started with.
+	// Checkpointing and converging runs count their returns to main
+	// (watchRets, rets); the golden run snapshots at them (retSnaps, one
+	// every retStride returns). ownOut marks a converged run whose output
+	// differs from the golden run's, completed in its own buffer.
 	trace        *GoldenTrace
 	rec          *GoldenTrace
 	startGlobals [][]byte
@@ -345,6 +354,11 @@ type machine struct {
 	convStride   int
 	convSched    bool
 	converged    bool
+	ownOut       bool
+	watchRets    bool
+	rets         uint64
+	retStride    uint64
+	retSnaps     []*Snapshot
 	// gDirty/sDirty keep the segments' dirty bitmaps between runs.
 	gDirty, sDirty bitmap
 
@@ -373,8 +387,9 @@ type Runner struct {
 	// out and injDyns are the buffers every non-checkpointing run
 	// appends its output and injection instants to. A run's output is
 	// adopted back only when the Runner owns it: a checkpointing run's
-	// output backs its snapshots and trace, and a converged run reports
-	// the golden trace's final output, which belongs to the trace.
+	// output backs its snapshots and trace, and a converged run that
+	// printed the golden output reports the golden trace's final output,
+	// which belongs to the trace.
 	out     []byte
 	injDyns []uint64
 }
@@ -536,7 +551,9 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 	}
 	if m.checkpoint > 0 && opts.Resume == nil {
 		m.rec = &GoldenTrace{prog: p, noAlign: m.noAlign}
+		m.retStride = 1
 	}
+	m.watchRets = m.checkpoint > 0 || m.trace != nil
 	if opts.Resume != nil {
 		if err := m.restore(opts.Resume); err != nil {
 			return nil, err
@@ -573,9 +590,9 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 	}
 	m.run()
 	out := m.out
-	if m.converged {
-		// The golden continuation's output belongs to the trace; the
-		// Runner keeps its own buffer.
+	if m.converged && !m.ownOut {
+		// The golden output belongs to the trace; the Runner keeps its
+		// own buffer.
 		out = m.trace.finalOut
 	}
 	if m.checkpoint == 0 {
@@ -602,6 +619,8 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 	}
 	if m.rec != nil {
 		m.rec.snaps = m.snaps
+		m.rec.rets = m.retSnaps
+		m.rec.retStride = m.retStride
 		m.rec.imgPages = m.imgPages
 		m.rec.finalDyn = m.dyn
 		m.rec.finalReadSlots = m.readSlots
@@ -836,7 +855,9 @@ func (m *machine) sprint(fr *frame, limit uint64) *frame {
 		case statNext:
 			writes += uint64(in.DW)
 			fr.pc++
+			continue
 		case statJump:
+			continue
 		case statFrame, statRet:
 			fr = &m.frames[len(m.frames)-1]
 		case statRetWrote:
@@ -845,6 +866,14 @@ func (m *machine) sprint(fr *frame, limit uint64) *frame {
 		default: // statHalt
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			return nil
+		}
+		// A call or a return: a return that leaves only main's frame is a
+		// return to main (a call always leaves two frames or more).
+		if len(m.frames) == 1 && m.watchRets {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			if m.mainReturn() {
+				return nil
+			}
 		}
 	}
 	m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
@@ -892,7 +921,9 @@ func (m *machine) step(fr *frame) *frame {
 			}
 		}
 		fr.pc++
+		return fr
 	case statJump:
+		return fr
 	case statFrame, statRet:
 		fr = &m.frames[len(m.frames)-1]
 	case statRetWrote:
@@ -904,6 +935,11 @@ func (m *machine) step(fr *frame) *frame {
 			m.maybeInjectWrite(di, ir.W64, fr.regs, m.retDst, ir.RoleOther)
 		}
 	default: // statHalt
+		return nil
+	}
+	// A call or a return, after any injection into the call's result: a
+	// return that leaves only main's frame is a return to main.
+	if len(m.frames) == 1 && m.watchRets && m.mainReturn() {
 		return nil
 	}
 	return fr
