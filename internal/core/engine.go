@@ -212,12 +212,13 @@ type EngineResult struct {
 	ActivatedTotal int
 	// Converged counts experiments the VM terminated early because their
 	// injected state reconverged with the golden run, at a golden grid
-	// snapshot's instant or at a return to main, whatever output they had
-	// printed (vm.Result.Converged). Each experiment converges on its
-	// own, so the count is deterministic per (target, model, seed) for
-	// any worker count, journaled or resumed. A campaign resumed from a
-	// journal whose shards were checkpointed before return convergence
-	// existed adds their counts, taken under the grid rule alone.
+	// snapshot's instant, at a return to main or right after an output,
+	// whatever output they had printed (vm.Result.Converged). Each
+	// experiment converges on its own, so the count is deterministic per
+	// (target, model, seed) for any worker count, journaled or resumed. A
+	// campaign resumed from a journal whose shards were checkpointed
+	// before return or output convergence existed adds their counts,
+	// taken under the rules of their day.
 	Converged int
 	// MemoHits is always zero.
 	//

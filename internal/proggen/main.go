@@ -27,7 +27,12 @@
 //     traps and dirty tracking behave identically;
 //   - calls and returns are not compiled: the kernel flushes state and
 //     reports kernOut, and the VM executes the frame operation through
-//     the observer tier.
+//     the observer tier;
+//   - after each Out the kernel compares the output's length with the
+//     machine's output check length and, once it is reached, flushes
+//     exact counters, leaves fr.pc past the Out and reports kernEvent, so
+//     the VM records or checks the output event at the same outputs as
+//     the interpreter.
 package main
 
 import (
@@ -656,6 +661,15 @@ func (g *gen) genInstr(pc int, in *ir.Instr, trapAcct string) {
 	case ir.OpOut:
 		g.p("if !m.outAppend(%s, %d) {", g.masked(in.A, w), w.Bytes())
 		exit("m.stop = StopOutputLimit")
+		g.p("}")
+		// An output that reaches the check length ends the stretch past
+		// the Out, which writes no register, so its counters are the
+		// trap accounting's.
+		g.p("if len(m.out) >= m.outCheck {")
+		g.b.WriteString(trapAcct)
+		g.p(flush)
+		g.p("fr.pc = %d", pc+1)
+		g.p("return kernEvent")
 		g.p("}")
 	default:
 		// Control flow (br/condbr/call/ret/abort) is handled by the block

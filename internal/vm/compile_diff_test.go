@@ -140,6 +140,20 @@ func TestCompiledDifferential(t *testing.T) {
 			if fast.Trace == nil || slow.Trace == nil {
 				t.Fatal("checkpointing run recorded no trace")
 			}
+			// The golden run's event snapshots: the kernels, sprint and step
+			// (a role-counting run steps every instruction) stop at the same
+			// returns to main and outputs, in the same state.
+			stepped, err := Run(p, Options{Checkpoint: ck.Checkpoint, MaxSnapshots: ck.MaxSnapshots, CountRoles: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range []*GoldenTrace{slow.Trace, stepped.Trace} {
+				sameEvents(t, "return", fast.Trace.rets, tr.rets)
+				sameEvents(t, "output", fast.Trace.outs, tr.outs)
+			}
+			if len(fast.Trace.outs.snaps) == 0 {
+				t.Fatal("the golden run kept no output snapshot")
+			}
 
 			// Cross-tier resume: a snapshot taken by one tier replays
 			// identically under the other.
@@ -271,5 +285,20 @@ func TestCompiledDifferential(t *testing.T) {
 				sameResult(t, "memflip compiled vs interpreted", ma, mb)
 			}
 		})
+	}
+}
+
+// sameEvents fails unless two golden runs kept the same event snapshots,
+// at the same stride, holding the same state.
+func sameEvents(t *testing.T, kind string, a, b events) {
+	t.Helper()
+	if len(a.snaps) != len(b.snaps) || a.stride != b.stride {
+		t.Fatalf("%s snapshots diverge: %d at stride %d vs %d at stride %d",
+			kind, len(a.snaps), a.stride, len(b.snaps), b.stride)
+	}
+	for i := range a.snaps {
+		if diff := snapshotDiff(a.snaps[i], b.snaps[i]); diff != "" {
+			t.Fatalf("%s snapshot %d diverges between tiers: %s", kind, i, diff)
+		}
 	}
 }

@@ -2,9 +2,11 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"multiflip/internal/ir"
@@ -105,8 +107,10 @@ func TestConvergeComparator(t *testing.T) {
 		t.Fatal("no golden snapshot with stack bytes above sp")
 	}
 	replay := func() *machine {
+		// The replay runs to s's instant unchecked, like a run whose
+		// convergence checks are not scheduled: no output is an event.
 		m := &machine{prog: p, maxDyn: DefaultMaxDyn, maxOut: DefaultMaxOutput, maxDepth: DefaultMaxDepth,
-			trace: golden.Trace}
+			trace: golden.Trace, outCheck: noOutCheck}
 		if err := m.restore(r); err != nil {
 			t.Fatal(err)
 		}
@@ -525,21 +529,26 @@ func retConvergeProgram() *ir.Program {
 	return mb.MustBuild()
 }
 
-// retCase is one inject-on-read experiment on retConvergeProgram: its
-// options, the result with convergence on and that of its
-// convergence-off twin.
-type retCase struct {
+// convCase is one inject-on-read experiment: its options, the result with
+// convergence on and that of its convergence-off twin.
+type convCase struct {
 	opts      func() Options
 	got, twin *Result
 }
 
-// retConvergeCases runs every inject-on-read candidate of golden's
-// program, flipping bit 3, with convergence against trace on and off;
-// resume, when set, picks each run's resume snapshot. Every converged
-// run must equal its twin in everything but Converged.
-func retConvergeCases(t *testing.T, p *ir.Program, golden *Result, trace *GoldenTrace, maxDyn uint64, resume func(cand uint64) *Snapshot) []retCase {
+// lengthened reports whether the case's twin ran longer than the golden
+// run and still returned with the golden output.
+func (c *convCase) lengthened(golden *Result) bool {
+	return c.twin.Stop == StopReturned && c.twin.Dyn > golden.Dyn && bytes.Equal(c.twin.Output, golden.Output)
+}
+
+// convergeCases runs every inject-on-read candidate of golden's program,
+// flipping bit 3, with convergence against trace on and off; resume,
+// when set, picks each run's resume snapshot. Every run must equal its
+// twin in everything but Converged.
+func convergeCases(t *testing.T, p *ir.Program, golden *Result, trace *GoldenTrace, maxDyn uint64, resume func(cand uint64) *Snapshot) []convCase {
 	t.Helper()
-	var cases []retCase
+	var cases []convCase
 	for cand := uint64(0); cand < golden.ReadSlots; cand++ {
 		opts := func() Options {
 			o := Options{
@@ -564,15 +573,16 @@ func retConvergeCases(t *testing.T, p *ir.Program, golden *Result, trace *Golden
 			t.Fatal(err)
 		}
 		sameResult(t, fmt.Sprintf("cand %d", cand), got, twin)
-		cases = append(cases, retCase{opts, got, twin})
+		cases = append(cases, convCase{opts, got, twin})
 	}
 	return cases
 }
 
 // noGridGolden profiles p with a checkpoint interval longer than the run:
-// its trace has return snapshots and no grid, so a run converges only at
-// a return to main.
-func noGridGolden(t *testing.T, p *ir.Program) *Result {
+// its trace has no grid, so a run converges only at a return to main or
+// right after an output. It checks that the trace keeps rets return and
+// outs output snapshots.
+func noGridGolden(t *testing.T, p *ir.Program, rets, outs int) *Result {
 	t.Helper()
 	prof, err := Run(p, Options{})
 	if err != nil {
@@ -582,9 +592,8 @@ func noGridGolden(t *testing.T, p *ir.Program) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(golden.Snapshots) != 0 || len(golden.Trace.rets) != 4 {
-		t.Fatalf("golden run kept %d grid and %d return snapshots, want 0 and 4",
-			len(golden.Snapshots), len(golden.Trace.rets))
+	if g, r, o := len(golden.Snapshots), len(golden.Trace.rets.snaps), len(golden.Trace.outs.snaps); g != 0 || r != rets || o != outs {
+		t.Fatalf("golden run kept %d grid, %d return and %d output snapshots, want 0, %d and %d", g, r, o, rets, outs)
 	}
 	return golden
 }
@@ -599,10 +608,10 @@ func TestReturnConvergeLongerCallee(t *testing.T) {
 		t.Skip("MULTIFLIP_DISABLE includes converge")
 	}
 	p := retConvergeProgram()
-	golden := noGridGolden(t, p)
+	golden := noGridGolden(t, p, 4, 4)
 	longer := 0
-	for _, c := range retConvergeCases(t, p, golden, golden.Trace, 10*golden.Dyn, nil) {
-		if c.twin.Stop != StopReturned || c.twin.Dyn <= golden.Dyn || !bytes.Equal(c.twin.Output, golden.Output) {
+	for _, c := range convergeCases(t, p, golden, golden.Trace, 10*golden.Dyn, nil) {
+		if !c.lengthened(golden) {
 			continue
 		}
 		if !c.got.Converged {
@@ -623,9 +632,9 @@ func TestReturnConvergeWrongOutput(t *testing.T) {
 		t.Skip("MULTIFLIP_DISABLE includes converge")
 	}
 	p := retConvergeProgram()
-	golden := noGridGolden(t, p)
+	golden := noGridGolden(t, p, 4, 4)
 	sdc := 0
-	for _, c := range retConvergeCases(t, p, golden, golden.Trace, 10*golden.Dyn, nil) {
+	for _, c := range convergeCases(t, p, golden, golden.Trace, 10*golden.Dyn, nil) {
 		if c.got.Converged && !bytes.Equal(c.got.Output, golden.Output) {
 			if len(c.got.Output) != len(golden.Output) || c.got.Stop != StopReturned {
 				t.Errorf("converged SDC: stop %s with %d output bytes, want returned with %d",
@@ -645,10 +654,10 @@ func TestReturnConvergeWrongOutput(t *testing.T) {
 // at the budget returns, like its twin, and converges.
 func TestReturnConvergeHangBudget(t *testing.T) {
 	p := retConvergeProgram()
-	golden := noGridGolden(t, p)
-	var long *retCase
-	for _, c := range retConvergeCases(t, p, golden, golden.Trace, 10*golden.Dyn, nil) {
-		if c.twin.Stop == StopReturned && c.twin.Dyn > golden.Dyn && bytes.Equal(c.twin.Output, golden.Output) {
+	golden := noGridGolden(t, p, 4, 4)
+	var long *convCase
+	for _, c := range convergeCases(t, p, golden, golden.Trace, 10*golden.Dyn, nil) {
+		if c.lengthened(golden) {
 			long = &c
 			break
 		}
@@ -656,7 +665,16 @@ func TestReturnConvergeHangBudget(t *testing.T) {
 	if long == nil {
 		t.Fatal("no flip lengthened the callee without changing the output")
 	}
-	// Both budgets fit the golden run, so the trace stays compatible.
+	checkHangBudget(t, p, long)
+}
+
+// checkHangBudget runs a lengthened case under a hang budget one
+// instruction short of its twin's length, where the golden suffix shifted
+// to where the case converges would end past the budget, and under a
+// budget of exactly that length. Both budgets fit the golden run, so the
+// trace stays compatible.
+func checkHangBudget(t *testing.T, p *ir.Program, long *convCase) {
+	t.Helper()
 	for _, c := range []struct {
 		maxDyn    uint64
 		converged bool
@@ -702,12 +720,12 @@ func TestReturnConvergeResumed(t *testing.T) {
 	}
 	maxDyn := 10 * golden.Dyn
 	resume := func(cand uint64) *Snapshot { return snapshotBefore(golden.Snapshots, false, cand) }
-	cold := retConvergeCases(t, p, golden, golden.Trace, maxDyn, nil)
-	warm := retConvergeCases(t, p, golden, golden.Trace, maxDyn, resume)
+	cold := convergeCases(t, p, golden, golden.Trace, maxDyn, nil)
+	warm := convergeCases(t, p, golden, golden.Trace, maxDyn, resume)
 	pastReturn := 0
 	for i, c := range cold {
 		w := warm[i]
-		if c.twin.Stop != StopReturned || c.twin.Dyn <= golden.Dyn || !bytes.Equal(c.twin.Output, golden.Output) {
+		if !c.lengthened(golden) {
 			continue
 		}
 		if !c.got.Converged {
@@ -745,19 +763,298 @@ func TestReturnSnapshotsThinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	thin := capped.Trace
-	if full.retStride != 1 || len(full.rets) != 80 {
-		t.Fatalf("uncapped golden run kept %d return snapshots at stride %d, want 80 at 1", len(full.rets), full.retStride)
+	if full.rets.stride != 1 || len(full.rets.snaps) != 80 {
+		t.Fatalf("uncapped golden run kept %d return snapshots at stride %d, want 80 at 1", len(full.rets.snaps), full.rets.stride)
 	}
-	if len(thin.rets) >= 8 || thin.retStride < 2 || len(thin.rets) == 0 {
-		t.Fatalf("capped golden run kept %d return snapshots at stride %d", len(thin.rets), thin.retStride)
+	if len(thin.rets.snaps) >= 8 || thin.rets.stride < 2 || len(thin.rets.snaps) == 0 {
+		t.Fatalf("capped golden run kept %d return snapshots at stride %d", len(thin.rets.snaps), thin.rets.stride)
 	}
-	for i, s := range thin.rets {
-		k := uint64(i+1) * thin.retStride
-		if s.rets != k || thin.retSnap(k) != s {
+	for i, s := range thin.rets.snaps {
+		k := uint64(i+1) * thin.rets.stride
+		if s.rets != k || thin.rets.at(k) != s {
 			t.Fatalf("return snapshot %d follows return %d, want %d", i, s.rets, k)
 		}
-		if diff := snapshotDiff(s, full.rets[k-1]); diff != "" {
+		if diff := snapshotDiff(s, full.rets.snaps[k-1]); diff != "" {
 			t.Fatalf("return snapshot after return %d differs from the uncapped run's in its %s", k, diff)
 		}
+	}
+}
+
+// TestOutputSnapshotsThinned: the golden run's output snapshots share the
+// return snapshots' capped, thinned list. basicmath prints over a hundred
+// times; under a grid cap of 8 the kept output snapshots follow every
+// stride-th output and hold the state a golden run under the campaign cap
+// recorded after the same output. A thinning folds the dropped snapshots'
+// deltas into their successors, so no kept snapshot of any list patches a
+// dropped one.
+func TestOutputSnapshotsThinned(t *testing.T) {
+	bench, err := prog.ByName("basicmath")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := bench.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := goldenWithTrace(t, p).Trace
+	capped, err := Run(p, Options{Checkpoint: 64, MaxSnapshots: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	thin := capped.Trace
+	if len(thin.outs.snaps) >= 8 || thin.outs.stride <= full.outs.stride {
+		t.Fatalf("capped golden run kept %d output snapshots at stride %d, the campaign cap %d at stride %d",
+			len(thin.outs.snaps), thin.outs.stride, len(full.outs.snaps), full.outs.stride)
+	}
+	compared := 0
+	for i, s := range thin.outs.snaps {
+		k := uint64(i+1) * thin.outs.stride
+		ref := full.outs.at(k)
+		if ref == nil {
+			continue
+		}
+		if diff := snapshotDiff(s, ref); diff != "" {
+			t.Fatalf("output snapshot after output %d differs from the campaign cap's in its %s", k, diff)
+		}
+		compared++
+	}
+	if compared == 0 {
+		t.Fatal("no output snapshot kept under both caps")
+	}
+	for _, ss := range [][]*Snapshot{thin.snaps, thin.rets.snaps, thin.outs.snaps} {
+		for _, s := range ss {
+			for b := s.base; b != nil; b = b.base {
+				if b.dropped {
+					t.Fatalf("the snapshot at dyn %d patches the dropped snapshot at dyn %d", s.Dyn, b.Dyn)
+				}
+			}
+		}
+	}
+}
+
+// outIters is the number of iterations of outConvergeProgram's loop.
+const outIters = 14
+
+// outConvergeProgram returns a program whose main calls nothing and
+// prints inside a loop: iteration i loads a value v, spins an inner loop
+// as many times as v's low four bits say (1 to 15 times), stores i to
+// scratch word i%6, and prints 3v+i as four bytes; one byte follows the
+// loop. The scratch words are never read and nothing the spin loop
+// computes is printed, so a flip in the spin loop changes how long an
+// iteration runs, not what it prints, and the next iteration, whose spin
+// loop runs too, overwrites every register it left different.
+func outConvergeProgram() *ir.Program {
+	mb := ir.NewModule("out-converge")
+	vals := make([]uint64, outIters+6) // the values, then the scratch words
+	for i := range outIters {
+		vals[i] = uint64(16*i + 1 + 7*i%15)
+	}
+	g := mb.GlobalU64s(vals)
+	f := mb.Func("main", 0)
+	f.For(ir.C(0), ir.C(outIters), func(i ir.Reg) {
+		v := f.Load64(f.Idx(ir.C(g), i, 8), 0)
+		f.For(ir.C(0), f.And(v, ir.C(15)), func(ir.Reg) {})
+		f.Store64(f.Idx(ir.C(g), f.Urem(i, ir.C(6)), 8), i, 8*outIters)
+		f.Out32(f.Add(f.Mul(v, ir.C(3)), i))
+	})
+	f.Out8(ir.C(0x2a))
+	f.RetVoid()
+	return mb.MustBuild()
+}
+
+// beforeLastIteration reports whether the case's first flip landed before
+// outConvergeProgram's last iteration, so a later iteration overwrites the
+// registers it corrupted.
+func (c *convCase) beforeLastIteration(golden *Result) bool {
+	return c.twin.InjectionDyns[0] < golden.Trace.outs.snaps[outIters-2].Dyn
+}
+
+// TestOutputConvergeLongerIteration: a flip that makes an iteration run
+// longer, without changing what it prints, converges right after a later
+// output, although the run never meets the golden state at an equal
+// instant and main never returns to itself. Its counters and output are
+// its twin's. A flip in the last iteration leaves its registers
+// different to the end, so it cannot converge.
+func TestOutputConvergeLongerIteration(t *testing.T) {
+	if EnvDisabled().Has(TierConverge) {
+		t.Skip("MULTIFLIP_DISABLE includes converge")
+	}
+	p := outConvergeProgram()
+	golden := noGridGolden(t, p, 0, outIters+1)
+	longer := 0
+	for _, c := range convergeCases(t, p, golden, golden.Trace, 10*golden.Dyn, nil) {
+		if !c.lengthened(golden) || !c.beforeLastIteration(golden) {
+			continue
+		}
+		if !c.got.Converged {
+			t.Errorf("a run %d instructions longer with the golden output did not converge", c.twin.Dyn-golden.Dyn)
+		}
+		longer++
+	}
+	if longer == 0 {
+		t.Fatal("no flip lengthened an iteration without changing the output")
+	}
+}
+
+// TestOutputConvergeWrongOutput: a flip of a value main prints converges
+// right after a later output with the wrong bytes in its output, so the
+// exact classifier still reports the SDC its twin shows.
+func TestOutputConvergeWrongOutput(t *testing.T) {
+	if EnvDisabled().Has(TierConverge) {
+		t.Skip("MULTIFLIP_DISABLE includes converge")
+	}
+	p := outConvergeProgram()
+	golden := noGridGolden(t, p, 0, outIters+1)
+	sdc := 0
+	for _, c := range convergeCases(t, p, golden, golden.Trace, 10*golden.Dyn, nil) {
+		if c.got.Converged && !bytes.Equal(c.got.Output, golden.Output) {
+			if len(c.got.Output) != len(golden.Output) || c.got.Stop != StopReturned {
+				t.Errorf("converged SDC: stop %s with %d output bytes, want returned with %d",
+					c.got.Stop, len(c.got.Output), len(golden.Output))
+			}
+			sdc++
+		}
+	}
+	if sdc == 0 {
+		t.Fatal("no run that printed a wrong value converged")
+	}
+}
+
+// TestOutputConvergeHangBudget: a run that converges right after an
+// output does not when the golden suffix, shifted to that instant, would
+// end past the hang budget; it hangs exactly like its twin. One whose
+// budget is its twin's length converges.
+func TestOutputConvergeHangBudget(t *testing.T) {
+	p := outConvergeProgram()
+	golden := noGridGolden(t, p, 0, outIters+1)
+	var long *convCase
+	for _, c := range convergeCases(t, p, golden, golden.Trace, 10*golden.Dyn, nil) {
+		if c.lengthened(golden) {
+			long = &c
+			break
+		}
+	}
+	if long == nil {
+		t.Fatal("no flip lengthened an iteration without changing the output")
+	}
+	checkHangBudget(t, p, long)
+}
+
+// TestOutputConvergeResumed: a run resumed from a grid snapshot starts
+// its output checks from the snapshot's place in the trace, so it
+// converges right after the same output as its cold twin, with the same
+// result. The runs checked lengthen an iteration, so the grid cannot end
+// them early, and some resume past an output.
+func TestOutputConvergeResumed(t *testing.T) {
+	if EnvDisabled().Has(TierConverge) {
+		t.Skip("MULTIFLIP_DISABLE includes converge")
+	}
+	p := outConvergeProgram()
+	golden, err := Run(p, Options{Checkpoint: 16, MaxSnapshots: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxDyn := 10 * golden.Dyn
+	resume := func(cand uint64) *Snapshot { return snapshotBefore(golden.Snapshots, false, cand) }
+	cold := convergeCases(t, p, golden, golden.Trace, maxDyn, nil)
+	warm := convergeCases(t, p, golden, golden.Trace, maxDyn, resume)
+	pastOutput := 0
+	for i, c := range cold {
+		w := warm[i]
+		if !c.lengthened(golden) || !c.beforeLastIteration(golden) {
+			continue
+		}
+		if !c.got.Converged {
+			t.Fatalf("cand %d: the cold run lengthened by %d instructions did not converge", i, c.twin.Dyn-golden.Dyn)
+		}
+		sameResult(t, fmt.Sprintf("cand %d resumed", i), w.got, c.got)
+		if !w.got.Converged {
+			t.Fatalf("cand %d: the resumed run did not converge where its cold twin did", i)
+		}
+		if s := w.opts().Resume; s != nil && len(s.out) > 0 {
+			pastOutput++
+		}
+	}
+	if pastOutput == 0 {
+		t.Fatal("no converging run resumed past an output")
+	}
+}
+
+// TestOutputConvergeBackOff: a run whose state differs from the golden
+// run's at several output checks in a row is still caught once it
+// reconverges, although its checks back off. A memory flip right after
+// the first output corrupts scratch word 5, which the loop first stores
+// to in its sixth iteration: the checks after outputs 1, 2 and 4 fail,
+// and the next one, after output 8, matches.
+func TestOutputConvergeBackOff(t *testing.T) {
+	if EnvDisabled().Has(TierConverge) {
+		t.Skip("MULTIFLIP_DISABLE includes converge")
+	}
+	p := outConvergeProgram()
+	golden := noGridGolden(t, p, 0, outIters+1)
+	outs := golden.Trace.outs.snaps
+	const scratch = 8 * (outIters + 5)
+	word := func(s *Snapshot) uint64 {
+		tbl, _ := s.tables()
+		return binary.LittleEndian.Uint64(pageAt(tbl, pageOf(scratch))[scratch%pageSize:])
+	}
+	// Scratch word 5 keeps its initial value through output 4 and holds 5
+	// from output 5 on.
+	for k, s := range outs[:9] {
+		if want := uint64(5 * boolBit(k >= 5)); word(s) != want {
+			t.Fatalf("after output %d the scratch word is %d, want %d", k, word(s), want)
+		}
+	}
+	opts := Options{
+		MaxDyn:   10 * golden.Dyn,
+		MemFlips: []MemFlip{{AtDyn: outs[0].Dyn, Word: scratch, Mask: 1 << 40}},
+		Trace:    golden.Trace,
+	}
+	got, err := Run(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Disable = TierConverge
+	twin, err := Run(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "scratch-word flip", got, twin)
+	if !got.Converged {
+		t.Fatal("a run that reconverged after three failed output checks did not converge")
+	}
+}
+
+// TestCheckCursorHints: every grid snapshot of a golden run records its
+// place in the trace, where a run resumed from it starts its grid and
+// output check cursors; a snapshot of another run, even one holding the
+// same state, starts them at the trace's beginning. Where the cursors
+// start changes no result, only how far scheduleConv scans.
+func TestCheckCursorHints(t *testing.T) {
+	p := outConvergeProgram()
+	golden, err := Run(p, Options{Checkpoint: 16, MaxSnapshots: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := Run(p, Options{Checkpoint: 16, MaxSnapshots: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := golden.Trace.outs.snaps
+	for i, s := range golden.Snapshots {
+		m := &machine{trace: golden.Trace}
+		m.startCursors(s)
+		wantOut := sort.Search(len(outs), func(j int) bool { return len(outs[j].out) > len(s.out) })
+		if m.convIdx != i || m.outIdx != wantOut {
+			t.Fatalf("grid snapshot %d starts the cursors at %d and %d, want %d and %d", i, m.convIdx, m.outIdx, i, wantOut)
+		}
+		m = &machine{trace: golden.Trace}
+		m.startCursors(other.Snapshots[i])
+		if m.convIdx != 0 || m.outIdx != 0 {
+			t.Fatalf("another run's snapshot %d starts the cursors at %d and %d, want 0 and 0", i, m.convIdx, m.outIdx)
+		}
+	}
+	if len(outs) == 0 || golden.Snapshots[len(golden.Snapshots)-1].outIdx == 0 {
+		t.Fatal("no grid snapshot follows an output snapshot")
 	}
 }

@@ -35,6 +35,10 @@ const (
 	statNext stat = iota
 	// statJump: pc is already set (branches).
 	statJump
+	// statOutput: an output instruction brought the output to the check
+	// length (machine.outCheck); the loop advances pc and runs the output
+	// event (machine.outEvent).
+	statOutput
 	// statFrame: a frame was pushed (call); reload the frame pointer.
 	statFrame
 	// statRet: a frame was popped without writing a caller result.
@@ -466,6 +470,9 @@ func hOut(m *machine, fr *frame, in *ir.Instr) stat {
 	if !m.outAppend(val(fr.regs, in.A)&in.W.Mask(), in.W.Bytes()) {
 		m.stop = StopOutputLimit
 		return statHalt
+	}
+	if len(m.out) >= m.outCheck {
+		return statOutput
 	}
 	return statNext
 }

@@ -113,7 +113,8 @@ func emitOps(z *fuzzSrc, f *ir.FuncBuilder, pool []ir.Reg, gbase uint64, gwords,
 
 // genFuzzProg decodes the fuzz input into a valid program: a global
 // segment seeded from the input, a helper function, and a byte-driven
-// main that may call it.
+// main that may call it and ends in a loop that prints every iteration,
+// so every program has output events for convergence to check.
 func genFuzzProg(data []byte) *ir.Program {
 	z := &fuzzSrc{data: data}
 	gwords := 4 + z.n(29)
@@ -143,6 +144,11 @@ func genFuzzProg(data []byte) *ir.Program {
 			pool = emitOps(z, main, pool, gbase, gwords, 1, 2)
 		}
 	}
+	main.For(ir.C(0), ir.C(uint64(1+z.n(8))), func(i ir.Reg) {
+		loopPool := emitOps(z, main, append(append([]ir.Reg(nil), pool...), i), gbase, gwords, 1+z.n(3), 1)
+		w := []ir.Width{ir.W8, ir.W16, ir.W32, ir.W64}[z.n(4)]
+		main.OutW(w, loopPool[z.n(len(loopPool))])
+	})
 	main.Out64(pool[len(pool)-1])
 	main.RetVoid()
 
@@ -152,6 +158,37 @@ func genFuzzProg(data []byte) *ir.Program {
 		panic(err)
 	}
 	return p
+}
+
+// fuzzSeeds is FuzzVM's seed corpus.
+func fuzzSeeds() [][]byte {
+	seed := make([]byte, 96)
+	for i := range seed {
+		seed[i] = byte(i*37 + 11)
+	}
+	return [][]byte{
+		{},
+		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
+		[]byte("the quick brown fox jumps over the lazy dog and keeps going for a while"),
+		seed,
+	}
+}
+
+// TestFuzzProgramsPrintInLoops checks that FuzzVM reaches output events:
+// every seed decodes to a program that prints more than once, so its
+// golden run keeps several output snapshots and injected runs check
+// themselves right after outputs.
+func TestFuzzProgramsPrintInLoops(t *testing.T) {
+	for i, data := range fuzzSeeds() {
+		p := genFuzzProg(data)
+		golden, err := Run(p, Options{Checkpoint: 64, MaxDyn: 1 << 20, MaxOutput: 1 << 14, MaxDepth: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(golden.Trace.outs.snaps); golden.Stop == StopReturned && n < 2 {
+			t.Errorf("seed %d: the golden run kept %d output snapshots, want at least 2", i, n)
+		}
+	}
 }
 
 // FuzzVM generates random programs, injection plans and resume points and
@@ -165,14 +202,9 @@ func genFuzzProg(data []byte) *ir.Program {
 // instruction), so the injection horizon is checked against execution
 // that has none.
 func FuzzVM(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
-	f.Add([]byte("the quick brown fox jumps over the lazy dog and keeps going for a while"))
-	seed := make([]byte, 96)
-	for i := range seed {
-		seed[i] = byte(i*37 + 11)
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
 	}
-	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := genFuzzProg(data)
@@ -311,6 +343,9 @@ func FuzzVM(f *testing.F) {
 		trace := ckpt.Trace
 		if trace == nil {
 			t.Fatal("checkpointing run from instruction 0 recorded no trace")
+		}
+		if ckpt.Stop == StopReturned && len(trace.outs.snaps) == 0 {
+			t.Fatal("a golden run that printed kept no output snapshot")
 		}
 
 		*z = zz

@@ -34,7 +34,12 @@ package vm
 // (kernOut): frame manipulation is rare, cold, and shared with the
 // observer tier, whose injection checks cannot fire there because the
 // call or return lies before the injection horizon, and which records
-// and checks returns to main (trace.go) as sprint does.
+// and checks returns to main (trace.go) as sprint does. After each Out a
+// kernel compares the output's length with the output check length
+// (machine.outCheck), as hOut does for step and sprint, and when it is
+// reached exits past the Out (kernEvent), so the golden run records and
+// an injected run checks its output snapshots (trace.go) at the same
+// outputs in every tier.
 
 import "multiflip/internal/ir"
 
@@ -52,6 +57,11 @@ const (
 	// executes that one instruction through the observer tier's step and
 	// re-enters the outer loop.
 	kernOut
+	// kernEvent: an Out brought the output to the check length
+	// (len(m.out) >= m.outCheck); fr.pc is past it and the counters are
+	// flushed, and the driver runs the output event (machine.outEvent)
+	// before re-entering the outer loop.
+	kernEvent
 	// kernHalt: the run is over; m.stop (and m.trap) are set and the
 	// counters are flushed.
 	kernHalt

@@ -568,6 +568,13 @@ B22:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 23
+			return kernEvent
+		}
 		regs[17] = (regs[10] + uint64(0x1)) & 0xffffffff
 		regs[10] = regs[17]
 		dyn += 4
@@ -588,6 +595,11 @@ S22:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 23
+			return kernEvent
 		}
 	}
 S23:
@@ -846,6 +858,13 @@ B40:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 41
+			return kernEvent
+		}
 		dyn += 1
 		readSlots += 1
 		m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
@@ -868,6 +887,11 @@ S40:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 41
+			return kernEvent
 		}
 	}
 S41:
@@ -1352,6 +1376,13 @@ B24:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 25
+			return kernEvent
+		}
 		regs[23] = math.Float64bits(math.Float64frombits(regs[0]) + math.Float64frombits(regs[4]))
 		regs[24] = math.Float64bits(math.Float64frombits(regs[23]) * math.Float64frombits(regs[4]))
 		regs[25] = math.Float64bits(math.Float64frombits(regs[1]) + math.Float64frombits(regs[24]))
@@ -1381,6 +1412,11 @@ S24:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 25
+			return kernEvent
 		}
 	}
 S25:
@@ -1510,6 +1546,14 @@ B34:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 5
+			readSlots += 6
+			writes += 4
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 39
+			return kernEvent
+		}
 		regs[35] = math.Float64bits(-math.Float64frombits(regs[23]))
 		regs[36] = math.Float64bits(math.Float64frombits(regs[35]) - math.Float64frombits(regs[31]))
 		regs[37] = math.Float64bits(math.Float64frombits(regs[36]) / math.Float64frombits(uint64(0x4000000000000000)))
@@ -1520,6 +1564,14 @@ B34:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 9
+			readSlots += 11
+			writes += 7
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 43
+			return kernEvent
 		}
 		dyn += 10
 		readSlots += 11
@@ -1588,6 +1640,11 @@ S38:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 39
+			return kernEvent
+		}
 	}
 S39:
 	{
@@ -1639,6 +1696,11 @@ S42:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 43
+			return kernEvent
+		}
 	}
 S43:
 	{
@@ -1665,6 +1727,14 @@ B44:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 3
+			readSlots += 3
+			writes += 2
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 47
+			return kernEvent
+		}
 		regs[40] = math.Float64bits(-math.Float64frombits(regs[28]))
 		regs[41] = math.Float64bits(math.Sqrt(math.Float64frombits(regs[40])))
 		regs[42] = math.Float64bits(math.Float64frombits(regs[41]) / math.Float64frombits(uint64(0x4000000000000000)))
@@ -1675,6 +1745,14 @@ B44:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 7
+			readSlots += 7
+			writes += 5
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 51
+			return kernEvent
 		}
 		dyn += 7
 		readSlots += 7
@@ -1718,6 +1796,11 @@ S46:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 47
+			return kernEvent
 		}
 	}
 S47:
@@ -1769,6 +1852,11 @@ S50:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 51
+			return kernEvent
 		}
 		goto B51
 	}

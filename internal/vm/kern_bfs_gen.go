@@ -1324,6 +1324,14 @@ B62:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 4
+			readSlots += 4
+			writes += 3
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 66
+			return kernEvent
+		}
 		regs[48] = (regs[42] + uint64(0x1)) & 0xffffffff
 		regs[42] = regs[48]
 		dyn += 7
@@ -1389,6 +1397,11 @@ S65:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 66
+			return kernEvent
 		}
 	}
 S66:

@@ -827,6 +827,14 @@ B42:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 2
+			readSlots += 2
+			writes += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 44
+			return kernEvent
+		}
 		dyn += 2
 		readSlots += 2
 		writes += 1
@@ -862,6 +870,11 @@ S43:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 44
+			return kernEvent
 		}
 	}
 S44:

@@ -70,6 +70,13 @@ B1:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 2
+			return kernEvent
+		}
 		dyn += 1
 		readSlots += 1
 		m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
@@ -93,6 +100,11 @@ S1:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 2
+			return kernEvent
+		}
 	}
 S2:
 	{
@@ -114,6 +126,13 @@ B3:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 4
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -138,6 +157,11 @@ S3:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 4
+			return kernEvent
+		}
 	}
 S4:
 	{
@@ -159,6 +183,13 @@ B5:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 6
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -183,6 +214,11 @@ S5:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 6
+			return kernEvent
+		}
 	}
 S6:
 	{
@@ -204,6 +240,13 @@ B7:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 8
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -228,6 +271,11 @@ S7:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 8
+			return kernEvent
+		}
 	}
 S8:
 	{
@@ -249,6 +297,13 @@ B9:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 10
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -273,6 +328,11 @@ S9:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 10
+			return kernEvent
+		}
 	}
 S10:
 	{
@@ -294,6 +354,13 @@ B11:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 12
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -317,6 +384,11 @@ S11:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 12
+			return kernEvent
 		}
 	}
 S12:

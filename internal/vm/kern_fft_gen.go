@@ -2399,6 +2399,14 @@ B120:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 4
+			readSlots += 4
+			writes += 3
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 124
+			return kernEvent
+		}
 		regs[91] = regs[85] * uint64(0x8)
 		regs[92] = uint64(0x10000100) + regs[91]
 		v126, ok126 := m.flatLoad64(regs[92])
@@ -2421,6 +2429,14 @@ B120:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 8
+			readSlots += 8
+			writes += 6
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 128
+			return kernEvent
 		}
 		regs[94] = (regs[85] + uint64(0x1)) & 0xffffffff
 		regs[85] = regs[94]
@@ -2488,6 +2504,11 @@ S123:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 124
+			return kernEvent
+		}
 	}
 S124:
 	{
@@ -2547,6 +2568,11 @@ S127:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 128
+			return kernEvent
 		}
 	}
 S128:

@@ -623,6 +623,14 @@ B26:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 4
+			readSlots += 4
+			writes += 3
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 30
+			return kernEvent
+		}
 		regs[24] = (regs[18] + uint64(0x1)) & 0xffffffff
 		regs[18] = regs[24]
 		dyn += 7
@@ -688,6 +696,11 @@ S29:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 30
+			return kernEvent
 		}
 	}
 S30:

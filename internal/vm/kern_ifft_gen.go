@@ -2404,6 +2404,14 @@ B120:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 5
+			readSlots += 5
+			writes += 4
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 125
+			return kernEvent
+		}
 		regs[92] = regs[85] * uint64(0x8)
 		regs[93] = uint64(0x10000100) + regs[92]
 		v127, ok127 := m.flatLoad64(regs[93])
@@ -2427,6 +2435,14 @@ B120:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 10
+			readSlots += 10
+			writes += 8
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 130
+			return kernEvent
 		}
 		regs[96] = (regs[85] + uint64(0x1)) & 0xffffffff
 		regs[85] = regs[96]
@@ -2506,6 +2522,11 @@ S124:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 125
+			return kernEvent
+		}
 	}
 S125:
 	{
@@ -2577,6 +2598,11 @@ S129:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 130
+			return kernEvent
 		}
 	}
 S130:

@@ -855,6 +855,13 @@ B41:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 42
+			return kernEvent
+		}
 		dyn += 1
 		readSlots += 1
 		m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
@@ -877,6 +884,11 @@ S41:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 42
+			return kernEvent
 		}
 	}
 S42:

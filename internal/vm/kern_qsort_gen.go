@@ -161,6 +161,14 @@ B5:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 4
+			readSlots += 4
+			writes += 3
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 9
+			return kernEvent
+		}
 		regs[6] = (regs[0] + uint64(0x1)) & 0xffffffff
 		regs[0] = regs[6]
 		dyn += 7
@@ -226,6 +234,11 @@ S8:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 9
+			return kernEvent
 		}
 	}
 S9:

@@ -1522,12 +1522,26 @@ B81:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 82
+			return kernEvent
+		}
 		if !m.outAppend((regs[9] & 0xffffffff), 4) {
 			dyn += 2
 			readSlots += 2
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 2
+			readSlots += 2
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 83
+			return kernEvent
 		}
 		regs[62] = (regs[3] + uint64(0x1)) & 0xffffffff
 		regs[3] = regs[62]
@@ -1550,6 +1564,11 @@ S81:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 82
+			return kernEvent
+		}
 	}
 S82:
 	{
@@ -1564,6 +1583,11 @@ S82:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 83
+			return kernEvent
 		}
 	}
 S83:

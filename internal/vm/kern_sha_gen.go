@@ -3148,12 +3148,26 @@ B166:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 167
+			return kernEvent
+		}
 		if !m.outAppend((regs[10] & 0xffffffff), 4) {
 			dyn += 2
 			readSlots += 2
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 2
+			readSlots += 2
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 168
+			return kernEvent
 		}
 		if !m.outAppend((regs[11] & 0xffffffff), 4) {
 			dyn += 3
@@ -3162,6 +3176,13 @@ B166:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 3
+			readSlots += 3
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 169
+			return kernEvent
+		}
 		if !m.outAppend((regs[12] & 0xffffffff), 4) {
 			dyn += 4
 			readSlots += 4
@@ -3169,12 +3190,26 @@ B166:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 4
+			readSlots += 4
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 170
+			return kernEvent
+		}
 		if !m.outAppend((regs[13] & 0xffffffff), 4) {
 			dyn += 5
 			readSlots += 5
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 5
+			readSlots += 5
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 171
+			return kernEvent
 		}
 		dyn += 5
 		readSlots += 5
@@ -3199,6 +3234,11 @@ S166:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 167
+			return kernEvent
+		}
 	}
 S167:
 	{
@@ -3213,6 +3253,11 @@ S167:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 168
+			return kernEvent
 		}
 	}
 S168:
@@ -3229,6 +3274,11 @@ S168:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 169
+			return kernEvent
+		}
 	}
 S169:
 	{
@@ -3244,6 +3294,11 @@ S169:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 170
+			return kernEvent
+		}
 	}
 S170:
 	{
@@ -3258,6 +3313,11 @@ S170:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 171
+			return kernEvent
 		}
 	}
 S171:

@@ -176,6 +176,14 @@ B6:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 4
+			readSlots += 4
+			writes += 3
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 10
+			return kernEvent
+		}
 		regs[6] = (regs[0] + uint64(0x1)) & 0xffffffff
 		regs[0] = regs[6]
 		dyn += 7
@@ -241,6 +249,11 @@ S9:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 10
+			return kernEvent
 		}
 	}
 S10:

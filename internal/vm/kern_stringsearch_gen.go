@@ -94,6 +94,13 @@ B1:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 2
+			return kernEvent
+		}
 		dyn += 1
 		readSlots += 1
 		m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
@@ -117,6 +124,11 @@ S1:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 2
+			return kernEvent
+		}
 	}
 S2:
 	{
@@ -138,6 +150,13 @@ B3:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 4
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -162,6 +181,11 @@ S3:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 4
+			return kernEvent
+		}
 	}
 S4:
 	{
@@ -183,6 +207,13 @@ B5:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 6
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -207,6 +238,11 @@ S5:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 6
+			return kernEvent
+		}
 	}
 S6:
 	{
@@ -228,6 +264,13 @@ B7:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 8
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -252,6 +295,11 @@ S7:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 8
+			return kernEvent
+		}
 	}
 S8:
 	{
@@ -273,6 +321,13 @@ B9:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 10
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -297,6 +352,11 @@ S9:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 10
+			return kernEvent
+		}
 	}
 S10:
 	{
@@ -318,6 +378,13 @@ B11:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 12
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -342,6 +409,11 @@ S11:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 12
+			return kernEvent
+		}
 	}
 S12:
 	{
@@ -363,6 +435,13 @@ B13:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 14
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -387,6 +466,11 @@ S13:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 14
+			return kernEvent
+		}
 	}
 S14:
 	{
@@ -408,6 +492,13 @@ B15:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 16
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -432,6 +523,11 @@ S15:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 16
+			return kernEvent
+		}
 	}
 S16:
 	{
@@ -453,6 +549,13 @@ B17:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 18
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -477,6 +580,11 @@ S17:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 18
+			return kernEvent
+		}
 	}
 S18:
 	{
@@ -498,6 +606,13 @@ B19:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 20
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -522,6 +637,11 @@ S19:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 20
+			return kernEvent
+		}
 	}
 S20:
 	{
@@ -543,6 +663,13 @@ B21:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 22
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -567,6 +694,11 @@ S21:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 22
+			return kernEvent
+		}
 	}
 S22:
 	{
@@ -588,6 +720,13 @@ B23:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			dyn += 1
+			readSlots += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 24
+			return kernEvent
 		}
 		dyn += 1
 		readSlots += 1
@@ -611,6 +750,11 @@ S23:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 24
+			return kernEvent
 		}
 	}
 S24:

@@ -903,6 +903,14 @@ B44:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 4
+			readSlots += 5
+			writes += 3
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 48
+			return kernEvent
+		}
 		regs[38] = (regs[3] + uint64(0x1)) & 0xffffffff
 		regs[3] = regs[38]
 		dyn += 7
@@ -963,6 +971,11 @@ S47:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 48
+			return kernEvent
 		}
 	}
 S48:

@@ -964,6 +964,14 @@ B48:
 			m.stop = StopOutputLimit
 			return kernHalt
 		}
+		if len(m.out) >= m.outCheck {
+			dyn += 2
+			readSlots += 3
+			writes += 1
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 50
+			return kernEvent
+		}
 		regs[39] = (regs[3] + uint64(0x1)) & 0xffffffff
 		regs[3] = regs[39]
 		dyn += 5
@@ -1002,6 +1010,11 @@ S49:
 			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
 			m.stop = StopOutputLimit
 			return kernHalt
+		}
+		if len(m.out) >= m.outCheck {
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			fr.pc = 50
+			return kernEvent
 		}
 	}
 S50:

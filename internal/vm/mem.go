@@ -210,6 +210,30 @@ type pageDelta struct {
 	pages [][]byte
 }
 
+// mergeDeltas returns the delta that patches what older patched and then
+// what newer patched: every page of newer, and the pages of older that
+// newer leaves alone. The pages are shared, not copied.
+func mergeDeltas(older, newer pageDelta) pageDelta {
+	n := len(older.idx) + len(newer.idx)
+	d := pageDelta{idx: make([]int32, 0, n), pages: make([][]byte, 0, n)}
+	i, j := 0, 0
+	for i < len(older.idx) || j < len(newer.idx) {
+		if j == len(newer.idx) || i < len(older.idx) && older.idx[i] < newer.idx[j] {
+			d.idx = append(d.idx, older.idx[i])
+			d.pages = append(d.pages, older.pages[i])
+			i++
+			continue
+		}
+		if i < len(older.idx) && older.idx[i] == newer.idx[j] {
+			i++
+		}
+		d.idx = append(d.idx, newer.idx[j])
+		d.pages = append(d.pages, newer.pages[j])
+		j++
+	}
+	return d
+}
+
 // captureDelta copies the pages of [0, upTo) dirtied since the previous
 // capture and clears the dirty map. Iteration walks the dirty bitmap
 // wordwise, so the scan is O(pages/64) and the copying O(dirtied pages).

@@ -43,6 +43,14 @@ type Snapshot struct {
 	// resumed from it counts its own from there, so it compares itself
 	// with the golden run's return snapshots of the same number (trace.go).
 	rets uint64
+	// gridIdx and outIdx place a golden grid snapshot in its trace: its
+	// index in the grid, and the index of the first output snapshot whose
+	// output is longer than its own. A run resumed from it starts its
+	// check cursors there (machine.startCursors).
+	gridIdx, outIdx int
+	// dropped marks a snapshot its run's thinning dropped: the run's next
+	// captures and its kept snapshots no longer patch it (skipDropped).
+	dropped bool
 
 	prog *ir.Program
 	// frames' register files are subslices of regSlab, mirroring the
@@ -113,13 +121,16 @@ func (s *Snapshot) tables() (globalTbl, stackTbl [][]byte) {
 	return s.globalTbl, s.stackTbl
 }
 
-// selfContain materializes the snapshot's tables and drops its base
-// reference, so thinned-away predecessors (and their frame slabs) can be
-// collected. Only safe while the owning run still has exclusive access.
-func (s *Snapshot) selfContain() {
-	s.tables()
-	s.base = nil
-	s.imgPages = nil
+// skipDropped folds into s the deltas of the dropped snapshots its base
+// chain starts with, so that s patches the nearest kept capture (or the
+// program image) and the dropped ones can be collected. Only safe while
+// the owning run still has exclusive access.
+func (s *Snapshot) skipDropped() {
+	for b := s.base; b != nil && b.dropped; b = s.base {
+		s.globalDelta = mergeDeltas(b.globalDelta, s.globalDelta)
+		s.stackDelta = mergeDeltas(b.stackDelta, s.stackDelta)
+		s.base, s.imgPages = b.base, b.imgPages
+	}
 }
 
 // DefaultMaxSnapshots bounds the snapshots a checkpointing run keeps when
@@ -134,7 +145,8 @@ const noSnap = ^uint64(0)
 // capture records the current machine state as a snapshot whose deltas
 // patch the previous capture. Called at an instruction boundary, with
 // every counter flushed: at the top of the interpreter loop for the grid,
-// right after a return to main for the golden run's return snapshots.
+// right after a return to main or an output instruction for the golden
+// run's event snapshots.
 func (m *machine) capture() *Snapshot {
 	// Only the pages dirtied since the previous capture are copied;
 	// everything else is represented by the base chain.
@@ -164,6 +176,7 @@ func (m *machine) capture() *Snapshot {
 	if s.base == nil {
 		s.imgPages = m.imgPages
 	}
+	s.skipDropped()
 	m.lastSnap = s
 
 	// The arena is exactly the concatenation of the live frames' register
@@ -186,48 +199,45 @@ func (m *machine) takeSnapshot() {
 	if len(m.snaps) >= m.maxSnaps {
 		m.snaps = thin(m.snaps)
 		m.checkpoint *= 2
-		m.releaseDropped()
+		m.unlinkDropped()
 	}
 	m.nextSnap = m.dyn + m.checkpoint
 }
 
-// takeRetSnapshot records the golden run's snapshot at the return to main
-// it has just executed, one every retStride returns, capped and thinned
-// like the grid.
-func (m *machine) takeRetSnapshot() {
-	if m.rets%m.retStride != 0 {
-		return
-	}
-	m.retSnaps = append(m.retSnaps, m.capture())
-	if len(m.retSnaps) >= m.maxSnaps {
-		m.retSnaps = thin(m.retSnaps)
-		m.retStride *= 2
-		m.releaseDropped()
-	}
-}
-
-// thin drops every other snapshot of a full list; its caller doubles the
-// list's spacing, so long runs keep bounded memory at proportionally
-// coarser granularity.
+// thin drops every other snapshot of a full list, marking the dropped
+// ones; its caller doubles the list's spacing, so long runs keep bounded
+// memory at proportionally coarser granularity.
 func thin(ss []*Snapshot) []*Snapshot {
 	k := 0
-	for i := 1; i < len(ss); i += 2 {
-		ss[k] = ss[i]
+	for i, s := range ss {
+		if i%2 == 0 {
+			s.dropped = true
+			continue
+		}
+		ss[k] = s
 		k++
 	}
 	clear(ss[k:])
 	return ss[:k]
 }
 
-// releaseDropped makes every kept snapshot self-contained after a
-// thinning, so the dropped snapshots' memory is actually released: the
-// captures of either list may patch a snapshot the other list dropped.
-func (m *machine) releaseDropped() {
+// unlinkDropped takes the snapshots a thinning dropped out of the base
+// chain the run's captures form, so their memory is actually released:
+// the captures of every list patch their predecessor, whichever list it
+// belongs to. Only a kept snapshot that patched a dropped one changes,
+// and no page table is built.
+func (m *machine) unlinkDropped() {
+	m.lastSnap.skipDropped()
 	for _, s := range m.snaps {
-		s.selfContain()
+		s.skipDropped()
 	}
-	for _, s := range m.retSnaps {
-		s.selfContain()
+	if m.rec != nil {
+		for _, s := range m.rec.rets.snaps {
+			s.skipDropped()
+		}
+		for _, s := range m.rec.outs.snaps {
+			s.skipDropped()
+		}
 	}
 }
 

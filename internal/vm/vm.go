@@ -30,10 +30,10 @@
 // segments. See mem.go and snapshot.go.
 //
 // The same snapshots, with the ones the golden run takes right after
-// each return to main, are the golden states that convergence-gated
-// early termination compares injected runs with (Options.Trace): a run
-// whose state equals one of them ends with the golden continuation. See
-// trace.go.
+// each return to main and each output instruction, are the golden states
+// that convergence-gated early termination compares injected runs with
+// (Options.Trace): a run whose state equals one of them ends with the
+// golden continuation. See trace.go.
 package vm
 
 import (
@@ -161,9 +161,10 @@ type Options struct {
 	Disable Tiers
 	// Trace, when non-nil, enables convergence-gated early termination:
 	// once this run's injections are complete, its state is compared
-	// with the golden run's grid snapshots at their instants and with its
-	// return snapshots at the same returns to main, and on a match the
-	// run terminates immediately with the golden continuation
+	// with the golden run's grid snapshots at their instants, with its
+	// return snapshots at the same returns to main, and with its output
+	// snapshots right after outputs of the same length, and on a match
+	// the run terminates immediately with the golden continuation
 	// (Result.Converged). The trace must come from the same *ir.Program;
 	// incompatible budgets or exception options silently disable the
 	// checks. Ignored for checkpointing or role-counting runs.
@@ -233,8 +234,10 @@ type Result struct {
 	// starts at instruction 0.
 	Trace *GoldenTrace
 	// Converged marks an early-terminated run: the injected state became
-	// identical to the golden state at a grid snapshot's instant or at the
-	// same return to main, in everything but the counters and the output's
+	// identical to the golden state at a grid snapshot's instant, at the
+	// same return to main, or right after an output instruction that
+	// brought the output to the length of the golden output at one of its
+	// output snapshots, in everything but the counters and the output's
 	// bytes, and Stop, Dyn and the candidate counters report the golden
 	// continuation without it having been executed. Output is the run's
 	// own followed by the golden output's rest, so a run that printed a
@@ -341,9 +344,14 @@ type machine struct {
 	// startStack: its resume snapshot's, or the program image's and an
 	// empty stack) and to the outStart output bytes it started with.
 	// Checkpointing and converging runs count their returns to main
-	// (watchRets, rets); the golden run snapshots at them (retSnaps, one
-	// every retStride returns). ownOut marks a converged run whose output
-	// differs from the golden run's, completed in its own buffer.
+	// (watchRets, rets); the golden run snapshots at them and right after
+	// its outputs (rec.rets, rec.outs; outEvents counts the outputs).
+	// outCheck is the output length at which an output instruction ends
+	// the stretch and runs outEvent: 0 in the golden run, the next output
+	// snapshot's length (outIdx, backing off by outStride) in an injected
+	// run whose checks are scheduled, noOutCheck otherwise. ownOut marks
+	// a converged run whose output differs from the golden run's,
+	// completed in its own buffer.
 	trace        *GoldenTrace
 	rec          *GoldenTrace
 	startGlobals [][]byte
@@ -357,8 +365,10 @@ type machine struct {
 	ownOut       bool
 	watchRets    bool
 	rets         uint64
-	retStride    uint64
-	retSnaps     []*Snapshot
+	outCheck     int
+	outIdx       int
+	outStride    int
+	outEvents    uint64
 	// gDirty/sDirty keep the segments' dirty bitmaps between runs.
 	gDirty, sDirty bitmap
 
@@ -510,6 +520,7 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 	m.checkpoint = opts.Checkpoint
 	m.nextSnap = noSnap
 	m.nextConv = noConv
+	m.outCheck = noOutCheck
 	if m.checkpoint == 0 {
 		// A checkpointing run grows an output buffer of its own: its
 		// snapshots and trace keep views of it.
@@ -550,8 +561,10 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 		}
 	}
 	if m.checkpoint > 0 && opts.Resume == nil {
-		m.rec = &GoldenTrace{prog: p, noAlign: m.noAlign}
-		m.retStride = 1
+		m.rec = &GoldenTrace{prog: p, noAlign: m.noAlign,
+			rets: events{stride: 1, max: m.maxSnaps},
+			outs: events{stride: 1, max: min(m.maxSnaps, maxOutSnaps)}}
+		m.outCheck = 0
 	}
 	m.watchRets = m.checkpoint > 0 || m.trace != nil
 	if opts.Resume != nil {
@@ -580,6 +593,7 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 		if opts.Resume != nil {
 			m.startGlobals, m.startStack = opts.Resume.tables()
 		}
+		m.startCursors(opts.Resume)
 		m.outStart = len(m.out)
 		// Size the output buffer for the golden output: runs that reach
 		// the output phase otherwise pay repeated growth copies. A warm
@@ -618,15 +632,7 @@ func (r *Runner) Run(p *ir.Program, opts Options) (*Result, error) {
 		steps:         m.steps,
 	}
 	if m.rec != nil {
-		m.rec.snaps = m.snaps
-		m.rec.rets = m.retSnaps
-		m.rec.retStride = m.retStride
-		m.rec.imgPages = m.imgPages
-		m.rec.finalDyn = m.dyn
-		m.rec.finalReadSlots = m.readSlots
-		m.rec.finalWrites = m.writes
-		m.rec.finalOut = m.out[:len(m.out):len(m.out)]
-		m.rec.finalStop = m.stop
+		m.rec.finish(m)
 		r.res.Trace = m.rec
 	}
 	return &r.res, nil
@@ -747,7 +753,9 @@ func val(regs []uint64, o ir.Operand) uint64 {
 //     snapshot, the next memory flip, the next convergence check and the
 //     injection horizon); without one, sprint() drives the same handler
 //     table to the horizon with no per-instruction event checks at all,
-//     keeping the dynamic and candidate counters in locals.
+//     keeping the dynamic and candidate counters in locals. Both stop
+//     early at an output that reaches the output check length
+//     (outEvent) and at a return to main in runs that watch them.
 //
 // Convergence checks arm only once the plan has ended (endPlan clears the
 // armed flags), at the first stop after its last flip, which is stepped;
@@ -823,6 +831,11 @@ func (m *machine) run() {
 						return
 					}
 					continue
+				case kernEvent:
+					if m.outEvent() {
+						return
+					}
+					continue
 				case kernHalt:
 					return
 				}
@@ -857,6 +870,13 @@ func (m *machine) sprint(fr *frame, limit uint64) *frame {
 			fr.pc++
 			continue
 		case statJump:
+			continue
+		case statOutput:
+			fr.pc++
+			m.dyn, m.readSlots, m.writes = dyn, readSlots, writes
+			if m.outEvent() {
+				return nil
+			}
 			continue
 		case statFrame, statRet:
 			fr = &m.frames[len(m.frames)-1]
@@ -923,6 +943,12 @@ func (m *machine) step(fr *frame) *frame {
 		fr.pc++
 		return fr
 	case statJump:
+		return fr
+	case statOutput:
+		fr.pc++
+		if m.outEvent() {
+			return nil
+		}
 		return fr
 	case statFrame, statRet:
 		fr = &m.frames[len(m.frames)-1]
